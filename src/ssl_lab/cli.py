@@ -281,13 +281,18 @@ def _resolve_simulate(args) -> dict:
     for key, value in flag_values.items():
         if value is not None:
             resolved[key] = value
-    resolved["methods"] = _parse_methods(",".join(resolved["methods"]))
+    methods = resolved["methods"]
+    if isinstance(methods, (list, tuple)):
+        methods = ",".join(map(str, methods))
+    resolved["methods"] = _parse_methods(methods)
     if resolved["axis"] is None and resolved["grid"] is None:
         resolved["axis"] = "snr"
         resolved["grid"] = (float(resolved["s"]),)
     elif resolved["axis"] is None or resolved["grid"] is None:
         raise ValidationError("--axis and --grid must be given together")
     resolved["grid"] = tuple(float(v) for v in resolved["grid"])
+    if resolved["axis"] in ("nl", "nu") and not all(v.is_integer() for v in resolved["grid"]):
+        raise ValidationError(f"{resolved['axis']} grid values must be whole sample sizes")
     return resolved
 
 
@@ -450,7 +455,7 @@ def _cmd_fit(args) -> int:
                 ridge, stage1 = need_ridge()
                 thresholds = _stage1_threshold_grid(stage1.theta, pool)
                 threshold, out = _select_self_train(
-                    labeled, pool, validation, ridge, thresholds
+                    labeled, pool, validation, ridge, stage1, thresholds
                 )
                 selections["selftrain_ridge"] = ridge
                 selections["selftrain_threshold"] = threshold

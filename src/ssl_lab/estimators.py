@@ -19,7 +19,7 @@ Supervised, unsupervised, and semi-supervised fits:
   weights), the generic-mixture sibling of fit_em; returns half the mean
   difference. Used as an alternative unsupervised backend in experiments.
 - fit_logistic: ridge-penalized logistic regression through the origin,
-  full-batch gradient descent with backtracking; self_train builds on it.
+  damped Newton with backtracking; self_train builds on it.
 - fit_spherical_lda: half the difference of class-conditional means.
 
 Everything is a pure function of its arguments; iterative solvers keep all
@@ -412,18 +412,16 @@ def fit_em_means(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # One tanh pass; saturates to exactly 0 or 1 for large |z|, no overflow.
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def logistic_objective(theta: np.ndarray, data: LabeledDataset, ridge: float) -> float:
     """(1/n) sum log(1 + exp(-y <theta, x>)) + ridge * ||theta||^2."""
     margins = data.y * (data.x @ theta)
-    return float(np.mean(np.logaddexp(0.0, -margins))) + float(ridge) * float(theta @ theta)
+    # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), stable for any m.
+    loss = np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))
+    return float(np.mean(loss)) + float(ridge) * float(theta @ theta)
 
 
 def logistic_gradient(theta: np.ndarray, data: LabeledDataset, ridge: float) -> np.ndarray:
@@ -439,8 +437,12 @@ def fit_logistic(
 ) -> EstimatorOutput:
     """Ridge logistic regression through the origin (no intercept).
 
-    Full-batch gradient descent with Armijo backtracking from theta = 0;
-    returns once the gradient norm is at most tol. With ridge = 0 on
+    Damped Newton from theta = 0: each iteration solves the d x d system
+    H step = -g with the Hessian H = (1/n) X^T diag(p(1-p)) X + 2 ridge I,
+    then backtracks along the step until the Armijo sufficient-decrease
+    test holds. An iteration whose Hessian solve fails, or whose step is
+    non-finite or not a descent direction, steps along -g instead.
+    Returns once the gradient norm is at most tol. With ridge = 0 on
     separable data the infimum is not attained, so the solver can
     legitimately exhaust max_iter; the error carries the last iterate.
     """
@@ -451,19 +453,27 @@ def fit_logistic(
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise ValidationError("tol must be positive")
 
+    x, y, n = data.x, data.y, data.n
     theta = np.zeros(data.d)
     value = logistic_objective(theta, data, ridge)
-    step = 1.0
     for _ in range(int(max_iter)):
-        grad = logistic_gradient(theta, data, ridge)
-        grad_sq = float(grad @ grad)
-        if math.sqrt(grad_sq) <= tol:
+        p = _sigmoid(-y * (x @ theta))
+        grad = -((y * p) @ x) / n + 2.0 * float(ridge) * theta
+        if math.sqrt(float(grad @ grad)) <= tol:
             return EstimatorOutput(theta=theta, method="logistic")
-        step = min(step * 2.0, 1e8)
+        hessian = ((x.T * (p * (1.0 - p))) @ x) / n + 2.0 * float(ridge) * np.eye(data.d)
+        try:
+            direction = np.linalg.solve(hessian, -grad)
+        except np.linalg.LinAlgError:
+            direction = -grad
+        slope = float(grad @ direction)
+        if not (math.isfinite(slope) and slope < 0.0):
+            direction, slope = -grad, -float(grad @ grad)
+        step = 1.0
         while True:
-            candidate = theta - step * grad
+            candidate = theta + step * direction
             cand_value = logistic_objective(candidate, data, ridge)
-            if cand_value <= value - 1e-4 * step * grad_sq:
+            if cand_value <= value + 1e-4 * step * slope:
                 break
             step *= 0.5
             if step < 1e-18:
@@ -473,7 +483,7 @@ def fit_logistic(
                 )
         theta, value = candidate, cand_value
     raise ConvergenceError(
-        f"gradient descent did not reach tolerance in {max_iter} iterations",
+        f"damped Newton did not reach tolerance in {max_iter} iterations",
         last=EstimatorOutput(theta=theta, method="logistic"),
     )
 
@@ -485,6 +495,7 @@ def self_train(
     ridge: float,
     tol: float = 1e-8,
     max_iter: int = 10_000,
+    stage1: EstimatorOutput | None = None,
 ) -> EstimatorOutput:
     """Two-stage self-training with logistic pseudolabeling.
 
@@ -493,12 +504,17 @@ def self_train(
     as sign(<theta_1, x>) (sign(0) := +1). Stage 3 refits fit_logistic on
     the union. threshold = +inf (or an empty unlabeled set, or a zero
     stage-1 estimate, whose margins are undefined) degenerates to plain
-    fit_logistic on the labeled data.
+    fit_logistic on the labeled data. `stage1` substitutes a precomputed
+    stage-1 fit, so a threshold search fits stage 1 once; by default it
+    is fit_logistic(labeled, ridge, tol, max_iter).
     """
     if not (isinstance(threshold, (int, float)) and threshold >= 0.0):
         raise ValidationError("threshold must be nonnegative")
-    stage1 = fit_logistic(labeled, ridge, tol=tol, max_iter=max_iter)
-    theta1 = stage1.theta
+    if stage1 is None:
+        stage1 = fit_logistic(labeled, ridge, tol=tol, max_iter=max_iter)
+    theta1 = _theta_of(stage1, "stage1")
+    if theta1.size != labeled.d:
+        raise ValidationError("stage1 dimension differs from the data")
     norm1 = float(np.linalg.norm(theta1))
 
     x, y = labeled.x, labeled.y

@@ -259,15 +259,19 @@ def _stage1_threshold_grid(stage1_theta, unlabeled):
     return tuple(float(q) for q in qs)
 
 
-def _select_self_train(labeled, unlabeled, validation, ridge, thresholds):
-    """Pick the pseudolabel threshold by validation margin of the refit."""
+def _select_self_train(labeled, unlabeled, validation, ridge, stage1, thresholds):
+    """Pick the pseudolabel threshold by validation margin of the refit.
+
+    `stage1` is the logistic fit at `ridge` on the labeled data, shared
+    by every threshold.
+    """
     best = None
     last_error = None
     for threshold in thresholds:
         try:
             out = self_train(
                 labeled, unlabeled, threshold, ridge,
-                tol=_LOGISTIC_TOL, max_iter=_LOGISTIC_MAX_ITER,
+                tol=_LOGISTIC_TOL, max_iter=_LOGISTIC_MAX_ITER, stage1=stage1,
             )
             margin = avg_margin(out, validation)
         except SslLabError as err:
@@ -396,7 +400,7 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
                 if thresholds is None:
                     thresholds = _stage1_threshold_grid(stage1.theta, unlabeled)
                 threshold, out = _select_self_train(
-                    labeled, unlabeled, validation, ridge, thresholds
+                    labeled, unlabeled, validation, ridge, stage1, thresholds
                 )
                 metrics[tag] = _evaluate(
                     out.theta, model, test, {"threshold": threshold, "ridge": ridge}
@@ -425,9 +429,9 @@ def _cell_config(cfg: TrialConfig, axis: str, value) -> TrialConfig:
         theta[0] = s
         return replace(cfg, model=MixtureModel(theta_star=theta))
     if axis == "nl":
-        return replace(cfg, n_l=int(value))
+        return replace(cfg, n_l=value)
     if axis == "nu":
-        return replace(cfg, n_u=int(value))
+        return replace(cfg, n_u=value)
     if axis == "nu_over_nl":
         ratio = float(value)
         if ratio <= 0:

@@ -72,6 +72,14 @@ def leading_pair(a):
     return float(values[0]), vec
 
 
+def sigmoid(z):
+    """Logistic function 1 / (1 + exp(-z)) of one scalar, exp never overflowing."""
+    z = float(z)
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    return math.exp(z) / (1.0 + math.exp(z))
+
+
 def logistic_objective(theta, x, y, ridge):
     """Ridge logistic objective accumulated pointwise with scalar math."""
     total = 0.0

@@ -137,6 +137,29 @@ class TestSimulate:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert pattern in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis", ["nl", "nu"])
+    def test_non_integer_sample_size_grid_exits_2(self, tmp_path, capsys, axis):
+        out = tmp_path / "run"
+        code = main(["simulate", "--axis", axis, "--grid", "2,1.7", "--out", str(out)])
+        assert code == 2
+        assert "whole sample sizes" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("methods", ["sl", "sl,sslw", ["sl", "sslw"]])
+    def test_config_methods_may_be_string_or_list(self, tmp_path, methods):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "methods": methods, "n_l": 6, "n_u": 30, "n_val": 20, "n_test": 20,
+        }))
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+        assert code == 0
+        expected = ["sl"] if methods == "sl" else ["sl", "sslw"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["methods"] == expected
+        assert read_results(str(out / "results.csv")).methods() == tuple(expected)
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"sigma": 2.0}))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ssl_lab.estimators import (
     EigenPair,
     SecondMoment,
     WeightSelection,
+    _sigmoid,
     avg_margin,
     fit_em,
     fit_em_means,
@@ -27,6 +29,7 @@ from ssl_lab.estimators import (
     self_train,
     weighted,
 )
+from ssl_lab.experiments import DEFAULT_RIDGE_GRID
 from ssl_lab.gmm import (
     EstimatorOutput,
     LabeledDataset,
@@ -620,6 +623,15 @@ class TestFitLogistic:
             fit_logistic(data, ridge=0.0, tol=1e-10, max_iter=100)
         assert np.all(np.isfinite(err.value.last.theta))
 
+    def test_newton_converges_in_few_iterations_on_large_draws(self):
+        # Well separated classes: gradient steps need hundreds of
+        # iterations here at some ridge values, Newton steps a handful.
+        model = MixtureModel(theta_star=np.array([2.0, 0.0]))
+        data = sample_labeled(model, 7_000, seed=81)
+        for ridge in DEFAULT_RIDGE_GRID:
+            out = fit_logistic(data, ridge, tol=1e-6, max_iter=50)
+            assert float(np.linalg.norm(logistic_gradient(out.theta, data, ridge))) <= 1e-6
+
     def test_rejects_bad_inputs(self):
         data = labeled([[1.0, 0.0]], [1.0])
         with pytest.raises(ValidationError):
@@ -628,7 +640,51 @@ class TestFitLogistic:
             fit_logistic(data, ridge=0.1, tol=0.0)
 
 
+class TestLogisticKernels:
+    MARGINS = np.concatenate([
+        np.linspace(-800.0, 800.0, 3201),
+        [-709.9, -37.5, -1e-300, 0.0, 1e-300, 37.5, 709.9],
+    ])
+
+    def test_sigmoid_is_stable_and_matches_oracle(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = _sigmoid(self.MARGINS)
+        assert np.all(np.isfinite(out))
+        expected = np.array([oracles.sigmoid(z) for z in self.MARGINS])
+        assert np.max(np.abs(out - expected)) <= 4.5e-16
+
+    def test_objective_is_stable_and_matches_oracle(self):
+        theta = np.array([1.0])
+        for margin in self.MARGINS:
+            data = labeled([[margin]], [1.0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                value = logistic_objective(theta, data, 0.0)
+            expected = oracles.logistic_objective(theta, data.x, data.y, 0.0)
+            assert math.isfinite(value)
+            assert abs(value - expected) <= 1e-15 * max(1.0, expected)
+
+
 class TestSelfTrain:
+    def test_precomputed_stage1_is_bitwise_identical(self):
+        model = MixtureModel(theta_star=np.array([1.0, 0.0]))
+        lab = sample_labeled(model, 30, seed=65)
+        unlab = sample_unlabeled(model, 500, seed=66)
+        stage1 = fit_logistic(lab, ridge=0.01, tol=1e-6, max_iter=5_000)
+        for threshold in (0.0, 0.5, 1.0, math.inf):
+            plain = self_train(lab, unlab, threshold, ridge=0.01, tol=1e-6, max_iter=5_000)
+            reused = self_train(
+                lab, unlab, threshold, ridge=0.01, tol=1e-6, max_iter=5_000, stage1=stage1
+            )
+            assert np.array_equal(reused.theta, plain.theta)
+            assert reused.method == "selftrain"
+
+    def test_rejects_stage1_of_wrong_dimension(self):
+        lab = labeled([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0])
+        with pytest.raises(ValidationError):
+            self_train(lab, unlabeled([[1.0, 0.0]]), 0.5, ridge=0.1, stage1=np.ones(3))
+
     def test_infinite_threshold_degenerates_to_logistic(self):
         model = MixtureModel(theta_star=np.array([1.0, 0.0]))
         lab = sample_labeled(model, 25, seed=61)

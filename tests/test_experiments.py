@@ -225,6 +225,8 @@ class TestRunSweep:
         dict(axis="nl", grid=(5,), replicates=1, threads=0),
         dict(axis="snr", grid=(-1.0,), replicates=1),
         dict(axis="nu_over_nl", grid=(0.0,), replicates=1),
+        dict(axis="nl", grid=(1.7,), replicates=1),
+        dict(axis="nu", grid=(40.5,), replicates=1),
     ])
     def test_rejects_invalid_arguments(self, kwargs):
         with pytest.raises(ValidationError):
