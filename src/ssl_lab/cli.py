@@ -13,8 +13,9 @@ manifest is itself a valid --config file, so re-running with it
 reproduces results.csv byte-for-byte. Exit codes: 0 success, 2 a
 usage or configuration problem (bad flags, unreadable inputs,
 malformed files), 3 a runtime failure (solver non-convergence, empty
-results, failed writes). The SSL_LAB_OUT_DIR environment variable
-supplies the default output directory; --out wins when both are set.
+results, every requested method failing, failed writes). The
+SSL_LAB_OUT_DIR environment variable supplies the default output
+directory; --out wins when both are set.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .data_io import (
     standardize,
     write_results,
 )
-from .errors import ConvergenceError, DataFormatError, SslLabError, ValidationError
+from .errors import DataFormatError, SslLabError, ValidationError
 from .estimators import (
     fit_em,
     fit_em_means,
@@ -65,6 +66,7 @@ from .experiments import (
     _test_error,
     compatibility_score,
     run_sweep,
+    sweep_cell_configs,
 )
 from .gmm import LabeledDataset, MixtureModel
 from .theory import ProblemSize, rate_report
@@ -320,6 +322,9 @@ def _cmd_simulate(args) -> int:
     try:
         resolved = _resolve_simulate(args)
         cfg = _trial_config_from(resolved)
+        sweep_cell_configs(
+            cfg, resolved["axis"], resolved["grid"], resolved["replicates"], _threads(args)
+        )
         out_dir = _resolve_out_dir(args)
     except (ValidationError, DataFormatError, OSError) as err:
         return _fail(2, err)
@@ -339,6 +344,10 @@ def _cmd_simulate(args) -> int:
             replicates=resolved["replicates"],
             threads=_threads(args),
         )
+        if all(stats.extra.get("failures") == sweep.replicates
+               for row in sweep.cells for stats in row):
+            reasons = "; ".join(list(sweep.failure_reasons)[:3])
+            return _fail(3, f"every requested method failed in every cell: {reasons}")
         results_path = os.path.join(out_dir, "results.csv")
         write_results(sweep, results_path)
     except (SslLabError, OSError) as err:
@@ -385,8 +394,6 @@ def _cmd_fit(args) -> int:
         spec = SplitSpec(n_l=args.nl, n_val=n_val, n_test=n_test, seed=seed)
         labeled, pool, validation, test = split(table, spec)
         out_dir = _resolve_out_dir(args)
-    except ConvergenceError as err:
-        return _fail(3, err)
     except (ValidationError, DataFormatError, OSError) as err:
         return _fail(2, err)
 
@@ -436,11 +443,11 @@ def _cmd_fit(args) -> int:
             if tag == "sl":
                 theta = need_sl().theta
             elif tag == "ul":
-                theta = fit_ul(pool, seed=seed).theta
+                theta = fit_ul(pool).theta
             elif tag == "ulplus":
-                theta = fix_sign(fit_ul(pool, seed=seed), need_sl()).theta
+                theta = fix_sign(fit_ul(pool), need_sl()).theta
             elif tag == "sslw":
-                out, selection = fit_ssl_w(labeled, pool, validation, seed=seed)
+                out, selection = fit_ssl_w(labeled, pool, validation)
                 selections["sslw_t"] = selection.t
                 theta = out.theta
             elif tag == "em":
@@ -499,7 +506,8 @@ def _cmd_fit(args) -> int:
     _say(args, f"wrote {manifest_path}")
     _say(args, f"wrote {results_path}")
     if not test_errors:
-        return _fail(3, "every requested method failed")
+        reasons = "; ".join(f"{tag}: {message}" for tag, message in failures.items())
+        return _fail(3, f"every requested method failed: {reasons}")
     return 0
 
 

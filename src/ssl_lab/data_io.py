@@ -6,7 +6,7 @@ holds the labels; every other column is parsed as a real-valued
 feature, and malformed or non-finite cells are rejected with the
 1-based file line of the offending row. Preprocessing covers per-column
 standardization (returning a reusable, invertible affine record) and
-PCA via power iteration with deflation. PCA here works on the centered
+PCA by one dense eigensolve (numpy.linalg.eigh) of the centered
 covariance, deliberately unlike the uncentered second moment the
 estimators diagonalize: ingested tables carry no symmetry around the
 origin, so the mean must be removed before directions mean anything.
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataFormatError, SchemaVersionError, ValidationError
-from .estimators import DEFAULT_MAX_ITER, DEFAULT_TOL, leading_eigenpair
+from .estimators import canonical_sign
 from .experiments import CellStats, SweepResult
 from .gmm import LabeledDataset, UnlabeledDataset, _check_finite, _readonly
 from .seeds import MASK64
@@ -299,36 +299,21 @@ def standardize(data: TabularDataset):
     return table, record
 
 
-def _orthogonal_completion(basis: np.ndarray) -> np.ndarray:
-    """A unit vector orthogonal to the columns of `basis` (fewer than rows)."""
-    residuals = np.eye(basis.shape[0]) - basis @ basis.T
-    norms = np.linalg.norm(residuals, axis=0)
-    best = int(np.argmax(norms))
-    return residuals[:, best] / norms[best]
-
-
-def pca_basis(
-    data: TabularDataset,
-    k: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-):
+def pca_basis(data: TabularDataset, k: int):
     """Top-k eigenpairs of the centered feature covariance.
 
-    Power iteration with deflation: each found component is projected out
-    of the working matrix before extracting the next, and every new
-    vector is re-orthogonalized against its predecessors, so the returned
-    basis is orthonormal well within 1e-8. The covariance is centered on
+    One dense symmetric eigensolve (numpy.linalg.eigh) of the covariance;
+    the components are its top-k eigenvectors, orthonormal to rounding,
+    each with its largest-|entry| coordinate made positive (the sign rule
+    of estimators.leading_eigenpair). The covariance is centered on
     purpose; the estimators diagonalize the uncentered second moment
     because their model is symmetric around the origin, but an ingested
     table is not.
 
-    Returns (values, components): a length-k array of eigenvalues in the
-    order found (nonincreasing up to solver tolerance) and the d x k
-    matrix whose columns are the components. Raises ConvergenceError if
-    power iteration fails to settle, ValidationError unless 1 <= k <= d
-    and the table has at least two rows.
+    Returns (values, components): a length-k array of eigenvalues in
+    nonincreasing order and the d x k matrix whose columns are the
+    matching components. Raises ValidationError unless 1 <= k <= d and
+    the table has at least two rows.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValidationError("k must be an integer")
@@ -338,40 +323,19 @@ def pca_basis(
     if data.n < 2:
         raise ValidationError("pca needs at least 2 rows")
     centered = data.x - data.x.mean(axis=0)
-    cov = centered.T @ centered / data.n
-    work = cov.copy()
-    values = np.empty(k)
-    components = np.empty((data.d, k))
-    for j in range(k):
-        pair = leading_eigenpair(work, tol=tol, max_iter=max_iter, seed=seed + j)
-        vector = np.array(pair.vector, dtype=float, copy=True)
-        for i in range(j):
-            vector -= (components[:, i] @ vector) * components[:, i]
-        norm = np.linalg.norm(vector)
-        if norm < 1e-12:
-            vector = _orthogonal_completion(components[:, :j])
-        else:
-            vector /= norm
-        values[j] = vector @ cov @ vector
-        components[:, j] = vector
-        work -= (vector @ work @ vector) * np.outer(vector, vector)
-    return values, components
+    values, vectors = np.linalg.eigh(centered.T @ centered / data.n)
+    components = np.column_stack([canonical_sign(vectors[:, -1 - j]) for j in range(k)])
+    return values[::-1][:k].copy(), components
 
 
-def pca_project(
-    data: TabularDataset,
-    k: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-) -> TabularDataset:
+def pca_project(data: TabularDataset, k: int) -> TabularDataset:
     """Project the features onto their top-k principal axes.
 
     The scores are the centered features times the pca_basis components,
     an n x k matrix with columns named pc1..pck; labels ride along
     unchanged. Same preconditions and errors as pca_basis.
     """
-    _, components = pca_basis(data, k, tol=tol, max_iter=max_iter, seed=seed)
+    _, components = pca_basis(data, k)
     scores = (data.x - data.x.mean(axis=0)) @ components
     return TabularDataset(
         x=scores,

@@ -4,9 +4,10 @@ Supervised, unsupervised, and semi-supervised fits:
 
 - fit_sl: label-weighted sample mean (1/n_l) sum y_i x_i.
 - fit_ul: spectral estimate sqrt((lambda - 1)_+) * v from the leading
-  eigenpair of the uncentered second moment (1/n_u) sum x_j x_j^T. The
-  second moment is deliberately uncentered: the mixture is symmetric, so
-  the population mean is zero and E[X X^T] = I + theta theta^T.
+  eigenpair of the uncentered second moment (1/n_u) sum x_j x_j^T, taken
+  from one dense symmetric eigensolve (numpy.linalg.eigh). The second
+  moment is deliberately uncentered: the mixture is symmetric, so the
+  population mean is zero and E[X X^T] = I + theta theta^T.
 - fix_sign: resolves UL's inherent sign ambiguity with the labeled data,
   sign(<theta_sl, theta_ul>) * theta_ul, where sign(0) := +1.
 - fit_ssl_s: the three-branch switch between the zero vector, fit_sl, and
@@ -40,11 +41,9 @@ from .gmm import (
     LabeledDataset,
     UnlabeledDataset,
     _as_vector,
-    _normalize_seed,
     _readonly,
 )
 
-DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200_000
 DEFAULT_T_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 
@@ -117,73 +116,35 @@ def second_moment(data: UnlabeledDataset) -> SecondMoment:
     return SecondMoment(m=0.5 * (m + m.T), n=data.n)
 
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
+def canonical_sign(v: np.ndarray) -> np.ndarray:
     """Flip v so its largest-|entry| coordinate is positive (ties: first)."""
     idx = int(np.argmax(np.abs(v)))
     return -v if v[idx] < 0 else v
 
 
-def leading_eigenpair(
-    m,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-) -> EigenPair:
-    """Leading eigenpair by power iteration from a seeded random unit start.
+def leading_eigenpair(m) -> EigenPair:
+    """Leading eigenpair of a symmetric matrix by a dense LAPACK solve.
 
-    Accepts a SecondMoment or a plain symmetric matrix. Iterates until the
-    iterates stabilize AND the residual ||Mv - lambda v|| is at most tol;
-    the residual bound holds on every successful return. The returned
-    vector's largest-|entry| coordinate is made positive.
-
-    Raises ConvergenceError (carrying the last EigenPair) after max_iter.
+    Accepts a SecondMoment or a plain symmetric matrix (only its lower
+    triangle is read). The returned vector is a unit eigenvector of the
+    largest eigenvalue with its largest-|entry| coordinate made positive.
     """
     matrix = m.m if isinstance(m, SecondMoment) else np.asarray(m, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError("matrix must be square")
     if not np.all(np.isfinite(matrix)):
         raise ValidationError("matrix must have finite entries")
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise ValidationError("tol must be positive")
-    if max_iter < 1:
-        raise ValidationError("max_iter must be at least 1")
-
-    d = matrix.shape[0]
-    rng = np.random.default_rng(_normalize_seed(seed))
-    v = rng.standard_normal(d)
-    v /= np.linalg.norm(v)
-
-    lam = 0.0
-    for _ in range(int(max_iter)):
-        y = matrix @ v
-        lam = float(v @ y)
-        residual = float(np.linalg.norm(y - lam * v))
-        norm_y = float(np.linalg.norm(y))
-        if norm_y == 0.0:
-            # v is in the null space; (0, v) is an exact eigenpair.
-            return EigenPair(value=0.0, vector=_canonical_sign(v))
-        v_next = y / norm_y
-        if residual <= tol and float(np.linalg.norm(v_next - v)) < tol:
-            return EigenPair(value=lam, vector=_canonical_sign(v))
-        v = v_next
-    raise ConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations",
-        last=EigenPair(value=lam, vector=_canonical_sign(v)),
-    )
+    values, vectors = np.linalg.eigh(matrix)
+    return EigenPair(value=values[-1], vector=canonical_sign(vectors[:, -1]))
 
 
-def fit_ul(
-    data: UnlabeledDataset,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-) -> EstimatorOutput:
+def fit_ul(data: UnlabeledDataset) -> EstimatorOutput:
     """Spectral estimate sqrt((lambda - 1)_+) * v, zero when lambda <= 1.
 
     The sign of the output is the eigensolver's canonical one; the model's
     +-theta ambiguity is resolved only by fix_sign.
     """
-    pair = leading_eigenpair(second_moment(data), tol=tol, max_iter=max_iter, seed=seed)
+    pair = leading_eigenpair(second_moment(data))
     magnitude = math.sqrt(max(pair.value - 1.0, 0.0))
     return EstimatorOutput(theta=magnitude * pair.vector, method="ul")
 
@@ -198,10 +159,9 @@ def fix_sign(theta_ul, theta_sl) -> EstimatorOutput:
     return EstimatorOutput(theta=sign * ul, method="ulplus")
 
 
-def plugin_snr(data: UnlabeledDataset, tol: float = DEFAULT_TOL,
-               max_iter: int = DEFAULT_MAX_ITER, seed: int = 0) -> float:
+def plugin_snr(data: UnlabeledDataset) -> float:
     """Plug-in SNR estimate sqrt((lambda - 1)_+) from the second moment."""
-    pair = leading_eigenpair(second_moment(data), tol=tol, max_iter=max_iter, seed=seed)
+    pair = leading_eigenpair(second_moment(data))
     return math.sqrt(max(pair.value - 1.0, 0.0))
 
 
@@ -209,9 +169,6 @@ def fit_ssl_s(
     labeled: LabeledDataset,
     unlabeled: UnlabeledDataset,
     s: float | None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
 ) -> tuple[EstimatorOutput, str]:
     """Three-branch switch between 0, fit_sl, and sign-fixed fit_ul.
 
@@ -238,7 +195,7 @@ def fit_ssl_s(
     if s is None:
         if unlabeled.n < 1:
             raise ValidationError("plug-in SNR needs a nonempty unlabeled set")
-        s_val = plugin_snr(unlabeled, tol=tol, max_iter=max_iter, seed=seed)
+        s_val = plugin_snr(unlabeled)
     else:
         s_val = float(s)
         if not math.isfinite(s_val) or s_val < 0.0:
@@ -255,7 +212,7 @@ def fit_ssl_s(
         theta = fit_sl(labeled).theta
         branch = "sl"
     else:
-        ul = fit_ul(unlabeled, tol=tol, max_iter=max_iter, seed=seed)
+        ul = fit_ul(unlabeled)
         theta = fix_sign(ul, fit_sl(labeled)).theta
         branch = "ulplus"
     return EstimatorOutput(theta=theta, method="ssls"), branch
@@ -290,9 +247,6 @@ def fit_ssl_w(
     unlabeled: UnlabeledDataset,
     validation: UnlabeledDataset,
     t_grid=DEFAULT_T_GRID,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
     theta_ulp: EstimatorOutput | None = None,
 ) -> tuple[EstimatorOutput, WeightSelection]:
     """Pick t from t_grid maximizing the validation margin of weighted(...).
@@ -310,7 +264,7 @@ def fit_ssl_w(
 
     sl = fit_sl(labeled)
     if theta_ulp is None:
-        theta_ulp = fix_sign(fit_ul(unlabeled, tol=tol, max_iter=max_iter, seed=seed), sl)
+        theta_ulp = fix_sign(fit_ul(unlabeled), sl)
 
     best: tuple[float, float, EstimatorOutput] | None = None
     for t in sorted(grid):

@@ -32,6 +32,7 @@ their own fixed algorithms regardless of backend.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -70,8 +71,6 @@ UL_BACKENDS = ("spectral", "em")
 DEFAULT_RIDGE_GRID = tuple(float(r) for r in np.logspace(-4.0, 1.0, 7))
 METRIC_FIELDS = ("excess", "estimation", "test_error")
 
-_POWER_TOL = 1e-10
-_POWER_MAX_ITER = 200_000
 _EM_TOL = 1e-8
 _EM_MAX_ITER = 200_000
 _LOGISTIC_TOL = 1e-6
@@ -184,10 +183,14 @@ class CellStats:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
+    """Per-cell statistics of a sweep; `failure_reasons` counts failed
+    trials per "method: error" and is not written to results files."""
+
     axis_name: str
     grid: tuple
     replicates: int
     cells: tuple  # cells[i] is a tuple of CellStats for grid[i]
+    failure_reasons: dict = field(default_factory=dict)
 
     def methods(self) -> tuple:
         return tuple(sorted({stats.method for row in self.cells for stats in row}))
@@ -214,6 +217,8 @@ class SweepResult:
 
 
 def _test_error(theta: np.ndarray, test) -> float:
+    if test.n < 1:
+        raise ValidationError("the test set is empty")
     predictions = np.where(test.x @ theta >= 0.0, 1.0, -1.0)
     return float(np.mean(predictions != test.y))
 
@@ -315,7 +320,6 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
     unlabeled = sample_unlabeled(model, cfg.n_u, stream_seed(seed, 1))
     validation = sample_unlabeled(model, cfg.n_val, stream_seed(seed, 2))
     test = sample_labeled(model, cfg.n_test, stream_seed(seed, 3))
-    solver_seed = stream_seed(seed, 4)
     # Deterministic, signal-free EM start: a near-zero vector on the last
     # basis axis, which the sweep convention (theta_star on the first
     # axis) keeps orthogonal to the true mean direction. EM must earn any
@@ -343,7 +347,7 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
         nonlocal backend_ulp
         if backend_ulp is None:
             if cfg.ul_backend == "spectral":
-                raw = fit_ul(unlabeled, tol=_POWER_TOL, max_iter=_POWER_MAX_ITER, seed=solver_seed)
+                raw = fit_ul(unlabeled)
             else:
                 raw = _budgeted_em(unlabeled, em_init, cfg.em_budget)
             backend_ulp = fix_sign(raw, need_sl())
@@ -364,24 +368,20 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
             elif tag == "sl":
                 metrics[tag] = _evaluate(need_sl().theta, model, test)
             elif tag == "ul":
-                out = fit_ul(unlabeled, tol=_POWER_TOL, max_iter=_POWER_MAX_ITER, seed=solver_seed)
+                out = fit_ul(unlabeled)
                 metrics[tag] = _evaluate(out.theta, model, test)
             elif tag == "ulplus":
                 out = need_backend_ulp()
                 wrong = 1.0 if float(out.theta @ model.theta_star) < 0.0 else 0.0
                 metrics[tag] = _evaluate(out.theta, model, test, {"wrong_sign": wrong})
             elif tag == "ssls":
-                out, branch = fit_ssl_s(
-                    labeled, unlabeled, model.s,
-                    tol=_POWER_TOL, max_iter=_POWER_MAX_ITER, seed=solver_seed,
-                )
+                out, branch = fit_ssl_s(labeled, unlabeled, model.s)
                 ssls_branch = branch
                 branch_extra = {f"branch_{name}": float(branch == name) for name in ("zero", "sl", "ulplus")}
                 metrics[tag] = _evaluate(out.theta, model, test, branch_extra)
             elif tag == "sslw":
                 out, selection = fit_ssl_w(
                     labeled, unlabeled, validation, t_grid=cfg.t_grid,
-                    tol=_POWER_TOL, max_iter=_POWER_MAX_ITER, seed=solver_seed,
                     theta_ulp=need_backend_ulp(),
                 )
                 metrics[tag] = _evaluate(out.theta, model, test, {"t": selection.t})
@@ -510,6 +510,24 @@ def _run_indexed_trial(args):
     return run_trial(cfg, trial_index)
 
 
+def sweep_cell_configs(cfg: TrialConfig, axis: str, grid, replicates: int, threads: int = 1):
+    """Validate a sweep's arguments; return one TrialConfig per grid value.
+
+    run_sweep starts with this check, so a bad size (zero replicates or
+    workers, a grid value that leaves n_l = 0) fails before any trial runs.
+    """
+    if axis not in SWEEP_AXES:
+        raise ValidationError(f"axis must be one of {SWEEP_AXES}")
+    grid = tuple(grid)
+    if not grid:
+        raise ValidationError("grid must be nonempty")
+    if int(replicates) != replicates or replicates < 1:
+        raise ValidationError("replicates must be a positive integer")
+    if int(threads) != threads or threads < 1:
+        raise ValidationError("threads must be a positive integer")
+    return [_cell_config(cfg, axis, value) for value in grid]
+
+
 def run_sweep(
     cfg: TrialConfig,
     axis: str,
@@ -523,18 +541,9 @@ def run_sweep(
     which fully determines that trial's seed; scheduling across worker
     processes cannot change any number in the result.
     """
-    if axis not in SWEEP_AXES:
-        raise ValidationError(f"axis must be one of {SWEEP_AXES}")
     grid = tuple(grid)
-    if not grid:
-        raise ValidationError("grid must be nonempty")
-    if int(replicates) != replicates or replicates < 1:
-        raise ValidationError("replicates must be a positive integer")
-    if int(threads) != threads or threads < 1:
-        raise ValidationError("threads must be a positive integer")
+    cell_configs = sweep_cell_configs(cfg, axis, grid, replicates, threads)
     replicates = int(replicates)
-
-    cell_configs = [_cell_config(cfg, axis, value) for value in grid]
     jobs = [
         (cell_configs[i], i * replicates + j)
         for i in range(len(grid))
@@ -551,11 +560,15 @@ def run_sweep(
     for i in range(len(grid)):
         cell_results = results[i * replicates:(i + 1) * replicates]
         cells.append(_aggregate_cell(cell_results, cfg.methods, replicates))
+    reasons = Counter(
+        f"{tag}: {message}" for result in results for tag, message in result.failures.items()
+    )
     return SweepResult(
         axis_name=axis,
         grid=grid,
         replicates=replicates,
         cells=tuple(cells),
+        failure_reasons=dict(reasons),
     )
 
 

@@ -128,7 +128,7 @@ class TestAcceptance:
             errs = []
             for rep in range(reps):
                 data = sample_unlabeled(model, n_u, seed=pair_seed(3, cell, rep, 1))
-                theta = fit_ul(data, seed=pair_seed(3, cell, rep, 4)).theta
+                theta = fit_ul(data).theta
                 errs.append(
                     min(
                         estimation_error(theta, theta_star),
@@ -179,7 +179,7 @@ class TestAcceptance:
             for rep in range(trials):
                 labeled = sample_labeled(model, n_l, seed=pair_seed(5, cell, rep, 0))
                 pool = sample_unlabeled(model, n_u, seed=pair_seed(5, cell, rep, 1))
-                raw = fit_ul(pool, seed=pair_seed(5, cell, rep, 4))
+                raw = fit_ul(pool)
                 theta = fix_sign(raw, fit_sl(labeled)).theta
                 wrong += float(theta @ theta_star) < 0.0
             rates.append(wrong / trials)

@@ -146,6 +146,36 @@ class TestSimulate:
         assert not (out / "manifest.json").exists()
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize(
+        "extra,pattern",
+        [
+            (["--replicates", "0"], "replicates"),
+            (["--threads", "0"], "threads"),
+            (["--axis", "nl", "--grid", "10,0"], "n_l"),
+        ],
+    )
+    def test_bad_sweep_size_exits_2_before_compute(self, tmp_path, capsys, extra, pattern):
+        out = tmp_path / "run"
+        code = main(SMALL_SIM + ["--out", str(out)] + extra)
+        assert code == 2
+        assert pattern in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "extra,reason",
+        [
+            (["--ntest", "0", "--methods", "sl"], "the test set is empty"),
+            (["--nval", "0", "--methods", "sslw,logistic"], "nonempty validation set"),
+        ],
+    )
+    def test_every_method_failed_exits_3(self, tmp_path, capsys, extra, reason):
+        out = tmp_path / "run"
+        code = main(SMALL_SIM + ["--out", str(out), "--quiet"] + extra)
+        assert code == 3
+        assert reason in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     @pytest.mark.parametrize("methods", ["sl", "sl,sslw", ["sl", "sslw"]])
     def test_config_methods_may_be_string_or_list(self, tmp_path, methods):
         config = tmp_path / "cfg.json"
@@ -217,6 +247,17 @@ class TestFit:
         args[args.index("--nl") + 1] = "500"
         assert main(args) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "extra,reason",
+        [
+            (["--ntest", "0"], "the test set is empty"),
+            (["--nval", "0", "--methods", "sslw,logistic"], "nonempty validation set"),
+        ],
+    )
+    def test_every_method_failed_exits_3(self, tmp_path, capsys, extra, reason):
+        assert main(self.fit_args(tmp_path, extra)) == 3
+        assert reason in capsys.readouterr().err
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

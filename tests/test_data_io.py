@@ -302,7 +302,7 @@ class TestPca:
     def test_matches_dense_eigensolver_on_small_matrices(self):
         for seed in range(5):
             data = table(n=40, d=3, seed=seed)
-            values, components = pca_basis(data, k=3, seed=seed)
+            values, components = pca_basis(data, k=3)
             centered = data.x - data.x.mean(axis=0)
             oracle_values, oracle_vectors = jacobi_eigh(centered.T @ centered / data.n)
             assert np.max(np.abs(values - oracle_values)) <= 1e-6
@@ -316,7 +316,7 @@ class TestPca:
     def test_components_are_orthonormal(self):
         for seed in range(4):
             data = table(n=60, d=6, seed=seed)
-            _, components = pca_basis(data, k=4, seed=seed)
+            _, components = pca_basis(data, k=4)
             gram = components.T @ components
             assert np.max(np.abs(gram - np.eye(4))) <= 1e-8
 
@@ -336,8 +336,8 @@ class TestPca:
 
     def test_deterministic_for_fixed_seed(self):
         data = table(n=30, d=4, seed=6)
-        values_a, components_a = pca_basis(data, k=2, seed=3)
-        values_b, components_b = pca_basis(data, k=2, seed=3)
+        values_a, components_a = pca_basis(data, k=2)
+        values_b, components_b = pca_basis(data, k=2)
         assert np.array_equal(values_a, values_b)
         assert np.array_equal(components_a, components_b)
 

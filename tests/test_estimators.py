@@ -25,6 +25,7 @@ from ssl_lab.estimators import (
     logistic_gradient,
     logistic_objective,
     oracle_weight,
+    plugin_snr,
     second_moment,
     self_train,
     weighted,
@@ -104,24 +105,24 @@ class TestSecondMoment:
 
 class TestLeadingEigenpair:
     def test_diagonal(self):
-        pair = leading_eigenpair(np.diag([2.0, 1.0]), tol=1e-10, max_iter=100_000, seed=0)
+        pair = leading_eigenpair(np.diag([2.0, 1.0]))
         assert pair.value == pytest.approx(2.0, abs=1e-8)
         assert np.abs(pair.vector - np.array([1.0, 0.0])).max() < 1e-6
 
     def test_two_by_two_symmetric(self):
-        pair = leading_eigenpair(np.array([[2.0, 1.0], [1.0, 2.0]]), tol=1e-10, max_iter=100_000, seed=1)
+        pair = leading_eigenpair(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert pair.value == pytest.approx(3.0, abs=1e-8)
         root_half = 1.0 / math.sqrt(2.0)
         assert np.abs(pair.vector - root_half).max() < 1e-6
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_identity_degenerate_spectrum(self, d):
-        pair = leading_eigenpair(np.eye(d), tol=1e-10, max_iter=10, seed=3)
+        pair = leading_eigenpair(np.eye(d))
         assert pair.value == pytest.approx(1.0, abs=1e-10)
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_matrix(self):
-        pair = leading_eigenpair(np.zeros((3, 3)), tol=1e-10, max_iter=10, seed=4)
+        pair = leading_eigenpair(np.zeros((3, 3)))
         assert pair.value == 0.0
         assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-10)
 
@@ -131,7 +132,7 @@ class TestLeadingEigenpair:
             theta = rng.standard_normal(3)
             model = MixtureModel(theta_star=theta)
             sm = second_moment(sample_unlabeled(model, 300, seed=seed))
-            pair = leading_eigenpair(sm, tol=1e-8, max_iter=200_000, seed=seed)
+            pair = leading_eigenpair(sm)
             assert abs(np.linalg.norm(pair.vector) - 1.0) <= 1e-10
             assert np.linalg.norm(sm.m @ pair.vector - pair.value * pair.vector) <= 1e-8
             for _ in range(100):
@@ -140,7 +141,7 @@ class TestLeadingEigenpair:
                 assert pair.value >= float(probe @ sm.m @ probe) - 1e-9
 
     def test_matches_jacobi_oracle(self):
-        """Dense Jacobi sweep and power iteration agree on small matrices."""
+        """Dense Jacobi sweep and the LAPACK solve agree on small matrices."""
         rng = np.random.default_rng(63)
         for _ in range(100):
             d = int(rng.integers(2, 5))
@@ -149,50 +150,32 @@ class TestLeadingEigenpair:
             lams[0] += 0.5
             m = (q * lams) @ q.T
             m = 0.5 * (m + m.T)
-            pair = leading_eigenpair(m, tol=1e-12, max_iter=500_000, seed=11)
+            pair = leading_eigenpair(m)
             ref_value, ref_vector = oracles.leading_pair(m)
             assert pair.value == pytest.approx(ref_value, abs=1e-8)
             assert np.abs(pair.vector - ref_vector).max() < 1e-6
 
     def test_sign_canonicalization(self):
-        pair = leading_eigenpair(np.diag([4.0, 1.0]), tol=1e-10, max_iter=100_000, seed=9)
+        pair = leading_eigenpair(np.diag([4.0, 1.0]))
         assert pair.vector[0] > 0
-
-    def test_non_convergence_carries_last_iterate(self):
-        with pytest.raises(ConvergenceError) as err:
-            leading_eigenpair(np.diag([2.0, 1.0]), tol=1e-12, max_iter=3, seed=12)
-        last = err.value.last
-        assert isinstance(last, EigenPair)
-        assert np.all(np.isfinite(last.vector))
-
-    def test_seed_determinism(self):
-        m = np.array([[1.5, 0.2], [0.2, 1.1]])
-        a = leading_eigenpair(m, tol=1e-10, max_iter=100_000, seed=5)
-        b = leading_eigenpair(m, tol=1e-10, max_iter=100_000, seed=5)
-        assert a.value == b.value
-        assert np.array_equal(a.vector, b.vector)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValidationError):
-            leading_eigenpair(np.eye(2), tol=0.0, max_iter=10, seed=0)
-        with pytest.raises(ValidationError):
-            leading_eigenpair(np.eye(2), tol=1e-8, max_iter=0, seed=0)
-        with pytest.raises(ValidationError):
-            leading_eigenpair(np.zeros((2, 3)), tol=1e-8, max_iter=10, seed=0)
+            leading_eigenpair(np.zeros((2, 3)))
 
 
 class TestFitUl:
     def test_quarter_excess_spectrum(self):
         a = math.sqrt(1.25)
         data = unlabeled([[a, 1.0], [-a, 1.0], [a, -1.0], [-a, -1.0]])
-        out = fit_ul(data, tol=1e-12, max_iter=200_000, seed=0)
+        out = fit_ul(data)
         assert np.abs(out.theta - np.array([0.5, 0.0])).max() < 1e-6
         assert out.method == "ul"
 
     def test_sub_unit_spectrum_gives_zero(self):
         a, b = math.sqrt(0.9), math.sqrt(0.8)
         data = unlabeled([[a, b], [-a, b], [a, -b], [-a, -b]])
-        out = fit_ul(data, tol=1e-10, max_iter=200_000, seed=1)
+        out = fit_ul(data)
         assert np.array_equal(out.theta, np.zeros(2))
 
     def test_monte_carlo_rate(self):
@@ -200,18 +183,12 @@ class TestFitUl:
         theta_star[0] = 1.0
         model = MixtureModel(theta_star=theta_star)
         data = sample_unlabeled(model, 100_000, seed=3)
-        out = fit_ul(data, tol=1e-10, max_iter=200_000, seed=3)
+        out = fit_ul(data)
         err = min(
             np.linalg.norm(out.theta - theta_star),
             np.linalg.norm(out.theta + theta_star),
         )
         assert err <= 3.0 * math.sqrt(5 / 100_000)
-
-    def test_propagates_non_convergence(self):
-        model = MixtureModel(theta_star=np.array([1.0, 0.0]))
-        data = sample_unlabeled(model, 50, seed=4)
-        with pytest.raises(ConvergenceError):
-            fit_ul(data, tol=1e-14, max_iter=2, seed=4)
 
 
 class TestFixSign:
@@ -255,12 +232,31 @@ class TestFixSign:
             )
 
 
-def ssl_s_candidates(lab, unlab, tol=1e-10, max_iter=200_000, seed=0):
-    """The three vectors fit_ssl_s is allowed to return, same solver knobs."""
+class TestPluginSnr:
+    def test_matches_oracle_eigenvalue(self):
+        rng = np.random.default_rng(66)
+        for d, s in [(2, 1.5), (3, 0.7), (5, 2.0)]:
+            theta_star = rng.standard_normal(d)
+            theta_star *= s / np.linalg.norm(theta_star)
+            data = sample_unlabeled(MixtureModel(theta_star=theta_star), 2_000, seed=d)
+            lam, _ = oracles.leading_pair(second_moment(data).m)
+            assert lam > 1.0
+            assert plugin_snr(data) == pytest.approx(math.sqrt(lam - 1.0), rel=1e-10)
+
+    def test_sub_unit_spectrum_gives_exact_zero(self):
+        a, b = math.sqrt(0.9), math.sqrt(0.8)
+        data = unlabeled([[a, b], [-a, b], [a, -b], [-a, -b]])
+        lam, _ = oracles.leading_pair(second_moment(data).m)
+        assert lam < 1.0
+        assert plugin_snr(data) == 0.0
+
+
+def ssl_s_candidates(lab, unlab):
+    """The three vectors fit_ssl_s is allowed to return."""
     zero = np.zeros(lab.d)
     sl = fit_sl(lab).theta
     if unlab.n >= 1:
-        ulp = fix_sign(fit_ul(unlab, tol=tol, max_iter=max_iter, seed=seed), fit_sl(lab)).theta
+        ulp = fix_sign(fit_ul(unlab), fit_sl(lab)).theta
     else:
         ulp = None
     return zero, sl, ulp
@@ -329,11 +325,8 @@ class TestFitSslS:
             n_u = int(rng.integers(0, 400))
             lab = sample_labeled(model, n_l, seed=trial)
             unlab = sample_unlabeled(model, n_u, seed=10_000 + trial)
-            try:
-                out, branch = fit_ssl_s(lab, unlab, s, seed=trial)
-            except ConvergenceError:
-                continue
-            zero, sl, ulp = ssl_s_candidates(lab, unlab, seed=trial)
+            out, branch = fit_ssl_s(lab, unlab, s)
+            zero, sl, ulp = ssl_s_candidates(lab, unlab)
             d_thresh = min(
                 math.sqrt(d / n_l),
                 (d / n_u) ** 0.25 if n_u else math.inf,
@@ -352,10 +345,35 @@ class TestFitSslS:
         model = MixtureModel(theta_star=np.array([2.0, 0.0]))
         lab = sample_labeled(model, 50, seed=1)
         unlab = sample_unlabeled(model, 5_000, seed=2)
-        out, branch = fit_ssl_s(lab, unlab, None, seed=7)
+        out, branch = fit_ssl_s(lab, unlab, None)
         # the plug-in estimate sits near 2, far above both thresholds
         assert branch == "ulplus"
         assert out.method == "ssls"
+
+    def test_plug_in_snr_matches_explicit_plugin_value(self):
+        cases = []
+        for s, n_l, n_u in [(0.3, 100, 10_000), (0.3, 10_000, 100), (2.0, 50, 5_000)]:
+            model = MixtureModel(theta_star=np.array([s, 0.0, 0.0]))
+            cases.append((sample_labeled(model, n_l, seed=n_l), sample_unlabeled(model, n_u, seed=n_u)))
+        # second-moment spectrum below 1, so the plug-in SNR is exactly 0
+        a, b = math.sqrt(0.9), math.sqrt(0.8)
+        cases.append((
+            labeled([[1.0, 0.2], [-0.7, 0.1]], [1.0, -1.0]),
+            unlabeled([[a, b], [-a, b], [a, -b], [-a, -b]]),
+        ))
+        branches = set()
+        for lab, unlab in cases:
+            out, branch = fit_ssl_s(lab, unlab, None)
+            ref, ref_branch = fit_ssl_s(lab, unlab, plugin_snr(unlab))
+            assert branch == ref_branch
+            assert np.array_equal(out.theta, ref.theta)
+            branches.add(branch)
+        assert branches == {"zero", "sl", "ulplus"}
+
+    def test_plug_in_snr_needs_unlabeled_data(self):
+        lab, unlab = self.make(100, 0)
+        with pytest.raises(ValidationError):
+            fit_ssl_s(lab, unlab, None)
 
     def test_rejects_bad_snr(self):
         lab, unlab = self.make(10, 10)
