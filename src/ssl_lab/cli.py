@@ -34,6 +34,7 @@ from . import __version__
 from .charts import render_gap_chart, render_series_chart
 from .data_io import (
     SplitSpec,
+    atomic_writer,
     load_csv,
     pca_project,
     read_results,
@@ -64,6 +65,7 @@ from .experiments import (
     _select_self_train,
     _stage1_threshold_grid,
     _test_error,
+    check_validation_size,
     compatibility_score,
     run_sweep,
     sweep_cell_configs,
@@ -384,6 +386,7 @@ def _cmd_fit(args) -> int:
                 f"methods {unsupported} are not available on real data; "
                 f"choose from {', '.join(FIT_METHODS)}"
             )
+        check_validation_size(methods, args.nval)
         data = load_csv(args.data, args.label_column, args.positive_label)
         table, _ = standardize(data)
         if args.pca is not None:
@@ -499,7 +502,7 @@ def _cmd_fit(args) -> int:
     print(text)
     results_path = os.path.join(out_dir, "fit_results.json")
     try:
-        with open(results_path, "w") as handle:
+        with atomic_writer(results_path) as handle:
             handle.write(text + "\n")
     except OSError as err:
         return _fail(3, err)

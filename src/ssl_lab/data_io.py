@@ -20,10 +20,14 @@ key=value pairs. Readers reject any other schema version up front.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
+import shutil
+import warnings
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -188,11 +192,21 @@ def load_csv(path, label_column: str, positive_label) -> TabularDataset:
     maps to +1 and the other of the two distinct raw values maps to -1.
     Every remaining column is parsed as a float feature.
 
+    Cells may be quoted with '"', and '#' is ordinary data, not a
+    comment. Empty lines are skipped; line endings may be LF, CRLF or
+    CR. A feature cell is accepted when, stripped of surrounding
+    whitespace, it is ASCII, contains no '_', and float() parses it, as
+    '1e-3', ' 2.5 ' or '-inf' do; non-finite values are then rejected.
+    This is numpy.loadtxt's grammar, narrower than float()'s: '1_000'
+    and non-ASCII digits such as the full-width U+FF11 are rejected.
+
     Raises DataFormatError when the header is missing or has duplicate
-    names, the label column is absent, a cell fails to parse or is
-    non-finite (the message names the 1-based file line), there are no
-    data rows or no feature columns, the labels do not take exactly two
-    distinct values, or positive_label is not one of them.
+    names, the label column is absent, a row has the wrong number of
+    fields, a cell fails to parse or is non-finite (the message names
+    the column and the 1-based file line of the first such cell, a
+    quoted field spanning lines counting as one), there are no data rows
+    or no feature columns, the labels do not take exactly two distinct
+    values, or positive_label is not one of them.
     """
     display = os.fspath(path)
     with open(path, newline="") as handle:
@@ -211,50 +225,84 @@ def load_csv(path, label_column: str, positive_label) -> TabularDataset:
         feature_names = tuple(name for i, name in enumerate(header) if i != label_index)
         if not feature_names:
             raise DataFormatError(f"{display}: no feature columns besides the label column")
-        rows = []
-        raw_labels = []
-        for line, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise DataFormatError(
-                    f"{display}: row {line}: expected {len(header)} fields, found {len(record)}"
+        codes = {}
+
+        def code(raw: str) -> float:
+            return codes.setdefault(raw.strip(), float(len(codes)))
+
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    handle,
+                    dtype=float,
+                    delimiter=",",
+                    quotechar='"',
+                    comments=None,
+                    ndmin=2,
+                    converters={label_index: code},
+                    encoding=None,
                 )
-            values = []
-            for i, cell in enumerate(record):
-                if i == label_index:
-                    continue
-                try:
-                    value = float(cell.strip())
-                except ValueError:
-                    raise DataFormatError(
-                        f"{display}: row {line}: cannot parse {cell!r} in column "
-                        f"{header[i]!r} as a real number"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataFormatError(
-                        f"{display}: row {line}: non-finite value {cell!r} in column {header[i]!r}"
-                    )
-                values.append(value)
-            rows.append(values)
-            raw_labels.append(record[label_index].strip())
-    if not rows:
+        except ValueError as err:
+            _raise_first_fault(handle, display, header, label_index, err)
+        # loadtxt takes the width from the first data row, not the header.
+        if table.size and (table.shape[1] != len(header) or not np.all(np.isfinite(table))):
+            _raise_first_fault(handle, display, header, label_index, "rows do not match the header")
+    if table.shape[0] == 0:
         raise DataFormatError(f"{display}: no data rows after the header")
-    distinct = sorted(set(raw_labels))
+    distinct = sorted(codes)
     if len(distinct) != 2:
         raise DataFormatError(
             f"{display}: label column must take exactly two distinct values, "
             f"found {len(distinct)}: {distinct[:5]}"
         )
     positive = str(positive_label)
-    if positive not in distinct:
+    if positive not in codes:
         raise DataFormatError(
             f"{display}: positive label {positive!r} not among label values {distinct}"
         )
-    y = np.where([label == positive for label in raw_labels], 1.0, -1.0)
+    y = np.where(table[:, label_index] == codes[positive], 1.0, -1.0)
     return TabularDataset(
-        x=np.asarray(rows, dtype=float), y=y, columns=feature_names, provenance=display
+        x=np.delete(table, label_index, axis=1), y=y, columns=feature_names, provenance=display
     )
+
+
+def _raise_first_fault(handle, display: str, header: list, label_index: int, cause) -> NoReturn:
+    """Rescan the rows after the header and raise DataFormatError at the first fault.
+
+    Faults are checked in row-major order: a row with the wrong number
+    of fields, then each feature cell that does not parse under the
+    load_csv grammar or is non-finite. When every row passes, the error
+    carries `cause`, the reason the fast parse gave up.
+    """
+    handle.seek(0)
+    reader = csv.reader(handle)
+    next(reader)
+    for line, record in enumerate(reader, start=2):
+        if not record:
+            continue
+        if len(record) != len(header):
+            raise DataFormatError(
+                f"{display}: row {line}: expected {len(header)} fields, found {len(record)}"
+            )
+        for i, cell in enumerate(record):
+            if i == label_index:
+                continue
+            text = cell.strip()
+            try:
+                value = float(text) if text.isascii() and "_" not in text else None
+            except ValueError:
+                value = None
+            if value is None:
+                raise DataFormatError(
+                    f"{display}: row {line}: cannot parse {cell!r} in column "
+                    f"{header[i]!r} as a real number"
+                )
+            if not math.isfinite(value):
+                raise DataFormatError(
+                    f"{display}: row {line}: non-finite value {cell!r} in column {header[i]!r}"
+                )
+    raise DataFormatError(f"{display}: {cause}")
 
 
 def save_csv(data: TabularDataset, path, label_column: str = "label") -> None:
@@ -387,14 +435,41 @@ def _format_extra(extra: dict) -> str:
     return ";".join(parts)
 
 
+@contextlib.contextmanager
+def atomic_writer(path):
+    """Yield a text handle whose contents replace `path` when the block ends.
+
+    Writes go to a temporary file beside `path` that os.replace then moves
+    over it, so readers see the old file or the whole new one, never a
+    truncated one. The temporary file is fsynced before the replace, so a
+    crash of the machine cannot leave a partial file either, and it takes
+    the permission bits of the file it replaces. If the block raises, the
+    temporary file is removed and `path` is left as it was.
+    """
+    temp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", newline="") as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        with contextlib.suppress(FileNotFoundError):
+            shutil.copymode(path, temp)
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
+
+
 def write_results(sweep: SweepResult, path) -> None:
     """Serialize a sweep to versioned CSV, one row per (grid cell, method).
 
     The first line stamps the schema version, the second is the fixed
     header, and every float is written with repr() so read_results
-    reproduces the sweep exactly (NaN and infinities included).
+    reproduces the sweep exactly (NaN and infinities included). The file
+    is replaced atomically (see atomic_writer).
     """
-    with open(path, "w", newline="") as handle:
+    with atomic_writer(path) as handle:
         handle.write(f"{_SCHEMA_PREFIX}{RESULTS_SCHEMA_VERSION}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(RESULTS_COLUMNS)

@@ -76,6 +76,15 @@ _EM_MAX_ITER = 200_000
 _LOGISTIC_TOL = 1e-6
 _LOGISTIC_MAX_ITER = 5_000
 EM_INIT_SCALE = 1e-3
+#: Methods that select a hyperparameter on the validation set.
+VALIDATION_METHODS = ("sslw", "logistic", "selftrain")
+
+
+def check_validation_size(methods, n_val: int) -> None:
+    """Reject n_val = 0 when a requested method selects on the validation set."""
+    needy = [tag for tag in methods if tag in VALIDATION_METHODS]
+    if n_val == 0 and needy:
+        raise ValidationError(f"methods {needy} need a nonempty validation set; n_val is 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,6 +131,7 @@ class TrialConfig:
             if tag not in HARNESS_METHODS:
                 raise ValidationError(f"unknown method tag {tag!r}")
         object.__setattr__(self, "methods", methods)
+        check_validation_size(methods, self.n_val)
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         if self.self_train_thresholds is not None:
             thresholds = tuple(float(t) for t in self.self_train_thresholds)

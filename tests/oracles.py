@@ -4,14 +4,19 @@ Each routine here deliberately takes a different route from the library
 code it checks: the normal CDF comes from high-precision numerical
 integration, eigenpairs from a dense cyclic Jacobi sweep, the logistic fit
 from fixed-step gradient descent with a trace-bound step size, gradients
-from central differences, and the mixture log-likelihood from a logcosh
-identity. Keep them boring and obviously correct.
+from central differences, the mixture log-likelihood from a logcosh
+identity, and CSV tables from csv.reader and float() one cell at a time.
+Keep them boring and obviously correct.
 """
 
+import csv
 import math
+import os
 
 import mpmath as mp
 import numpy as np
+
+from ssl_lab.errors import DataFormatError
 
 
 def normal_cdf(x):
@@ -143,3 +148,71 @@ def sym_mixture_avg_loglik(theta, x):
     quadratic = 0.5 * (np.sum(x * x, axis=1) + float(theta @ theta))
     d = x.shape[1]
     return float(np.mean(logcosh - quadratic)) - 0.5 * d * math.log(2.0 * math.pi)
+
+
+def load_csv_rows(path, label_column, positive_label):
+    """Reference table reader: csv.reader, then float() on each stripped cell.
+
+    Returns (x, y, columns) as data_io.load_csv builds them and raises
+    DataFormatError with load_csv's messages. Its grammar is float()'s,
+    which also takes '1_000' and non-ASCII digits; load_csv rejects those.
+    """
+    display = os.fspath(path)
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = [name.strip() for name in next(reader)]
+        except StopIteration:
+            raise DataFormatError(f"{display}: empty file, expected a header row") from None
+        if len(set(header)) != len(header):
+            raise DataFormatError(f"{display}: duplicate column names in header")
+        if label_column not in header:
+            raise DataFormatError(
+                f"{display}: label column {label_column!r} not found; columns are {header}"
+            )
+        label_index = header.index(label_column)
+        columns = tuple(name for i, name in enumerate(header) if i != label_index)
+        if not columns:
+            raise DataFormatError(f"{display}: no feature columns besides the label column")
+        rows = []
+        raw_labels = []
+        for line, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise DataFormatError(
+                    f"{display}: row {line}: expected {len(header)} fields, found {len(record)}"
+                )
+            values = []
+            for i, cell in enumerate(record):
+                if i == label_index:
+                    continue
+                try:
+                    value = float(cell.strip())
+                except ValueError:
+                    raise DataFormatError(
+                        f"{display}: row {line}: cannot parse {cell!r} in column "
+                        f"{header[i]!r} as a real number"
+                    ) from None
+                if not math.isfinite(value):
+                    raise DataFormatError(
+                        f"{display}: row {line}: non-finite value {cell!r} in column {header[i]!r}"
+                    )
+                values.append(value)
+            rows.append(values)
+            raw_labels.append(record[label_index].strip())
+    if not rows:
+        raise DataFormatError(f"{display}: no data rows after the header")
+    distinct = sorted(set(raw_labels))
+    if len(distinct) != 2:
+        raise DataFormatError(
+            f"{display}: label column must take exactly two distinct values, "
+            f"found {len(distinct)}: {distinct[:5]}"
+        )
+    positive = str(positive_label)
+    if positive not in distinct:
+        raise DataFormatError(
+            f"{display}: positive label {positive!r} not among label values {distinct}"
+        )
+    y = np.where([label == positive for label in raw_labels], 1.0, -1.0)
+    return np.asarray(rows, dtype=float), y, columns

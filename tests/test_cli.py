@@ -152,6 +152,8 @@ class TestSimulate:
             (["--replicates", "0"], "replicates"),
             (["--threads", "0"], "threads"),
             (["--axis", "nl", "--grid", "10,0"], "n_l"),
+            (["--nval", "0", "--methods", "sslw,logistic"], "nonempty validation set"),
+            (["--nval", "0", "--methods", "sl,sslw"], "nonempty validation set"),
         ],
     )
     def test_bad_sweep_size_exits_2_before_compute(self, tmp_path, capsys, extra, pattern):
@@ -166,7 +168,6 @@ class TestSimulate:
         "extra,reason",
         [
             (["--ntest", "0", "--methods", "sl"], "the test set is empty"),
-            (["--nval", "0", "--methods", "sslw,logistic"], "nonempty validation set"),
         ],
     )
     def test_every_method_failed_exits_3(self, tmp_path, capsys, extra, reason):
@@ -252,12 +253,28 @@ class TestFit:
         "extra,reason",
         [
             (["--ntest", "0"], "the test set is empty"),
-            (["--nval", "0", "--methods", "sslw,logistic"], "nonempty validation set"),
         ],
     )
     def test_every_method_failed_exits_3(self, tmp_path, capsys, extra, reason):
         assert main(self.fit_args(tmp_path, extra)) == 3
         assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods", ["sslw,logistic", "sl,sslw", "selftrain"])
+    def test_nval_zero_with_validation_methods_exits_2(self, tmp_path, capsys, methods):
+        out = tmp_path / "run"
+        assert main(self.fit_args(out, ["--nval", "0", "--methods", methods])) == 2
+        assert "nonempty validation set" in capsys.readouterr().err
+        assert not (out / "fit_manifest.json").exists()
+        assert not (out / "fit_results.json").exists()
+
+    def test_results_file_is_replaced_whole(self, tmp_path):
+        stale = tmp_path / "fit_results.json"
+        stale.write_text("stale")
+        assert main(self.fit_args(tmp_path)) == 0
+        assert json.loads(stale.read_text())["n"] == 200
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fit_manifest.json", "fit_results.json"
+        ]
 
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,9 +1,11 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
-from oracles import jacobi_eigh
+from oracles import jacobi_eigh, load_csv_rows
 from ssl_lab.data_io import (
     RESULTS_COLUMNS,
     RESULTS_SCHEMA_VERSION,
@@ -185,6 +187,84 @@ class TestLoadCsv:
         path = write_text(tmp_path / "t.csv", text)
         with pytest.raises(DataFormatError, match=pattern):
             load_csv(path, label_column="label", positive_label="z")
+
+    @pytest.mark.parametrize("cell", ["1_000", "\uff11", " \u0661.5 "])
+    def test_narrowed_grammar_names_row_and_column(self, tmp_path, cell):
+        path = str(tmp_path / "t.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(f"a,b,label\n1.0,2.0,p\n3.0,{cell},q\n")
+        x, _, _ = load_csv_rows(path, "label", "p")
+        assert x.shape == (2, 2)
+        with pytest.raises(DataFormatError, match=f"row 3: cannot parse {cell!r} in column 'b'"):
+            load_csv(path, label_column="label", positive_label="p")
+
+
+#: (text, label column, positive label) for the differential test. Every
+#: case reads the same under load_csv and the reference row-by-row reader.
+DIFFERENTIAL_CASES = {
+    "lf": ("a,b,label\n1.5,-2,p\n0.25,4e3,q\n", "label", "p"),
+    "crlf": ("a,b,label\r\n1.5,-2,p\r\n0.25,4e3,q\r\n", "label", "p"),
+    "cr_only": ("a,b,label\r1.5,-2,p\r0.25,4e3,q\r", "label", "p"),
+    "no_final_newline": ("a,b,label\n1.5,-2,p\n0.25,4e3,q", "label", "p"),
+    "blank_lines": ("a,label\n\n1.0,p\n\n\n2.0,q\n\n", "label", "q"),
+    "crlf_blank_lines": ("a,label\r\n1.0,p\r\n\r\n2.0,q\r\n\r\n", "label", "q"),
+    "space_only_line": ("a,label\n1.0,p\n   \n2.0,q\n", "label", "p"),
+    "tab_only_line": ("a,label\n1.0,p\n\t\n2.0,q\n", "label", "p"),
+    "quoted_label_comma": ('a,label\n1.0,"p,x"\n2.0,q\n3.0,"p,x"\n', "label", "p,x"),
+    "quoted_label_newline": ('a,label\n1.0,"p\nx"\n2.0,q\n', "label", "p\nx"),
+    "row_after_quoted_newline": ('a,label\n1.0,"p\nx"\n2.0,q\noops,q\n', "label", "q"),
+    "doubled_quote_label": ('a,label\n1.0,"p""x"\n2.0,q\n', "label", 'p"x'),
+    "quoted_feature": ('a,label\n"1.5",p\n" 2.0 ",q\n', "label", "p"),
+    "hash_in_label": ("a,label\n1.0,#p\n2.0,q#\n", "label", "#p"),
+    "hash_in_feature": ("a,label\n1.0,p\n#2.0,q\n", "label", "p"),
+    "extra_field": ("a,b,label\n1,2,p\n3,4,q,5\n", "label", "p"),
+    "missing_field": ("a,b,label\n1,2,p\n3,q\n", "label", "p"),
+    "missing_label_field": ("a,b,label\n1,2\n3,4,q\n", "label", "q"),
+    "every_row_short_label_first": ("label,a,b\np,1\nq,2\n", "label", "p"),
+    "every_row_short_label_middle": ("a,label,b\n1,p\n2,q\n", "label", "p"),
+    "only_label_fields": ("label,a\np\nq\n", "label", "p"),
+    "empty_cell": ("a,b,label\n1,,p\n3,4,q\n", "label", "p"),
+    "padded_cells": ("a , b ,label\n 1.5 ,\t-2\t, p \n0.25,  4e3,q  \n", "label", "p"),
+    "nbsp_padded_cell": ("a,label\n\xa01.5\xa0,p\n2.0,q\n", "label", "p"),
+    "separator_padded_cell": ("a,label\n1.5\x1f,p\n2.0,q\n", "label", "p"),
+    "bom": ("\ufeffa,label\n1.0,p\n2.0,q\n", "label", "p"),
+    "bom_before_label": ("\ufefflabel,a\np,1.0\nq,2.0\n", "label", "p"),
+    "nan_before_unparseable": ("a,b,label\n1,2,p\nnan,x,q\n", "label", "p"),
+    "nan_after_unparseable": ("a,b,label\n1,x,p\n-inf,2,q\n", "label", "p"),
+    "unparseable_row_after_nan_row": ("a,b,label\n1,NaN,p\nx,2,q\n", "label", "p"),
+    "overflow_to_inf": ("a,label\n1.0,p\n1e999,q\n", "label", "p"),
+    "spelled_out_infinity": ("a,label\n1.0,p\n-Infinity,q\n", "label", "p"),
+    "label_in_middle": ("a,label,b\n1.0,p,2.0\n3.0,q,4.0\n5.0,p,6.0\n", "label", "q"),
+    "label_first": ("label,a\nq,1.0\np,2.0\n", "label", "p"),
+    "numeric_labels": ("a,label\n1.0,1\n2.0,0\n3.0,1\n", "label", 1),
+    "latin1_label": ("a,label\n1.0,caf\xe9\n2.0,q\n", "label", "caf\xe9"),
+    "non_latin1_label": ("a,label\n1.0,\u732b\n2.0,\u72ac\n", "label", "\u732b"),
+    "single_data_row": ("a,label\n1.0,p\n", "label", "p"),
+    "single_data_row_no_newline": ("a,b,label\n1.0,2.0,p", "label", "p"),
+    "header_only": ("a,label\n", "label", "p"),
+    "header_then_blank_lines": ("a,label\n\n\n", "label", "p"),
+    "three_labels": ("a,label\n1.0,p\n2.0,q\n3.0,r\n", "label", "p"),
+    "absent_positive_label": ("a,label\n1.0,p\n2.0,q\n", "label", "z"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL_CASES))
+def test_load_csv_matches_reference_reader(tmp_path, case):
+    text, label_column, positive_label = DIFFERENTIAL_CASES[case]
+    path = str(tmp_path / "t.csv")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+    try:
+        x, y, columns = load_csv_rows(path, label_column, positive_label)
+    except DataFormatError as err:
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path, label_column, positive_label)
+        assert str(info.value) == str(err)
+        return
+    data = load_csv(path, label_column, positive_label)
+    assert data.columns == columns
+    assert np.array_equal(data.x, x.reshape(-1, len(columns)))
+    assert np.array_equal(data.y, y)
 
 
 class TestSaveLoadRoundTrip:
@@ -590,3 +670,22 @@ class TestResultsErrors:
         sweep = SweepResult(axis_name="snr", grid=(1.0,), replicates=1, cells=((stats,),))
         with pytest.raises(ValidationError):
             write_results(sweep, str(tmp_path / "bad.csv"))
+
+    def test_failed_write_leaves_existing_file_intact(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_results(synthetic_sweep(), str(path))
+        before = path.read_bytes()
+        good = synthetic_sweep().cells[0]
+        bad = (CellStats("sl", 3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, {"a;b": 1.0}),)
+        sweep = SweepResult(axis_name="nu", grid=(1.0, 2.0), replicates=3, cells=(good, bad))
+        with pytest.raises(ValidationError):
+            write_results(sweep, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+    def test_rewrite_keeps_permission_bits(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_results(synthetic_sweep(), str(path))
+        os.chmod(path, 0o640)
+        write_results(synthetic_sweep(), str(path))
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640

@@ -124,6 +124,14 @@ class TestTrialConfig:
         with pytest.raises(ValidationError):
             config(**bad)
 
+    @pytest.mark.parametrize("methods", [("sslw",), ("sl", "logistic"), ("selftrain",)])
+    def test_validation_methods_need_validation_rows(self, methods):
+        with pytest.raises(ValidationError, match="nonempty validation set"):
+            config(n_val=0, methods=methods)
+
+    def test_zero_validation_rows_allowed_without_selection(self):
+        assert config(n_val=0, methods=("sl", "ulplus", "em")).n_val == 0
+
 
 class TestRunTrial:
     def test_repeated_call_is_bitwise_identical(self):

@@ -15,22 +15,32 @@ angle error, so an excess of 1e-7 moves by a relative 1e-3 when theta
 moves by a relative 1e-6. The floor is a millionth of the 1e-3
 resolution of a 1,000-row test error.
 
+fit_synthetic.json is the fit_results.json of `ssl-lab fit` on the
+bundled data/synthetic_2gmm_200.csv at --nl 20 --seed 3. Every field but
+"data", the path as given on the command line, must match exactly.
+
 Regenerate the files with `PYTHONPATH=src python tests/test_golden.py`
 only when a change is meant to move the pinned numbers, and say so in
 CHANGES.md.
 """
 
 import csv
+import json
 import math
 import os
+import tempfile
 from dataclasses import replace
 
 import pytest
 
+from ssl_lab.cli import main
 from ssl_lab.data_io import write_results
 from ssl_lab.experiments import PRESETS, run_sweep
 
-GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_DIR = os.path.join(TESTS_DIR, "golden")
+FIT_GOLDEN = os.path.join(GOLDEN_DIR, "fit_synthetic.json")
+FIT_DATA = "data/synthetic_2gmm_200.csv"
 GOLDEN_REPLICATES = {"fig1a": 2, "fig1b": 1, "fig3": 2}
 EXTRA_METHODS = {"fig1a": ("logistic",), "fig1b": ("logistic",), "fig3": ()}
 EXACT_METHODS = {"sl", "em", "lda"}
@@ -100,8 +110,29 @@ def test_preset_matches_golden(preset, tmp_path):
                 assert close(got_extra[key], value), f"{where} {key}: {got_extra[key]} vs {value}"
 
 
+def run_fit(out_dir):
+    """fit_results.json of the pinned fit run, with "data" as the repo-relative path."""
+    data = os.path.join(os.path.dirname(TESTS_DIR), FIT_DATA)
+    assert main(["fit", data, "--nl", "20", "--seed", "3", "--out", out_dir, "--quiet"]) == 0
+    with open(os.path.join(out_dir, "fit_results.json")) as handle:
+        payload = json.load(handle)
+    payload["data"] = FIT_DATA
+    return payload
+
+
+def test_fit_matches_golden(tmp_path):
+    with open(FIT_GOLDEN) as handle:
+        expected = json.load(handle)
+    assert run_fit(str(tmp_path)) == expected
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in sorted(GOLDEN_REPLICATES):
         run_golden(name, golden_path(name))
         print(f"wrote {golden_path(name)}")
+    with tempfile.TemporaryDirectory() as out_dir:
+        payload = run_fit(out_dir)
+    with open(FIT_GOLDEN, "w") as handle:
+        handle.write(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {FIT_GOLDEN}")
