@@ -43,66 +43,31 @@ from .data_io import (
     write_results,
 )
 from .errors import DataFormatError, SslLabError, ValidationError
-from .estimators import (
-    fit_em,
-    fit_em_means,
-    fit_spherical_lda,
-    fit_sl,
-    fit_ssl_w,
-    fit_ul,
-    fix_sign,
-)
 from .experiments import (
-    DEFAULT_RIDGE_GRID,
-    EM_INIT_SCALE,
     HARNESS_METHODS,
+    METHODS,
     METRIC_FIELDS,
     PRESETS,
     SWEEP_AXES,
     UL_BACKENDS,
+    FitContext,
     TrialConfig,
-    _select_ridge,
-    _select_self_train,
-    _stage1_threshold_grid,
-    _test_error,
     check_validation_size,
     compatibility_score,
     run_sweep,
     sweep_cell_configs,
+    test_error,
 )
 from .gmm import LabeledDataset, MixtureModel
 from .theory import ProblemSize, rate_report
 
 #: Accepted spellings of each method tag.
 METHOD_ALIASES = {
-    "zero": "zero",
-    "sl": "sl",
-    "supervised": "sl",
-    "ul": "ul",
-    "ulplus": "ulplus",
-    "ul+": "ulplus",
-    "ulp": "ulplus",
-    "ssls": "ssls",
-    "sls": "ssls",
-    "ssl-s": "ssls",
-    "sslw": "sslw",
-    "slw": "sslw",
-    "ssl-w": "sslw",
-    "em": "em",
-    "em_means": "em_means",
-    "em-means": "em_means",
-    "logistic": "logistic",
-    "selftrain": "selftrain",
-    "self-train": "selftrain",
-    "lda": "lda",
-    "sphericallda": "lda",
-    "spherical-lda": "lda",
+    alias: tag for tag, method in METHODS.items() for alias in (tag, *method.aliases)
 }
-
-#: Methods cmd_fit can run on real data. "zero" is pointless there and
-#: "ssls" needs the true separation s, which only simulations know.
-FIT_METHODS = ("sl", "ul", "ulplus", "sslw", "em", "em_means", "logistic", "selftrain", "lda")
-DEFAULT_FIT_METHODS = ("sl", "ulplus", "sslw", "logistic", "selftrain", "lda")
+#: Methods cmd_fit can run on real data, and those it runs by default.
+FIT_METHODS = tuple(tag for tag, method in METHODS.items() if method.real_data)
+DEFAULT_FIT_METHODS = tuple(tag for tag, method in METHODS.items() if method.fit_default)
 
 _SIMULATE_DEFAULTS = {
     "s": 1.0,
@@ -186,10 +151,11 @@ def _normalize_method(name: str) -> str:
 
 
 def _parse_methods(text) -> tuple:
+    """Canonical tags of a comma-separated list, each once, in first-seen order."""
     names = [tok for tok in str(text).split(",") if tok.strip()]
     if not names:
         raise ValidationError("methods list is empty")
-    return tuple(_normalize_method(name) for name in names)
+    return tuple(dict.fromkeys(_normalize_method(name) for name in names))
 
 
 def _parse_grid(text) -> tuple:
@@ -213,7 +179,7 @@ def _write_manifest(manifest: RunManifest, filename: str) -> str:
         "started_at": datetime.now(timezone.utc).isoformat(),
     }
     path = os.path.join(manifest.out_dir, filename)
-    with open(path, "w") as handle:
+    with atomic_writer(path) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
     return path
@@ -419,60 +385,15 @@ def _cmd_fit(args) -> int:
     except OSError as err:
         return _fail(3, err)
 
-    em_init = np.zeros(table.d)
-    em_init[-1] = EM_INIT_SCALE
     test_errors: dict = {}
     failures: dict = {}
     selections: dict = {}
-
-    sl_out = None
-
-    def need_sl():
-        nonlocal sl_out
-        if sl_out is None:
-            sl_out = fit_sl(labeled)
-        return sl_out
-
-    ridge_selection = None
-
-    def need_ridge():
-        nonlocal ridge_selection
-        if ridge_selection is None:
-            ridge_selection = _select_ridge(labeled, validation, DEFAULT_RIDGE_GRID)
-        return ridge_selection
-
+    ctx = FitContext(labeled=labeled, unlabeled=pool, validation=validation)
     for tag in methods:
         try:
-            if tag == "sl":
-                theta = need_sl().theta
-            elif tag == "ul":
-                theta = fit_ul(pool).theta
-            elif tag == "ulplus":
-                theta = fix_sign(fit_ul(pool), need_sl()).theta
-            elif tag == "sslw":
-                out, selection = fit_ssl_w(labeled, pool, validation)
-                selections["sslw_t"] = selection.t
-                theta = out.theta
-            elif tag == "em":
-                theta = fit_em(pool, em_init).theta
-            elif tag == "em_means":
-                theta = fit_em_means(pool, em_init).theta
-            elif tag == "logistic":
-                ridge, out = need_ridge()
-                selections["logistic_ridge"] = ridge
-                theta = out.theta
-            elif tag == "selftrain":
-                ridge, stage1 = need_ridge()
-                thresholds = _stage1_threshold_grid(stage1.theta, pool)
-                threshold, out = _select_self_train(
-                    labeled, pool, validation, ridge, stage1, thresholds
-                )
-                selections["selftrain_ridge"] = ridge
-                selections["selftrain_threshold"] = threshold
-                theta = out.theta
-            else:
-                theta = fit_spherical_lda(labeled).theta
-            test_errors[tag] = _test_error(theta, test)
+            theta, extra = METHODS[tag].fit(ctx)
+            selections.update((f"{tag}_{key}", value) for key, value in extra.items())
+            test_errors[tag] = test_error(theta, test)
         except SslLabError as err:
             failures[tag] = f"{type(err).__name__}: {err}"
 
@@ -549,38 +470,26 @@ def _cmd_report(args) -> int:
         if not sweep.grid:
             return _fail(3, f"{path}: results file has no data rows to plot")
         stem = os.path.splitext(os.path.basename(path))[0]
-        try:
-            svg = render_series_chart(
-                sweep, metric=args.metric, log_x=args.log_x, log_y=args.log_y, title=stem
-            )
-        except ValidationError as err:
-            return _fail(2, err)
-        target = os.path.join(out_dir, f"{stem}.svg")
-        try:
-            with open(target, "w") as handle:
-                handle.write(svg + "\n")
-        except OSError as err:
-            return _fail(3, err)
-        written.append(target)
+        charts = [(f"{stem}.svg", lambda: render_series_chart(
+            sweep, metric=args.metric, log_x=args.log_x, log_y=args.log_y, title=stem
+        ))]
         if gap_pair:
+            a, b = gap_pair
+            charts.append((f"{stem}_gap_{a}_{b}.svg", lambda: render_gap_chart(
+                sweep, a, b, metric=args.metric, log_x=args.log_x, title=f"{stem}: {a} vs {b}"
+            )))
+        for name, render in charts:
             try:
-                gap_svg = render_gap_chart(
-                    sweep,
-                    gap_pair[0],
-                    gap_pair[1],
-                    metric=args.metric,
-                    log_x=args.log_x,
-                    title=f"{stem}: {gap_pair[0]} vs {gap_pair[1]}",
-                )
+                svg = render()
             except ValidationError as err:
                 return _fail(2, err)
-            gap_target = os.path.join(out_dir, f"{stem}_gap_{gap_pair[0]}_{gap_pair[1]}.svg")
+            target = os.path.join(out_dir, name)
             try:
-                with open(gap_target, "w") as handle:
-                    handle.write(gap_svg + "\n")
+                with atomic_writer(target) as handle:
+                    handle.write(svg + "\n")
             except OSError as err:
                 return _fail(3, err)
-            written.append(gap_target)
+            written.append(target)
     for target in written:
         _say(args, f"wrote {target}")
     return 0

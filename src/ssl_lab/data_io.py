@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DataFormatError, SchemaVersionError, ValidationError
 from .estimators import canonical_sign
 from .experiments import CellStats, SweepResult
-from .gmm import LabeledDataset, UnlabeledDataset, _check_finite, _readonly
+from .gmm import LabeledDataset, UnlabeledDataset, check_finite, readonly
 from .seeds import MASK64
 
 #: Version stamped into (and required from) results files.
@@ -82,7 +82,7 @@ class TabularDataset:
             raise ValidationError("x must have at least one column")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise ValidationError("y must be a vector with one entry per row of x")
-        _check_finite(x, "x")
+        check_finite(x, "x")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValidationError("labels must be exactly -1 or +1")
         columns = tuple(self.columns)
@@ -94,8 +94,8 @@ class TabularDataset:
             raise ValidationError("column names must be unique")
         if not isinstance(self.provenance, str):
             raise ValidationError("provenance must be a string")
-        object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "y", _readonly(y))
+        object.__setattr__(self, "x", readonly(x))
+        object.__setattr__(self, "y", readonly(y))
         object.__setattr__(self, "columns", columns)
 
     @property
@@ -157,12 +157,12 @@ class StandardizeRecord:
             raise ValidationError("mean, scale, and constant must be 1-d arrays")
         if not (mean.shape == scale.shape == constant.shape):
             raise ValidationError("mean, scale, and constant must share one length")
-        _check_finite(mean, "mean")
-        _check_finite(scale, "scale")
+        check_finite(mean, "mean")
+        check_finite(scale, "scale")
         if not np.all(scale > 0.0):
             raise ValidationError("scale entries must be positive")
-        object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "scale", _readonly(scale))
+        object.__setattr__(self, "mean", readonly(mean))
+        object.__setattr__(self, "scale", readonly(scale))
         flags = np.array(constant, copy=True)
         flags.setflags(write=False)
         object.__setattr__(self, "constant", flags)

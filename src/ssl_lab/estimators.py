@@ -40,8 +40,8 @@ from .gmm import (
     EstimatorOutput,
     LabeledDataset,
     UnlabeledDataset,
-    _as_vector,
-    _readonly,
+    as_vector,
+    readonly,
 )
 
 DEFAULT_MAX_ITER = 200_000
@@ -63,7 +63,7 @@ class SecondMoment:
             raise ValidationError("m must have finite entries")
         if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
             raise ValidationError("m must be symmetric")
-        object.__setattr__(self, "m", _readonly(0.5 * (m + m.T)))
+        object.__setattr__(self, "m", readonly(0.5 * (m + m.T)))
         object.__setattr__(self, "n", int(self.n))
 
 
@@ -75,9 +75,9 @@ class EigenPair:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = _as_vector(self.vector, "vector")
+        v = as_vector(self.vector, "vector")
         object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "vector", _readonly(v))
+        object.__setattr__(self, "vector", readonly(v))
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class WeightSelection:
 def _theta_of(est, name: str) -> np.ndarray:
     if isinstance(est, EstimatorOutput):
         return est.theta
-    return _as_vector(est, name)
+    return as_vector(est, name)
 
 
 def fit_sl(data: LabeledDataset) -> EstimatorOutput:
@@ -304,7 +304,7 @@ def fit_em(
     """
     if data.n < 1:
         raise ValidationError("fit_em needs at least one sample")
-    theta = _as_vector(theta_init, "theta_init").copy()
+    theta = as_vector(theta_init, "theta_init").copy()
     if theta.size != data.d:
         raise ValidationError("theta_init dimension differs from the data")
     if not (isinstance(tol, (int, float)) and tol > 0):
@@ -336,7 +336,7 @@ def fit_em_means(
     """
     if data.n < 1:
         raise ValidationError("fit_em_means needs at least one sample")
-    mu1 = _as_vector(mu_init, "mu_init").copy()
+    mu1 = as_vector(mu_init, "mu_init").copy()
     if mu1.size != data.d:
         raise ValidationError("mu_init dimension differs from the data")
     if not (isinstance(tol, (int, float)) and tol > 0):

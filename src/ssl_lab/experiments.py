@@ -27,6 +27,10 @@ moment, so EM converges inside the budget once the components separate
 and keeps wandering at low SNR: the backend is sharp or silent, never a
 half-escaped guess. The "ul", "em", and "ssls" method tags always use
 their own fixed algorithms regardless of backend.
+
+METHODS is the one registry of method tags: how each fits from a
+FitContext, its accepted spellings, and whether it runs on real data.
+run_trial and the fit command both loop over it.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ import math
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +60,9 @@ from .estimators import (
     self_train,
 )
 from .gmm import (
+    LabeledDataset,
     MixtureModel,
+    UnlabeledDataset,
     estimation_error,
     excess_risk,
     sample_labeled,
@@ -62,10 +70,6 @@ from .gmm import (
 )
 from .seeds import stream_seed, trial_seed
 
-HARNESS_METHODS = (
-    "zero", "sl", "ul", "ulplus", "ssls", "sslw",
-    "em", "em_means", "logistic", "selftrain", "lda",
-)
 SWEEP_AXES = ("snr", "nl", "nu", "nu_over_nl")
 UL_BACKENDS = ("spectral", "em")
 DEFAULT_RIDGE_GRID = tuple(float(r) for r in np.logspace(-4.0, 1.0, 7))
@@ -76,8 +80,6 @@ _EM_MAX_ITER = 200_000
 _LOGISTIC_TOL = 1e-6
 _LOGISTIC_MAX_ITER = 5_000
 EM_INIT_SCALE = 1e-3
-#: Methods that select a hyperparameter on the validation set.
-VALIDATION_METHODS = ("sslw", "logistic", "selftrain")
 
 
 def check_validation_size(methods, n_val: int) -> None:
@@ -128,7 +130,7 @@ class TrialConfig:
         if not methods:
             raise ValidationError("methods must be nonempty")
         for tag in methods:
-            if tag not in HARNESS_METHODS:
+            if tag not in METHODS:
                 raise ValidationError(f"unknown method tag {tag!r}")
         object.__setattr__(self, "methods", methods)
         check_validation_size(methods, self.n_val)
@@ -173,7 +175,6 @@ class TrialResult:
     seed: int
     metrics: dict
     failures: dict
-    ssls_branch: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,41 +227,42 @@ class SweepResult:
         )
 
 
-def _test_error(theta: np.ndarray, test) -> float:
+def test_error(theta: np.ndarray, test) -> float:
+    """Share of test rows whose label the sign of <theta, x> gets wrong."""
     if test.n < 1:
         raise ValidationError("the test set is empty")
     predictions = np.where(test.x @ theta >= 0.0, 1.0, -1.0)
     return float(np.mean(predictions != test.y))
 
 
-def _evaluate(theta: np.ndarray, model: MixtureModel, test, extra=None) -> MethodMetrics:
+def _evaluate(theta: np.ndarray, model: MixtureModel, test, extra: dict) -> MethodMetrics:
     return MethodMetrics(
         excess=excess_risk(theta, model.theta_star),
         estimation=estimation_error(theta, model.theta_star),
-        test_error=_test_error(theta, test),
-        extra=dict(extra or {}),
+        test_error=test_error(theta, test),
+        extra=dict(extra),
     )
 
 
-def _select_ridge(labeled, validation, ridge_grid):
-    """Pick the ridge whose logistic fit has the largest validation margin.
+def _select_by_margin(grid, fit, validation):
+    """(value, fit(value)) with the largest validation margin over grid.
 
-    Candidates that fail to converge or return the zero vector are
-    skipped; if every candidate fails the last error is raised.
+    Candidates whose fit or margin raises are skipped; if every
+    candidate fails the last error is raised.
     """
     best = None
     last_error = None
-    for ridge in ridge_grid:
+    for value in grid:
         try:
-            out = fit_logistic(labeled, ridge, tol=_LOGISTIC_TOL, max_iter=_LOGISTIC_MAX_ITER)
+            out = fit(value)
             margin = avg_margin(out, validation)
         except SslLabError as err:
             last_error = err
             continue
         if best is None or margin > best[0]:
-            best = (margin, ridge, out)
+            best = (margin, value, out)
     if best is None:
-        raise last_error if last_error is not None else ValidationError("empty ridge grid")
+        raise last_error if last_error is not None else ValidationError("no candidates")
     return best[1], best[2]
 
 
@@ -272,31 +274,6 @@ def _stage1_threshold_grid(stage1_theta, unlabeled):
     margins = np.abs(unlabeled.x @ stage1_theta) / norm
     qs = np.quantile(margins, [i / 8.0 for i in range(1, 8)])
     return tuple(float(q) for q in qs)
-
-
-def _select_self_train(labeled, unlabeled, validation, ridge, stage1, thresholds):
-    """Pick the pseudolabel threshold by validation margin of the refit.
-
-    `stage1` is the logistic fit at `ridge` on the labeled data, shared
-    by every threshold.
-    """
-    best = None
-    last_error = None
-    for threshold in thresholds:
-        try:
-            out = self_train(
-                labeled, unlabeled, threshold, ridge,
-                tol=_LOGISTIC_TOL, max_iter=_LOGISTIC_MAX_ITER, stage1=stage1,
-            )
-            margin = avg_margin(out, validation)
-        except SslLabError as err:
-            last_error = err
-            continue
-        if best is None or margin > best[0]:
-            best = (margin, threshold, out)
-    if best is None:
-        raise last_error if last_error is not None else ValidationError("no threshold candidates")
-    return best[1], best[2]
 
 
 def _budgeted_em(unlabeled, init, budget: int):
@@ -316,6 +293,149 @@ def _budgeted_em(unlabeled, init, budget: int):
         return np.zeros(len(init))
 
 
+@dataclass(frozen=True, eq=False)
+class FitContext:
+    """The data and settings every method fits from, plus the fits they share.
+
+    `model` is the true mixture in a simulation and None on real data;
+    only the truth-dependent extra "wrong_sign" and the switch rule's
+    oracle SNR ("ssls", which therefore runs in simulations only) read it.
+    The three fits several methods need (sl, the backend's sign-fixed
+    ulplus, and the validation-selected ridge fit) are computed on first
+    use and then shared. Estimators are called through this module's
+    globals at call time, never held, so patching them still takes effect.
+    """
+
+    labeled: LabeledDataset
+    unlabeled: UnlabeledDataset
+    validation: UnlabeledDataset
+    model: MixtureModel | None = None
+    t_grid: tuple = DEFAULT_T_GRID
+    ridge_grid: tuple = DEFAULT_RIDGE_GRID
+    self_train_thresholds: tuple | None = None
+    ul_backend: str = "spectral"
+    em_budget: int = 25
+
+    @cached_property
+    def em_init(self) -> np.ndarray:
+        # Deterministic, signal-free EM start: a near-zero vector on the
+        # last basis axis, which the sweep convention (theta_star on the
+        # first axis) keeps orthogonal to the true mean direction. EM must
+        # earn any alignment from the data; below its escape SNR the
+        # iterate simply stays near zero.
+        init = np.zeros(self.labeled.d)
+        init[-1] = EM_INIT_SCALE
+        return init
+
+    @cached_property
+    def sl(self):
+        return fit_sl(self.labeled)
+
+    @cached_property
+    def ulplus(self):
+        """Sign-fixed unsupervised estimate from the configured backend."""
+        if self.ul_backend == "spectral":
+            raw = fit_ul(self.unlabeled)
+        else:
+            raw = _budgeted_em(self.unlabeled, self.em_init, self.em_budget)
+        return fix_sign(raw, self.sl)
+
+    @cached_property
+    def ridge(self):
+        """(ridge, logistic fit) with the largest validation margin."""
+        return _select_by_margin(
+            self.ridge_grid,
+            lambda ridge: fit_logistic(
+                self.labeled, ridge, tol=_LOGISTIC_TOL, max_iter=_LOGISTIC_MAX_ITER
+            ),
+            self.validation,
+        )
+
+
+@dataclass(frozen=True)
+class Method:
+    """One registry entry. `fit(ctx)` returns (theta, extra), extra being
+    the method's selections keyed by name; `validation` marks a method
+    that selects on the validation set, `real_data` one that the fit
+    command offers, and `fit_default` one it runs by default."""
+
+    fit: Callable
+    aliases: tuple = ()
+    validation: bool = False
+    real_data: bool = True
+    fit_default: bool = False
+
+
+def _fit_ulplus(ctx):
+    theta = ctx.ulplus.theta
+    if ctx.model is None:
+        return theta, {}
+    return theta, {"wrong_sign": float(theta @ ctx.model.theta_star < 0.0)}
+
+
+def _fit_ssls(ctx):
+    out, branch = fit_ssl_s(ctx.labeled, ctx.unlabeled, ctx.model.s)
+    return out.theta, {f"branch_{b}": float(branch == b) for b in ("zero", "sl", "ulplus")}
+
+
+def _fit_sslw(ctx):
+    out, selection = fit_ssl_w(
+        ctx.labeled, ctx.unlabeled, ctx.validation, t_grid=ctx.t_grid, theta_ulp=ctx.ulplus
+    )
+    return out.theta, {"t": selection.t}
+
+
+def _fit_logistic(ctx):
+    ridge, out = ctx.ridge
+    return out.theta, {"ridge": ridge}
+
+
+def _fit_selftrain(ctx):
+    """Pick the pseudolabel threshold by validation margin of the refit;
+    every threshold shares the ridge-selected stage-1 fit."""
+    ridge, stage1 = ctx.ridge
+    thresholds = ctx.self_train_thresholds
+    if thresholds is None:
+        thresholds = _stage1_threshold_grid(stage1.theta, ctx.unlabeled)
+    threshold, out = _select_by_margin(
+        thresholds,
+        lambda threshold: self_train(
+            ctx.labeled, ctx.unlabeled, threshold, ridge,
+            tol=_LOGISTIC_TOL, max_iter=_LOGISTIC_MAX_ITER, stage1=stage1,
+        ),
+        ctx.validation,
+    )
+    return out.theta, {"ridge": ridge, "threshold": threshold}
+
+
+#: Every method tag, in harness order.
+METHODS = {
+    "zero": Method(lambda ctx: (np.zeros(ctx.labeled.d), {}), real_data=False),
+    "sl": Method(lambda ctx: (ctx.sl.theta, {}), ("supervised",), fit_default=True),
+    "ul": Method(lambda ctx: (fit_ul(ctx.unlabeled).theta, {})),
+    "ulplus": Method(_fit_ulplus, ("ul+", "ulp"), fit_default=True),
+    # The switch rule needs the true SNR, which real tables do not carry.
+    "ssls": Method(_fit_ssls, ("sls", "ssl-s"), real_data=False),
+    "sslw": Method(_fit_sslw, ("slw", "ssl-w"), validation=True, fit_default=True),
+    "em": Method(lambda ctx: (
+        fit_em(ctx.unlabeled, ctx.em_init, tol=_EM_TOL, max_iter=_EM_MAX_ITER).theta, {}
+    )),
+    "em_means": Method(lambda ctx: (
+        fit_em_means(ctx.unlabeled, ctx.em_init, tol=_EM_TOL, max_iter=_EM_MAX_ITER).theta, {}
+    ), ("em-means",)),
+    "logistic": Method(_fit_logistic, validation=True, fit_default=True),
+    "selftrain": Method(_fit_selftrain, ("self-train",), validation=True, fit_default=True),
+    "lda": Method(
+        lambda ctx: (fit_spherical_lda(ctx.labeled).theta, {}),
+        ("sphericallda", "spherical-lda"),
+        fit_default=True,
+    ),
+}
+HARNESS_METHODS = tuple(METHODS)
+#: Methods that select a hyperparameter on the validation set.
+VALIDATION_METHODS = tuple(tag for tag, method in METHODS.items() if method.validation)
+
+
 def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
     """Run one seeded trial: sample, fit every method, measure.
 
@@ -326,108 +446,28 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
         raise ValidationError("trial_index must be a nonnegative integer")
     seed = trial_seed(cfg.base_seed, int(trial_index))
     model = cfg.model
-    labeled = sample_labeled(model, cfg.n_l, stream_seed(seed, 0))
-    unlabeled = sample_unlabeled(model, cfg.n_u, stream_seed(seed, 1))
-    validation = sample_unlabeled(model, cfg.n_val, stream_seed(seed, 2))
+    ctx = FitContext(
+        labeled=sample_labeled(model, cfg.n_l, stream_seed(seed, 0)),
+        unlabeled=sample_unlabeled(model, cfg.n_u, stream_seed(seed, 1)),
+        validation=sample_unlabeled(model, cfg.n_val, stream_seed(seed, 2)),
+        model=model,
+        t_grid=cfg.t_grid,
+        ridge_grid=cfg.ridge_grid,
+        self_train_thresholds=cfg.self_train_thresholds,
+        ul_backend=cfg.ul_backend,
+        em_budget=cfg.em_budget,
+    )
     test = sample_labeled(model, cfg.n_test, stream_seed(seed, 3))
-    # Deterministic, signal-free EM start: a near-zero vector on the last
-    # basis axis, which the sweep convention (theta_star on the first
-    # axis) keeps orthogonal to the true mean direction. EM must earn any
-    # alignment from the data; below its escape SNR the iterate simply
-    # stays near zero.
-    em_init = np.zeros(model.d)
-    em_init[-1] = EM_INIT_SCALE
 
     metrics: dict = {}
     failures: dict = {}
-    ssls_branch = None
-
-    sl_out = None
-
-    def need_sl():
-        nonlocal sl_out
-        if sl_out is None:
-            sl_out = fit_sl(labeled)
-        return sl_out
-
-    backend_ulp = None
-
-    def need_backend_ulp():
-        """Sign-fixed unsupervised estimate from the configured backend."""
-        nonlocal backend_ulp
-        if backend_ulp is None:
-            if cfg.ul_backend == "spectral":
-                raw = fit_ul(unlabeled)
-            else:
-                raw = _budgeted_em(unlabeled, em_init, cfg.em_budget)
-            backend_ulp = fix_sign(raw, need_sl())
-        return backend_ulp
-
-    ridge_selection = None
-
-    def need_ridge():
-        nonlocal ridge_selection
-        if ridge_selection is None:
-            ridge_selection = _select_ridge(labeled, validation, cfg.ridge_grid)
-        return ridge_selection
-
     for tag in cfg.methods:
         try:
-            if tag == "zero":
-                metrics[tag] = _evaluate(np.zeros(model.d), model, test)
-            elif tag == "sl":
-                metrics[tag] = _evaluate(need_sl().theta, model, test)
-            elif tag == "ul":
-                out = fit_ul(unlabeled)
-                metrics[tag] = _evaluate(out.theta, model, test)
-            elif tag == "ulplus":
-                out = need_backend_ulp()
-                wrong = 1.0 if float(out.theta @ model.theta_star) < 0.0 else 0.0
-                metrics[tag] = _evaluate(out.theta, model, test, {"wrong_sign": wrong})
-            elif tag == "ssls":
-                out, branch = fit_ssl_s(labeled, unlabeled, model.s)
-                ssls_branch = branch
-                branch_extra = {f"branch_{name}": float(branch == name) for name in ("zero", "sl", "ulplus")}
-                metrics[tag] = _evaluate(out.theta, model, test, branch_extra)
-            elif tag == "sslw":
-                out, selection = fit_ssl_w(
-                    labeled, unlabeled, validation, t_grid=cfg.t_grid,
-                    theta_ulp=need_backend_ulp(),
-                )
-                metrics[tag] = _evaluate(out.theta, model, test, {"t": selection.t})
-            elif tag == "em":
-                out = fit_em(unlabeled, em_init, tol=_EM_TOL, max_iter=_EM_MAX_ITER)
-                metrics[tag] = _evaluate(out.theta, model, test)
-            elif tag == "em_means":
-                out = fit_em_means(unlabeled, em_init, tol=_EM_TOL, max_iter=_EM_MAX_ITER)
-                metrics[tag] = _evaluate(out.theta, model, test)
-            elif tag == "logistic":
-                ridge, out = need_ridge()
-                metrics[tag] = _evaluate(out.theta, model, test, {"ridge": ridge})
-            elif tag == "selftrain":
-                ridge, stage1 = need_ridge()
-                thresholds = cfg.self_train_thresholds
-                if thresholds is None:
-                    thresholds = _stage1_threshold_grid(stage1.theta, unlabeled)
-                threshold, out = _select_self_train(
-                    labeled, unlabeled, validation, ridge, stage1, thresholds
-                )
-                metrics[tag] = _evaluate(
-                    out.theta, model, test, {"threshold": threshold, "ridge": ridge}
-                )
-            elif tag == "lda":
-                out = fit_spherical_lda(labeled)
-                metrics[tag] = _evaluate(out.theta, model, test)
+            theta, extra = METHODS[tag].fit(ctx)
+            metrics[tag] = _evaluate(theta, model, test, extra)
         except SslLabError as err:
             failures[tag] = f"{type(err).__name__}: {err}"
-
-    return TrialResult(
-        trial_index=int(trial_index),
-        seed=seed,
-        metrics=metrics,
-        failures=failures,
-        ssls_branch=ssls_branch,
-    )
+    return TrialResult(trial_index=int(trial_index), seed=seed, metrics=metrics, failures=failures)
 
 
 def _cell_config(cfg: TrialConfig, axis: str, value) -> TrialConfig:
@@ -653,8 +693,8 @@ def compatibility_score(labeled_full, ridge: float = 1e-3) -> tuple:
     """
     bayes = fit_logistic(labeled_full, ridge, tol=_LOGISTIC_TOL, max_iter=_LOGISTIC_MAX_ITER)
     lda = fit_spherical_lda(labeled_full)
-    err_bayes = _test_error(bayes.theta, labeled_full)
-    err_ulp = _test_error(lda.theta, labeled_full)
+    err_bayes = test_error(bayes.theta, labeled_full)
+    err_ulp = test_error(lda.theta, labeled_full)
     return compatibility_from_errors(err_bayes, err_ulp, labeled_full.d)
 
 

@@ -30,22 +30,22 @@ from .seeds import MASK64
 _SQRT2 = math.sqrt(2.0)
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.setflags(write=False)
     return out
 
 
-def _check_finite(a: np.ndarray, name: str) -> None:
+def check_finite(a: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} must have finite entries")
 
 
-def _as_vector(v, name: str) -> np.ndarray:
+def as_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValidationError(f"{name} must be a nonempty 1-d vector")
-    _check_finite(arr, name)
+    check_finite(arr, name)
     return arr
 
 
@@ -68,8 +68,8 @@ class MixtureModel:
     d: int = field(init=False)
 
     def __post_init__(self):
-        theta = _as_vector(self.theta_star, "theta_star")
-        object.__setattr__(self, "theta_star", _readonly(theta))
+        theta = as_vector(self.theta_star, "theta_star")
+        object.__setattr__(self, "theta_star", readonly(theta))
         object.__setattr__(self, "s", float(np.linalg.norm(theta)))
         object.__setattr__(self, "d", int(theta.size))
 
@@ -90,11 +90,11 @@ class LabeledDataset:
             raise ValidationError("x must have at least one column")
         if y.ndim != 1 or y.shape[0] != x.shape[0]:
             raise ValidationError("y must be a vector with one entry per row of x")
-        _check_finite(x, "x")
+        check_finite(x, "x")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValidationError("labels must be exactly -1 or +1")
-        object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "y", _readonly(y))
+        object.__setattr__(self, "x", readonly(x))
+        object.__setattr__(self, "y", readonly(y))
 
     @property
     def n(self) -> int:
@@ -117,8 +117,8 @@ class UnlabeledDataset:
             raise ValidationError("x must be a 2-d matrix")
         if x.shape[1] < 1:
             raise ValidationError("x must have at least one column")
-        _check_finite(x, "x")
-        object.__setattr__(self, "x", _readonly(x))
+        check_finite(x, "x")
+        object.__setattr__(self, "x", readonly(x))
 
     @property
     def n(self) -> int:
@@ -153,10 +153,10 @@ class EstimatorOutput:
     method: str
 
     def __post_init__(self):
-        theta = _as_vector(self.theta, "theta")
+        theta = as_vector(self.theta, "theta")
         if self.method not in METHOD_TAGS:
             raise ValidationError(f"unknown method tag {self.method!r}")
-        object.__setattr__(self, "theta", _readonly(theta))
+        object.__setattr__(self, "theta", readonly(theta))
 
     @property
     def d(self) -> int:
@@ -202,8 +202,8 @@ def prediction_error(theta_hat, theta_star) -> float:
     Returns Phi(-<theta_hat, theta_star>/||theta_hat||), or 0.5 for the zero
     vector (the chance classifier, by convention).
     """
-    th = _as_vector(theta_hat, "theta_hat")
-    ts = _as_vector(theta_star, "theta_star")
+    th = as_vector(theta_hat, "theta_hat")
+    ts = as_vector(theta_star, "theta_star")
     if th.size != ts.size:
         raise ValidationError("theta_hat and theta_star must have equal length")
     norm = float(np.linalg.norm(th))
@@ -214,7 +214,7 @@ def prediction_error(theta_hat, theta_star) -> float:
 
 def excess_risk(theta_hat, theta_star) -> float:
     """prediction_error minus the Bayes error Phi(-||theta_star||); >= 0."""
-    ts = _as_vector(theta_star, "theta_star")
+    ts = as_vector(theta_star, "theta_star")
     bayes = std_normal_cdf(-float(np.linalg.norm(ts)))
     # The subtraction can round to a tiny negative for near-optimal inputs.
     return max(0.0, prediction_error(theta_hat, ts) - bayes)
@@ -222,8 +222,8 @@ def excess_risk(theta_hat, theta_star) -> float:
 
 def estimation_error(theta_hat, theta_star) -> float:
     """Euclidean distance ||theta_hat - theta_star||."""
-    th = _as_vector(theta_hat, "theta_hat")
-    ts = _as_vector(theta_star, "theta_star")
+    th = as_vector(theta_hat, "theta_hat")
+    ts = as_vector(theta_star, "theta_star")
     if th.size != ts.size:
         raise ValidationError("theta_hat and theta_star must have equal length")
     return float(np.linalg.norm(th - ts))

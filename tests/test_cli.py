@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ssl_lab.cli import main
+from ssl_lab.cli import RunManifest, _write_manifest, main
 from ssl_lab.data_io import read_results
 
 DATA_CSV = str(Path(__file__).resolve().parent.parent / "data" / "synthetic_2gmm_200.csv")
@@ -108,6 +108,25 @@ class TestSimulate:
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["methods"] == ["ulplus", "ssls"]
+
+    def test_duplicate_method_tags_run_and_record_once(self, tmp_path):
+        out = run_small_sim(tmp_path, ["--methods", "sl,supervised,SL"])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["methods"] == ["sl"]
+        assert read_results(str(out / "results.csv")).methods() == ("sl",)
+
+    def test_failed_manifest_write_leaves_existing_file_intact(self, tmp_path):
+        run_small_sim(tmp_path)
+        path = tmp_path / "manifest.json"
+        before = path.read_bytes()
+        manifest = RunManifest(
+            command="simulate", config={"unserializable": object()},
+            config_path=None, out_dir=str(tmp_path), base_seed=0,
+        )
+        with pytest.raises(TypeError):
+            _write_manifest(manifest, "manifest.json")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "results.csv"]
 
     def test_env_var_supplies_out_dir_and_flag_wins(self, tmp_path, monkeypatch):
         env_dir = tmp_path / "from_env"
@@ -221,6 +240,12 @@ class TestFit:
         assert payload["failures"] == {}
         assert (tmp_path / "fit_results.json").exists()
         assert (tmp_path / "fit_manifest.json").exists()
+
+    def test_duplicate_method_tags_fit_and_record_once(self, tmp_path, capsys):
+        assert main(self.fit_args(tmp_path, ["--methods", "sl,supervised"])) == 0
+        manifest = json.loads((tmp_path / "fit_manifest.json").read_text())
+        assert manifest["config"]["methods"] == ["sl"]
+        assert list(json.loads(capsys.readouterr().out)["test_errors"]) == ["sl"]
 
     def test_pca_flag_reduces_dimension(self, tmp_path, capsys):
         assert main(self.fit_args(tmp_path, ["--pca", "2"])) == 0

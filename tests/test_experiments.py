@@ -6,9 +6,13 @@ import pytest
 
 from ssl_lab.errors import ValidationError
 from ssl_lab.estimators import oracle_weight
+from ssl_lab import experiments
+from ssl_lab.cli import DEFAULT_FIT_METHODS, FIT_METHODS, METHOD_ALIASES
 from ssl_lab.experiments import (
     HARNESS_METHODS,
+    METHODS,
     PRESETS,
+    VALIDATION_METHODS,
     CellStats,
     SweepResult,
     TrialConfig,
@@ -20,7 +24,7 @@ from ssl_lab.experiments import (
     scaling_fit,
     switching_point_oracle,
 )
-from ssl_lab.gmm import MixtureModel, sample_labeled
+from ssl_lab.gmm import METHOD_TAGS, MixtureModel, sample_labeled
 from ssl_lab.theory import trivial_excess
 
 STAT_FIELDS = (
@@ -184,7 +188,6 @@ class TestRunTrial:
         branches = [result.metrics["ssls"].extra[f"branch_{b}"]
                     for b in ("zero", "sl", "ulplus")]
         assert sorted(branches) == [0.0, 0.0, 1.0]
-        assert result.ssls_branch in ("zero", "sl", "ulplus")
 
     def test_zero_method_matches_theory(self):
         cfg = config(model=model(0.8, 4), methods=("zero",))
@@ -223,6 +226,52 @@ class TestRunTrial:
         assert ulp.estimation < 0.2
         assert ulp.excess < 1e-3
         assert ulp.extra["wrong_sign"] == 0.0
+
+
+class TestMethodRegistry:
+    def test_tags_match_estimator_output_tags(self):
+        assert set(METHODS) == set(METHOD_TAGS)
+        assert HARNESS_METHODS == (
+            "zero", "sl", "ul", "ulplus", "ssls", "sslw",
+            "em", "em_means", "logistic", "selftrain", "lda",
+        )
+
+    def test_aliases_resolve_to_their_tags(self):
+        expected = {
+            "zero": "zero", "sl": "sl", "supervised": "sl", "ul": "ul",
+            "ulplus": "ulplus", "ul+": "ulplus", "ulp": "ulplus",
+            "ssls": "ssls", "sls": "ssls", "ssl-s": "ssls",
+            "sslw": "sslw", "slw": "sslw", "ssl-w": "sslw",
+            "em": "em", "em_means": "em_means", "em-means": "em_means",
+            "logistic": "logistic", "selftrain": "selftrain", "self-train": "selftrain",
+            "lda": "lda", "sphericallda": "lda", "spherical-lda": "lda",
+        }
+        for alias, tag in expected.items():
+            assert METHOD_ALIASES[alias] == tag, alias
+
+    def test_fit_method_lists(self):
+        assert FIT_METHODS == (
+            "sl", "ul", "ulplus", "sslw", "em", "em_means", "logistic", "selftrain", "lda"
+        )
+        assert DEFAULT_FIT_METHODS == ("sl", "ulplus", "sslw", "logistic", "selftrain", "lda")
+
+    def test_validation_methods(self):
+        assert set(VALIDATION_METHODS) == {"sslw", "logistic", "selftrain"}
+
+    def test_entries_call_estimators_through_module_globals(self, monkeypatch):
+        names = (
+            "fit_sl", "fit_ul", "fit_ssl_s", "fit_ssl_w", "fit_em", "fit_em_means",
+            "fit_logistic", "self_train", "fit_spherical_lda",
+        )
+        called = set()
+        for name in names:
+            def counted(*args, _name=name, _fit=getattr(experiments, name), **kwargs):
+                called.add(_name)
+                return _fit(*args, **kwargs)
+            monkeypatch.setattr(experiments, name, counted)
+        result = run_trial(config(methods=HARNESS_METHODS), 3)
+        assert not result.failures
+        assert called == set(names)
 
 
 class TestRunSweep:

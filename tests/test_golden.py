@@ -16,8 +16,10 @@ moves by a relative 1e-6. The floor is a millionth of the 1e-3
 resolution of a 1,000-row test error.
 
 fit_synthetic.json is the fit_results.json of `ssl-lab fit` on the
-bundled data/synthetic_2gmm_200.csv at --nl 20 --seed 3. Every field but
-"data", the path as given on the command line, must match exactly.
+bundled data/synthetic_2gmm_200.csv at --nl 20 --seed 3 with the default
+methods; fit_synthetic_all.json is the same run with every method fit
+offers. Every field but "data", the path as given on the command line,
+must match exactly.
 
 Regenerate the files with `PYTHONPATH=src python tests/test_golden.py`
 only when a change is meant to move the pinned numbers, and say so in
@@ -39,7 +41,11 @@ from ssl_lab.experiments import PRESETS, run_sweep
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(TESTS_DIR, "golden")
-FIT_GOLDEN = os.path.join(GOLDEN_DIR, "fit_synthetic.json")
+#: golden file name -> the --methods of its fit run (None: the defaults).
+FIT_GOLDEN = {
+    "fit_synthetic.json": None,
+    "fit_synthetic_all.json": "sl,ul,ulplus,sslw,em,em_means,logistic,selftrain,lda",
+}
 FIT_DATA = "data/synthetic_2gmm_200.csv"
 GOLDEN_REPLICATES = {"fig1a": 2, "fig1b": 1, "fig3": 2}
 EXTRA_METHODS = {"fig1a": ("logistic",), "fig1b": ("logistic",), "fig3": ()}
@@ -110,20 +116,31 @@ def test_preset_matches_golden(preset, tmp_path):
                 assert close(got_extra[key], value), f"{where} {key}: {got_extra[key]} vs {value}"
 
 
-def run_fit(out_dir):
-    """fit_results.json of the pinned fit run, with "data" as the repo-relative path."""
+def run_fit(out_dir, methods):
+    """fit_results.json of a pinned fit run, with "data" as the repo-relative path."""
     data = os.path.join(os.path.dirname(TESTS_DIR), FIT_DATA)
-    assert main(["fit", data, "--nl", "20", "--seed", "3", "--out", out_dir, "--quiet"]) == 0
+    argv = ["fit", data, "--nl", "20", "--seed", "3", "--out", out_dir, "--quiet"]
+    if methods is not None:
+        argv += ["--methods", methods]
+    assert main(argv) == 0
     with open(os.path.join(out_dir, "fit_results.json")) as handle:
         payload = json.load(handle)
     payload["data"] = FIT_DATA
     return payload
 
 
-def test_fit_matches_golden(tmp_path):
-    with open(FIT_GOLDEN) as handle:
+def assert_fit_matches(name, out_dir):
+    with open(os.path.join(GOLDEN_DIR, name)) as handle:
         expected = json.load(handle)
-    assert run_fit(str(tmp_path)) == expected
+    assert run_fit(str(out_dir), FIT_GOLDEN[name]) == expected
+
+
+def test_fit_matches_golden(tmp_path):
+    assert_fit_matches("fit_synthetic.json", tmp_path)
+
+
+def test_fit_all_methods_matches_golden(tmp_path):
+    assert_fit_matches("fit_synthetic_all.json", tmp_path)
 
 
 if __name__ == "__main__":
@@ -131,8 +148,10 @@ if __name__ == "__main__":
     for name in sorted(GOLDEN_REPLICATES):
         run_golden(name, golden_path(name))
         print(f"wrote {golden_path(name)}")
-    with tempfile.TemporaryDirectory() as out_dir:
-        payload = run_fit(out_dir)
-    with open(FIT_GOLDEN, "w") as handle:
-        handle.write(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {FIT_GOLDEN}")
+    for name, methods in sorted(FIT_GOLDEN.items()):
+        with tempfile.TemporaryDirectory() as out_dir:
+            payload = run_fit(out_dir, methods)
+        path = os.path.join(GOLDEN_DIR, name)
+        with open(path, "w") as handle:
+            handle.write(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {path}")
