@@ -20,7 +20,10 @@ Supervised, unsupervised, and semi-supervised fits:
   weights), the generic-mixture sibling of fit_em; returns half the mean
   difference. Used as an alternative unsupervised backend in experiments.
 - fit_logistic: ridge-penalized logistic regression through the origin,
-  damped Newton with backtracking; self_train builds on it.
+  damped Newton with backtracking, optionally warm-started.
+- self_train_path: two-stage self-training refits for a list of
+  pseudolabel thresholds, warm-started along nested unions of one
+  margin-sorted pool; self_train is its one-threshold case.
 - fit_spherical_lda: half the difference of class-conditional means.
 
 Everything is a pure function of its arguments; iterative solvers keep all
@@ -370,12 +373,15 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def logistic_objective(theta: np.ndarray, data: LabeledDataset, ridge: float) -> float:
-    """(1/n) sum log(1 + exp(-y <theta, x>)) + ridge * ||theta||^2."""
-    margins = data.y * (data.x @ theta)
+def _loss(margins: np.ndarray, theta: np.ndarray, ridge: float) -> float:
     # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), stable for any m.
     loss = np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))
     return float(np.mean(loss)) + float(ridge) * float(theta @ theta)
+
+
+def logistic_objective(theta: np.ndarray, data: LabeledDataset, ridge: float) -> float:
+    """(1/n) sum log(1 + exp(-y <theta, x>)) + ridge * ||theta||^2."""
+    return _loss(data.y * (data.x @ theta), theta, ridge)
 
 
 def logistic_gradient(theta: np.ndarray, data: LabeledDataset, ridge: float) -> np.ndarray:
@@ -388,34 +394,58 @@ def fit_logistic(
     ridge: float,
     tol: float = 1e-8,
     max_iter: int = 10_000,
+    theta0=None,
 ) -> EstimatorOutput:
     """Ridge logistic regression through the origin (no intercept).
 
-    Damped Newton from theta = 0: each iteration solves the d x d system
-    H step = -g with the Hessian H = (1/n) X^T diag(p(1-p)) X + 2 ridge I,
-    then backtracks along the step until the Armijo sufficient-decrease
-    test holds. An iteration whose Hessian solve fails, or whose step is
-    non-finite or not a descent direction, steps along -g instead.
-    Returns once the gradient norm is at most tol. With ridge = 0 on
-    separable data the infimum is not attained, so the solver can
-    legitimately exhaust max_iter; the error carries the last iterate.
+    Damped Newton from theta0 (default: the zero vector): each iteration
+    solves the d x d system H step = -g with the Hessian
+    H = (1/n) X^T diag(p(1-p)) X + 2 ridge I, then backtracks along the
+    step until the Armijo sufficient-decrease test holds. An iteration
+    whose Hessian solve fails, or whose step is non-finite or not a
+    descent direction, steps along -g instead. Returns once the gradient
+    norm is at most tol; a theta0 that already meets it comes back
+    unchanged. With ridge = 0 on separable data the infimum is not
+    attained, so the solver can legitimately exhaust max_iter; the error
+    carries the last iterate.
     """
     if data.n < 1:
         raise ValidationError("fit_logistic needs at least one sample")
+    _check_logistic_settings(ridge, tol)
+    if theta0 is None:
+        theta = np.zeros(data.d)
+    else:
+        theta = as_vector(theta0, "theta0")
+        if theta.size != data.d:
+            raise ValidationError("theta0 dimension differs from the data")
+    theta = _newton(data.x, data.y, float(ridge), tol, int(max_iter), theta)
+    return EstimatorOutput(theta=theta, method="logistic")
+
+
+def _check_logistic_settings(ridge, tol) -> None:
     if not (isinstance(ridge, (int, float)) and math.isfinite(ridge) and ridge >= 0.0):
         raise ValidationError("ridge must be a nonnegative real")
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise ValidationError("tol must be positive")
 
-    x, y, n = data.x, data.y, data.n
-    theta = np.zeros(data.d)
-    value = logistic_objective(theta, data, ridge)
-    for _ in range(int(max_iter)):
-        p = _sigmoid(-y * (x @ theta))
-        grad = -((y * p) @ x) / n + 2.0 * float(ridge) * theta
+
+def _newton(x, y, ridge: float, tol, max_iter: int, theta0: np.ndarray) -> np.ndarray:
+    """fit_logistic's solver on validated arrays; returns the final theta.
+
+    The margins y * (x @ theta) of the step the line search accepts are
+    the next iteration's margins, so x @ theta is computed only for trial
+    steps.
+    """
+    n, d = x.shape
+    theta = theta0
+    margins = y * (x @ theta)
+    value = _loss(margins, theta, ridge)
+    for _ in range(max_iter):
+        p = _sigmoid(-margins)
+        grad = -((y * p) @ x) / n + 2.0 * ridge * theta
         if math.sqrt(float(grad @ grad)) <= tol:
-            return EstimatorOutput(theta=theta, method="logistic")
-        hessian = ((x.T * (p * (1.0 - p))) @ x) / n + 2.0 * float(ridge) * np.eye(data.d)
+            return theta
+        hessian = ((x.T * (p * (1.0 - p))) @ x) / n + 2.0 * ridge * np.eye(d)
         try:
             direction = np.linalg.solve(hessian, -grad)
         except np.linalg.LinAlgError:
@@ -426,7 +456,8 @@ def fit_logistic(
         step = 1.0
         while True:
             candidate = theta + step * direction
-            cand_value = logistic_objective(candidate, data, ridge)
+            cand_margins = y * (x @ candidate)
+            cand_value = _loss(cand_margins, candidate, ridge)
             if cand_value <= value + 1e-4 * step * slope:
                 break
             step *= 0.5
@@ -435,11 +466,71 @@ def fit_logistic(
                     "backtracking line search stalled",
                     last=EstimatorOutput(theta=theta, method="logistic"),
                 )
-        theta, value = candidate, cand_value
+        theta, value, margins = candidate, cand_value, cand_margins
     raise ConvergenceError(
         f"damped Newton did not reach tolerance in {max_iter} iterations",
         last=EstimatorOutput(theta=theta, method="logistic"),
     )
+
+
+def self_train_path(
+    labeled: LabeledDataset,
+    unlabeled: UnlabeledDataset,
+    thresholds,
+    ridge: float,
+    tol: float = 1e-8,
+    max_iter: int = 10_000,
+    stage1: EstimatorOutput | None = None,
+) -> list:
+    """Self-training refits for every threshold, from one sorted pool.
+
+    Each threshold t gives the refit self_train(labeled, unlabeled, t,
+    ridge, ...) describes. The union for t is the labeled rows plus the
+    pseudolabeled unlabeled rows whose margin reaches t, so the unions are
+    nested: with the unlabeled rows stable-sorted by descending margin,
+    each is a prefix of one pool, taken as a view. The refits run in
+    ascending union size; the first starts from zero and each later one
+    from the last that converged (a warm start along the threshold path).
+    Thresholds that keep the same rows share one refit.
+
+    Returns one entry per threshold, in the order given: the refit's
+    EstimatorOutput, or the ConvergenceError it raised.
+    """
+    thresholds = list(thresholds)
+    for threshold in thresholds:
+        if not (isinstance(threshold, (int, float)) and threshold >= 0.0):
+            raise ValidationError("threshold must be nonnegative")
+    if labeled.n < 1:
+        raise ValidationError("self_train needs at least one labeled sample")
+    _check_logistic_settings(ridge, tol)
+    if stage1 is None:
+        stage1 = fit_logistic(labeled, ridge, tol=tol, max_iter=max_iter)
+    theta1 = _theta_of(stage1, "stage1")
+    if theta1.size != labeled.d:
+        raise ValidationError("stage1 dimension differs from the data")
+    norm1 = float(np.linalg.norm(theta1))
+
+    x, y = labeled.x, labeled.y
+    counts = np.zeros(len(thresholds), dtype=int)
+    if unlabeled.n > 0 and norm1 > 0.0:
+        scores = unlabeled.x @ theta1
+        margins = np.abs(scores) / norm1
+        order = np.argsort(-margins, kind="stable")
+        # count(margin >= t) = count(-margin <= -t) on the ascending -margins.
+        counts = np.searchsorted(-margins[order], -np.array(thresholds), side="right")
+        x = np.concatenate([x, unlabeled.x[order]])
+        y = np.concatenate([y, np.where(scores[order] >= 0.0, 1.0, -1.0)])
+
+    fits = {}
+    theta = np.zeros(labeled.d)
+    for count in sorted(set(counts.tolist())):
+        rows = labeled.n + count
+        try:
+            theta = _newton(x[:rows], y[:rows], float(ridge), tol, int(max_iter), theta)
+            fits[count] = EstimatorOutput(theta=theta, method="selftrain")
+        except ConvergenceError as err:
+            fits[count] = err
+    return [fits[count] for count in counts.tolist()]
 
 
 def self_train(
@@ -455,33 +546,19 @@ def self_train(
 
     Stage 1 fits fit_logistic on the labeled data. Stage 2 pseudolabels
     every unlabeled x whose absolute normalized margin reaches `threshold`
-    as sign(<theta_1, x>) (sign(0) := +1). Stage 3 refits fit_logistic on
-    the union. threshold = +inf (or an empty unlabeled set, or a zero
-    stage-1 estimate, whose margins are undefined) degenerates to plain
-    fit_logistic on the labeled data. `stage1` substitutes a precomputed
-    stage-1 fit, so a threshold search fits stage 1 once; by default it
-    is fit_logistic(labeled, ridge, tol, max_iter).
+    as sign(<theta_1, x>) (sign(0) := +1). Stage 3 refits fit_logistic,
+    from zero, on the union: the labeled rows, then the kept unlabeled
+    rows by descending margin (stable on ties). threshold = +inf (or an
+    empty unlabeled set, or a zero stage-1 estimate, whose margins are
+    undefined) degenerates to plain fit_logistic on the labeled data.
+    `stage1` substitutes a precomputed stage-1 fit; by default it is
+    fit_logistic(labeled, ridge, tol, max_iter). This is the
+    one-threshold case of self_train_path.
     """
-    if not (isinstance(threshold, (int, float)) and threshold >= 0.0):
-        raise ValidationError("threshold must be nonnegative")
-    if stage1 is None:
-        stage1 = fit_logistic(labeled, ridge, tol=tol, max_iter=max_iter)
-    theta1 = _theta_of(stage1, "stage1")
-    if theta1.size != labeled.d:
-        raise ValidationError("stage1 dimension differs from the data")
-    norm1 = float(np.linalg.norm(theta1))
-
-    x, y = labeled.x, labeled.y
-    if unlabeled.n > 0 and norm1 > 0.0:
-        scores = unlabeled.x @ theta1
-        keep = (np.abs(scores) / norm1) >= threshold
-        if np.any(keep):
-            pseudo_y = np.where(scores[keep] >= 0.0, 1.0, -1.0)
-            x = np.concatenate([x, unlabeled.x[keep]])
-            y = np.concatenate([y, pseudo_y])
-    union = LabeledDataset(x=x, y=y)
-    stage2 = fit_logistic(union, ridge, tol=tol, max_iter=max_iter)
-    return EstimatorOutput(theta=stage2.theta, method="selftrain")
+    (out,) = self_train_path(labeled, unlabeled, [threshold], ridge, tol, max_iter, stage1)
+    if isinstance(out, ConvergenceError):
+        raise out
+    return out
 
 
 def fit_spherical_lda(data: LabeledDataset) -> EstimatorOutput:

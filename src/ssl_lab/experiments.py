@@ -57,7 +57,7 @@ from .estimators import (
     fit_ssl_w,
     fit_ul,
     fix_sign,
-    self_train,
+    self_train_path,
 )
 from .gmm import (
     LabeledDataset,
@@ -137,12 +137,13 @@ class TrialConfig:
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         if self.self_train_thresholds is not None:
             thresholds = tuple(float(t) for t in self.self_train_thresholds)
-            if not thresholds or any(t < 0 for t in thresholds):
-                raise ValidationError("self_train_thresholds must be nonnegative")
+            if not thresholds or not all(t >= 0 for t in thresholds):
+                raise ValidationError("self_train_thresholds must be nonnegative, not NaN")
             object.__setattr__(self, "self_train_thresholds", thresholds)
         ridge_grid = tuple(float(r) for r in self.ridge_grid)
-        if not ridge_grid or any(r < 0 or not math.isfinite(r) for r in ridge_grid):
-            raise ValidationError("ridge_grid must be nonempty and nonnegative")
+        # ridge 0 is left out: on separable data its infimum is not attained.
+        if not ridge_grid or any(r <= 0 or not math.isfinite(r) for r in ridge_grid):
+            raise ValidationError("ridge_grid must be nonempty, positive and finite")
         object.__setattr__(self, "ridge_grid", ridge_grid)
         if not isinstance(self.base_seed, int):
             raise ValidationError("base_seed must be an integer")
@@ -397,15 +398,18 @@ def _fit_selftrain(ctx):
     thresholds = ctx.self_train_thresholds
     if thresholds is None:
         thresholds = _stage1_threshold_grid(stage1.theta, ctx.unlabeled)
-    threshold, out = _select_by_margin(
-        thresholds,
-        lambda threshold: self_train(
-            ctx.labeled, ctx.unlabeled, threshold, ridge,
-            tol=_LOGISTIC_TOL, max_iter=_LOGISTIC_MAX_ITER, stage1=stage1,
-        ),
-        ctx.validation,
+    fits = self_train_path(
+        ctx.labeled, ctx.unlabeled, thresholds, ridge,
+        tol=_LOGISTIC_TOL, max_iter=_LOGISTIC_MAX_ITER, stage1=stage1,
     )
-    return out.theta, {"ridge": ridge, "threshold": threshold}
+
+    def refit(i):
+        if isinstance(fits[i], SslLabError):
+            raise fits[i]
+        return fits[i]
+
+    i, out = _select_by_margin(range(len(thresholds)), refit, ctx.validation)
+    return out.theta, {"ridge": ridge, "threshold": thresholds[i]}
 
 
 #: Every method tag, in harness order.

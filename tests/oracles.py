@@ -5,7 +5,9 @@ code it checks: the normal CDF comes from high-precision numerical
 integration, eigenpairs from a dense cyclic Jacobi sweep, the logistic fit
 from fixed-step gradient descent with a trace-bound step size, gradients
 from central differences, the mixture log-likelihood from a logcosh
-identity, and CSV tables from csv.reader and float() one cell at a time.
+identity, CSV tables from csv.reader and float() one cell at a time, and
+the self-training threshold search from one boolean-mask union per
+threshold, each fitted cold from zero.
 Keep them boring and obviously correct.
 """
 
@@ -16,7 +18,7 @@ import os
 import mpmath as mp
 import numpy as np
 
-from ssl_lab.errors import DataFormatError
+from ssl_lab.errors import DataFormatError, SslLabError
 
 
 def normal_cdf(x):
@@ -216,3 +218,42 @@ def load_csv_rows(path, label_column, positive_label):
         )
     y = np.where([label == positive for label in raw_labels], 1.0, -1.0)
     return np.asarray(rows, dtype=float), y, columns
+
+
+def self_train_by_masks(labeled_x, labeled_y, unlabeled_x, validation_x, thresholds, theta1, fit):
+    """Reference self-training threshold search, one mask-built union each.
+
+    For each threshold in the order given, keeps the unlabeled rows whose
+    absolute normalized stage-1 margin |<theta1, x>| / ||theta1|| reaches
+    it, pseudolabels them sign(<theta1, x>) with sign(0) := +1, appends
+    them in their original order to the labeled rows, and calls
+    fit(x, y) on that union. A zero theta1 or an empty unlabeled set
+    keeps no rows. Returns (best, unions, thetas): best is the index of
+    the first threshold in grid order whose fit has the largest mean
+    absolute normalized validation margin (None if no fit succeeded),
+    unions[i] is threshold i's (x, y), and thetas[i] its fit, or None
+    where fit raised an SslLabError or returned the zero vector.
+    """
+    norm1 = float(np.linalg.norm(theta1))
+    unions, thetas = [], []
+    best, best_margin = None, -math.inf
+    for i, threshold in enumerate(thresholds):
+        x, y = labeled_x, labeled_y
+        if len(unlabeled_x) > 0 and norm1 > 0.0:
+            scores = unlabeled_x @ theta1
+            keep = np.abs(scores) / norm1 >= threshold
+            x = np.concatenate([x, unlabeled_x[keep]])
+            y = np.concatenate([y, np.where(scores[keep] >= 0.0, 1.0, -1.0)])
+        unions.append((x, y))
+        try:
+            theta = fit(x, y)
+        except SslLabError:
+            theta = None
+        norm = 0.0 if theta is None else float(np.linalg.norm(theta))
+        thetas.append(theta if norm > 0.0 else None)
+        if norm == 0.0:
+            continue
+        margin = float(np.mean(np.abs(validation_x @ theta))) / norm
+        if margin > best_margin:
+            best, best_margin = i, margin
+    return best, unions, thetas

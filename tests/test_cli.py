@@ -184,6 +184,45 @@ class TestSimulate:
         assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize(
+        "values,pattern",
+        [
+            ({"self_train_thresholds": [float("nan")]}, "self_train_thresholds"),
+            ({"self_train_thresholds": [0.5, float("nan")]}, "self_train_thresholds"),
+            ({"ridge_grid": [0.0]}, "ridge_grid"),
+            ({"ridge_grid": [0.1, 0.0, 1.0]}, "ridge_grid"),
+        ],
+    )
+    def test_bad_selftrain_grid_in_config_exits_2_before_compute(
+        self, tmp_path, capsys, values, pattern
+    ):
+        config = tmp_path / "cfg.json"
+        # json writes NaN as the bare token NaN, which json.load reads back.
+        config.write_text(json.dumps({
+            "methods": ["sl", "selftrain"], "n_l": 6, "n_u": 30, "n_val": 20, "n_test": 20,
+            **values,
+        }))
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+        assert code == 2
+        assert pattern in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert not (out / "results.csv").exists()
+
+    def test_infinite_selftrain_threshold_is_the_labeled_only_fit(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "methods": ["logistic", "selftrain"], "n_l": 6, "n_u": 30, "n_val": 20,
+            "n_test": 20, "self_train_thresholds": [float("inf")],
+        }))
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+        assert code == 0
+        sweep = read_results(str(out / "results.csv"))
+        logistic, selftrain = sweep.cell(0, "logistic"), sweep.cell(0, "selftrain")
+        assert selftrain.mean_excess == logistic.mean_excess
+        assert selftrain.extra["threshold"] == math.inf
+
+    @pytest.mark.parametrize(
         "extra,reason",
         [
             (["--ntest", "0", "--methods", "sl"], "the test set is empty"),

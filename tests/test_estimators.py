@@ -28,8 +28,10 @@ from ssl_lab.estimators import (
     plugin_snr,
     second_moment,
     self_train,
+    self_train_path,
     weighted,
 )
+from ssl_lab import estimators
 from ssl_lab.experiments import DEFAULT_RIDGE_GRID
 from ssl_lab.gmm import (
     EstimatorOutput,
@@ -657,6 +659,40 @@ class TestFitLogistic:
         with pytest.raises(ValidationError):
             fit_logistic(data, ridge=0.1, tol=0.0)
 
+    @pytest.mark.parametrize("theta0", [
+        [1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]], [math.nan, 0.0], [0.0, math.inf], [],
+    ])
+    def test_rejects_bad_warm_start(self, theta0):
+        data = labeled([[1.0, 0.0], [-1.0, 0.5]], [1.0, -1.0])
+        with pytest.raises(ValidationError):
+            fit_logistic(data, ridge=0.1, theta0=theta0)
+
+    def test_converged_warm_start_returns_it_without_a_step(self, monkeypatch):
+        model = MixtureModel(theta_star=np.array([1.0, -0.5]))
+        data = sample_labeled(model, 80, seed=52)
+        cold = fit_logistic(data, ridge=0.01, tol=1e-8, max_iter=50_000)
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        warm = fit_logistic(data, ridge=0.01, tol=1e-8, max_iter=50_000, theta0=cold.theta)
+        assert np.array_equal(warm.theta, cold.theta)
+        assert solves == []
+
+    def test_warm_start_reaches_the_cold_optimum(self):
+        model = MixtureModel(theta_star=np.array([1.0, -0.5]))
+        data = sample_labeled(model, 80, seed=53)
+        cold = fit_logistic(data, ridge=0.05, tol=1e-9, max_iter=50_000)
+        warm = fit_logistic(data, ridge=0.05, tol=1e-9, max_iter=50_000, theta0=[3.0, 2.0])
+        assert float(np.linalg.norm(logistic_gradient(warm.theta, data, 0.05))) <= 1e-9
+        assert np.allclose(warm.theta, cold.theta, rtol=0.0, atol=1e-8)
+
+    def test_zero_warm_start_is_the_cold_path(self):
+        model = MixtureModel(theta_star=np.array([1.0, -0.5]))
+        data = sample_labeled(model, 80, seed=54)
+        cold = fit_logistic(data, ridge=0.05, tol=1e-8)
+        warm = fit_logistic(data, ridge=0.05, tol=1e-8, theta0=np.zeros(2))
+        assert np.array_equal(warm.theta, cold.theta)
+
 
 class TestLogisticKernels:
     MARGINS = np.concatenate([
@@ -766,6 +802,114 @@ class TestSelfTrain:
         lab = labeled([[1.0, 0.0]], [1.0])
         with pytest.raises(ValidationError):
             self_train(lab, unlabeled([[1.0, 0.0]]), threshold=-1.0, ridge=0.1)
+
+
+def unit_margin_data():
+    """Labeled rows on the first axis and unlabeled rows whose stage-1
+    margins all equal exactly 1: the stage-1 fit stays on that axis."""
+    lab = labeled([[2.0, 0.0], [-2.0, 0.0], [1.0, 0.0], [-1.5, 0.0]], [1.0, -1.0, 1.0, -1.0])
+    unlab = unlabeled([[1.0, 0.3], [-1.0, 0.7], [1.0, -2.0], [-1.0, 0.1], [1.0, 1.5]])
+    return lab, unlab
+
+
+class TestSelfTrainPath:
+    RIDGE = 0.01
+    TOL = 1e-8
+
+    def draw(self, seed, n_l=30, n_u=600):
+        model = MixtureModel(theta_star=np.array([0.8, 0.3]))
+        return sample_labeled(model, n_l, seed=seed), sample_unlabeled(model, n_u, seed=seed + 1)
+
+    def check_against_masks(self, lab, unlab, thresholds, fits):
+        stage1 = fit_logistic(lab, self.RIDGE, tol=self.TOL)
+        _, unions, _ = oracles.self_train_by_masks(
+            lab.x, lab.y, unlab.x, unlab.x[:1], thresholds, stage1.theta, lambda x, y: None
+        )
+        for out, (x, y) in zip(fits, unions):
+            assert out.method == "selftrain"
+            grad = oracles.logistic_gradient(out.theta, x, y, self.RIDGE)
+            assert float(np.linalg.norm(grad)) <= self.TOL
+
+    def test_one_threshold_is_self_train(self):
+        lab, unlab = self.draw(90)
+        for threshold in (0.0, 0.4, 1.3, math.inf):
+            (out,) = self_train_path(lab, unlab, [threshold], self.RIDGE, tol=self.TOL)
+            st = self_train(lab, unlab, threshold, self.RIDGE, tol=self.TOL)
+            assert np.array_equal(out.theta, st.theta)
+
+    def test_every_threshold_solves_its_mask_built_union(self):
+        lab, unlab = self.draw(91)
+        thresholds = [1.5, 0.0, 0.7, math.inf, 0.2, 1.1]
+        fits = self_train_path(lab, unlab, thresholds, self.RIDGE, tol=self.TOL)
+        assert len(fits) == len(thresholds)
+        self.check_against_masks(lab, unlab, thresholds, fits)
+
+    def test_duplicate_thresholds_share_one_refit(self, monkeypatch):
+        lab, unlab = self.draw(92)
+        calls = []
+        newton = estimators._newton
+        monkeypatch.setattr(
+            estimators, "_newton", lambda x, *a: calls.append(len(x)) or newton(x, *a)
+        )
+        thresholds = [0.5, 1.0, 0.5, 1.0, 1.0]
+        fits = self_train_path(lab, unlab, thresholds, self.RIDGE, tol=self.TOL)
+        assert fits[0] is fits[2]
+        assert fits[1] is fits[3] is fits[4]
+        # the stage-1 fit, then the two unions in ascending size
+        assert len(calls) == 3 and calls[0] == lab.n < calls[1] < calls[2]
+        self.check_against_masks(lab, unlab, thresholds, fits)
+
+    def test_tied_margins_at_a_threshold_are_all_kept(self):
+        lab, unlab = unit_margin_data()
+        thresholds = [1.0, 1.0 + 1e-12, 0.5]
+        fits = self_train_path(lab, unlab, thresholds, 0.1, tol=self.TOL)
+        union = labeled(
+            np.concatenate([lab.x, unlab.x]), np.concatenate([lab.y, [1.0, -1.0, 1.0, -1.0, 1.0]])
+        )
+        alone = fit_logistic(lab, 0.1, tol=self.TOL)
+        assert np.array_equal(fits[1].theta, alone.theta)
+        assert fits[0] is fits[2]
+        # All five tied rows join in their original order, warm-started.
+        assert float(np.linalg.norm(logistic_gradient(fits[0].theta, union, 0.1))) <= self.TOL
+        assert np.array_equal(
+            self_train(lab, unlab, 1.0, 0.1, tol=self.TOL).theta,
+            fit_logistic(union, 0.1, tol=self.TOL).theta,
+        )
+
+    def test_failed_refit_is_returned_and_the_chain_resumes(self, monkeypatch):
+        lab, unlab = self.draw(93)
+        stage1 = fit_logistic(lab, self.RIDGE, tol=self.TOL)
+        thresholds = [0.2, 0.6, 1.0, 1.4]  # unions in descending size
+        starts, results = [], []
+        newton = estimators._newton
+
+        def flaky(x, y, ridge, tol, max_iter, theta0):
+            starts.append(theta0.copy())
+            if len(starts) == 2:
+                results.append(None)
+                raise ConvergenceError("injected", last=EstimatorOutput(theta0, "logistic"))
+            results.append(newton(x, y, ridge, tol, max_iter, theta0))
+            return results[-1]
+
+        monkeypatch.setattr(estimators, "_newton", flaky)
+        fits = self_train_path(lab, unlab, thresholds, self.RIDGE, tol=self.TOL, stage1=stage1)
+        assert isinstance(fits[2], ConvergenceError)
+        assert not np.any(starts[0])
+        assert np.array_equal(starts[2], results[0])
+        assert np.array_equal(starts[3], results[2])
+        assert [out.theta.tolist() for out in (fits[3], fits[1], fits[0])] == [
+            r.tolist() for r in (results[0], results[2], results[3])
+        ]
+        starts.clear()
+        starts.append(None)  # the next call is the second: it fails
+        with pytest.raises(ConvergenceError, match="injected"):
+            self_train(lab, unlab, 0.2, self.RIDGE, tol=self.TOL, stage1=stage1)
+
+    def test_rejects_bad_thresholds(self):
+        lab, unlab = self.draw(94)
+        for bad in ([-0.1], [0.5, math.nan], ["1.0"]):
+            with pytest.raises(ValidationError):
+                self_train_path(lab, unlab, bad, self.RIDGE)
 
 
 class TestFitSphericalLda:

@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ssl_lab.errors import ValidationError
-from ssl_lab.estimators import oracle_weight
+import oracles
+from ssl_lab.errors import ConvergenceError, ValidationError
+from ssl_lab import estimators
+from ssl_lab.estimators import fit_logistic, oracle_weight, self_train_path
 from ssl_lab import experiments
 from ssl_lab.cli import DEFAULT_FIT_METHODS, FIT_METHODS, METHOD_ALIASES
 from ssl_lab.experiments import (
@@ -14,6 +16,7 @@ from ssl_lab.experiments import (
     PRESETS,
     VALIDATION_METHODS,
     CellStats,
+    FitContext,
     SweepResult,
     TrialConfig,
     compatibility_from_errors,
@@ -22,9 +25,19 @@ from ssl_lab.experiments import (
     run_sweep,
     run_trial,
     scaling_fit,
+    sweep_cell_configs,
     switching_point_oracle,
 )
-from ssl_lab.gmm import METHOD_TAGS, MixtureModel, sample_labeled
+from ssl_lab.gmm import (
+    METHOD_TAGS,
+    EstimatorOutput,
+    LabeledDataset,
+    MixtureModel,
+    UnlabeledDataset,
+    sample_labeled,
+    sample_unlabeled,
+)
+from ssl_lab.seeds import stream_seed, trial_seed
 from ssl_lab.theory import trivial_excess
 
 STAT_FIELDS = (
@@ -123,10 +136,18 @@ class TestTrialConfig:
         dict(ul_backend="jacobi"),
         dict(em_budget=0),
         dict(em_budget=2.5),
+        dict(self_train_thresholds=(math.nan,)),
+        dict(self_train_thresholds=(0.5, math.nan)),
+        dict(ridge_grid=(0.0,)),
+        dict(ridge_grid=(0.1, 0.0)),
     ])
     def test_rejects_invalid_fields(self, bad):
         with pytest.raises(ValidationError):
             config(**bad)
+
+    def test_infinite_threshold_is_legal(self):
+        cfg = config(self_train_thresholds=(math.inf, 0.5))
+        assert cfg.self_train_thresholds == (math.inf, 0.5)
 
     @pytest.mark.parametrize("methods", [("sslw",), ("sl", "logistic"), ("selftrain",)])
     def test_validation_methods_need_validation_rows(self, methods):
@@ -261,7 +282,7 @@ class TestMethodRegistry:
     def test_entries_call_estimators_through_module_globals(self, monkeypatch):
         names = (
             "fit_sl", "fit_ul", "fit_ssl_s", "fit_ssl_w", "fit_em", "fit_em_means",
-            "fit_logistic", "self_train", "fit_spherical_lda",
+            "fit_logistic", "self_train_path", "fit_spherical_lda",
         )
         called = set()
         for name in names:
@@ -272,6 +293,112 @@ class TestMethodRegistry:
         result = run_trial(config(methods=HARNESS_METHODS), 3)
         assert not result.failures
         assert called == set(names)
+
+
+def preset_trials():
+    """(id, cell config, trial index): two trials of every fig1a/fig1b cell."""
+    trials = []
+    for name in ("fig1a", "fig1b"):
+        spec = PRESETS[name]
+        cells = sweep_cell_configs(spec.cfg, spec.axis, spec.grid, replicates=1)
+        for value, cfg in zip(spec.grid, cells):
+            trials += [pytest.param(cfg, i, id=f"{name}-{value}-{i}") for i in range(2)]
+    return trials
+
+
+def trial_context(cfg, trial_index, **kwargs):
+    """The FitContext run_trial builds for this trial."""
+    seed = trial_seed(cfg.base_seed, trial_index)
+    return FitContext(
+        labeled=sample_labeled(cfg.model, cfg.n_l, stream_seed(seed, 0)),
+        unlabeled=sample_unlabeled(cfg.model, cfg.n_u, stream_seed(seed, 1)),
+        validation=sample_unlabeled(cfg.model, cfg.n_val, stream_seed(seed, 2)),
+        model=cfg.model,
+        ridge_grid=cfg.ridge_grid,
+        **kwargs,
+    )
+
+
+def cold_logistic(ridge):
+    return lambda x, y: fit_logistic(
+        LabeledDataset(x=x, y=y), ridge,
+        tol=experiments._LOGISTIC_TOL, max_iter=experiments._LOGISTIC_MAX_ITER,
+    ).theta
+
+
+class TestSelfTrainSearch:
+    """The sorted-pool search against one mask-built union per threshold."""
+
+    @pytest.mark.parametrize("cfg,trial_index", preset_trials())
+    def test_matches_mask_built_oracle(self, cfg, trial_index):
+        ctx = trial_context(cfg, trial_index)
+        theta, extra = METHODS["selftrain"].fit(ctx)
+        ridge, stage1 = ctx.ridge
+        thresholds = experiments._stage1_threshold_grid(stage1.theta, ctx.unlabeled)
+        best, unions, _ = oracles.self_train_by_masks(
+            ctx.labeled.x, ctx.labeled.y, ctx.unlabeled.x, ctx.validation.x,
+            thresholds, stage1.theta, cold_logistic(ridge),
+        )
+        assert extra == {"ridge": ridge, "threshold": thresholds[best]}
+        fits = self_train_path(
+            ctx.labeled, ctx.unlabeled, thresholds, ridge,
+            tol=experiments._LOGISTIC_TOL, max_iter=experiments._LOGISTIC_MAX_ITER,
+            stage1=stage1,
+        )
+        assert np.array_equal(theta, fits[best].theta)
+        for out, (x, y) in zip(fits, unions):
+            grad = oracles.logistic_gradient(out.theta, x, y, ridge)
+            assert float(np.linalg.norm(grad)) <= experiments._LOGISTIC_TOL
+
+    def tied_context(self, thresholds):
+        # Every unlabeled margin is exactly 1 (the stage-1 fit stays on the
+        # first axis), so 3.0 and 2.0 keep no rows and 0.5 and 0.25 keep all.
+        lab = LabeledDataset(
+            x=np.array([[2.0, 0.0], [-2.0, 0.0], [1.0, 0.0], [-1.5, 0.0]]),
+            y=np.array([1.0, -1.0, 1.0, -1.0]),
+        )
+        unlab = UnlabeledDataset(x=np.array([[1.0, 0.3], [-1.0, 0.7], [1.0, -2.0], [-1.0, 0.1]]))
+        val = UnlabeledDataset(x=np.array([[0.5, 1.0], [-2.0, 0.4], [1.0, -0.2]]))
+        return FitContext(labeled=lab, unlabeled=unlab, validation=val,
+                          self_train_thresholds=thresholds)
+
+    @pytest.mark.parametrize("thresholds", [(3.0, 2.0, 0.5, 0.25), (0.5, 0.25, 3.0, 2.0)])
+    def test_equal_margins_keep_the_first_threshold_in_grid_order(self, thresholds):
+        ctx = self.tied_context(thresholds)
+        _, extra = METHODS["selftrain"].fit(ctx)
+        ridge, stage1 = ctx.ridge
+        best, _, _ = oracles.self_train_by_masks(
+            ctx.labeled.x, ctx.labeled.y, ctx.unlabeled.x, ctx.validation.x,
+            thresholds, stage1.theta, cold_logistic(ridge),
+        )
+        assert extra["threshold"] == thresholds[best]
+        assert extra["threshold"] in (3.0, 0.5)
+
+    def test_a_failed_refit_is_skipped_and_the_chain_resumes(self, monkeypatch):
+        cfg = sweep_cell_configs(PRESETS["fig1a"].cfg, "snr", (1.5,), replicates=1)[0]
+        ctx = trial_context(cfg, 0, self_train_thresholds=(0.0, 0.5, 1.0, 1.5))
+        ridge, _ = ctx.ridge
+        starts, ends = [], []
+        newton = estimators._newton
+
+        def flaky(x, *args):
+            starts.append(args[-1])
+            if len(starts) == 2:
+                raise ConvergenceError("injected", last=EstimatorOutput(args[-1], "logistic"))
+            ends.append(newton(x, *args))
+            return ends[-1]
+
+        monkeypatch.setattr(estimators, "_newton", flaky)
+        theta, extra = METHODS["selftrain"].fit(ctx)
+        assert len(starts) == 4
+        assert np.array_equal(starts[2], ends[0])  # past the failure, from the last good fit
+        assert extra["threshold"] != 1.0  # the failed candidate
+        _, _, thetas = oracles.self_train_by_masks(
+            ctx.labeled.x, ctx.labeled.y, ctx.unlabeled.x, ctx.validation.x,
+            (0.0, 0.5, 1.5), ctx.ridge[1].theta, cold_logistic(ridge),
+        )
+        margins = [np.mean(np.abs(ctx.validation.x @ t)) / np.linalg.norm(t) for t in thetas]
+        assert extra["threshold"] == (0.0, 0.5, 1.5)[int(np.argmax(margins))]
 
 
 class TestRunSweep:
