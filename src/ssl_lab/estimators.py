@@ -20,7 +20,7 @@ Supervised, unsupervised, and semi-supervised fits:
   weights), the generic-mixture sibling of fit_em; returns half the mean
   difference. Used as an alternative unsupervised backend in experiments.
 - fit_logistic: ridge-penalized logistic regression through the origin,
-  damped Newton with backtracking, optionally warm-started.
+  damped Newton with backtracking; self_train_path builds on its kernel.
 - self_train_path: two-stage self-training refits for a list of
   pseudolabel thresholds, warm-started along nested unions of one
   margin-sorted pool; self_train is its one-threshold case.
@@ -394,31 +394,22 @@ def fit_logistic(
     ridge: float,
     tol: float = 1e-8,
     max_iter: int = 10_000,
-    theta0=None,
 ) -> EstimatorOutput:
     """Ridge logistic regression through the origin (no intercept).
 
-    Damped Newton from theta0 (default: the zero vector): each iteration
-    solves the d x d system H step = -g with the Hessian
-    H = (1/n) X^T diag(p(1-p)) X + 2 ridge I, then backtracks along the
-    step until the Armijo sufficient-decrease test holds. An iteration
-    whose Hessian solve fails, or whose step is non-finite or not a
-    descent direction, steps along -g instead. Returns once the gradient
-    norm is at most tol; a theta0 that already meets it comes back
-    unchanged. With ridge = 0 on separable data the infimum is not
-    attained, so the solver can legitimately exhaust max_iter; the error
-    carries the last iterate.
+    Damped Newton from theta = 0: each iteration solves the d x d system
+    H step = -g with the Hessian H = (1/n) X^T diag(p(1-p)) X + 2 ridge I,
+    then backtracks along the step until the Armijo sufficient-decrease
+    test holds. An iteration whose Hessian solve fails, or whose step is
+    non-finite or not a descent direction, steps along -g instead.
+    Returns once the gradient norm is at most tol. With ridge = 0 on
+    separable data the infimum is not attained, so the solver can
+    legitimately exhaust max_iter; the error carries the last iterate.
     """
     if data.n < 1:
         raise ValidationError("fit_logistic needs at least one sample")
     _check_logistic_settings(ridge, tol)
-    if theta0 is None:
-        theta = np.zeros(data.d)
-    else:
-        theta = as_vector(theta0, "theta0")
-        if theta.size != data.d:
-            raise ValidationError("theta0 dimension differs from the data")
-    theta = _newton(data.x, data.y, float(ridge), tol, int(max_iter), theta)
+    theta = _newton(data.x, data.y, float(ridge), tol, int(max_iter), np.zeros(data.d))
     return EstimatorOutput(theta=theta, method="logistic")
 
 
@@ -430,7 +421,8 @@ def _check_logistic_settings(ridge, tol) -> None:
 
 
 def _newton(x, y, ridge: float, tol, max_iter: int, theta0: np.ndarray) -> np.ndarray:
-    """fit_logistic's solver on validated arrays; returns the final theta.
+    """fit_logistic's solver on validated arrays, from theta0; returns the
+    final theta. self_train_path warm-starts it along the threshold path.
 
     The margins y * (x @ theta) of the step the line search accepts are
     the next iteration's margins, so x @ theta is computed only for trial

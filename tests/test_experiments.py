@@ -388,10 +388,21 @@ class TestSelfTrainSearch:
             ends.append(newton(x, *args))
             return ends[-1]
 
+        returned = []
+        path = experiments.self_train_path
         monkeypatch.setattr(estimators, "_newton", flaky)
+        monkeypatch.setattr(
+            experiments, "self_train_path",
+            lambda *a, **k: returned.append(path(*a, **k)) or returned[-1],
+        )
         theta, extra = METHODS["selftrain"].fit(ctx)
-        assert len(starts) == 4
+        # Refits run in ascending union size: thresholds 1.5, 1.0 (fails), 0.5, 0.0.
+        assert len(starts) == 4 and not np.any(starts[0])
         assert np.array_equal(starts[2], ends[0])  # past the failure, from the last good fit
+        assert np.array_equal(starts[3], ends[1])
+        (fits,) = returned
+        assert isinstance(fits[2], ConvergenceError)
+        assert [fits[i].theta.tolist() for i in (3, 1, 0)] == [end.tolist() for end in ends]
         assert extra["threshold"] != 1.0  # the failed candidate
         _, _, thetas = oracles.self_train_by_masks(
             ctx.labeled.x, ctx.labeled.y, ctx.unlabeled.x, ctx.validation.x,
