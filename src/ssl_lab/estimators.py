@@ -14,6 +14,9 @@ Supervised, unsupervised, and semi-supervised fits:
   the sign-fixed fit_ul, driven by thresholds on (s, d, n_l, n_u).
 - fit_ssl_w: the convex combination t*theta_sl + (1-t)*theta_ulplus with t
   picked by average margin on an unlabeled validation set.
+- avg_margins: the mean absolute normalized validation margins of a stack
+  of candidates, one matrix product per block of validation rows;
+  best_margin applies the one tie rule of every validation selection.
 - fit_em: EM specialized to this family, whose exact update is
   theta <- (1/n) sum tanh(<theta, x_i>) x_i.
 - fit_em_means: EM with two free means (shared identity covariance, equal
@@ -44,11 +47,17 @@ from .gmm import (
     LabeledDataset,
     UnlabeledDataset,
     as_vector,
+    check_finite,
     readonly,
 )
 
 DEFAULT_MAX_ITER = 200_000
 DEFAULT_T_GRID = tuple(round(0.05 * i, 2) for i in range(21))
+#: Validation rows per matrix product in avg_margins: the k x n margins
+#: are never held at once, so scoring stays cheap on large tables.
+MARGIN_BLOCK = 4096
+#: Margins this close to the largest, relative to it, are tied.
+MARGIN_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,6 +181,7 @@ def fit_ssl_s(
     labeled: LabeledDataset,
     unlabeled: UnlabeledDataset,
     s: float | None,
+    theta_ulp: EstimatorOutput | None = None,
 ) -> tuple[EstimatorOutput, str]:
     """Three-branch switch between 0, fit_sl, and sign-fixed fit_ul.
 
@@ -186,6 +196,10 @@ def fit_ssl_s(
     An empty unlabeled set is allowed: both n_u thresholds are then +inf,
     so the unlabeled data is never needed on the branch taken. Estimator
     errors propagate only from the branch actually taken.
+
+    `theta_ulp` substitutes a precomputed sign-fixed spectral estimate for
+    the "ulplus" branch; by default it is fix_sign(fit_ul(unlabeled),
+    fit_sl(labeled)).
 
     Returns (output, branch) with branch in {"zero", "sl", "ulplus"}. The
     output's method tag is "ssls"; its vector is bitwise equal to the
@@ -215,8 +229,11 @@ def fit_ssl_s(
         theta = fit_sl(labeled).theta
         branch = "sl"
     else:
-        ul = fit_ul(unlabeled)
-        theta = fix_sign(ul, fit_sl(labeled)).theta
+        if theta_ulp is None:
+            theta_ulp = fix_sign(fit_ul(unlabeled), fit_sl(labeled))
+        theta = _theta_of(theta_ulp, "theta_ulp")
+        if theta.size != labeled.d:
+            raise ValidationError("theta_ulp dimension differs from the data")
         branch = "ulplus"
     return EstimatorOutput(theta=theta, method="ssls"), branch
 
@@ -232,17 +249,51 @@ def weighted(theta_sl, theta_ulp, t: float) -> EstimatorOutput:
     return EstimatorOutput(theta=float(t) * sl + (1.0 - float(t)) * ulp, method="sslw")
 
 
-def avg_margin(theta, validation: UnlabeledDataset) -> float:
-    """Mean absolute normalized margin (1/n) sum |<theta, x>| / ||theta||."""
-    th = _theta_of(theta, "theta")
+def avg_margins(thetas, validation: UnlabeledDataset) -> np.ndarray:
+    """Mean absolute normalized margin of each row of a k x d stack.
+
+    Row i scores (1/n) sum_x |<theta_i, x>| / ||theta_i|| over the n
+    validation rows. The margins are formed one block of MARGIN_BLOCK
+    validation rows at a time, one k x block matrix product each, and
+    summed per candidate.
+    """
+    th = np.asarray(thetas, dtype=float)
+    if th.ndim != 2 or th.size == 0:
+        raise ValidationError("thetas must be a nonempty k x d matrix")
+    check_finite(th, "thetas")
     if validation.n < 1:
         raise ValidationError("avg_margin needs a nonempty validation set")
-    if th.size != validation.d:
+    if th.shape[1] != validation.d:
         raise ValidationError("theta and validation dimensions differ")
-    norm = float(np.linalg.norm(th))
-    if norm == 0.0:
+    norms = np.linalg.norm(th, axis=1)
+    if np.any(norms == 0.0):
         raise ValidationError("avg_margin is undefined for the zero vector")
-    return float(np.mean(np.abs(validation.x @ th))) / norm
+    totals = np.zeros(len(th))
+    for start in range(0, validation.n, MARGIN_BLOCK):
+        block = validation.x[start:start + MARGIN_BLOCK]
+        totals += np.abs(th @ block.T).sum(axis=1)
+    return totals / validation.n / norms
+
+
+def avg_margin(theta, validation: UnlabeledDataset) -> float:
+    """Mean absolute normalized margin (1/n) sum |<theta, x>| / ||theta||.
+
+    The one-row case of avg_margins. Selections compare margins through
+    best_margin, which ties margins equal to within rounding.
+    """
+    return float(avg_margins(_theta_of(theta, "theta")[None, :], validation)[0])
+
+
+def best_margin(margins) -> int:
+    """Index of the selected candidate: the first, in grid order, whose
+    margin is within MARGIN_RTOL (relative) of the largest.
+
+    This is the one tie rule of every validation selection. Margins equal
+    to within rounding are tied, so which of several equally good
+    candidates wins never depends on rounding noise.
+    """
+    margins = np.asarray(margins, dtype=float)
+    return int(np.argmax(margins >= margins.max() * (1.0 - MARGIN_RTOL)))
 
 
 def fit_ssl_w(
@@ -254,10 +305,14 @@ def fit_ssl_w(
 ) -> tuple[EstimatorOutput, WeightSelection]:
     """Pick t from t_grid maximizing the validation margin of weighted(...).
 
-    Ties break toward the smallest t; candidates whose combination is the
-    zero vector are skipped (an error if that leaves none). `theta_ulp`
-    substitutes a precomputed sign-fixed unsupervised estimate; by default
-    it is fix_sign(fit_ul(unlabeled), fit_sl(labeled)).
+    Candidates whose combination is the zero vector are skipped (an error
+    if that leaves none); the rest are built in one broadcast, with
+    weighted()'s per-element arithmetic, and scored in one avg_margins
+    call. Ties (best_margin: equal to within rounding) break toward the
+    smallest t, so when theta_ulp is zero, and every candidate is a
+    multiple of theta_sl, the smallest nonzero t wins. `theta_ulp`
+    substitutes a precomputed sign-fixed unsupervised estimate; by
+    default it is fix_sign(fit_ul(unlabeled), fit_sl(labeled)).
     """
     grid = [float(t) for t in t_grid]
     if not grid:
@@ -268,19 +323,22 @@ def fit_ssl_w(
     sl = fit_sl(labeled)
     if theta_ulp is None:
         theta_ulp = fix_sign(fit_ul(unlabeled), sl)
+    ulp = _theta_of(theta_ulp, "theta_ulp")
+    if ulp.size != sl.d:
+        raise ValidationError("theta_sl and theta_ulp must have equal length")
 
-    best: tuple[float, float, EstimatorOutput] | None = None
-    for t in sorted(grid):
-        candidate = weighted(sl, theta_ulp, t)
-        if float(np.linalg.norm(candidate.theta)) == 0.0:
-            continue
-        margin = avg_margin(candidate, validation)
-        if best is None or margin > best[1]:
-            best = (t, margin, candidate)
-    if best is None:
+    ts = np.array(sorted(grid))
+    candidates = ts[:, None] * sl.theta + (1.0 - ts)[:, None] * ulp
+    nonzero = np.linalg.norm(candidates, axis=1) > 0.0
+    if not np.any(nonzero):
         raise ValidationError("every weighted candidate was the zero vector")
-    t_star, margin, candidate = best
-    return candidate, WeightSelection(t=t_star, criterion_value=margin)
+    ts, candidates = ts[nonzero], candidates[nonzero]
+    margins = avg_margins(candidates, validation)
+    best = best_margin(margins)
+    return (
+        EstimatorOutput(theta=candidates[best], method="sslw"),
+        WeightSelection(t=float(ts[best]), criterion_value=float(margins[best])),
+    )
 
 
 def oracle_weight(mse_sl: float, mse_ul: float) -> WeightSelection:
@@ -479,11 +537,14 @@ def self_train_path(
     Each threshold t gives the refit self_train(labeled, unlabeled, t,
     ridge, ...) describes. The union for t is the labeled rows plus the
     pseudolabeled unlabeled rows whose margin reaches t, so the unions are
-    nested: with the unlabeled rows stable-sorted by descending margin,
-    each is a prefix of one pool, taken as a view. The refits run in
-    ascending union size; the first starts from zero and each later one
-    from the last that converged (a warm start along the threshold path).
-    Thresholds that keep the same rows share one refit.
+    nested: with the unlabeled rows stable-sorted by how many thresholds
+    their margin reaches, most first, each is a prefix of one pool, taken
+    as a view. Rows that reach the same thresholds keep their original
+    order, so a one-threshold union is in the order self_train states.
+    The refits run in ascending union size; the first starts from zero
+    and each later one from the last that converged (a warm start along
+    the threshold path). Thresholds that keep the same rows share one
+    refit.
 
     Returns one entry per threshold, in the order given: the refit's
     EstimatorOutput, or the ConvergenceError it raised.
@@ -507,9 +568,14 @@ def self_train_path(
     if unlabeled.n > 0 and norm1 > 0.0:
         scores = unlabeled.x @ theta1
         margins = np.abs(scores) / norm1
-        order = np.argsort(-margins, kind="stable")
-        # count(margin >= t) = count(-margin <= -t) on the ascending -margins.
-        counts = np.searchsorted(-margins[order], -np.array(thresholds), side="right")
+        # missed[i]: how many distinct thresholds row i's margin falls short
+        # of. A stable sort of these small integers (a radix sort) orders
+        # the pool by bucket; kept[j] counts the rows missing at most j.
+        levels = np.unique(thresholds)
+        missed = len(levels) - np.searchsorted(levels, margins, side="right")
+        order = np.argsort(missed.astype(np.min_scalar_type(len(levels))), kind="stable")
+        kept = np.cumsum(np.bincount(missed, minlength=len(levels)))
+        counts = kept[len(levels) - 1 - np.searchsorted(levels, thresholds)]
         x = np.concatenate([x, unlabeled.x[order]])
         y = np.concatenate([y, np.where(scores[order] >= 0.0, 1.0, -1.0)])
 
@@ -540,7 +606,7 @@ def self_train(
     every unlabeled x whose absolute normalized margin reaches `threshold`
     as sign(<theta_1, x>) (sign(0) := +1). Stage 3 refits fit_logistic,
     from zero, on the union: the labeled rows, then the kept unlabeled
-    rows by descending margin (stable on ties). threshold = +inf (or an
+    rows in their original order. threshold = +inf (or an
     empty unlabeled set, or a zero stage-1 estimate, whose margins are
     undefined) degenerates to plain fit_logistic on the labeled data.
     `stage1` substitutes a precomputed stage-1 fit; by default it is

@@ -15,7 +15,9 @@ processes only change who computes a trial, never what it computes.
 Hyperparameters are selected by average margin on the unlabeled
 validation set: ridge for the logistic fit from a log-spaced grid, the
 self-training threshold from quantiles of the stage-1 margins, and the
-mixing weight t inside fit_ssl_w.
+mixing weight t inside fit_ssl_w. Every grid is scored in one
+estimators.avg_margins call, and margins equal to within rounding are
+tied, the first candidate in grid order winning (estimators.best_margin).
 
 The unsupervised backend behind the sign-fixed estimate ("ulplus", and
 through it "sslw") is configurable: "spectral" uses the second-moment
@@ -47,7 +49,8 @@ import numpy as np
 from .errors import ConvergenceError, SslLabError, ValidationError
 from .estimators import (
     DEFAULT_T_GRID,
-    avg_margin,
+    avg_margins,
+    best_margin,
     fit_em,
     fit_em_means,
     fit_logistic,
@@ -248,23 +251,28 @@ def _evaluate(theta: np.ndarray, model: MixtureModel, test, extra: dict) -> Meth
 def _select_by_margin(grid, fit, validation):
     """(value, fit(value)) with the largest validation margin over grid.
 
-    Candidates whose fit or margin raises are skipped; if every
-    candidate fails the last error is raised.
+    Candidates whose fit raises or is the zero vector (whose margin is
+    undefined) are skipped; if every candidate fails the last error is
+    raised. The rest are scored in one avg_margins call, and ties
+    (equal to within rounding) go to the first in grid order.
     """
-    best = None
+    values, fits = [], []
     last_error = None
     for value in grid:
         try:
             out = fit(value)
-            margin = avg_margin(out, validation)
         except SslLabError as err:
             last_error = err
             continue
-        if best is None or margin > best[0]:
-            best = (margin, value, out)
-    if best is None:
+        if float(np.linalg.norm(out.theta)) == 0.0:
+            last_error = ValidationError("avg_margin is undefined for the zero vector")
+            continue
+        values.append(value)
+        fits.append(out)
+    if not fits:
         raise last_error if last_error is not None else ValidationError("no candidates")
-    return best[1], best[2]
+    best = best_margin(avg_margins([out.theta for out in fits], validation))
+    return values[best], fits[best]
 
 
 def _stage1_threshold_grid(stage1_theta, unlabeled):
@@ -301,10 +309,11 @@ class FitContext:
     `model` is the true mixture in a simulation and None on real data;
     only the truth-dependent extra "wrong_sign" and the switch rule's
     oracle SNR ("ssls", which therefore runs in simulations only) read it.
-    The three fits several methods need (sl, the backend's sign-fixed
-    ulplus, and the validation-selected ridge fit) are computed on first
-    use and then shared. Estimators are called through this module's
-    globals at call time, never held, so patching them still takes effect.
+    The fits several methods need (sl, the spectral ul, the backend's
+    sign-fixed ulplus, and the validation-selected ridge fit) are computed
+    on first use and then shared. Estimators are called through this
+    module's globals at call time, never held, so patching them still
+    takes effect.
     """
 
     labeled: LabeledDataset
@@ -333,10 +342,16 @@ class FitContext:
         return fit_sl(self.labeled)
 
     @cached_property
+    def ul(self):
+        """The spectral estimate: the "ul" method, the spectral backend's
+        ulplus and the switch rule's ulplus branch all use this one fit."""
+        return fit_ul(self.unlabeled)
+
+    @cached_property
     def ulplus(self):
         """Sign-fixed unsupervised estimate from the configured backend."""
         if self.ul_backend == "spectral":
-            raw = fit_ul(self.unlabeled)
+            raw = self.ul
         else:
             raw = _budgeted_em(self.unlabeled, self.em_init, self.em_budget)
         return fix_sign(raw, self.sl)
@@ -375,7 +390,10 @@ def _fit_ulplus(ctx):
 
 
 def _fit_ssls(ctx):
-    out, branch = fit_ssl_s(ctx.labeled, ctx.unlabeled, ctx.model.s)
+    # The switch rule's "ulplus" branch is the sign-fixed spectral fit; it
+    # needs unlabeled rows, and without any the branch is never taken.
+    ulp = fix_sign(ctx.ul, ctx.sl) if ctx.unlabeled.n else None
+    out, branch = fit_ssl_s(ctx.labeled, ctx.unlabeled, ctx.model.s, theta_ulp=ulp)
     return out.theta, {f"branch_{b}": float(branch == b) for b in ("zero", "sl", "ulplus")}
 
 
@@ -416,7 +434,7 @@ def _fit_selftrain(ctx):
 METHODS = {
     "zero": Method(lambda ctx: (np.zeros(ctx.labeled.d), {}), real_data=False),
     "sl": Method(lambda ctx: (ctx.sl.theta, {}), ("supervised",), fit_default=True),
-    "ul": Method(lambda ctx: (fit_ul(ctx.unlabeled).theta, {})),
+    "ul": Method(lambda ctx: (ctx.ul.theta, {})),
     "ulplus": Method(_fit_ulplus, ("ul+", "ulp"), fit_default=True),
     # The switch rule needs the true SNR, which real tables do not carry.
     "ssls": Method(_fit_ssls, ("sls", "ssl-s"), real_data=False),
@@ -490,7 +508,13 @@ def _cell_config(cfg: TrialConfig, axis: str, value) -> TrialConfig:
         ratio = float(value)
         if ratio <= 0:
             raise ValidationError("nu_over_nl grid values must be positive")
-        return replace(cfg, n_l=max(1, round(cfg.n_u / ratio)))
+        # The cell records `ratio`, so it must be the ratio that runs.
+        n_l = max(1, round(cfg.n_u / ratio))
+        if cfg.n_u / n_l != ratio:
+            raise ValidationError(
+                f"nu_over_nl grid value {value} does not divide n_u={cfg.n_u} into a whole n_l"
+            )
+        return replace(cfg, n_l=n_l)
     raise ValidationError(f"axis must be one of {SWEEP_AXES}")
 
 

@@ -173,6 +173,8 @@ class TestSimulate:
             (["--axis", "nl", "--grid", "10,0"], "n_l"),
             (["--nval", "0", "--methods", "sslw,logistic"], "nonempty validation set"),
             (["--nval", "0", "--methods", "sl,sslw"], "nonempty validation set"),
+            (["--nu", "100", "--axis", "nu_over_nl", "--grid", "3,7"], "whole n_l"),
+            (["--nu", "100", "--axis", "nu_over_nl", "--grid", "4,7"], "whole n_l"),
         ],
     )
     def test_bad_sweep_size_exits_2_before_compute(self, tmp_path, capsys, extra, pattern):

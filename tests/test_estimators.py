@@ -12,6 +12,8 @@ from ssl_lab.estimators import (
     WeightSelection,
     _sigmoid,
     avg_margin,
+    avg_margins,
+    best_margin,
     fit_em,
     fit_em_means,
     fit_logistic,
@@ -290,6 +292,28 @@ class TestFitSslS:
         assert branch == "sl"
         assert np.array_equal(out.theta, fit_sl(lab).theta)
 
+    @pytest.mark.parametrize("s, n_l, n_u, expected", [
+        (0.05, 100, 10_000, "zero"), (0.5, 10_000, 100, "sl"), (0.15, 100, 10_000, "ulplus"),
+    ])
+    def test_precomputed_estimate_is_bitwise_identical(self, s, n_l, n_u, expected):
+        lab, unlab = self.make(n_l, n_u, seed=3)
+        plain, branch = fit_ssl_s(lab, unlab, s)
+        theta_ulp = fix_sign(fit_ul(unlab), fit_sl(lab))
+        reused, reused_branch = fit_ssl_s(lab, unlab, s, theta_ulp=theta_ulp)
+        assert branch == reused_branch == expected
+        assert np.array_equal(reused.theta, plain.theta)
+        assert reused.method == "ssls"
+
+    def test_precomputed_estimate_is_used_on_the_ulplus_branch_only(self):
+        lab, unlab = self.make(100, 10_000)
+        stand_in = EstimatorOutput(theta=np.array([0.0, 0.0, 0.0, 7.0]), method="ulplus")
+        out, branch = fit_ssl_s(lab, unlab, 0.15, theta_ulp=stand_in)
+        assert branch == "ulplus" and np.array_equal(out.theta, stand_in.theta)
+        out, branch = fit_ssl_s(lab, unlab, 0.05, theta_ulp=stand_in)
+        assert branch == "zero" and not np.any(out.theta)
+        with pytest.raises(ValidationError):
+            fit_ssl_s(lab, unlab, 0.15, theta_ulp=np.ones(3))
+
     def test_empty_unlabeled_never_needs_it(self):
         lab, unlab = self.make(100, 0)
         out, branch = fit_ssl_s(lab, unlab, 0.05)
@@ -441,6 +465,54 @@ class TestAvgMargin:
             avg_margin(np.array([1.0, 0.0]), sample_unlabeled(model, 0, seed=0))
 
 
+class TestAvgMargins:
+    @pytest.mark.parametrize("d", [2, 5, 20])
+    @pytest.mark.parametrize("n_val", [
+        1, estimators.MARGIN_BLOCK - 1, estimators.MARGIN_BLOCK,
+        estimators.MARGIN_BLOCK + 1, 2 * estimators.MARGIN_BLOCK + 37,
+    ])
+    def test_matches_one_candidate_at_a_time(self, d, n_val):
+        rng = np.random.default_rng(1000 * d + n_val)
+        rows = UnlabeledDataset(x=rng.standard_normal((n_val, d)) + rng.standard_normal(d))
+        thetas = rng.standard_normal((21, d))
+        margins = avg_margins(thetas, rows)
+        assert margins.shape == (21,)
+        for theta, margin in zip(thetas, margins):
+            # The pre-batching definition: one gemv and np.mean per candidate.
+            loop = float(np.mean(np.abs(rows.x @ theta))) / float(np.linalg.norm(theta))
+            assert margin == pytest.approx(avg_margin(theta, rows), rel=1e-12)
+            assert margin == pytest.approx(loop, rel=1e-12)
+
+    def test_identical_candidates_score_identically(self):
+        rng = np.random.default_rng(71)
+        rows = UnlabeledDataset(x=rng.standard_normal((estimators.MARGIN_BLOCK + 500, 3)))
+        theta = rng.standard_normal(3)
+        thetas = np.vstack([rng.standard_normal((4, 3)), theta, rng.standard_normal((5, 3)), theta])
+        margins = avg_margins(thetas, rows)
+        assert margins[4] == margins[10]
+
+    def test_rejects_bad_stacks(self):
+        rows = unlabeled([[1.0, 0.0]])
+        for bad in (np.ones(2), np.ones((0, 2)), np.ones((2, 3)), [[1.0, 0.0], [0.0, 0.0]],
+                    [[1.0, math.nan]]):
+            with pytest.raises(ValidationError):
+                avg_margins(bad, rows)
+        with pytest.raises(ValidationError):
+            avg_margins(np.ones((2, 2)), unlabeled(np.zeros((0, 2))))
+
+
+class TestBestMargin:
+    def test_first_of_the_largest(self):
+        assert best_margin([0.1, 0.3, 0.2, 0.3]) == 1
+        assert best_margin([0.5]) == 0
+        assert best_margin([0.0, 0.0]) == 0
+
+    def test_rounding_noise_is_a_tie(self):
+        top = 0.7312
+        assert best_margin([top * (1 - 4e-16), top, top * (1 + 4e-16)]) == 0
+        assert best_margin([0.2, top, top * (1 + 1e-10)]) == 2
+
+
 class TestFitSslW:
     def test_margin_dominance_selects_sl(self):
         lab = labeled([[1.0, 0.0]], [1.0])
@@ -469,6 +541,35 @@ class TestFitSslW:
         ulp = EstimatorOutput(theta=np.array([1.0, 0.0]), method="ulplus")
         _, sel = fit_ssl_w(lab, unlabeled([[1.0, 0.0]]), validation, t_grid=(0.0, 0.5, 1.0), theta_ulp=ulp)
         assert sel.t == 0.0
+
+    def test_zero_ulplus_picks_the_smallest_nonzero_t(self):
+        # Every nonzero candidate is a multiple of theta_sl, so all margins
+        # are equal up to rounding: the tie rule, not the noise, decides.
+        model = MixtureModel(theta_star=np.array([0.5, 0.0]))
+        for seed in range(10):
+            lab = sample_labeled(model, 10, seed=seed)
+            validation = sample_unlabeled(model, 1000, seed=100 + seed)
+            zero = EstimatorOutput(theta=np.zeros(2), method="ulplus")
+            out, sel = fit_ssl_w(lab, validation, validation, theta_ulp=zero)
+            assert sel.t == 0.05
+            assert np.array_equal(out.theta, weighted(fit_sl(lab), zero, 0.05).theta)
+            _, sel = fit_ssl_w(lab, validation, validation, t_grid=(0.9, 0.3, 0.0, 0.6),
+                               theta_ulp=zero)
+            assert sel.t == 0.3
+
+    def test_candidates_match_weighted_bitwise(self):
+        model = MixtureModel(theta_star=np.array([1.0, 0.2, -0.4]))
+        lab = sample_labeled(model, 12, seed=21)
+        unlab = sample_unlabeled(model, 300, seed=22)
+        validation = sample_unlabeled(model, 200, seed=23)
+        sl = fit_sl(lab)
+        ulp = fix_sign(fit_ul(unlab), sl)
+        for t in estimators.DEFAULT_T_GRID:
+            out, sel = fit_ssl_w(lab, unlab, validation, t_grid=[t], theta_ulp=ulp)
+            assert np.array_equal(out.theta, weighted(sl, ulp, t).theta)
+            assert sel.criterion_value == pytest.approx(
+                avg_margin(weighted(sl, ulp, t), validation), rel=1e-12
+            )
 
     def test_skips_zero_candidates(self):
         lab = labeled([[1.0, 0.0]], [1.0])
@@ -834,6 +935,40 @@ class TestSelfTrainPath:
             self_train(lab, unlab, 1.0, 0.1, tol=self.TOL).theta,
             fit_logistic(union, 0.1, tol=self.TOL).theta,
         )
+
+    def test_one_threshold_union_keeps_the_original_row_order(self):
+        # The kept rows join in their original order, as in the mask-built
+        # union, so the refit is bit-identical to a cold fit on that union.
+        lab, unlab = self.draw(95)
+        stage1 = fit_logistic(lab, self.RIDGE, tol=self.TOL)
+        thresholds = (0.0, 0.3, 0.8, 1.6)
+        _, unions, _ = oracles.self_train_by_masks(
+            lab.x, lab.y, unlab.x, unlab.x[:1], thresholds, stage1.theta, lambda x, y: None
+        )
+        for threshold, (x, y) in zip(thresholds, unions):
+            st = self_train(lab, unlab, threshold, self.RIDGE, tol=self.TOL, stage1=stage1)
+            cold = fit_logistic(LabeledDataset(x=x, y=y), self.RIDGE, tol=self.TOL)
+            assert np.array_equal(st.theta, cold.theta)
+
+    def test_prefixes_hold_exactly_the_rows_each_threshold_keeps(self, monkeypatch):
+        lab, unlab = self.draw(96, n_u=300)
+        stage1 = fit_logistic(lab, self.RIDGE, tol=self.TOL)
+        thresholds = [1.2, 0.0, 0.45, math.inf, 0.45, 2.0]
+        unions = []
+        newton = estimators._newton
+        monkeypatch.setattr(
+            estimators, "_newton",
+            lambda x, y, *a: unions.append((x.copy(), y.copy())) or newton(x, y, *a),
+        )
+        self_train_path(lab, unlab, thresholds, self.RIDGE, tol=self.TOL, stage1=stage1)
+        _, masks, _ = oracles.self_train_by_masks(
+            lab.x, lab.y, unlab.x, unlab.x[:1], thresholds, stage1.theta, lambda x, y: None
+        )
+        expected = sorted({len(x): (x, y) for x, y in masks}.items())
+        assert [len(x) for x, _ in unions] == [size for size, _ in expected]
+        for (x, y), (_, (want_x, want_y)) in zip(unions, expected):
+            got = sorted(zip(map(tuple, x), y))
+            assert got == sorted(zip(map(tuple, want_x), want_y))
 
     def test_self_train_raises_its_failed_refit(self, monkeypatch):
         lab, unlab = self.draw(93)

@@ -237,6 +237,26 @@ class TestRunTrial:
             result.metrics["sl"].excess, abs=1e-12
         )
 
+    def test_one_spectral_fit_per_trial(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            experiments, "fit_ul", lambda data: calls.append(data) or estimators.fit_ul(data)
+        )
+        # s = 2 with n_l = 8 <= n_u = 40 takes the switch rule's ulplus branch.
+        cfg = config(model=model(2.0, 3), methods=("ul", "ulplus", "ssls", "sslw"))
+        result = run_trial(cfg, 5)
+        assert not result.failures
+        assert result.metrics["ssls"].extra["branch_ulplus"] == 1.0
+        assert len(calls) == 1
+        reference = run_trial(replace(cfg, methods=("ssls",)), 5).metrics["ssls"]
+        assert result.metrics["ssls"].estimation == reference.estimation
+        assert reference.estimation == result.metrics["ulplus"].estimation
+
+    def test_ssls_without_unlabeled_rows(self):
+        result = run_trial(config(n_u=0, methods=("ssls",)), 2)
+        assert not result.failures
+        assert result.metrics["ssls"].extra["branch_ulplus"] == 0.0
+
     def test_em_backend_above_escape_is_sharp_and_sign_fixed(self):
         cfg = config(
             model=model(3.0, 2), n_l=12, n_u=400, n_val=50, n_test=20,
@@ -374,6 +394,20 @@ class TestSelfTrainSearch:
         assert extra["threshold"] == thresholds[best]
         assert extra["threshold"] in (3.0, 0.5)
 
+    @pytest.mark.parametrize("thresholds", [(2.5, 3.0, 2.5, 4.0), (4.0, 2.5, 3.0)])
+    def test_duplicate_refits_keep_the_first_threshold(self, monkeypatch, thresholds):
+        # Every threshold above 1 keeps no unlabeled row, so all of these
+        # share one refit: it scores identically, and the first one wins.
+        scored = []
+        score = experiments.avg_margins
+        monkeypatch.setattr(
+            experiments, "avg_margins", lambda *a: scored.append(score(*a)) or scored[-1]
+        )
+        _, extra = METHODS["selftrain"].fit(self.tied_context(thresholds))
+        assert extra["threshold"] == thresholds[0]
+        margins = scored[-1]
+        assert len(margins) == len(thresholds) and len(set(margins.tolist())) == 1
+
     def test_a_failed_refit_is_skipped_and_the_chain_resumes(self, monkeypatch):
         cfg = sweep_cell_configs(PRESETS["fig1a"].cfg, "snr", (1.5,), replicates=1)[0]
         ctx = trial_context(cfg, 0, self_train_thresholds=(0.0, 0.5, 1.0, 1.5))
@@ -412,6 +446,34 @@ class TestSelfTrainSearch:
         assert extra["threshold"] == (0.0, 0.5, 1.5)[int(np.argmax(margins))]
 
 
+class TestSelectByMargin:
+    VALIDATION = UnlabeledDataset(x=np.array([[1.0, 0.5], [-2.0, 0.3], [0.4, -1.1]]))
+
+    def select(self, thetas):
+        fits = [EstimatorOutput(theta=np.asarray(t, dtype=float), method="logistic")
+                for t in thetas]
+        return experiments._select_by_margin(range(len(fits)), fits.__getitem__, self.VALIDATION)
+
+    def test_rounding_ties_go_to_the_first_in_grid_order(self):
+        # Positive multiples have the same margin up to rounding.
+        theta = np.array([0.8, -0.3])
+        for scales in ((1.0, 3.0, 7.1), (7.1, 1.0, 3.0), (1e-3, 1e3, 0.37)):
+            index, _ = self.select([[0.0, 1.0]] + [c * theta for c in scales])
+            assert index == 1
+
+    def test_failed_and_zero_fits_are_skipped(self):
+        def fit(i):
+            if i == 0:
+                raise ConvergenceError("injected", last=None)
+            return EstimatorOutput(theta=np.zeros(2) if i == 1 else [0.0, 1.0], method="logistic")
+
+        assert experiments._select_by_margin(range(3), fit, self.VALIDATION)[0] == 2
+        with pytest.raises(ValidationError, match="zero vector"):
+            experiments._select_by_margin(range(2), fit, self.VALIDATION)
+        with pytest.raises(ConvergenceError):
+            experiments._select_by_margin(range(1), fit, self.VALIDATION)
+
+
 class TestRunSweep:
     @pytest.mark.parametrize("kwargs", [
         dict(axis="bogus", grid=(1,), replicates=1),
@@ -422,6 +484,8 @@ class TestRunSweep:
         dict(axis="nu_over_nl", grid=(0.0,), replicates=1),
         dict(axis="nl", grid=(1.7,), replicates=1),
         dict(axis="nu", grid=(40.5,), replicates=1),
+        dict(axis="nu_over_nl", grid=(4.0, 3.0), replicates=1),
+        dict(axis="nu_over_nl", grid=(80.0,), replicates=1),
     ])
     def test_rejects_invalid_arguments(self, kwargs):
         with pytest.raises(ValidationError):
