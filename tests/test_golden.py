@@ -21,6 +21,16 @@ methods; fit_synthetic_all.json is the same run with every method fit
 offers. Every field but "data", the path as given on the command line,
 must match exactly.
 
+fig1a_config.json, fig1b_config.json and fig3_config.json are the
+`config` blocks of the `simulate --preset` manifests, which must not move
+by a byte. custom_manifest.json is the manifest of a small custom run as
+an earlier release wrote it, with `null` for the grids left at their
+defaults; replaying it with `--config` must reproduce custom.csv byte for
+byte. The run uses the "em" backend: the spectral backend's trailing
+digits follow the CPU kernels OpenBLAS picks, so fig3.csv regenerates
+byte-identically on one machine but not across all of them. Regeneration keeps custom_manifest.json when it exists and only
+replays it, so the pin goes on testing that older format.
+
 Regenerate the files with `PYTHONPATH=src python tests/test_golden.py`
 only when a change is meant to move the pinned numbers, and say so in
 CHANGES.md.
@@ -32,11 +42,13 @@ import math
 import os
 import tempfile
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
 from ssl_lab.cli import main
 from ssl_lab.data_io import write_results
+from ssl_lab.errors import SslLabError
 from ssl_lab.experiments import PRESETS, run_sweep
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
@@ -53,6 +65,13 @@ EXACT_METHODS = {"sl", "em", "lda"}
 TOLERANT_METHODS = {"logistic", "selftrain", "ul", "ulplus", "ssls", "sslw"}
 RTOL = 1e-3
 ATOL = 1e-9
+CUSTOM_MANIFEST = os.path.join(GOLDEN_DIR, "custom_manifest.json")
+CUSTOM_RESULTS = os.path.join(GOLDEN_DIR, "custom.csv")
+CUSTOM_RUN = [
+    "simulate", "--s", "1.5", "--d", "3", "--nl", "8", "--nu", "40", "--nval", "30",
+    "--ntest", "25", "--methods", "sl,sslw,logistic,selftrain", "--replicates", "2",
+    "--ul-backend", "em", "--seed", "5", "--threads", "1", "--quiet",
+]
 
 
 def golden_path(preset):
@@ -143,6 +162,55 @@ def test_fit_all_methods_matches_golden(tmp_path):
     assert_fit_matches("fit_synthetic_all.json", tmp_path)
 
 
+def config_path(preset):
+    return os.path.join(GOLDEN_DIR, f"{preset}_config.json")
+
+
+def preset_config(preset, out_dir):
+    """The `config` block of a preset's manifest, stopping before any trial runs."""
+    with mock.patch("ssl_lab.cli.run_sweep", side_effect=SslLabError("stop")):
+        assert main(["simulate", "--preset", preset, "--out", out_dir, "--quiet"]) == 3
+    with open(os.path.join(out_dir, "manifest.json")) as handle:
+        return json.dumps(json.load(handle)["config"], indent=2) + "\n"
+
+
+def replay_custom(out_dir):
+    """Run simulate from the pinned custom manifest; return its results.csv bytes."""
+    argv = ["simulate", "--config", CUSTOM_MANIFEST, "--threads", "1", "--out", out_dir]
+    assert main(argv + ["--quiet"]) == 0
+    with open(os.path.join(out_dir, "results.csv"), "rb") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_REPLICATES))
+def test_preset_manifest_config_matches_golden(preset, tmp_path):
+    with open(config_path(preset)) as handle:
+        assert preset_config(preset, str(tmp_path)) == handle.read()
+
+
+def test_custom_manifest_replays_to_golden_results(tmp_path):
+    with open(CUSTOM_MANIFEST) as handle:
+        config = json.load(handle)["config"]
+    assert config["t_grid"] is None and config["ridge_grid"] is None
+    with open(CUSTOM_RESULTS, "rb") as handle:
+        assert replay_custom(str(tmp_path)) == handle.read()
+
+
+def write_custom_manifest():
+    """Write custom_manifest.json from a run in a scratch directory (out_dir ".")."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as out_dir:
+        os.chdir(out_dir)
+        try:
+            assert main(CUSTOM_RUN + ["--out", "."]) == 0
+        finally:
+            os.chdir(cwd)
+        with open(os.path.join(out_dir, "manifest.json")) as src:
+            text = src.read()
+    with open(CUSTOM_MANIFEST, "w") as handle:
+        handle.write(text)
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name in sorted(GOLDEN_REPLICATES):
@@ -155,3 +223,17 @@ if __name__ == "__main__":
         with open(path, "w") as handle:
             handle.write(json.dumps(payload, indent=2) + "\n")
         print(f"wrote {path}")
+    for name in sorted(GOLDEN_REPLICATES):
+        with tempfile.TemporaryDirectory() as out_dir:
+            text = preset_config(name, out_dir)
+        with open(config_path(name), "w") as handle:
+            handle.write(text)
+        print(f"wrote {config_path(name)}")
+    if not os.path.exists(CUSTOM_MANIFEST):
+        write_custom_manifest()
+        print(f"wrote {CUSTOM_MANIFEST}")
+    with tempfile.TemporaryDirectory() as out_dir:
+        results = replay_custom(out_dir)
+    with open(CUSTOM_RESULTS, "wb") as handle:
+        handle.write(results)
+    print(f"wrote {CUSTOM_RESULTS}")
