@@ -8,14 +8,15 @@ scores the requested estimators on the held-out test rows; report
 renders results CSVs as self-contained SVG line charts.
 
 Configuration precedence for simulate is defaults < preset < config
-file < flags, and the manifest records the fully resolved merge. A
-manifest is itself a valid --config file, so re-running with it
-reproduces results.csv byte-for-byte. Exit codes: 0 success, 2 a
-usage or configuration problem (bad flags, unreadable inputs,
-malformed files), 3 a runtime failure (solver non-convergence, empty
-results, every requested method failing, failed writes). The
-SSL_LAB_OUT_DIR environment variable supplies the default output
-directory; --out wins when both are set.
+file < flags. Every layer goes through one table of config keys, which
+coerces each value and rejects a bad one before any manifest is written,
+and the manifest records the sweep that runs. A manifest is itself a
+valid --config file, so re-running with it reproduces results.csv
+byte-for-byte. Exit codes: 0 success, 2 a usage or configuration
+problem (bad flags, unreadable inputs, malformed files), 3 a runtime
+failure (solver non-convergence, empty results, every requested method
+failing, failed writes). The SSL_LAB_OUT_DIR environment variable
+supplies the default output directory; --out wins when both are set.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -51,14 +53,16 @@ from .experiments import (
     SWEEP_AXES,
     UL_BACKENDS,
     FitContext,
+    SweepSpec,
     TrialConfig,
     check_validation_size,
     compatibility_score,
+    first_axis_model,
     run_sweep,
     sweep_cell_configs,
     test_error,
 )
-from .gmm import LabeledDataset, MixtureModel
+from .gmm import LabeledDataset
 from .theory import ProblemSize, rate_report
 
 #: Accepted spellings of each method tag.
@@ -68,36 +72,6 @@ METHOD_ALIASES = {
 #: Methods cmd_fit can run on real data, and those it runs by default.
 FIT_METHODS = tuple(tag for tag, method in METHODS.items() if method.real_data)
 DEFAULT_FIT_METHODS = tuple(tag for tag, method in METHODS.items() if method.fit_default)
-
-_SIMULATE_DEFAULTS = {
-    "s": 1.0,
-    "d": 2,
-    "n_l": 20,
-    "n_u": 2000,
-    "n_val": 1000,
-    "n_test": 1000,
-    "methods": ("sl",),
-    "t_grid": None,
-    "self_train_thresholds": None,
-    "ridge_grid": None,
-    "base_seed": 0,
-    "ul_backend": "spectral",
-    "em_budget": 25,
-    "axis": None,
-    "grid": None,
-    "replicates": 1,
-}
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What a run was asked to do, written before it starts computing."""
-
-    command: str
-    config: dict
-    config_path: str | None
-    out_dir: str
-    base_seed: int
 
 
 def _jsonable(value):
@@ -138,7 +112,7 @@ def _threads(args) -> int:
 
 
 def _base_seed(args) -> int:
-    return args.seed if args.seed is not None else 0
+    return args.base_seed if args.base_seed is not None else 0
 
 
 def _normalize_method(name: str) -> str:
@@ -150,35 +124,92 @@ def _normalize_method(name: str) -> str:
     return METHOD_ALIASES[key]
 
 
-def _parse_methods(text) -> tuple:
-    """Canonical tags of a comma-separated list, each once, in first-seen order."""
+def _parse_methods(text, key: str = "methods") -> tuple:
+    """Canonical tags of a list or comma-separated string, each once, in first-seen order."""
+    if isinstance(text, (list, tuple)):
+        text = ",".join(map(str, text))
     names = [tok for tok in str(text).split(",") if tok.strip()]
     if not names:
-        raise ValidationError("methods list is empty")
+        raise ValidationError(f"{key} list is empty")
     return tuple(dict.fromkeys(_normalize_method(name) for name in names))
 
 
-def _parse_grid(text) -> tuple:
-    tokens = [tok for tok in str(text).split(",") if tok.strip()]
-    if not tokens:
-        raise ValidationError("grid is empty")
+def _real(value, key: str, kind: str = "a number") -> float:
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValidationError(f"{key} must be {kind}, got {value!r}")
+
+
+def _whole(value, key: str) -> int:
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if not _real(value, key, "a whole number").is_integer():
+        raise ValidationError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _reals(value, key: str):
+    """A list of reals, also as a comma-separated string; null means not given."""
+    if value is None:
+        return None
     try:
-        return tuple(float(tok) for tok in tokens)
-    except ValueError:
-        raise ValidationError(f"grid values must be numbers, got {text!r}") from None
+        if isinstance(value, str):
+            values = tuple(float(tok) for tok in value.split(",") if tok.strip())
+        else:
+            values = tuple(_real(entry, key) for entry in value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{key} values must be numbers, got {value!r}") from None
+    if not values:
+        raise ValidationError(f"{key} is empty")
+    return values
 
 
-def _write_manifest(manifest: RunManifest, filename: str) -> str:
+def _as_given(value, key: str):
+    """A name, checked where it is used; null means not given."""
+    return value
+
+
+#: Every simulate config key, in manifest order, and its one coercion.
+#: A key names the field that holds it: s and d on the model, then the
+#: TrialConfig fields, then SweepSpec's axis, grid and replicates.
+_SIMULATE_KEYS = {
+    "s": _real,
+    "d": _whole,
+    "n_l": _whole,
+    "n_u": _whole,
+    "n_val": _whole,
+    "n_test": _whole,
+    "methods": _parse_methods,
+    "t_grid": _reals,
+    "self_train_thresholds": _reals,
+    "ridge_grid": _reals,
+    "base_seed": _whole,
+    "ul_backend": _as_given,
+    "em_budget": _whole,
+    "axis": _as_given,
+    "grid": _reals,
+    "replicates": _whole,
+}
+#: simulate without a preset: TrialConfig's defaults on s = 1, d = 2,
+#: n_l = 20, n_u = 2000, one replicate, and no axis or grid yet.
+_DEFAULT_SWEEP = SweepSpec(
+    cfg=TrialConfig(model=first_axis_model(1.0, 2), n_l=20, n_u=2000),
+    axis=None, grid=None, replicates=1,
+)
+
+
+def _write_manifest(out_dir, filename, command, config, base_seed=0, config_path=None) -> str:
+    """Write what a run was asked to do, before it starts computing."""
     payload = {
-        "command": manifest.command,
-        "config": _jsonable(manifest.config),
-        "config_path": manifest.config_path,
-        "out_dir": manifest.out_dir,
-        "base_seed": manifest.base_seed,
+        "command": command,
+        "config": _jsonable(config),
+        "config_path": config_path,
+        "out_dir": out_dir,
+        "base_seed": base_seed,
         "artifact_version": __version__,
         "started_at": datetime.now(timezone.utc).isoformat(),
     }
-    path = os.path.join(manifest.out_dir, filename)
+    path = os.path.join(out_dir, filename)
     with atomic_writer(path) as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -200,118 +231,58 @@ def _load_config_file(path) -> dict:
     return obj
 
 
-def _preset_fields(name: str) -> dict:
-    spec = PRESETS[name]
-    cfg = spec.cfg
+def _spec_config(spec: SweepSpec) -> dict:
+    """A sweep's value of every config key, read from the field it names."""
+    holders = (spec.cfg.model, spec.cfg, spec)
     return {
-        "s": cfg.model.s,
-        "d": cfg.model.d,
-        "n_l": cfg.n_l,
-        "n_u": cfg.n_u,
-        "n_val": cfg.n_val,
-        "n_test": cfg.n_test,
-        "methods": cfg.methods,
-        "t_grid": cfg.t_grid,
-        "self_train_thresholds": cfg.self_train_thresholds,
-        "ridge_grid": cfg.ridge_grid,
-        "base_seed": cfg.base_seed,
-        "ul_backend": cfg.ul_backend,
-        "em_budget": cfg.em_budget,
-        "axis": spec.axis,
-        "grid": spec.grid,
-        "replicates": spec.replicates,
+        key: getattr(next(h for h in holders if hasattr(h, key)), key) for key in _SIMULATE_KEYS
     }
 
 
-def _resolve_simulate(args) -> dict:
-    resolved = dict(_SIMULATE_DEFAULTS)
-    if args.preset:
-        resolved.update(_preset_fields(args.preset))
+def _sweep_spec(config: dict) -> SweepSpec:
+    """The sweep a resolved config describes; the inverse of _spec_config."""
+    def own(cls):
+        names = {f.name for f in fields(cls)}
+        return {key: value for key, value in config.items() if key in names}
+
+    model = first_axis_model(config["s"], config["d"])
+    spec = SweepSpec(cfg=TrialConfig(model=model, **own(TrialConfig)), **own(SweepSpec))
+    if spec.axis is None and spec.grid is None:
+        return replace(spec, axis="snr", grid=(model.s,))
+    if spec.axis is None or spec.grid is None:
+        raise ValidationError("--axis and --grid must be given together")
+    return spec
+
+
+def _resolve_simulate(args) -> SweepSpec:
+    """Merge defaults < preset < config file < flags through _SIMULATE_KEYS."""
+    config = dict.fromkeys(_SIMULATE_KEYS)
+    layers = [_spec_config(PRESETS[args.preset] if args.preset else _DEFAULT_SWEEP)]
     if args.config:
-        overlay = _load_config_file(args.config)
-        unknown = set(overlay) - set(_SIMULATE_DEFAULTS)
+        layers.append(_load_config_file(args.config))
+    layers.append({k: v for k, v in vars(args).items() if k in config and v is not None})
+    for layer in layers:
+        unknown = set(layer) - set(config)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(overlay)
-    flag_values = {
-        "s": args.s,
-        "d": args.d,
-        "n_l": args.nl,
-        "n_u": args.nu,
-        "n_val": args.nval,
-        "n_test": args.ntest,
-        "methods": _parse_methods(args.methods) if args.methods else None,
-        "axis": args.axis,
-        "grid": _parse_grid(args.grid) if args.grid else None,
-        "replicates": args.replicates,
-        "ul_backend": args.ul_backend,
-        "em_budget": args.em_budget,
-        "base_seed": args.seed,
-    }
-    for key, value in flag_values.items():
-        if value is not None:
-            resolved[key] = value
-    methods = resolved["methods"]
-    if isinstance(methods, (list, tuple)):
-        methods = ",".join(map(str, methods))
-    resolved["methods"] = _parse_methods(methods)
-    if resolved["axis"] is None and resolved["grid"] is None:
-        resolved["axis"] = "snr"
-        resolved["grid"] = (float(resolved["s"]),)
-    elif resolved["axis"] is None or resolved["grid"] is None:
-        raise ValidationError("--axis and --grid must be given together")
-    resolved["grid"] = tuple(float(v) for v in resolved["grid"])
-    if resolved["axis"] in ("nl", "nu") and not all(v.is_integer() for v in resolved["grid"]):
-        raise ValidationError(f"{resolved['axis']} grid values must be whole sample sizes")
-    return resolved
-
-
-def _trial_config_from(resolved: dict) -> TrialConfig:
-    theta = np.zeros(int(resolved["d"]))
-    theta[0] = float(resolved["s"])
-    kwargs = dict(
-        model=MixtureModel(theta_star=theta),
-        n_l=resolved["n_l"],
-        n_u=resolved["n_u"],
-        n_val=resolved["n_val"],
-        n_test=resolved["n_test"],
-        methods=resolved["methods"],
-        base_seed=resolved["base_seed"],
-        ul_backend=resolved["ul_backend"],
-        em_budget=resolved["em_budget"],
-    )
-    for key in ("t_grid", "ridge_grid", "self_train_thresholds"):
-        if resolved[key] is not None:
-            kwargs[key] = tuple(resolved[key])
-    return TrialConfig(**kwargs)
+        for key, value in layer.items():
+            value = _SIMULATE_KEYS[key](value, key)
+            if value is not None:
+                config[key] = value
+    return _sweep_spec(config)
 
 
 def _cmd_simulate(args) -> int:
     try:
-        resolved = _resolve_simulate(args)
-        cfg = _trial_config_from(resolved)
-        sweep_cell_configs(
-            cfg, resolved["axis"], resolved["grid"], resolved["replicates"], _threads(args)
-        )
+        spec = _resolve_simulate(args)
+        sweep_cell_configs(spec.cfg, spec.axis, spec.grid, spec.replicates, _threads(args))
         out_dir = _resolve_out_dir(args)
     except (ValidationError, DataFormatError, OSError) as err:
         return _fail(2, err)
-    manifest = RunManifest(
-        command="simulate",
-        config=resolved,
-        config_path=args.config,
-        out_dir=out_dir,
-        base_seed=int(resolved["base_seed"]),
-    )
     try:
-        manifest_path = _write_manifest(manifest, "manifest.json")
-        sweep = run_sweep(
-            cfg,
-            axis=resolved["axis"],
-            grid=resolved["grid"],
-            replicates=resolved["replicates"],
-            threads=_threads(args),
-        )
+        manifest_path = _write_manifest(out_dir, "manifest.json", "simulate",
+                                        _spec_config(spec), spec.cfg.base_seed, args.config)
+        sweep = run_sweep(spec.cfg, spec.axis, spec.grid, spec.replicates, _threads(args))
         if all(stats.extra.get("failures") == sweep.replicates
                for row in sweep.cells for stats in row):
             reasons = "; ".join(list(sweep.failure_reasons)[:3])
@@ -377,11 +348,8 @@ def _cmd_fit(args) -> int:
         "methods": methods,
         "base_seed": seed,
     }
-    manifest = RunManifest(
-        command="fit", config=resolved, config_path=None, out_dir=out_dir, base_seed=seed
-    )
     try:
-        manifest_path = _write_manifest(manifest, "fit_manifest.json")
+        manifest_path = _write_manifest(out_dir, "fit_manifest.json", "fit", resolved, seed)
     except OSError as err:
         return _fail(3, err)
 
@@ -450,15 +418,8 @@ def _cmd_report(args) -> int:
         "log_y": args.log_y,
         "gap": list(gap_pair) if gap_pair else None,
     }
-    manifest = RunManifest(
-        command="report",
-        config=resolved,
-        config_path=None,
-        out_dir=out_dir,
-        base_seed=_base_seed(args),
-    )
     try:
-        _write_manifest(manifest, "report_manifest.json")
+        _write_manifest(out_dir, "report_manifest.json", "report", resolved, _base_seed(args))
     except OSError as err:
         return _fail(3, err)
     written = []
@@ -504,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
+    common.add_argument("--seed", dest="base_seed", type=int, help="base seed (default 0)")
     common.add_argument(
         "--out", default=None, help="output directory (default: SSL_LAB_OUT_DIR or '.')"
     )
@@ -525,10 +486,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--preset", choices=sorted(PRESETS), help="compiled-in sweep")
     sim.add_argument("--s", type=float, default=None, help="signal-to-noise ratio")
     sim.add_argument("--d", type=int, default=None, help="dimension")
-    sim.add_argument("--nl", type=int, default=None, help="labeled sample size")
-    sim.add_argument("--nu", type=int, default=None, help="unlabeled sample size")
-    sim.add_argument("--nval", type=int, default=None, help="validation sample size")
-    sim.add_argument("--ntest", type=int, default=None, help="test sample size")
+    sim.add_argument("--nl", dest="n_l", type=int, default=None, help="labeled sample size")
+    sim.add_argument("--nu", dest="n_u", type=int, default=None, help="unlabeled sample size")
+    sim.add_argument("--nval", dest="n_val", type=int, default=None, help="validation sample size")
+    sim.add_argument("--ntest", dest="n_test", type=int, default=None, help="test sample size")
     sim.add_argument("--methods", default=None, help="comma-separated method tags")
     sim.add_argument("--axis", choices=SWEEP_AXES, default=None, help="sweep axis")
     sim.add_argument("--grid", default=None, help="comma-separated axis values")

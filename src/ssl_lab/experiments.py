@@ -85,6 +85,17 @@ _LOGISTIC_MAX_ITER = 5_000
 EM_INIT_SCALE = 1e-3
 
 
+def first_axis_model(s: float, d: int) -> MixtureModel:
+    """The mixture whose theta_star is s times the first basis vector of R^d."""
+    if not s >= 0:
+        raise ValidationError(f"s must be nonnegative, got {s}")
+    if d < 1:
+        raise ValidationError(f"d must be at least 1, got {d}")
+    theta = np.zeros(d)
+    theta[0] = s
+    return MixtureModel(theta_star=theta)
+
+
 def check_validation_size(methods, n_val: int) -> None:
     """Reject n_val = 0 when a requested method selects on the validation set."""
     needy = [tag for tag in methods if tag in VALIDATION_METHODS]
@@ -137,7 +148,10 @@ class TrialConfig:
                 raise ValidationError(f"unknown method tag {tag!r}")
         object.__setattr__(self, "methods", methods)
         check_validation_size(methods, self.n_val)
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
+        t_grid = tuple(float(t) for t in self.t_grid)
+        if not t_grid or not all(0.0 <= t <= 1.0 for t in t_grid):
+            raise ValidationError("t_grid must be nonempty, with values in [0, 1]")
+        object.__setattr__(self, "t_grid", t_grid)
         if self.self_train_thresholds is not None:
             thresholds = tuple(float(t) for t in self.self_train_thresholds)
             if not thresholds or not all(t >= 0 for t in thresholds):
@@ -494,12 +508,9 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
 
 def _cell_config(cfg: TrialConfig, axis: str, value) -> TrialConfig:
     if axis == "snr":
-        s = float(value)
-        if s < 0:
-            raise ValidationError("snr grid values must be nonnegative")
-        theta = np.zeros(cfg.model.d)
-        theta[0] = s
-        return replace(cfg, model=MixtureModel(theta_star=theta))
+        return replace(cfg, model=first_axis_model(float(value), cfg.model.d))
+    if axis in ("nl", "nu") and not float(value).is_integer():
+        raise ValidationError(f"{axis} grid values must be whole sample sizes, got {value}")
     if axis == "nl":
         return replace(cfg, n_l=value)
     if axis == "nu":
@@ -744,7 +755,7 @@ def scaling_fit(sweep: SweepResult, method: str, metric: str = "excess") -> floa
 
 @dataclass(frozen=True, eq=False)
 class SweepSpec:
-    """A named, fully pinned sweep: config plus axis, grid, replicates."""
+    """A sweep: trial config plus axis, grid and replicates (a preset pins all four)."""
 
     cfg: TrialConfig
     axis: str
@@ -752,17 +763,11 @@ class SweepSpec:
     replicates: int
 
 
-def _preset_model(s: float, d: int) -> MixtureModel:
-    theta = np.zeros(d)
-    theta[0] = s
-    return MixtureModel(theta_star=theta)
-
-
 PRESETS = {
     # SNR sweep at small fixed samples; the classic head-to-head picture.
     "fig1a": SweepSpec(
         cfg=TrialConfig(
-            model=_preset_model(1.0, 2),
+            model=first_axis_model(1.0, 2),
             n_l=20,
             n_u=2000,
             methods=("sl", "ulplus", "sslw", "selftrain"),
@@ -775,7 +780,7 @@ PRESETS = {
     # ratio sweep at fixed unlabeled budget
     "fig1b": SweepSpec(
         cfg=TrialConfig(
-            model=_preset_model(0.5, 2),
+            model=first_axis_model(0.5, 2),
             n_l=10,
             n_u=7000,
             methods=("sl", "ulplus", "sslw", "selftrain"),
@@ -788,7 +793,7 @@ PRESETS = {
     # labeled-size sweep across the switching point of the two baselines
     "fig3": SweepSpec(
         cfg=TrialConfig(
-            model=_preset_model(0.5, 2),
+            model=first_axis_model(0.5, 2),
             n_l=100,
             n_u=10_000,
             methods=("sl", "ulplus", "ssls", "sslw"),

@@ -2,12 +2,14 @@ import json
 import math
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from ssl_lab.cli import RunManifest, _write_manifest, main
+from ssl_lab.cli import _write_manifest, main
 from ssl_lab.data_io import read_results
+from ssl_lab.experiments import TrialConfig
 
 DATA_CSV = str(Path(__file__).resolve().parent.parent / "data" / "synthetic_2gmm_200.csv")
 
@@ -16,6 +18,22 @@ SMALL_SIM = [
     "--nval", "30", "--ntest", "25", "--methods", "sl,sslw",
     "--replicates", "2", "--seed", "5", "--threads", "1",
 ]
+
+
+#: A value other than simulate's default for every TrialConfig field but model.
+TRIAL_FIELD_VALUES = {
+    "n_l": 7,
+    "n_u": 31,
+    "n_val": 21,
+    "n_test": 22,
+    "methods": ["sl", "sslw"],
+    "t_grid": [0.25, 0.5],
+    "self_train_thresholds": [0.5, 1.0],
+    "ridge_grid": [0.5, 2.0],
+    "base_seed": 9,
+    "ul_backend": "em",
+    "em_budget": 7,
+}
 
 
 def run_small_sim(out_dir, extra=()):
@@ -119,12 +137,10 @@ class TestSimulate:
         run_small_sim(tmp_path)
         path = tmp_path / "manifest.json"
         before = path.read_bytes()
-        manifest = RunManifest(
-            command="simulate", config={"unserializable": object()},
-            config_path=None, out_dir=str(tmp_path), base_seed=0,
-        )
         with pytest.raises(TypeError):
-            _write_manifest(manifest, "manifest.json")
+            _write_manifest(
+                str(tmp_path), "manifest.json", "simulate", {"unserializable": object()}
+            )
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "results.csv"]
 
@@ -175,6 +191,8 @@ class TestSimulate:
             (["--nval", "0", "--methods", "sl,sslw"], "nonempty validation set"),
             (["--nu", "100", "--axis", "nu_over_nl", "--grid", "3,7"], "whole n_l"),
             (["--nu", "100", "--axis", "nu_over_nl", "--grid", "4,7"], "whole n_l"),
+            (["--d", "0"], "d must be at least 1"),
+            (["--s", "-1", "--axis", "nl", "--grid", "5"], "s must be nonnegative"),
         ],
     )
     def test_bad_sweep_size_exits_2_before_compute(self, tmp_path, capsys, extra, pattern):
@@ -192,6 +210,15 @@ class TestSimulate:
             ({"self_train_thresholds": [0.5, float("nan")]}, "self_train_thresholds"),
             ({"ridge_grid": [0.0]}, "ridge_grid"),
             ({"ridge_grid": [0.1, 0.0, 1.0]}, "ridge_grid"),
+            ({"n_l": "abc"}, "n_l must be a whole number"),
+            ({"s": "x"}, "s must be a number"),
+            ({"grid": "1,2"}, "--grid must be given together"),
+            ({"ridge_grid": "abc"}, "ridge_grid values must be numbers"),
+            ({"em_budget": None}, "em_budget must be a whole number"),
+            ({"self_train_thresholds": "ab"}, "self_train_thresholds values must be numbers"),
+            ({"t_grid": [2.0], "methods": ["sslw"]}, "t_grid"),
+            ({"d": 2.5}, "d must be a whole number"),
+            ({"replicates": True}, "replicates must be a whole number"),
         ],
     )
     def test_bad_selftrain_grid_in_config_exits_2_before_compute(
@@ -250,6 +277,21 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["methods"] == expected
         assert read_results(str(out / "results.csv")).methods() == tuple(expected)
+
+    def test_trial_field_values_cover_every_trial_field(self):
+        assert set(TRIAL_FIELD_VALUES) == {f.name for f in fields(TrialConfig)} - {"model"}
+
+    @pytest.mark.parametrize("key", sorted(TRIAL_FIELD_VALUES))
+    def test_config_file_sets_every_trial_field(self, tmp_path, key):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "n_l": 6, "n_u": 30, "n_val": 20, "n_test": 20, key: TRIAL_FIELD_VALUES[key],
+        }))
+        out = tmp_path / "run"
+        code = main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"][key] == TRIAL_FIELD_VALUES[key]
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
