@@ -58,11 +58,11 @@ from .experiments import (
     check_validation_size,
     compatibility_score,
     first_axis_model,
+    fit_methods,
     run_sweep,
     sweep_cell_configs,
     test_error,
 )
-from .gmm import LabeledDataset
 from .theory import ProblemSize, rate_report
 
 #: Accepted spellings of each method tag.
@@ -353,20 +353,17 @@ def _cmd_fit(args) -> int:
     except OSError as err:
         return _fail(3, err)
 
-    test_errors: dict = {}
-    failures: dict = {}
-    selections: dict = {}
     ctx = FitContext(labeled=labeled, unlabeled=pool, validation=validation)
-    for tag in methods:
-        try:
-            theta, extra = METHODS[tag].fit(ctx)
-            selections.update((f"{tag}_{key}", value) for key, value in extra.items())
-            test_errors[tag] = test_error(theta, test)
-        except SslLabError as err:
-            failures[tag] = f"{type(err).__name__}: {err}"
+    scores, failures = fit_methods(
+        ctx, methods, lambda theta, extra: (test_error(theta, test), extra)
+    )
+    test_errors = {tag: error for tag, (error, _) in scores.items()}
+    selections = {
+        f"{tag}_{key}": value for tag, (_, extra) in scores.items() for key, value in extra.items()
+    }
 
     try:
-        rho, inverse = compatibility_score(LabeledDataset(x=table.x, y=table.y))
+        rho, inverse = compatibility_score(table)
         compatibility = {"rho": rho, "inverse": inverse}
     except SslLabError as err:
         compatibility = {"error": f"{type(err).__name__}: {err}"}

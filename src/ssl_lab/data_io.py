@@ -59,34 +59,22 @@ RESULTS_COLUMNS = (
 
 
 @dataclass(frozen=True, eq=False)
-class TabularDataset:
-    """A feature table with {-1, +1} labels and named columns.
+class TabularDataset(LabeledDataset):
+    """A LabeledDataset whose feature columns have names.
 
-    `x` is the n x d feature matrix, `y` the label vector, `columns` the
-    feature names in matrix order, and `provenance` a free-form note on
-    where the rows came from (a file path, or a transform description).
-    Entries are finite by construction and every label is -1 or +1.
+    `columns` holds the feature names in matrix order, and `provenance` a
+    free-form note on where the rows came from (a file path, or a
+    transform description). LabeledDataset checks x and y: entries are
+    finite and every label is -1 or +1.
     """
 
-    x: np.ndarray
-    y: np.ndarray
     columns: tuple
     provenance: str = ""
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.ndim != 2:
-            raise ValidationError("x must be a 2-d matrix")
-        if x.shape[1] < 1:
-            raise ValidationError("x must have at least one column")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ValidationError("y must be a vector with one entry per row of x")
-        check_finite(x, "x")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise ValidationError("labels must be exactly -1 or +1")
+        super().__post_init__()
         columns = tuple(self.columns)
-        if len(columns) != x.shape[1]:
+        if len(columns) != self.d:
             raise ValidationError("columns must name each feature column exactly once")
         if not all(isinstance(name, str) and name for name in columns):
             raise ValidationError("column names must be nonempty strings")
@@ -94,17 +82,7 @@ class TabularDataset:
             raise ValidationError("column names must be unique")
         if not isinstance(self.provenance, str):
             raise ValidationError("provenance must be a string")
-        object.__setattr__(self, "x", readonly(x))
-        object.__setattr__(self, "y", readonly(y))
         object.__setattr__(self, "columns", columns)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,11 @@ Supervised, unsupervised, and semi-supervised fits:
 
 Everything is a pure function of its arguments; iterative solvers keep all
 state local and report non-convergence as ConvergenceError carrying the
-last iterate.
+last iterate. The solver settings every program run uses are stated once,
+here: EM_TOL and EM_MAX_ITER for both EMs, LOGISTIC_TOL and
+LOGISTIC_MAX_ITER as the defaults of fit_logistic, self_train_path and
+self_train. Callers pass a setting only to depart from them (the "em"
+backend's iteration budget, a test's tighter tolerance).
 """
 
 from __future__ import annotations
@@ -51,7 +55,11 @@ from .gmm import (
     readonly,
 )
 
-DEFAULT_MAX_ITER = 200_000
+#: The solver settings of every program run (module docstring).
+EM_TOL = 1e-8
+EM_MAX_ITER = 200_000
+LOGISTIC_TOL = 1e-6
+LOGISTIC_MAX_ITER = 5_000
 DEFAULT_T_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 #: Validation rows per matrix product in avg_margins: the k x n margins
 #: are never held at once, so scoring stays cheap on large tables.
@@ -352,28 +360,22 @@ def oracle_weight(mse_sl: float, mse_ul: float) -> WeightSelection:
     return WeightSelection(t=t, criterion_value=t)
 
 
-def fit_em(
-    data: UnlabeledDataset,
-    theta_init,
-    tol: float = 1e-8,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> EstimatorOutput:
+def fit_em(data: UnlabeledDataset, theta_init, max_iter: int = EM_MAX_ITER) -> EstimatorOutput:
     """Symmetric-mixture EM: iterate theta <- (1/n) sum tanh(<theta,x>) x.
 
     This is the exact EM step for the known-identity-covariance symmetric
-    pair of components. Stops when successive iterates move less than tol.
+    pair of components. Stops when successive iterates move less than
+    EM_TOL; the "em" backend passes its em_budget as max_iter.
     """
     if data.n < 1:
         raise ValidationError("fit_em needs at least one sample")
     theta = as_vector(theta_init, "theta_init").copy()
     if theta.size != data.d:
         raise ValidationError("theta_init dimension differs from the data")
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise ValidationError("tol must be positive")
     x = data.x
     for _ in range(int(max_iter)):
         theta_next = (np.tanh(x @ theta) @ x) / data.n
-        if float(np.linalg.norm(theta_next - theta)) < tol:
+        if float(np.linalg.norm(theta_next - theta)) < EM_TOL:
             return EstimatorOutput(theta=theta_next, method="em")
         theta = theta_next
     raise ConvergenceError(
@@ -382,30 +384,24 @@ def fit_em(
     )
 
 
-def fit_em_means(
-    data: UnlabeledDataset,
-    mu_init,
-    tol: float = 1e-8,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> EstimatorOutput:
+def fit_em_means(data: UnlabeledDataset, mu_init) -> EstimatorOutput:
     """EM with two free means (identity covariance, equal weights).
 
     Unlike fit_em this does not tie the component means to +-theta; it
     alternates soft assignments r_i = sigma(<mu1 - mu2, x_i> - (||mu1||^2 -
     ||mu2||^2)/2) with weighted mean updates, and returns (mu1 - mu2)/2.
-    `mu_init` seeds mu1 (mu2 starts at -mu_init).
+    `mu_init` seeds mu1 (mu2 starts at -mu_init). Stops, as fit_em does,
+    once neither mean moves EM_TOL, within EM_MAX_ITER iterations.
     """
     if data.n < 1:
         raise ValidationError("fit_em_means needs at least one sample")
     mu1 = as_vector(mu_init, "mu_init").copy()
     if mu1.size != data.d:
         raise ValidationError("mu_init dimension differs from the data")
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise ValidationError("tol must be positive")
     mu2 = -mu1
     x = data.x
     n = data.n
-    for _ in range(int(max_iter)):
+    for _ in range(EM_MAX_ITER):
         logit = x @ (mu1 - mu2) - 0.5 * (float(mu1 @ mu1) - float(mu2 @ mu2))
         r = _sigmoid(logit)
         w1 = float(np.sum(r))
@@ -418,10 +414,10 @@ def fit_em_means(
             float(np.linalg.norm(mu2_next - mu2)),
         )
         mu1, mu2 = mu1_next, mu2_next
-        if move < tol:
+        if move < EM_TOL:
             return EstimatorOutput(theta=0.5 * (mu1 - mu2), method="em_means")
     raise ConvergenceError(
-        f"free-means EM did not converge in {max_iter} iterations",
+        f"free-means EM did not converge in {EM_MAX_ITER} iterations",
         last=EstimatorOutput(theta=0.5 * (mu1 - mu2), method="em_means"),
     )
 
@@ -450,8 +446,8 @@ def logistic_gradient(theta: np.ndarray, data: LabeledDataset, ridge: float) -> 
 def fit_logistic(
     data: LabeledDataset,
     ridge: float,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
+    tol: float = LOGISTIC_TOL,
+    max_iter: int = LOGISTIC_MAX_ITER,
 ) -> EstimatorOutput:
     """Ridge logistic regression through the origin (no intercept).
 
@@ -528,8 +524,8 @@ def self_train_path(
     unlabeled: UnlabeledDataset,
     thresholds,
     ridge: float,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
+    tol: float = LOGISTIC_TOL,
+    max_iter: int = LOGISTIC_MAX_ITER,
     stage1: EstimatorOutput | None = None,
 ) -> list:
     """Self-training refits for every threshold, from one sorted pool.
@@ -596,8 +592,8 @@ def self_train(
     unlabeled: UnlabeledDataset,
     threshold: float,
     ridge: float,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
+    tol: float = LOGISTIC_TOL,
+    max_iter: int = LOGISTIC_MAX_ITER,
     stage1: EstimatorOutput | None = None,
 ) -> EstimatorOutput:
     """Two-stage self-training with logistic pseudolabeling.

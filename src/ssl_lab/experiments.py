@@ -32,7 +32,9 @@ their own fixed algorithms regardless of backend.
 
 METHODS is the one registry of method tags: how each fits from a
 FitContext, its accepted spellings, and whether it runs on real data.
-run_trial and the fit command both loop over it.
+fit_methods is the one loop over it, which run_trial and the fit command
+both call. Solver settings (tolerances and iteration caps) are the
+estimators module's; only the "em" backend's em_budget is passed here.
 """
 
 from __future__ import annotations
@@ -78,10 +80,6 @@ UL_BACKENDS = ("spectral", "em")
 DEFAULT_RIDGE_GRID = tuple(float(r) for r in np.logspace(-4.0, 1.0, 7))
 METRIC_FIELDS = ("excess", "estimation", "test_error")
 
-_EM_TOL = 1e-8
-_EM_MAX_ITER = 200_000
-_LOGISTIC_TOL = 1e-6
-_LOGISTIC_MAX_ITER = 5_000
 EM_INIT_SCALE = 1e-3
 
 
@@ -91,6 +89,8 @@ def first_axis_model(s: float, d: int) -> MixtureModel:
         raise ValidationError(f"s must be nonnegative, got {s}")
     if d < 1:
         raise ValidationError(f"d must be at least 1, got {d}")
+    if d > np.iinfo(np.intp).max:
+        raise ValidationError(f"d is too large for a vector, got {d}")
     theta = np.zeros(d)
     theta[0] = s
     return MixtureModel(theta_star=theta)
@@ -137,6 +137,9 @@ class TrialConfig:
             value = getattr(self, name)
             if int(value) != value or value < 0:
                 raise ValidationError(f"{name} must be a nonnegative integer")
+            # Grid cells pass here too, so sampling never sees such a size.
+            if int(value) * self.model.d > np.iinfo(np.intp).max:
+                raise ValidationError(f"{name} is too large for an n x d draw, got {value}")
             object.__setattr__(self, name, int(value))
         if self.n_l < 1:
             raise ValidationError("n_l must be at least 1")
@@ -311,7 +314,7 @@ def _budgeted_em(unlabeled, init, budget: int):
     (fix_sign passes it through and fit_ssl_w skips zero candidates).
     """
     try:
-        return fit_em(unlabeled, init, tol=_EM_TOL, max_iter=budget)
+        return fit_em(unlabeled, init, max_iter=budget)
     except ConvergenceError:
         return np.zeros(len(init))
 
@@ -374,11 +377,7 @@ class FitContext:
     def ridge(self):
         """(ridge, logistic fit) with the largest validation margin."""
         return _select_by_margin(
-            self.ridge_grid,
-            lambda ridge: fit_logistic(
-                self.labeled, ridge, tol=_LOGISTIC_TOL, max_iter=_LOGISTIC_MAX_ITER
-            ),
-            self.validation,
+            self.ridge_grid, lambda ridge: fit_logistic(self.labeled, ridge), self.validation
         )
 
 
@@ -430,10 +429,7 @@ def _fit_selftrain(ctx):
     thresholds = ctx.self_train_thresholds
     if thresholds is None:
         thresholds = _stage1_threshold_grid(stage1.theta, ctx.unlabeled)
-    fits = self_train_path(
-        ctx.labeled, ctx.unlabeled, thresholds, ridge,
-        tol=_LOGISTIC_TOL, max_iter=_LOGISTIC_MAX_ITER, stage1=stage1,
-    )
+    fits = self_train_path(ctx.labeled, ctx.unlabeled, thresholds, ridge, stage1=stage1)
 
     def refit(i):
         if isinstance(fits[i], SslLabError):
@@ -453,12 +449,10 @@ METHODS = {
     # The switch rule needs the true SNR, which real tables do not carry.
     "ssls": Method(_fit_ssls, ("sls", "ssl-s"), real_data=False),
     "sslw": Method(_fit_sslw, ("slw", "ssl-w"), validation=True, fit_default=True),
-    "em": Method(lambda ctx: (
-        fit_em(ctx.unlabeled, ctx.em_init, tol=_EM_TOL, max_iter=_EM_MAX_ITER).theta, {}
-    )),
-    "em_means": Method(lambda ctx: (
-        fit_em_means(ctx.unlabeled, ctx.em_init, tol=_EM_TOL, max_iter=_EM_MAX_ITER).theta, {}
-    ), ("em-means",)),
+    "em": Method(lambda ctx: (fit_em(ctx.unlabeled, ctx.em_init).theta, {})),
+    "em_means": Method(
+        lambda ctx: (fit_em_means(ctx.unlabeled, ctx.em_init).theta, {}), ("em-means",)
+    ),
     "logistic": Method(_fit_logistic, validation=True, fit_default=True),
     "selftrain": Method(_fit_selftrain, ("self-train",), validation=True, fit_default=True),
     "lda": Method(
@@ -470,6 +464,24 @@ METHODS = {
 HARNESS_METHODS = tuple(METHODS)
 #: Methods that select a hyperparameter on the validation set.
 VALIDATION_METHODS = tuple(tag for tag, method in METHODS.items() if method.validation)
+
+
+def fit_methods(ctx: FitContext, methods, score) -> tuple:
+    """Fit each tag in `methods` from ctx; the one loop over METHODS.
+
+    score(theta, extra) turns a fit into what the caller keeps. Returns
+    (scores, failures), both keyed by tag in `methods` order: a method
+    whose fit or score raises SslLabError lands in failures as
+    "ErrorType: message" instead of aborting the others.
+    """
+    scores: dict = {}
+    failures: dict = {}
+    for tag in methods:
+        try:
+            scores[tag] = score(*METHODS[tag].fit(ctx))
+        except SslLabError as err:
+            failures[tag] = f"{type(err).__name__}: {err}"
+    return scores, failures
 
 
 def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
@@ -495,14 +507,9 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
     )
     test = sample_labeled(model, cfg.n_test, stream_seed(seed, 3))
 
-    metrics: dict = {}
-    failures: dict = {}
-    for tag in cfg.methods:
-        try:
-            theta, extra = METHODS[tag].fit(ctx)
-            metrics[tag] = _evaluate(theta, model, test, extra)
-        except SslLabError as err:
-            failures[tag] = f"{type(err).__name__}: {err}"
+    metrics, failures = fit_methods(
+        ctx, cfg.methods, lambda theta, extra: _evaluate(theta, model, test, extra)
+    )
     return TrialResult(trial_index=int(trial_index), seed=seed, metrics=metrics, failures=failures)
 
 
@@ -730,7 +737,7 @@ def compatibility_score(labeled_full, ridge: float = 1e-3) -> tuple:
     full dataset; the unsupervised-style reference is the spherical LDA
     direction. Both are scored by training error.
     """
-    bayes = fit_logistic(labeled_full, ridge, tol=_LOGISTIC_TOL, max_iter=_LOGISTIC_MAX_ITER)
+    bayes = fit_logistic(labeled_full, ridge)
     lda = fit_spherical_lda(labeled_full)
     err_bayes = test_error(bayes.theta, labeled_full)
     err_ulp = test_error(lda.theta, labeled_full)

@@ -75,26 +75,20 @@ class MixtureModel:
 
 
 @dataclass(frozen=True, eq=False)
-class LabeledDataset:
-    """Rows x[i] with labels y[i] in {-1, +1}."""
+class UnlabeledDataset:
+    """Rows x[j]: an n x d matrix of finite floats, d >= 1. LabeledDataset
+    adds labels, and data_io.TabularDataset column names, to these checks."""
 
     x: np.ndarray
-    y: np.ndarray
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
         if x.ndim != 2:
             raise ValidationError("x must be a 2-d matrix")
         if x.shape[1] < 1:
             raise ValidationError("x must have at least one column")
-        if y.ndim != 1 or y.shape[0] != x.shape[0]:
-            raise ValidationError("y must be a vector with one entry per row of x")
         check_finite(x, "x")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise ValidationError("labels must be exactly -1 or +1")
         object.__setattr__(self, "x", readonly(x))
-        object.__setattr__(self, "y", readonly(y))
 
     @property
     def n(self) -> int:
@@ -106,56 +100,34 @@ class LabeledDataset:
 
 
 @dataclass(frozen=True, eq=False)
-class UnlabeledDataset:
-    """Rows x[j] with the labels discarded."""
+class LabeledDataset(UnlabeledDataset):
+    """Rows x[i] with labels y[i] in {-1, +1}."""
 
-    x: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        if x.ndim != 2:
-            raise ValidationError("x must be a 2-d matrix")
-        if x.shape[1] < 1:
-            raise ValidationError("x must have at least one column")
-        check_finite(x, "x")
-        object.__setattr__(self, "x", readonly(x))
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
-
-
-#: Method tags an EstimatorOutput may carry.
-METHOD_TAGS = (
-    "sl",
-    "ul",
-    "ulplus",
-    "ssls",
-    "sslw",
-    "em",
-    "em_means",
-    "logistic",
-    "selftrain",
-    "lda",
-    "zero",
-)
+        super().__post_init__()
+        y = np.asarray(self.y, dtype=float)
+        if y.ndim != 1 or y.shape[0] != self.n:
+            raise ValidationError("y must be a vector with one entry per row of x")
+        if not np.all(np.isin(y, (-1.0, 1.0))):
+            raise ValidationError("labels must be exactly -1 or +1")
+        object.__setattr__(self, "y", readonly(y))
 
 
 @dataclass(frozen=True, eq=False)
 class EstimatorOutput:
-    """A fitted direction estimate together with the method that produced it."""
+    """A fitted direction estimate together with the method that produced it.
+
+    `method` is a label for reading, not a registry key: the method tags
+    are experiments.METHODS.
+    """
 
     theta: np.ndarray
     method: str
 
     def __post_init__(self):
         theta = as_vector(self.theta, "theta")
-        if self.method not in METHOD_TAGS:
-            raise ValidationError(f"unknown method tag {self.method!r}")
         object.__setattr__(self, "theta", readonly(theta))
 
     @property

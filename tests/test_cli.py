@@ -137,7 +137,7 @@ class TestSimulate:
         run_small_sim(tmp_path)
         path = tmp_path / "manifest.json"
         before = path.read_bytes()
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="not JSON serializable"):
             _write_manifest(
                 str(tmp_path), "manifest.json", "simulate", {"unserializable": object()}
             )
@@ -219,6 +219,9 @@ class TestSimulate:
             ({"t_grid": [2.0], "methods": ["sslw"]}, "t_grid"),
             ({"d": 2.5}, "d must be a whole number"),
             ({"replicates": True}, "replicates must be a whole number"),
+            ({"axis": "nu", "grid": [1e30]}, "n_u is too large"),
+            ({"n_u": 1e30}, "n_u is too large"),
+            ({"d": 1e30}, "d is too large"),
         ],
     )
     def test_bad_selftrain_grid_in_config_exits_2_before_compute(
@@ -366,6 +369,8 @@ class TestFit:
     def test_every_method_failed_exits_3(self, tmp_path, capsys, extra, reason):
         assert main(self.fit_args(tmp_path, extra)) == 3
         assert reason in capsys.readouterr().err
+        # Selections are kept only for methods that scored.
+        assert json.loads((tmp_path / "fit_results.json").read_text())["selections"] == {}
 
     @pytest.mark.parametrize("methods", ["sslw,logistic", "sl,sslw", "selftrain"])
     def test_nval_zero_with_validation_methods_exits_2(self, tmp_path, capsys, methods):

@@ -22,6 +22,7 @@ from ssl_lab.experiments import (
     compatibility_from_errors,
     compatibility_score,
     error_gap,
+    fit_methods,
     run_sweep,
     run_trial,
     scaling_fit,
@@ -29,7 +30,6 @@ from ssl_lab.experiments import (
     switching_point_oracle,
 )
 from ssl_lab.gmm import (
-    METHOD_TAGS,
     EstimatorOutput,
     LabeledDataset,
     MixtureModel,
@@ -140,6 +140,8 @@ class TestTrialConfig:
         dict(self_train_thresholds=(0.5, math.nan)),
         dict(ridge_grid=(0.0,)),
         dict(ridge_grid=(0.1, 0.0)),
+        dict(n_u=1e30),
+        dict(n_test=2**63),
     ])
     def test_rejects_invalid_fields(self, bad):
         with pytest.raises(ValidationError):
@@ -270,8 +272,7 @@ class TestRunTrial:
 
 
 class TestMethodRegistry:
-    def test_tags_match_estimator_output_tags(self):
-        assert set(METHODS) == set(METHOD_TAGS)
+    def test_harness_order(self):
         assert HARNESS_METHODS == (
             "zero", "sl", "ul", "ulplus", "ssls", "sslw",
             "em", "em_means", "logistic", "selftrain", "lda",
@@ -314,6 +315,19 @@ class TestMethodRegistry:
         assert not result.failures
         assert called == set(names)
 
+    def test_fit_methods_records_a_failure_and_scores_the_rest_in_order(self):
+        # One class only: the spherical LDA direction is undefined.
+        labeled = LabeledDataset(x=[[1.0, 0.5], [2.0, -0.5], [0.5, 1.0]], y=[1.0, 1.0, 1.0])
+        pool = UnlabeledDataset(x=[[1.0, 0.0], [-1.0, 0.2], [0.3, -1.0], [-0.8, 0.4]])
+        ctx = FitContext(labeled=labeled, unlabeled=pool, validation=pool)
+        scores, failures = fit_methods(
+            ctx, ("ulplus", "lda", "sl"), lambda theta, extra: (theta, extra)
+        )
+        assert list(scores) == ["ulplus", "sl"]
+        assert np.array_equal(scores["sl"][0], ctx.sl.theta)
+        assert np.array_equal(scores["ulplus"][0], ctx.ulplus.theta)
+        assert failures == {"lda": "ValidationError: fit_spherical_lda needs both classes present"}
+
 
 def preset_trials():
     """(id, cell config, trial index): two trials of every fig1a/fig1b cell."""
@@ -342,7 +356,6 @@ def trial_context(cfg, trial_index, **kwargs):
 def cold_logistic(ridge):
     return lambda x, y: fit_logistic(
         LabeledDataset(x=x, y=y), ridge,
-        tol=experiments._LOGISTIC_TOL, max_iter=experiments._LOGISTIC_MAX_ITER,
     ).theta
 
 
@@ -360,15 +373,11 @@ class TestSelfTrainSearch:
             thresholds, stage1.theta, cold_logistic(ridge),
         )
         assert extra == {"ridge": ridge, "threshold": thresholds[best]}
-        fits = self_train_path(
-            ctx.labeled, ctx.unlabeled, thresholds, ridge,
-            tol=experiments._LOGISTIC_TOL, max_iter=experiments._LOGISTIC_MAX_ITER,
-            stage1=stage1,
-        )
+        fits = self_train_path(ctx.labeled, ctx.unlabeled, thresholds, ridge, stage1=stage1)
         assert np.array_equal(theta, fits[best].theta)
         for out, (x, y) in zip(fits, unions):
             grad = oracles.logistic_gradient(out.theta, x, y, ridge)
-            assert float(np.linalg.norm(grad)) <= experiments._LOGISTIC_TOL
+            assert float(np.linalg.norm(grad)) <= estimators.LOGISTIC_TOL
 
     def tied_context(self, thresholds):
         # Every unlabeled margin is exactly 1 (the stage-1 fit stays on the

@@ -33,3 +33,45 @@ def test_rule_catches_a_private_import(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text("from .experiments import _helper, public\nfrom . import __version__\n")
     assert private_imports(module) == [(1, "_helper")]
+
+
+def registry_fits(path):
+    """(line, enclosing function) of every `METHODS[...].fit` in a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "fit"
+            and isinstance(node.value, ast.Subscript)
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "METHODS"
+        ):
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_fit_methods_fits_from_the_registry():
+    sites = [(path.name, function) for path in sorted(SRC.glob("*.py"))
+             for _, function in registry_fits(path)]
+    assert sites == [("experiments.py", "fit_methods")]
+
+
+def test_rule_catches_a_second_registry_loop(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def fit_methods(ctx, tags):\n"
+        "    return [METHODS[tag].fit(ctx) for tag in tags]\n"
+        "\n"
+        "def own_loop(ctx, tags):\n"
+        "    for tag in tags:\n"
+        "        theta, extra = METHODS[tag].fit(ctx)\n"
+    )
+    assert registry_fits(module) == [(2, "fit_methods"), (6, "own_loop")]
