@@ -324,6 +324,8 @@ def _cmd_fit(args) -> int:
                 f"choose from {', '.join(FIT_METHODS)}"
             )
         check_validation_size(methods, args.nval)
+        if args.ntest is not None and args.ntest < 1:
+            raise ValidationError("n_test must be at least 1")
         data = load_csv(args.data, args.label_column, args.positive_label)
         table, _ = standardize(data)
         if args.pca is not None:
@@ -405,21 +407,11 @@ def _cmd_report(args) -> int:
         return _fail(2, "--config applies to the simulate command")
     try:
         gap_pair = tuple(_normalize_method(name) for name in args.gap) if args.gap else None
-        out_dir = _resolve_out_dir(args)
-    except (ValidationError, OSError) as err:
+    except ValidationError as err:
         return _fail(2, err)
-    resolved = {
-        "results": [os.fspath(p) for p in args.results],
-        "metric": args.metric,
-        "log_x": args.log_x,
-        "log_y": args.log_y,
-        "gap": list(gap_pair) if gap_pair else None,
-    }
-    try:
-        _write_manifest(out_dir, "report_manifest.json", "report", resolved, _base_seed(args))
-    except OSError as err:
-        return _fail(3, err)
-    written = []
+    # Every input is read and every chart rendered before anything is
+    # written, so a bad input leaves no manifest and no partial charts.
+    charts = []
     for path in args.results:
         try:
             sweep = read_results(path)
@@ -428,26 +420,38 @@ def _cmd_report(args) -> int:
         if not sweep.grid:
             return _fail(3, f"{path}: results file has no data rows to plot")
         stem = os.path.splitext(os.path.basename(path))[0]
-        charts = [(f"{stem}.svg", lambda: render_series_chart(
-            sweep, metric=args.metric, log_x=args.log_x, log_y=args.log_y, title=stem
-        ))]
-        if gap_pair:
-            a, b = gap_pair
-            charts.append((f"{stem}_gap_{a}_{b}.svg", lambda: render_gap_chart(
-                sweep, a, b, metric=args.metric, log_x=args.log_x, title=f"{stem}: {a} vs {b}"
+        try:
+            charts.append((f"{stem}.svg", render_series_chart(
+                sweep, metric=args.metric, log_x=args.log_x, log_y=args.log_y, title=stem
             )))
-        for name, render in charts:
-            try:
-                svg = render()
-            except ValidationError as err:
-                return _fail(2, err)
+            if gap_pair:
+                a, b = gap_pair
+                charts.append((f"{stem}_gap_{a}_{b}.svg", render_gap_chart(
+                    sweep, a, b, metric=args.metric, log_x=args.log_x, title=f"{stem}: {a} vs {b}"
+                )))
+        except ValidationError as err:
+            return _fail(2, err)
+    try:
+        out_dir = _resolve_out_dir(args)
+    except OSError as err:
+        return _fail(2, err)
+    resolved = {
+        "results": [os.fspath(p) for p in args.results],
+        "metric": args.metric,
+        "log_x": args.log_x,
+        "log_y": args.log_y,
+        "gap": list(gap_pair) if gap_pair else None,
+    }
+    written = []
+    try:
+        _write_manifest(out_dir, "report_manifest.json", "report", resolved, _base_seed(args))
+        for name, svg in charts:
             target = os.path.join(out_dir, name)
-            try:
-                with atomic_writer(target) as handle:
-                    handle.write(svg + "\n")
-            except OSError as err:
-                return _fail(3, err)
+            with atomic_writer(target) as handle:
+                handle.write(svg + "\n")
             written.append(target)
+    except OSError as err:
+        return _fail(3, err)
     for target in written:
         _say(args, f"wrote {target}")
     return 0

@@ -15,8 +15,9 @@ Supervised, unsupervised, and semi-supervised fits:
 - fit_ssl_w: the convex combination t*theta_sl + (1-t)*theta_ulplus with t
   picked by average margin on an unlabeled validation set.
 - avg_margins: the mean absolute normalized validation margins of a stack
-  of candidates, one matrix product per block of validation rows;
-  best_margin applies the one tie rule of every validation selection.
+  of candidates (one candidate is a one-row stack), one matrix product per
+  block of validation rows; best_margin applies the one tie rule of every
+  validation selection.
 - fit_em: EM specialized to this family, whose exact update is
   theta <- (1/n) sum tanh(<theta, x_i>) x_i.
 - fit_em_means: EM with two free means (shared identity covariance, equal
@@ -25,17 +26,17 @@ Supervised, unsupervised, and semi-supervised fits:
 - fit_logistic: ridge-penalized logistic regression through the origin,
   damped Newton with backtracking; self_train_path builds on its kernel.
 - self_train_path: two-stage self-training refits for a list of
-  pseudolabel thresholds, warm-started along nested unions of one
-  margin-sorted pool; self_train is its one-threshold case.
+  pseudolabel thresholds (one threshold is a one-entry list),
+  warm-started along nested unions of one margin-sorted pool.
 - fit_spherical_lda: half the difference of class-conditional means.
 
 Everything is a pure function of its arguments; iterative solvers keep all
 state local and report non-convergence as ConvergenceError carrying the
 last iterate. The solver settings every program run uses are stated once,
 here: EM_TOL and EM_MAX_ITER for both EMs, LOGISTIC_TOL and
-LOGISTIC_MAX_ITER as the defaults of fit_logistic, self_train_path and
-self_train. Callers pass a setting only to depart from them (the "em"
-backend's iteration budget, a test's tighter tolerance).
+LOGISTIC_MAX_ITER as the defaults of fit_logistic and self_train_path.
+Callers pass a setting only to depart from them (the "em" backend's
+iteration budget, a test's tighter tolerance).
 """
 
 from __future__ import annotations
@@ -66,25 +67,6 @@ DEFAULT_T_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 MARGIN_BLOCK = 4096
 #: Margins this close to the largest, relative to it, are tied.
 MARGIN_RTOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class SecondMoment:
-    """Uncentered second-moment matrix (1/n) sum x_j x_j^T and its n."""
-
-    m: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("m must be a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("m must have finite entries")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(m).max()))):
-            raise ValidationError("m must be symmetric")
-        object.__setattr__(self, "m", readonly(0.5 * (m + m.T)))
-        object.__setattr__(self, "n", int(self.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,12 +110,12 @@ def fit_sl(data: LabeledDataset) -> EstimatorOutput:
     return EstimatorOutput(theta=theta, method="sl")
 
 
-def second_moment(data: UnlabeledDataset) -> SecondMoment:
-    """Uncentered second moment (1/n) sum x_j x_j^T."""
+def second_moment(data: UnlabeledDataset) -> np.ndarray:
+    """Uncentered second moment (1/n) sum x_j x_j^T, symmetric and read-only."""
     if data.n < 1:
         raise ValidationError("second_moment needs at least one sample")
     m = (data.x.T @ data.x) / data.n
-    return SecondMoment(m=0.5 * (m + m.T), n=data.n)
+    return readonly(0.5 * (m + m.T))
 
 
 def canonical_sign(v: np.ndarray) -> np.ndarray:
@@ -145,11 +127,11 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
 def leading_eigenpair(m) -> EigenPair:
     """Leading eigenpair of a symmetric matrix by a dense LAPACK solve.
 
-    Accepts a SecondMoment or a plain symmetric matrix (only its lower
-    triangle is read). The returned vector is a unit eigenvector of the
-    largest eigenvalue with its largest-|entry| coordinate made positive.
+    Only the lower triangle of the matrix is read. The returned vector is
+    a unit eigenvector of the largest eigenvalue with its largest-|entry|
+    coordinate made positive.
     """
-    matrix = m.m if isinstance(m, SecondMoment) else np.asarray(m, dtype=float)
+    matrix = np.asarray(m, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError("matrix must be square")
     if not np.all(np.isfinite(matrix)):
@@ -270,26 +252,17 @@ def avg_margins(thetas, validation: UnlabeledDataset) -> np.ndarray:
         raise ValidationError("thetas must be a nonempty k x d matrix")
     check_finite(th, "thetas")
     if validation.n < 1:
-        raise ValidationError("avg_margin needs a nonempty validation set")
+        raise ValidationError("avg_margins needs a nonempty validation set")
     if th.shape[1] != validation.d:
         raise ValidationError("theta and validation dimensions differ")
     norms = np.linalg.norm(th, axis=1)
     if np.any(norms == 0.0):
-        raise ValidationError("avg_margin is undefined for the zero vector")
+        raise ValidationError("avg_margins is undefined for the zero vector")
     totals = np.zeros(len(th))
     for start in range(0, validation.n, MARGIN_BLOCK):
         block = validation.x[start:start + MARGIN_BLOCK]
         totals += np.abs(th @ block.T).sum(axis=1)
     return totals / validation.n / norms
-
-
-def avg_margin(theta, validation: UnlabeledDataset) -> float:
-    """Mean absolute normalized margin (1/n) sum |<theta, x>| / ||theta||.
-
-    The one-row case of avg_margins. Selections compare margins through
-    best_margin, which ties margins equal to within rounding.
-    """
-    return float(avg_margins(_theta_of(theta, "theta")[None, :], validation)[0])
 
 
 def best_margin(margins) -> int:
@@ -428,19 +401,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _loss(margins: np.ndarray, theta: np.ndarray, ridge: float) -> float:
+    """The objective (1/n) sum log(1 + exp(-m)) + ridge * ||theta||^2 of
+    the margins m = y <theta, x>."""
     # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), stable for any m.
     loss = np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))
     return float(np.mean(loss)) + float(ridge) * float(theta @ theta)
-
-
-def logistic_objective(theta: np.ndarray, data: LabeledDataset, ridge: float) -> float:
-    """(1/n) sum log(1 + exp(-y <theta, x>)) + ridge * ||theta||^2."""
-    return _loss(data.y * (data.x @ theta), theta, ridge)
-
-
-def logistic_gradient(theta: np.ndarray, data: LabeledDataset, ridge: float) -> np.ndarray:
-    grad_loss = -((data.y * _sigmoid(-data.y * (data.x @ theta))) @ data.x) / data.n
-    return grad_loss + 2.0 * float(ridge) * theta
 
 
 def fit_logistic(
@@ -528,19 +493,26 @@ def self_train_path(
     max_iter: int = LOGISTIC_MAX_ITER,
     stage1: EstimatorOutput | None = None,
 ) -> list:
-    """Self-training refits for every threshold, from one sorted pool.
+    """Two-stage self-training with logistic pseudolabeling, for every
+    threshold, from one sorted pool.
 
-    Each threshold t gives the refit self_train(labeled, unlabeled, t,
-    ridge, ...) describes. The union for t is the labeled rows plus the
-    pseudolabeled unlabeled rows whose margin reaches t, so the unions are
-    nested: with the unlabeled rows stable-sorted by how many thresholds
-    their margin reaches, most first, each is a prefix of one pool, taken
-    as a view. Rows that reach the same thresholds keep their original
-    order, so a one-threshold union is in the order self_train states.
-    The refits run in ascending union size; the first starts from zero
-    and each later one from the last that converged (a warm start along
-    the threshold path). Thresholds that keep the same rows share one
-    refit.
+    Stage 1 fits fit_logistic on the labeled data; `stage1` substitutes a
+    precomputed fit. Stage 2 pseudolabels every unlabeled x whose absolute
+    normalized margin |<theta_1, x>| / ||theta_1|| reaches the threshold
+    t as sign(<theta_1, x>), with sign(0) := +1. Stage 3 refits the
+    logistic loss on the union: the labeled rows, then the kept unlabeled
+    rows in their original order. t = +inf, an empty unlabeled set or a
+    zero stage-1 fit (whose margins are undefined) keeps no unlabeled row,
+    so the refit is plain fit_logistic on the labeled data.
+
+    The unions are nested: with the unlabeled rows stable-sorted by how
+    many thresholds their margin reaches, most first, each is a prefix of
+    one pool, taken as a view. Rows that reach the same thresholds keep
+    their original order, so a one-threshold union is in the order above.
+    The refits run in ascending union size; the first starts from zero,
+    as fit_logistic does, and each later one from the last that converged
+    (a warm start along the threshold path). Thresholds that keep the same
+    rows share one refit.
 
     Returns one entry per threshold, in the order given: the refit's
     EstimatorOutput, or the ConvergenceError it raised.
@@ -550,7 +522,7 @@ def self_train_path(
         if not (isinstance(threshold, (int, float)) and threshold >= 0.0):
             raise ValidationError("threshold must be nonnegative")
     if labeled.n < 1:
-        raise ValidationError("self_train needs at least one labeled sample")
+        raise ValidationError("self_train_path needs at least one labeled sample")
     _check_logistic_settings(ridge, tol)
     if stage1 is None:
         stage1 = fit_logistic(labeled, ridge, tol=tol, max_iter=max_iter)
@@ -585,34 +557,6 @@ def self_train_path(
         except ConvergenceError as err:
             fits[count] = err
     return [fits[count] for count in counts.tolist()]
-
-
-def self_train(
-    labeled: LabeledDataset,
-    unlabeled: UnlabeledDataset,
-    threshold: float,
-    ridge: float,
-    tol: float = LOGISTIC_TOL,
-    max_iter: int = LOGISTIC_MAX_ITER,
-    stage1: EstimatorOutput | None = None,
-) -> EstimatorOutput:
-    """Two-stage self-training with logistic pseudolabeling.
-
-    Stage 1 fits fit_logistic on the labeled data. Stage 2 pseudolabels
-    every unlabeled x whose absolute normalized margin reaches `threshold`
-    as sign(<theta_1, x>) (sign(0) := +1). Stage 3 refits fit_logistic,
-    from zero, on the union: the labeled rows, then the kept unlabeled
-    rows in their original order. threshold = +inf (or an
-    empty unlabeled set, or a zero stage-1 estimate, whose margins are
-    undefined) degenerates to plain fit_logistic on the labeled data.
-    `stage1` substitutes a precomputed stage-1 fit; by default it is
-    fit_logistic(labeled, ridge, tol, max_iter). This is the
-    one-threshold case of self_train_path.
-    """
-    (out,) = self_train_path(labeled, unlabeled, [threshold], ridge, tol, max_iter, stage1)
-    if isinstance(out, ConvergenceError):
-        raise out
-    return out
 
 
 def fit_spherical_lda(data: LabeledDataset) -> EstimatorOutput:

@@ -141,8 +141,9 @@ class TrialConfig:
             if int(value) * self.model.d > np.iinfo(np.intp).max:
                 raise ValidationError(f"{name} is too large for an n x d draw, got {value}")
             object.__setattr__(self, name, int(value))
-        if self.n_l < 1:
-            raise ValidationError("n_l must be at least 1")
+        for name in ("n_l", "n_test"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1")
         methods = tuple(dict.fromkeys(self.methods))
         if not methods:
             raise ValidationError("methods must be nonempty")
@@ -282,7 +283,7 @@ def _select_by_margin(grid, fit, validation):
             last_error = err
             continue
         if float(np.linalg.norm(out.theta)) == 0.0:
-            last_error = ValidationError("avg_margin is undefined for the zero vector")
+            last_error = ValidationError("avg_margins is undefined for the zero vector")
             continue
         values.append(value)
         fits.append(out)

@@ -54,10 +54,9 @@ class BoundConstants:
     c2: float = 1.0
     c3: float = 1.0
     c4: float = 1.0
-    c_l: float = 1.0
 
     def __post_init__(self):
-        for name in ("c0", "c1", "c2", "c3", "c4", "c_l"):
+        for name in ("c0", "c1", "c2", "c3", "c4"):
             value = getattr(self, name)
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValidationError(f"{name} must be a positive real")

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from ssl_lab import experiments
 from ssl_lab.cli import _write_manifest, main
 from ssl_lab.data_io import read_results
+from ssl_lab.errors import ConvergenceError
 from ssl_lab.experiments import TrialConfig
 
 DATA_CSV = str(Path(__file__).resolve().parent.parent / "data" / "synthetic_2gmm_200.csv")
@@ -34,6 +36,10 @@ TRIAL_FIELD_VALUES = {
     "ul_backend": "em",
     "em_budget": 7,
 }
+
+
+def failing_fit(*args, **kwargs):
+    raise ConvergenceError("injected")
 
 
 def run_small_sim(out_dir, extra=()):
@@ -193,6 +199,7 @@ class TestSimulate:
             (["--nu", "100", "--axis", "nu_over_nl", "--grid", "4,7"], "whole n_l"),
             (["--d", "0"], "d must be at least 1"),
             (["--s", "-1", "--axis", "nl", "--grid", "5"], "s must be nonnegative"),
+            (["--ntest", "0"], "n_test must be at least 1"),
         ],
     )
     def test_bad_sweep_size_exits_2_before_compute(self, tmp_path, capsys, extra, pattern):
@@ -222,6 +229,7 @@ class TestSimulate:
             ({"axis": "nu", "grid": [1e30]}, "n_u is too large"),
             ({"n_u": 1e30}, "n_u is too large"),
             ({"d": 1e30}, "d is too large"),
+            ({"n_test": 0}, "n_test must be at least 1"),
         ],
     )
     def test_bad_selftrain_grid_in_config_exits_2_before_compute(
@@ -254,17 +262,12 @@ class TestSimulate:
         assert selftrain.mean_excess == logistic.mean_excess
         assert selftrain.extra["threshold"] == math.inf
 
-    @pytest.mark.parametrize(
-        "extra,reason",
-        [
-            (["--ntest", "0", "--methods", "sl"], "the test set is empty"),
-        ],
-    )
-    def test_every_method_failed_exits_3(self, tmp_path, capsys, extra, reason):
+    def test_every_method_failed_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "fit_sl", failing_fit)
         out = tmp_path / "run"
-        code = main(SMALL_SIM + ["--out", str(out), "--quiet"] + extra)
+        code = main(SMALL_SIM + ["--out", str(out), "--quiet", "--methods", "sl"])
         assert code == 3
-        assert reason in capsys.readouterr().err
+        assert "ConvergenceError: injected" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize("methods", ["sl", "sl,sslw", ["sl", "sslw"]])
@@ -360,15 +363,12 @@ class TestFit:
         assert main(args) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "extra,reason",
-        [
-            (["--ntest", "0"], "the test set is empty"),
-        ],
-    )
-    def test_every_method_failed_exits_3(self, tmp_path, capsys, extra, reason):
-        assert main(self.fit_args(tmp_path, extra)) == 3
-        assert reason in capsys.readouterr().err
+    def test_every_method_failed_exits_3(self, tmp_path, capsys, monkeypatch):
+        # Every default method fits through one of these three.
+        for name in ("fit_sl", "fit_logistic", "fit_spherical_lda"):
+            monkeypatch.setattr(experiments, name, failing_fit)
+        assert main(self.fit_args(tmp_path)) == 3
+        assert "ConvergenceError: injected" in capsys.readouterr().err
         # Selections are kept only for methods that scored.
         assert json.loads((tmp_path / "fit_results.json").read_text())["selections"] == {}
 
@@ -377,6 +377,13 @@ class TestFit:
         out = tmp_path / "run"
         assert main(self.fit_args(out, ["--nval", "0", "--methods", methods])) == 2
         assert "nonempty validation set" in capsys.readouterr().err
+        assert not (out / "fit_manifest.json").exists()
+        assert not (out / "fit_results.json").exists()
+
+    def test_ntest_zero_exits_2_before_any_manifest(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(self.fit_args(out, ["--ntest", "0"])) == 2
+        assert "n_test must be at least 1" in capsys.readouterr().err
         assert not (out / "fit_manifest.json").exists()
         assert not (out / "fit_results.json").exists()
 
@@ -460,6 +467,16 @@ class TestReport:
         bad.write_text("not a results file\n")
         assert main(["report", str(bad), "--out", str(tmp_path)]) == 2
         assert "schema" in capsys.readouterr().err
+        assert not (tmp_path / "report_manifest.json").exists()
+
+    def test_missing_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        # The good file comes first: nothing is written until every input reads.
+        results = self.results_with(tmp_path, "sl")
+        charts = tmp_path / "charts"
+        missing = tmp_path / "missing.csv"
+        assert main(["report", str(results), str(missing), "--out", str(charts)]) == 2
+        assert "missing.csv" in capsys.readouterr().err
+        assert not charts.exists()
 
     def test_gap_method_missing_from_sweep_exits_2(self, tmp_path, capsys):
         results = self.results_with(tmp_path, "sl,sslw")

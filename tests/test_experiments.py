@@ -142,6 +142,7 @@ class TestTrialConfig:
         dict(ridge_grid=(0.1, 0.0)),
         dict(n_u=1e30),
         dict(n_test=2**63),
+        dict(n_test=0),
     ])
     def test_rejects_invalid_fields(self, bad):
         with pytest.raises(ValidationError):

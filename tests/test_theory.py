@@ -44,7 +44,7 @@ class TestProblemSize:
 class TestBoundConstants:
     def test_defaults_are_unit(self):
         c = BoundConstants()
-        assert (c.c0, c.c1, c.c2, c.c3, c.c4, c.c_l) == (1.0,) * 6
+        assert (c.c0, c.c1, c.c2, c.c3, c.c4) == (1.0,) * 5
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_rejects_nonpositive(self, bad):
