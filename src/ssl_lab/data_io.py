@@ -497,7 +497,8 @@ def read_results(path) -> SweepResult:
     The file must open with the matching '# schema ssl-lab-sweep N' line;
     a missing line or any other version raises SchemaVersionError. A
     header-only file reads back as an empty sweep. Grid values appear in
-    file order, and rows sharing an axis value group into one cell.
+    file order, and rows sharing an axis value group into one cell. A row
+    that breaks CellStats's contract raises DataFormatError naming it.
     """
     with open(path, newline="") as handle:
         first = handle.readline()
@@ -558,17 +559,10 @@ def read_results(path) -> SweepResult:
                 _parse_number(text, line, column)
                 for text, column in zip(record[4:10], RESULTS_COLUMNS[4:10])
             ]
-            stats = CellStats(
-                method=method,
-                replicates=reps,
-                mean_excess=numbers[0],
-                std_excess=numbers[1],
-                mean_estimation=numbers[2],
-                std_estimation=numbers[3],
-                mean_test_error=numbers[4],
-                std_test_error=numbers[5],
-                extra=_parse_extra(record[10], line),
-            )
+            try:
+                stats = CellStats(method, reps, *numbers, extra=_parse_extra(record[10], line))
+            except ValidationError as err:
+                raise DataFormatError(f"row {line}: {err}") from None
             if value in index:
                 cells[index[value]].append(stats)
             else:

@@ -11,7 +11,8 @@ Supervised, unsupervised, and semi-supervised fits:
 - fix_sign: resolves UL's inherent sign ambiguity with the labeled data,
   sign(<theta_sl, theta_ul>) * theta_ul, where sign(0) := +1.
 - fit_ssl_s: the three-branch switch between the zero vector, fit_sl, and
-  the sign-fixed fit_ul, driven by thresholds on (s, d, n_l, n_u).
+  the sign-fixed fit_ul, driven by thresholds on (s, d, n_l, n_u); without
+  an oracle s it plugs in ||fit_ul||.
 - fit_ssl_w: the convex combination t*theta_sl + (1-t)*theta_ulplus with t
   picked by average margin on an unlabeled validation set.
 - avg_margins: the mean absolute normalized validation margins of a stack
@@ -30,13 +31,16 @@ Supervised, unsupervised, and semi-supervised fits:
   warm-started along nested unions of one margin-sorted pool.
 - fit_spherical_lda: half the difference of class-conditional means.
 
-Everything is a pure function of its arguments; iterative solvers keep all
-state local and report non-convergence as ConvergenceError carrying the
-last iterate. The solver settings every program run uses are stated once,
-here: EM_TOL and EM_MAX_ITER for both EMs, LOGISTIC_TOL and
-LOGISTIC_MAX_ITER as the defaults of fit_logistic and self_train_path.
-Callers pass a setting only to depart from them (the "em" backend's
-iteration budget, a test's tighter tolerance).
+Estimates passed in as arguments (fix_sign's, the theta_ulp of fit_ssl_s
+and fit_ssl_w, self_train_path's stage1) are EstimatorOutputs, checked
+once when they were built. Everything is a pure function of its
+arguments; iterative solvers keep all state local and report
+non-convergence as ConvergenceError carrying the last iterate. The
+solver settings every program run uses are stated once, here: EM_TOL and
+EM_MAX_ITER for both EMs, LOGISTIC_TOL and LOGISTIC_MAX_ITER as the
+defaults of fit_logistic and self_train_path. Callers pass a setting
+only to depart from them (the "em" backend's iteration budget, a test's
+tighter tolerance).
 """
 
 from __future__ import annotations
@@ -84,22 +88,13 @@ class EigenPair:
 
 @dataclass(frozen=True)
 class WeightSelection:
-    """Chosen mixing weight t and the average margin it achieved."""
+    """Chosen mixing weight t in [0, 1]."""
 
     t: float
-    criterion_value: float
 
     def __post_init__(self):
         if not (0.0 <= self.t <= 1.0):
             raise ValidationError("t must lie in [0, 1]")
-        if not math.isfinite(self.criterion_value):
-            raise ValidationError("criterion_value must be finite")
-
-
-def _theta_of(est, name: str) -> np.ndarray:
-    if isinstance(est, EstimatorOutput):
-        return est.theta
-    return as_vector(est, name)
 
 
 def fit_sl(data: LabeledDataset) -> EstimatorOutput:
@@ -151,20 +146,13 @@ def fit_ul(data: UnlabeledDataset) -> EstimatorOutput:
     return EstimatorOutput(theta=magnitude * pair.vector, method="ul")
 
 
-def fix_sign(theta_ul, theta_sl) -> EstimatorOutput:
+def fix_sign(theta_ul: EstimatorOutput, theta_sl: EstimatorOutput) -> EstimatorOutput:
     """Pick the sign of theta_ul that agrees with theta_sl; sign(0) := +1."""
-    ul = _theta_of(theta_ul, "theta_ul")
-    sl = _theta_of(theta_sl, "theta_sl")
+    ul, sl = theta_ul.theta, theta_sl.theta
     if ul.size != sl.size:
         raise ValidationError("theta_ul and theta_sl must have equal length")
     sign = -1.0 if float(sl @ ul) < 0.0 else 1.0
     return EstimatorOutput(theta=sign * ul, method="ulplus")
-
-
-def plugin_snr(data: UnlabeledDataset) -> float:
-    """Plug-in SNR estimate sqrt((lambda - 1)_+) from the second moment."""
-    pair = leading_eigenpair(second_moment(data))
-    return math.sqrt(max(pair.value - 1.0, 0.0))
 
 
 def fit_ssl_s(
@@ -181,9 +169,10 @@ def fit_ssl_s(
     - branch "sl"     elif s <= sqrt(n_l/n_u),
     - branch "ulplus" otherwise.
 
-    `s` is oracle knowledge of the SNR; passing None uses the plug-in
-    estimate sqrt((lambda - 1)_+) from the unlabeled second moment instead.
-    An empty unlabeled set is allowed: both n_u thresholds are then +inf,
+    `s` is oracle knowledge of the SNR. Passing None plugs in the norm of
+    fit_ul(unlabeled) instead, sqrt((lambda - 1)_+) of the unlabeled
+    second moment; without a theta_ulp, the "ulplus" branch then
+    sign-fixes that same fit rather than solving again. An empty unlabeled set is allowed: both n_u thresholds are then +inf,
     so the unlabeled data is never needed on the branch taken. Estimator
     errors propagate only from the branch actually taken.
 
@@ -199,10 +188,12 @@ def fit_ssl_s(
         raise ValidationError("fit_ssl_s needs at least one labeled sample")
     if labeled.d != unlabeled.d and unlabeled.n > 0:
         raise ValidationError("labeled and unlabeled dimensions differ")
+    ul = None
     if s is None:
         if unlabeled.n < 1:
             raise ValidationError("plug-in SNR needs a nonempty unlabeled set")
-        s_val = plugin_snr(unlabeled)
+        ul = fit_ul(unlabeled)
+        s_val = float(np.linalg.norm(ul.theta))
     else:
         s_val = float(s)
         if not math.isfinite(s_val) or s_val < 0.0:
@@ -220,23 +211,12 @@ def fit_ssl_s(
         branch = "sl"
     else:
         if theta_ulp is None:
-            theta_ulp = fix_sign(fit_ul(unlabeled), fit_sl(labeled))
-        theta = _theta_of(theta_ulp, "theta_ulp")
+            theta_ulp = fix_sign(fit_ul(unlabeled) if ul is None else ul, fit_sl(labeled))
+        theta = theta_ulp.theta
         if theta.size != labeled.d:
             raise ValidationError("theta_ulp dimension differs from the data")
         branch = "ulplus"
     return EstimatorOutput(theta=theta, method="ssls"), branch
-
-
-def weighted(theta_sl, theta_ulp, t: float) -> EstimatorOutput:
-    """Convex combination t*theta_sl + (1-t)*theta_ulplus."""
-    if not (isinstance(t, (int, float)) and 0.0 <= t <= 1.0):
-        raise ValidationError("t must lie in [0, 1]")
-    sl = _theta_of(theta_sl, "theta_sl")
-    ulp = _theta_of(theta_ulp, "theta_ulp")
-    if sl.size != ulp.size:
-        raise ValidationError("theta_sl and theta_ulp must have equal length")
-    return EstimatorOutput(theta=float(t) * sl + (1.0 - float(t)) * ulp, method="sslw")
 
 
 def avg_margins(thetas, validation: UnlabeledDataset) -> np.ndarray:
@@ -284,16 +264,16 @@ def fit_ssl_w(
     t_grid=DEFAULT_T_GRID,
     theta_ulp: EstimatorOutput | None = None,
 ) -> tuple[EstimatorOutput, WeightSelection]:
-    """Pick t from t_grid maximizing the validation margin of weighted(...).
+    """Pick t from t_grid maximizing the validation margin of the convex
+    combination t*theta_sl + (1-t)*theta_ulp.
 
     Candidates whose combination is the zero vector are skipped (an error
-    if that leaves none); the rest are built in one broadcast, with
-    weighted()'s per-element arithmetic, and scored in one avg_margins
-    call. Ties (best_margin: equal to within rounding) break toward the
-    smallest t, so when theta_ulp is zero, and every candidate is a
-    multiple of theta_sl, the smallest nonzero t wins. `theta_ulp`
-    substitutes a precomputed sign-fixed unsupervised estimate; by
-    default it is fix_sign(fit_ul(unlabeled), fit_sl(labeled)).
+    if that leaves none); the rest are built in one broadcast and scored
+    in one avg_margins call. Ties (best_margin: equal to within rounding)
+    break toward the smallest t, so when theta_ulp is zero, and every
+    candidate is a multiple of theta_sl, the smallest nonzero t wins.
+    `theta_ulp` substitutes a precomputed sign-fixed unsupervised
+    estimate; by default it is fix_sign(fit_ul(unlabeled), fit_sl(labeled)).
     """
     grid = [float(t) for t in t_grid]
     if not grid:
@@ -304,7 +284,7 @@ def fit_ssl_w(
     sl = fit_sl(labeled)
     if theta_ulp is None:
         theta_ulp = fix_sign(fit_ul(unlabeled), sl)
-    ulp = _theta_of(theta_ulp, "theta_ulp")
+    ulp = theta_ulp.theta
     if ulp.size != sl.d:
         raise ValidationError("theta_sl and theta_ulp must have equal length")
 
@@ -314,11 +294,10 @@ def fit_ssl_w(
     if not np.any(nonzero):
         raise ValidationError("every weighted candidate was the zero vector")
     ts, candidates = ts[nonzero], candidates[nonzero]
-    margins = avg_margins(candidates, validation)
-    best = best_margin(margins)
+    best = best_margin(avg_margins(candidates, validation))
     return (
         EstimatorOutput(theta=candidates[best], method="sslw"),
-        WeightSelection(t=float(ts[best]), criterion_value=float(margins[best])),
+        WeightSelection(t=float(ts[best])),
     )
 
 
@@ -329,8 +308,7 @@ def oracle_weight(mse_sl: float, mse_ul: float) -> WeightSelection:
     total = float(mse_sl) + float(mse_ul)
     if total == 0.0:
         raise ValidationError("at least one MSE must be positive")
-    t = float(mse_ul) / total
-    return WeightSelection(t=t, criterion_value=t)
+    return WeightSelection(t=float(mse_ul) / total)
 
 
 def fit_em(data: UnlabeledDataset, theta_init, max_iter: int = EM_MAX_ITER) -> EstimatorOutput:
@@ -526,7 +504,7 @@ def self_train_path(
     _check_logistic_settings(ridge, tol)
     if stage1 is None:
         stage1 = fit_logistic(labeled, ridge, tol=tol, max_iter=max_iter)
-    theta1 = _theta_of(stage1, "stage1")
+    theta1 = stage1.theta
     if theta1.size != labeled.d:
         raise ValidationError("stage1 dimension differs from the data")
     norm1 = float(np.linalg.norm(theta1))

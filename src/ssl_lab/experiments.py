@@ -65,6 +65,7 @@ from .estimators import (
     self_train_path,
 )
 from .gmm import (
+    EstimatorOutput,
     LabeledDataset,
     MixtureModel,
     UnlabeledDataset,
@@ -201,7 +202,13 @@ class TrialResult:
 
 @dataclass(frozen=True, eq=False)
 class CellStats:
-    """Aggregated statistics of one method at one grid cell."""
+    """Aggregated statistics of one method at one grid cell.
+
+    The one contract of a cell, which the harness and read_results share:
+    at least one replicate; means and stds all NaN (no scored trial, as
+    _aggregate_cell writes it) or none NaN, each >= 0, the test-error pair
+    <= 1; no extra NaN (an extra may be +inf: a threshold of inf is legal).
+    """
 
     method: str
     replicates: int
@@ -212,6 +219,21 @@ class CellStats:
     mean_test_error: float
     std_test_error: float
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.replicates < 1:
+            raise ValidationError(f"replicates must be at least 1, got {self.replicates}")
+        stats = {f"{kind}_{m}": getattr(self, f"{kind}_{m}")
+                 for m in METRIC_FIELDS for kind in ("mean", "std")}
+        nan = [name for name, value in stats.items() if math.isnan(value)]
+        if nan and len(nan) < len(stats):
+            raise ValidationError(f"{nan[0]} is NaN, but not every mean and std is")
+        for name, value in stats.items():
+            if value < 0 or (name.endswith("test_error") and value > 1):
+                raise ValidationError(f"{name} {value!r} is out of range")
+        for key, value in self.extra.items():
+            if math.isnan(value):
+                raise ValidationError(f"extra {key} is NaN")
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +339,7 @@ def _budgeted_em(unlabeled, init, budget: int):
     try:
         return fit_em(unlabeled, init, max_iter=budget)
     except ConvergenceError:
-        return np.zeros(len(init))
+        return EstimatorOutput(theta=np.zeros(len(init)), method="em")
 
 
 @dataclass(frozen=True, eq=False)
@@ -549,6 +571,10 @@ class _Welford:
 
     def add(self, x: float):
         self.count += 1
+        if math.inf in (x, self.mean):
+            # A threshold of inf is legal, and inf - inf would make the mean NaN.
+            self.mean = self.m2 = math.inf
+            return
         delta = x - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (x - self.mean)

@@ -135,25 +135,26 @@ class EstimatorOutput:
         return self.theta.size
 
 
-def sample_labeled(model: MixtureModel, n: int, seed: int) -> LabeledDataset:
-    """Draw n labeled samples: y uniform on {-1,+1}, x = y*theta_star + noise.
-
-    Determined entirely by (model, n, seed); draw order is labels first,
-    then the n x d standard normal noise block.
-    """
+def _draw(model: MixtureModel, n: int, seed: int) -> tuple:
+    """(x, y) of n draws, determined entirely by (model, n, seed): labels
+    first, then the n x d standard normal noise block."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValidationError("n must be a nonnegative integer")
     rng = np.random.default_rng(_normalize_seed(seed))
     y = 2.0 * rng.integers(0, 2, size=int(n)) - 1.0
     z = rng.standard_normal((int(n), model.d))
-    x = y[:, None] * model.theta_star + z
+    return y[:, None] * model.theta_star + z, y
+
+
+def sample_labeled(model: MixtureModel, n: int, seed: int) -> LabeledDataset:
+    """Draw n labeled samples: y uniform on {-1,+1}, x = y*theta_star + noise."""
+    x, y = _draw(model, n, seed)
     return LabeledDataset(x=x, y=y)
 
 
 def sample_unlabeled(model: MixtureModel, n: int, seed: int) -> UnlabeledDataset:
-    """Draw n samples from the x-marginal (same draw order, labels dropped)."""
-    labeled = sample_labeled(model, n, seed)
-    return UnlabeledDataset(x=labeled.x)
+    """Draw n samples from the x-marginal: sample_labeled's x, labels dropped."""
+    return UnlabeledDataset(x=_draw(model, n, seed)[0])
 
 
 def std_normal_cdf(x: float) -> float:

@@ -11,6 +11,8 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def stats(method, mean, std=0.01):
+    if math.isnan(mean):
+        std = math.nan  # a cell with no scored trial is NaN throughout
     return CellStats(
         method=method,
         replicates=5,
@@ -81,8 +83,8 @@ class TestSeriesChart:
             render_series_chart(chart, log_x=True)
 
     def test_log_y_rejects_nonpositive_values(self):
-        chart = sweep({"sl": (-0.1, -0.2, -0.3, -0.4)})
-        with pytest.raises(ValidationError):
+        chart = sweep({"sl": (0.0, 0.0, 0.0, 0.0)})
+        with pytest.raises(ValidationError, match="positive"):
             render_series_chart(chart, log_y=True)
 
     def test_nan_cells_are_dropped_from_their_series(self):

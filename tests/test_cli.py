@@ -249,18 +249,23 @@ class TestSimulate:
         assert not (out / "results.csv").exists()
 
     def test_infinite_selftrain_threshold_is_the_labeled_only_fit(self, tmp_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({
-            "methods": ["logistic", "selftrain"], "n_l": 6, "n_u": 30, "n_val": 20,
-            "n_test": 20, "self_train_thresholds": [float("inf")],
-        }))
-        out = tmp_path / "run"
-        code = main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
-        assert code == 0
-        sweep = read_results(str(out / "results.csv"))
-        logistic, selftrain = sweep.cell(0, "logistic"), sweep.cell(0, "selftrain")
-        assert selftrain.mean_excess == logistic.mean_excess
-        assert selftrain.extra["threshold"] == math.inf
+        # Every trial's threshold is inf, so the cell's mean threshold is inf
+        # at any replicate count (inf - inf must not turn it into NaN).
+        for replicates in (1, 2):
+            config = tmp_path / f"cfg{replicates}.json"
+            config.write_text(json.dumps({
+                "methods": ["logistic", "selftrain"], "n_l": 6, "n_u": 30, "n_val": 20,
+                "n_test": 20, "self_train_thresholds": [float("inf")],
+                "replicates": replicates,
+            }))
+            out = tmp_path / f"run{replicates}"
+            code = main(["simulate", "--config", str(config), "--out", str(out), "--quiet"])
+            assert code == 0
+            sweep = read_results(str(out / "results.csv"))
+            assert sweep.replicates == replicates
+            logistic, selftrain = sweep.cell(0, "logistic"), sweep.cell(0, "selftrain")
+            assert selftrain.mean_excess == logistic.mean_excess
+            assert selftrain.extra["threshold"] == math.inf
 
     def test_every_method_failed_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(experiments, "fit_sl", failing_fit)
@@ -468,6 +473,25 @@ class TestReport:
         assert main(["report", str(bad), "--out", str(tmp_path)]) == 2
         assert "schema" in capsys.readouterr().err
         assert not (tmp_path / "report_manifest.json").exists()
+
+    @pytest.mark.parametrize("column, value, every_row", [
+        ("std_excess", "-1.0", False), ("mean_test_error", "1.7", False),
+        ("mean_excess", "nan", False), ("replicates", "0", True),
+    ])
+    def test_results_no_sweep_can_write_exit_2(self, tmp_path, capsys, column, value, every_row):
+        results = self.results_with(tmp_path, "sl,ulplus")
+        lines = results.read_text().splitlines()
+        index = lines[1].split(",").index(column)
+        for i in range(2, len(lines) if every_row else 3):
+            fields = lines[i].split(",")
+            assert fields[2] == "sl" or every_row
+            fields[index] = value
+            lines[i] = ",".join(fields)
+        results.write_text("\n".join(lines) + "\n")
+        charts = tmp_path / "charts"
+        assert main(["report", str(results), "--out", str(charts)]) == 2
+        assert "row 3" in capsys.readouterr().err
+        assert not (charts / "report_manifest.json").exists()
 
     def test_missing_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # The good file comes first: nothing is written until every input reads.

@@ -649,6 +649,16 @@ class TestResultsErrors:
             (lambda lines: lines.__setitem__(3, lines[3].replace("nu,", "snr,", 1)), "axis name"),
             (lambda lines: lines.__setitem__(2, lines[2].replace("t=0.35", "t0.35")), "extra"),
             (lambda lines: lines.__setitem__(3, lines[3].replace(",3,", ",4,", 1)), "replicates"),
+            # Well-formed rows whose values no sweep can write:
+            (lambda lines: lines.__setitem__(2, lines[2].replace(",0.01,", ",-1.0,", 1)),
+             "row 3: std_excess"),
+            (lambda lines: lines.__setitem__(2, lines[2].replace(",0.05,", ",1.7,", 1)),
+             "row 3: mean_test_error"),
+            (lambda lines: lines.__setitem__(2, lines[2].replace(",0.1,", ",nan,", 1)),
+             "row 3: mean_excess is NaN"),
+            (lambda lines: lines.__setitem__(
+                slice(2, None), [line.replace(",3,", ",0,", 1) for line in lines[2:]]
+            ), "row 3: replicates must be at least 1"),
         ],
     )
     def test_malformed_rows_are_rejected(self, tmp_path, mutate, pattern):

@@ -23,10 +23,8 @@ from ssl_lab.estimators import (
     fix_sign,
     leading_eigenpair,
     oracle_weight,
-    plugin_snr,
     second_moment,
     self_train_path,
-    weighted,
 )
 from ssl_lab import estimators
 from ssl_lab.experiments import DEFAULT_RIDGE_GRID
@@ -234,6 +232,8 @@ class TestFixSign:
 
 
 class TestPluginSnr:
+    """fit_ssl_s's plug-in SNR is the norm of fit_ul's estimate."""
+
     def test_matches_oracle_eigenvalue(self):
         rng = np.random.default_rng(66)
         for d, s in [(2, 1.5), (3, 0.7), (5, 2.0)]:
@@ -242,14 +242,15 @@ class TestPluginSnr:
             data = sample_unlabeled(MixtureModel(theta_star=theta_star), 2_000, seed=d)
             lam, _ = oracles.leading_pair(second_moment(data))
             assert lam > 1.0
-            assert plugin_snr(data) == pytest.approx(math.sqrt(lam - 1.0), rel=1e-10)
+            snr = float(np.linalg.norm(fit_ul(data).theta))
+            assert snr == pytest.approx(math.sqrt(lam - 1.0), rel=1e-10)
 
     def test_sub_unit_spectrum_gives_exact_zero(self):
         a, b = math.sqrt(0.9), math.sqrt(0.8)
         data = unlabeled([[a, b], [-a, b], [a, -b], [-a, -b]])
         lam, _ = oracles.leading_pair(second_moment(data))
         assert lam < 1.0
-        assert plugin_snr(data) == 0.0
+        assert float(np.linalg.norm(fit_ul(data).theta)) == 0.0
 
 
 def ssl_s_candidates(lab, unlab):
@@ -309,7 +310,7 @@ class TestFitSslS:
         out, branch = fit_ssl_s(lab, unlab, 0.05, theta_ulp=stand_in)
         assert branch == "zero" and not np.any(out.theta)
         with pytest.raises(ValidationError):
-            fit_ssl_s(lab, unlab, 0.15, theta_ulp=np.ones(3))
+            fit_ssl_s(lab, unlab, 0.15, theta_ulp=EstimatorOutput(np.ones(3), "ulplus"))
 
     def test_empty_unlabeled_never_needs_it(self):
         lab, unlab = self.make(100, 0)
@@ -364,14 +365,19 @@ class TestFitSslS:
                 assert branch == "ulplus"
                 assert np.array_equal(out.theta, ulp)
 
-    def test_plug_in_snr_mode(self):
+    def test_plug_in_snr_mode(self, monkeypatch):
         model = MixtureModel(theta_star=np.array([2.0, 0.0]))
         lab = sample_labeled(model, 50, seed=1)
         unlab = sample_unlabeled(model, 5_000, seed=2)
+        calls = []
+        monkeypatch.setattr(estimators, "fit_ul", lambda data: calls.append(data) or fit_ul(data))
         out, branch = fit_ssl_s(lab, unlab, None)
         # the plug-in estimate sits near 2, far above both thresholds
         assert branch == "ulplus"
         assert out.method == "ssls"
+        # the branch sign-fixes the one fit the plug-in SNR came from
+        assert len(calls) == 1
+        assert np.array_equal(out.theta, fix_sign(fit_ul(unlab), fit_sl(lab)).theta)
 
     def test_plug_in_snr_matches_explicit_plugin_value(self):
         cases = []
@@ -387,7 +393,7 @@ class TestFitSslS:
         branches = set()
         for lab, unlab in cases:
             out, branch = fit_ssl_s(lab, unlab, None)
-            ref, ref_branch = fit_ssl_s(lab, unlab, plugin_snr(unlab))
+            ref, ref_branch = fit_ssl_s(lab, unlab, float(np.linalg.norm(fit_ul(unlab).theta)))
             assert branch == ref_branch
             assert np.array_equal(out.theta, ref.theta)
             branches.add(branch)
@@ -406,36 +412,42 @@ class TestFitSslS:
             fit_ssl_s(lab, unlab, math.nan)
 
 
+def ssl_w_at(sl_theta, ulp_theta, t):
+    """fit_ssl_w's estimate on the one-entry grid [t], from a one-row
+    labeled set whose fit_sl is exactly sl_theta."""
+    lab = labeled([sl_theta], [1.0])
+    ulp = EstimatorOutput(theta=np.asarray(ulp_theta, dtype=float), method="ulplus")
+    out, sel = fit_ssl_w(lab, lab, lab, t_grid=[t], theta_ulp=ulp)
+    assert sel.t == t
+    return out
+
+
 class TestWeighted:
+    """The convex combination t*theta_sl + (1-t)*theta_ulp of fit_ssl_w."""
+
     def test_endpoints_exact(self):
-        sl = EstimatorOutput(theta=np.array([0.3, -1.1]), method="sl")
-        ulp = EstimatorOutput(theta=np.array([-0.8, 0.2]), method="ulplus")
-        assert np.array_equal(weighted(sl, ulp, 1.0).theta, sl.theta)
-        assert np.array_equal(weighted(sl, ulp, 0.0).theta, ulp.theta)
+        sl, ulp = [0.3, -1.1], [-0.8, 0.2]
+        assert np.array_equal(ssl_w_at(sl, ulp, 1.0).theta, sl)
+        assert np.array_equal(ssl_w_at(sl, ulp, 0.0).theta, ulp)
 
     def test_midpoint_example(self):
-        sl = EstimatorOutput(theta=np.array([1.0, 0.0]), method="sl")
-        ulp = EstimatorOutput(theta=np.array([0.0, 1.0]), method="ulplus")
-        out = weighted(sl, ulp, 0.5)
+        out = ssl_w_at([1.0, 0.0], [0.0, 1.0], 0.5)
         assert np.allclose(out.theta, [0.5, 0.5])
         assert out.method == "sslw"
 
     def test_linear_in_t(self):
         rng = np.random.default_rng(66)
         for _ in range(50):
-            sl = EstimatorOutput(theta=rng.standard_normal(3), method="sl")
-            ulp = EstimatorOutput(theta=rng.standard_normal(3), method="ulplus")
+            sl, ulp = rng.standard_normal(3), rng.standard_normal(3)
             a, b = sorted(rng.uniform(0.0, 1.0, size=2))
-            mid = weighted(sl, ulp, (a + b) / 2.0).theta
-            avg = 0.5 * (weighted(sl, ulp, a).theta + weighted(sl, ulp, b).theta)
+            mid = ssl_w_at(sl, ulp, (a + b) / 2.0).theta
+            avg = 0.5 * (ssl_w_at(sl, ulp, a).theta + ssl_w_at(sl, ulp, b).theta)
             assert np.abs(mid - avg).max() <= 1e-12
 
     @pytest.mark.parametrize("t", [-0.1, 1.1, math.nan])
     def test_rejects_bad_weight(self, t):
-        sl = EstimatorOutput(theta=np.zeros(2), method="sl")
-        ulp = EstimatorOutput(theta=np.zeros(2), method="ulplus")
         with pytest.raises(ValidationError):
-            weighted(sl, ulp, t)
+            ssl_w_at([1.0, 0.0], [0.0, 1.0], t)
 
 
 class TestAvgMargin:
@@ -519,7 +531,7 @@ class TestFitSslW:
         assert sel.t == 1.0
         assert np.allclose(out.theta, [1.0, 0.0])
         assert out.method == "sslw"
-        assert sel.criterion_value == pytest.approx(10.0)
+        assert avg_margins([out.theta], validation)[0] == pytest.approx(10.0)
 
     def test_singleton_grid(self):
         model = MixtureModel(theta_star=np.array([1.0, 0.0]))
@@ -528,8 +540,8 @@ class TestFitSslW:
         validation = sample_unlabeled(model, 100, seed=3)
         out, sel = fit_ssl_w(lab, unlab, validation, t_grid=[0.3])
         assert sel.t == 0.3
-        expected = weighted(fit_sl(lab), fix_sign(fit_ul(unlab), fit_sl(lab)), 0.3)
-        assert np.array_equal(out.theta, expected.theta)
+        sl, ulp = fit_sl(lab).theta, fix_sign(fit_ul(unlab), fit_sl(lab)).theta
+        assert np.array_equal(out.theta, 0.3 * sl + (1 - 0.3) * ulp)
 
     def test_tie_breaks_toward_smallest_t(self):
         lab = labeled([[1.0, 0.0]], [1.0])
@@ -549,7 +561,7 @@ class TestFitSslW:
             zero = EstimatorOutput(theta=np.zeros(2), method="ulplus")
             out, sel = fit_ssl_w(lab, validation, validation, theta_ulp=zero)
             assert sel.t == 0.05
-            assert np.array_equal(out.theta, weighted(fit_sl(lab), zero, 0.05).theta)
+            assert np.array_equal(out.theta, 0.05 * fit_sl(lab).theta + (1 - 0.05) * zero.theta)
             _, sel = fit_ssl_w(lab, validation, validation, t_grid=(0.9, 0.3, 0.0, 0.6),
                                theta_ulp=zero)
             assert sel.t == 0.3
@@ -563,10 +575,8 @@ class TestFitSslW:
         ulp = fix_sign(fit_ul(unlab), sl)
         for t in estimators.DEFAULT_T_GRID:
             out, sel = fit_ssl_w(lab, unlab, validation, t_grid=[t], theta_ulp=ulp)
-            assert np.array_equal(out.theta, weighted(sl, ulp, t).theta)
-            assert sel.criterion_value == pytest.approx(
-                avg_margins([weighted(sl, ulp, t).theta], validation)[0], rel=1e-12
-            )
+            assert sel.t == t
+            assert np.array_equal(out.theta, t * sl.theta + (1 - t) * ulp.theta)
 
     def test_skips_zero_candidates(self):
         lab = labeled([[1.0, 0.0]], [1.0])
@@ -587,11 +597,12 @@ class TestFitSslW:
         assert sel.t in grid
         sl = fit_sl(lab)
         ulp = fix_sign(fit_ul(unlab), sl)
+        best = avg_margins([out.theta], validation)[0]
         for t in grid:
-            candidate = weighted(sl, ulp, t)
-            if float(np.linalg.norm(candidate.theta)) == 0.0:
+            candidate = t * sl.theta + (1 - t) * ulp.theta
+            if float(np.linalg.norm(candidate)) == 0.0:
                 continue
-            assert avg_margins([candidate.theta], validation)[0] <= sel.criterion_value + 1e-15
+            assert avg_margins([candidate], validation)[0] <= best + 1e-15
 
     def test_rejects_bad_grid(self):
         lab = labeled([[1.0, 0.0]], [1.0])
@@ -790,7 +801,8 @@ class TestSelfTrain:
     def test_rejects_stage1_of_wrong_dimension(self):
         lab = labeled([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0])
         with pytest.raises(ValidationError):
-            self_train_path(lab, unlabeled([[1.0, 0.0]]), [0.5], ridge=0.1, stage1=np.ones(3))
+            self_train_path(lab, unlabeled([[1.0, 0.0]]), [0.5], ridge=0.1,
+                            stage1=EstimatorOutput(np.ones(3), "logistic"))
 
     def test_infinite_threshold_degenerates_to_logistic(self):
         model = MixtureModel(theta_star=np.array([1.0, 0.0]))
@@ -1002,10 +1014,10 @@ class TestFitSphericalLda:
 
 class TestDomainTypes:
     def test_weight_selection_validation(self):
-        with pytest.raises(ValidationError):
-            WeightSelection(t=1.5, criterion_value=0.0)
-        with pytest.raises(ValidationError):
-            WeightSelection(t=0.5, criterion_value=math.nan)
+        assert WeightSelection(t=0.5).t == 0.5
+        for bad in (1.5, -0.1, math.nan):
+            with pytest.raises(ValidationError):
+                WeightSelection(t=bad)
 
     def test_eigenpair_unit_norm_not_enforced_by_type(self):
         pair = EigenPair(value=2.0, vector=np.array([1.0, 0.0]))

@@ -17,8 +17,10 @@ from ssl_lab.experiments import (
     VALIDATION_METHODS,
     CellStats,
     FitContext,
+    MethodMetrics,
     SweepResult,
     TrialConfig,
+    TrialResult,
     compatibility_from_errors,
     compatibility_score,
     error_gap,
@@ -629,6 +631,34 @@ class TestMonotoneSignFixing:
         for low, high in zip(rates[1:], rates[:-1]):
             spread = math.sqrt((low * (1 - low) + high * (1 - high)) / 500)
             assert low <= high + 2 * spread + 1e-12
+
+
+class TestCellStats:
+    @pytest.mark.parametrize("replicates, numbers, extra, pattern", [
+        (0, (0.1, 0.0, 0.2, 0.0, 0.3, 0.0), {}, "replicates"),
+        (1, (0.1, -1.0, 0.2, 0.0, 0.3, 0.0), {}, "std_excess"),
+        (1, (0.1, 0.0, -0.2, 0.0, 0.3, 0.0), {}, "mean_estimation"),
+        (1, (0.1, 0.0, 0.2, 0.0, 1.7, 0.0), {}, "mean_test_error"),
+        (1, (0.1, 0.0, 0.2, 0.0, 0.3, 1.5), {}, "std_test_error"),
+        (1, (math.nan, 0.0, 0.2, 0.0, 0.3, 0.0), {}, "NaN"),
+        (1, (0.1, 0.0, 0.2, 0.0, 0.3, 0.0), {"t": math.nan}, "extra t"),
+    ])
+    def test_values_no_sweep_can_write_are_rejected(self, replicates, numbers, extra, pattern):
+        with pytest.raises(ValidationError, match=pattern):
+            CellStats("sl", replicates, *numbers, extra)
+
+    @pytest.mark.parametrize("thresholds, mean", [
+        ((0.5, 1.5), 1.0), ((math.inf, math.inf), math.inf),
+        ((0.5, math.inf, 0.5), math.inf), ((math.inf, 0.5), math.inf),
+    ])
+    def test_a_cell_extra_is_inf_when_any_trial_is(self, thresholds, mean):
+        results = [
+            TrialResult(i, i, {"selftrain": MethodMetrics(0.1, 0.2, 0.3, {"threshold": t})}, {})
+            for i, t in enumerate(thresholds)
+        ]
+        (stats,) = experiments._aggregate_cell(results, ("selftrain",), len(thresholds))
+        assert stats.extra["threshold"] == mean
+        assert stats.mean_excess == pytest.approx(0.1) and stats.std_excess == pytest.approx(0.0)
 
 
 class TestErrorGap:

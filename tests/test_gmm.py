@@ -75,6 +75,18 @@ class TestSampling:
         u2 = sample_unlabeled(model, 7, seed=9)
         assert np.array_equal(u1.x, u2.x)
 
+    @pytest.mark.parametrize("d, n, seed", [(1, 0, 0), (2, 0, 5), (1, 1, 3), (2, 37, 11),
+                                            (5, 1_000, 2**63 + 9), (3, 4_096, -4)])
+    def test_unlabeled_draw_is_the_labeled_draw_without_labels(self, d, n, seed):
+        model = MixtureModel(theta_star=np.linspace(-1.0, 2.0, d))
+        lab = sample_labeled(model, n, seed)
+        unlab = sample_unlabeled(model, n, seed)
+        assert type(unlab) is UnlabeledDataset
+        assert unlab.x.shape == lab.x.shape == (n, d)
+        assert unlab.x.tobytes() == lab.x.tobytes()
+        for array in (lab.x, lab.y, unlab.x):
+            assert not array.flags.writeable
+
     def test_different_seeds_differ(self):
         model = MixtureModel(theta_star=np.array([1.0, 0.0]))
         a = sample_labeled(model, 50, seed=1)

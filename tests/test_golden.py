@@ -26,10 +26,12 @@ fig1a_config.json, fig1b_config.json and fig3_config.json are the
 by a byte. custom_manifest.json is the manifest of a small custom run as
 an earlier release wrote it, with `null` for the grids left at their
 defaults; replaying it with `--config` must reproduce custom.csv byte for
-byte. The run uses the "em" backend: the spectral backend's trailing
-digits follow the CPU kernels OpenBLAS picks, so fig3.csv regenerates
-byte-identically on one machine but not across all of them. Regeneration keeps custom_manifest.json when it exists and only
+byte. Regeneration keeps custom_manifest.json when it exists and only
 replays it, so the pin goes on testing that older format.
+
+The exact pins hold where OpenBLAS runs the kernels the files were
+written with: other kernels round every BLAS product differently, on the
+"em" backend as on the spectral one (README, Determinism).
 
 Regenerate the files with `PYTHONPATH=src python tests/test_golden.py`
 only when a change is meant to move the pinned numbers, and say so in
