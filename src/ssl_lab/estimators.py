@@ -320,11 +320,12 @@ def fit_em(data: UnlabeledDataset, theta_init, max_iter: int = EM_MAX_ITER) -> E
     """
     if data.n < 1:
         raise ValidationError("fit_em needs at least one sample")
+    _check_max_iter(max_iter)
     theta = as_vector(theta_init, "theta_init").copy()
     if theta.size != data.d:
         raise ValidationError("theta_init dimension differs from the data")
     x = data.x
-    for _ in range(int(max_iter)):
+    for _ in range(max_iter):
         theta_next = (np.tanh(x @ theta) @ x) / data.n
         if float(np.linalg.norm(theta_next - theta)) < EM_TOL:
             return EstimatorOutput(theta=theta_next, method="em")
@@ -380,10 +381,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _loss(margins: np.ndarray, theta: np.ndarray, ridge: float) -> float:
     """The objective (1/n) sum log(1 + exp(-m)) + ridge * ||theta||^2 of
-    the margins m = y <theta, x>."""
+    the margins m = y <theta, x>; sum / size is np.mean without its overhead."""
     # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), stable for any m.
     loss = np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))
-    return float(np.mean(loss)) + float(ridge) * float(theta @ theta)
+    return float(loss.sum()) / loss.size + float(ridge) * float(theta @ theta)
 
 
 def fit_logistic(
@@ -405,36 +406,43 @@ def fit_logistic(
     """
     if data.n < 1:
         raise ValidationError("fit_logistic needs at least one sample")
-    _check_logistic_settings(ridge, tol)
-    theta = _newton(data.x, data.y, float(ridge), tol, int(max_iter), np.zeros(data.d))
+    _check_logistic_settings(ridge, tol, max_iter)
+    yx = np.multiply(data.x.T, data.y, order="C")
+    theta = _newton(yx, ridge, tol, max_iter, np.zeros(data.d))
     return EstimatorOutput(theta=theta, method="logistic")
 
 
-def _check_logistic_settings(ridge, tol) -> None:
+def _check_logistic_settings(ridge, tol, max_iter) -> None:
     if not (isinstance(ridge, (int, float)) and math.isfinite(ridge) and ridge >= 0.0):
         raise ValidationError("ridge must be a nonnegative real")
     if not (isinstance(tol, (int, float)) and tol > 0):
         raise ValidationError("tol must be positive")
+    _check_max_iter(max_iter)
 
 
-def _newton(x, y, ridge: float, tol, max_iter: int, theta0: np.ndarray) -> np.ndarray:
-    """fit_logistic's solver on validated arrays, from theta0; returns the
+def _check_max_iter(max_iter) -> None:
+    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
+        raise ValidationError("max_iter must be a positive integer")
+
+
+def _newton(yx, ridge: float, tol, max_iter: int, theta: np.ndarray) -> np.ndarray:
+    """fit_logistic's solver on validated arrays, from theta; returns the
     final theta. self_train_path warm-starts it along the threshold path.
 
-    The margins y * (x @ theta) of the step the line search accepts are
-    the next iteration's margins, so x @ theta is computed only for trial
-    steps.
+    yx is d x n with column i = y_i x_i: exact as y_i = +-1, so no step
+    needs the labels, and feature-major, so the Hessian's weighting runs
+    along n. An accepted step's margins are the next iteration's.
     """
-    n, d = x.shape
-    theta = theta0
-    margins = y * (x @ theta)
+    d, n = yx.shape
+    margins = theta @ yx
     value = _loss(margins, theta, ridge)
     for _ in range(max_iter):
         p = _sigmoid(-margins)
-        grad = -((y * p) @ x) / n + 2.0 * ridge * theta
+        grad = -(yx @ p) / n + 2.0 * ridge * theta
         if math.sqrt(float(grad @ grad)) <= tol:
             return theta
-        hessian = ((x.T * (p * (1.0 - p))) @ x) / n + 2.0 * ridge * np.eye(d)
+        hessian = ((yx * (p * (1.0 - p))) @ yx.T) / n
+        hessian.flat[:: d + 1] += 2.0 * ridge
         try:
             direction = np.linalg.solve(hessian, -grad)
         except np.linalg.LinAlgError:
@@ -445,7 +453,7 @@ def _newton(x, y, ridge: float, tol, max_iter: int, theta0: np.ndarray) -> np.nd
         step = 1.0
         while True:
             candidate = theta + step * direction
-            cand_margins = y * (x @ candidate)
+            cand_margins = candidate @ yx
             cand_value = _loss(cand_margins, candidate, ridge)
             if cand_value <= value + 1e-4 * step * slope:
                 break
@@ -501,7 +509,7 @@ def self_train_path(
             raise ValidationError("threshold must be nonnegative")
     if labeled.n < 1:
         raise ValidationError("self_train_path needs at least one labeled sample")
-    _check_logistic_settings(ridge, tol)
+    _check_logistic_settings(ridge, tol, max_iter)
     if stage1 is None:
         stage1 = fit_logistic(labeled, ridge, tol=tol, max_iter=max_iter)
     theta1 = stage1.theta
@@ -509,7 +517,7 @@ def self_train_path(
         raise ValidationError("stage1 dimension differs from the data")
     norm1 = float(np.linalg.norm(theta1))
 
-    x, y = labeled.x, labeled.y
+    yx = np.multiply(labeled.x.T, labeled.y, order="C")
     counts = np.zeros(len(thresholds), dtype=int)
     if unlabeled.n > 0 and norm1 > 0.0:
         scores = unlabeled.x @ theta1
@@ -522,15 +530,15 @@ def self_train_path(
         order = np.argsort(missed.astype(np.min_scalar_type(len(levels))), kind="stable")
         kept = np.cumsum(np.bincount(missed, minlength=len(levels)))
         counts = kept[len(levels) - 1 - np.searchsorted(levels, thresholds)]
-        x = np.concatenate([x, unlabeled.x[order]])
-        y = np.concatenate([y, np.where(scores[order] >= 0.0, 1.0, -1.0)])
+        signs = np.where(scores[order] >= 0.0, 1.0, -1.0)
+        yx = np.concatenate([yx, unlabeled.x[order].T * signs], axis=1)
 
     fits = {}
     theta = np.zeros(labeled.d)
     for count in sorted(set(counts.tolist())):
         rows = labeled.n + count
         try:
-            theta = _newton(x[:rows], y[:rows], float(ridge), tol, int(max_iter), theta)
+            theta = _newton(yx[:, :rows], ridge, tol, max_iter, theta)
             fits[count] = EstimatorOutput(theta=theta, method="selftrain")
         except ConvergenceError as err:
             fits[count] = err

@@ -47,6 +47,10 @@ def unlabeled(x_rows):
     return UnlabeledDataset(x=np.array(x_rows, dtype=float))
 
 
+#: max_iter values that are not positive integers (a bool is not a count).
+BAD_MAX_ITER = (0, -3, 2.7, True, "5", None)
+
+
 class TestFitSl:
     def test_worked_example(self):
         out = fit_sl(labeled([[2.0, 0.0], [-4.0, 0.0]], [1.0, -1.0]))
@@ -678,6 +682,9 @@ class TestFitEm:
         data = unlabeled([[1.0, 0.0]])
         with pytest.raises(ValidationError):
             fit_em(data, np.array([1.0, 0.0, 0.0]))
+        for bad in BAD_MAX_ITER:
+            with pytest.raises(ValidationError, match="max_iter"):
+                fit_em(data, np.array([1.0, 0.0]), max_iter=bad)
 
 
 class TestFitEmMeans:
@@ -754,6 +761,22 @@ class TestFitLogistic:
             fit_logistic(data, ridge=-0.1)
         with pytest.raises(ValidationError):
             fit_logistic(data, ridge=0.1, tol=0.0)
+        for bad in BAD_MAX_ITER:
+            with pytest.raises(ValidationError, match="max_iter"):
+                fit_logistic(data, 0.1, max_iter=bad)
+            with pytest.raises(ValidationError, match="max_iter"):
+                self_train_path(data, unlabeled([[1.0, 0.0]]), [0.5], 0.1, max_iter=bad)
+
+    def test_flipping_samples_with_their_labels_changes_no_bit(self):
+        # The solver sees only the products y_i x_i, which (-x_i, -y_i)
+        # reproduces exactly.
+        model = MixtureModel(theta_star=np.array([1.0, -0.5, 0.3]))
+        data = sample_labeled(model, 80, seed=52)
+        flip = np.where(np.random.default_rng(53).random(data.n) < 0.5, -1.0, 1.0)
+        flipped = LabeledDataset(x=data.x * flip[:, None], y=data.y * flip)
+        for ridge in (0.001, 0.1):
+            want = fit_logistic(data, ridge, tol=1e-10).theta
+            assert np.array_equal(fit_logistic(flipped, ridge, tol=1e-10).theta, want)
 
 
 class TestLogisticKernels:
@@ -900,7 +923,7 @@ class TestSelfTrainPath:
         calls = []
         newton = estimators._newton
         monkeypatch.setattr(
-            estimators, "_newton", lambda x, *a: calls.append(len(x)) or newton(x, *a)
+            estimators, "_newton", lambda yx, *a: calls.append(yx.shape[1]) or newton(yx, *a)
         )
         thresholds = [0.5, 1.0, 0.5, 1.0, 1.0]
         fits = self_train_path(lab, unlab, thresholds, self.RIDGE, tol=self.TOL)
@@ -952,29 +975,39 @@ class TestSelfTrainPath:
         newton = estimators._newton
         monkeypatch.setattr(
             estimators, "_newton",
-            lambda x, y, *a: unions.append((x.copy(), y.copy())) or newton(x, y, *a),
+            lambda yx, *a: unions.append(yx.copy()) or newton(yx, *a),
         )
         self_train_path(lab, unlab, thresholds, self.RIDGE, tol=self.TOL, stage1=stage1)
         _, masks, _ = oracles.self_train_by_masks(
             lab.x, lab.y, unlab.x, unlab.x[:1], thresholds, stage1.theta, lambda x, y: None
         )
-        expected = sorted({len(x): (x, y) for x, y in masks}.items())
-        assert [len(x) for x, _ in unions] == [size for size, _ in expected]
-        for (x, y), (_, (want_x, want_y)) in zip(unions, expected):
-            got = sorted(zip(map(tuple, x), y))
-            assert got == sorted(zip(map(tuple, want_x), want_y))
+        # Each refit gets the union folded into columns y_i x_i.
+        expected = sorted({len(x): y[:, None] * x for x, y in masks}.items())
+        assert [yx.shape[1] for yx in unions] == [size for size, _ in expected]
+        for yx, (_, want) in zip(unions, expected):
+            assert sorted(map(tuple, yx.T)) == sorted(map(tuple, want))
 
     def test_self_train_raises_its_failed_refit(self, monkeypatch):
         lab, unlab = self.draw(93)
         stage1 = fit_logistic(lab, self.RIDGE, tol=self.TOL)
 
-        def failing(x, y, ridge, tol, max_iter, theta0):
+        def failing(yx, ridge, tol, max_iter, theta0):
             raise ConvergenceError("injected", last=EstimatorOutput(theta0, "logistic"))
 
         monkeypatch.setattr(estimators, "_newton", failing)
         # The path returns the failure in that threshold's slot, not raises it.
         (out,) = self_train_path(lab, unlab, [0.2], self.RIDGE, tol=self.TOL, stage1=stage1)
         assert isinstance(out, ConvergenceError) and str(out) == "injected"
+
+    def test_flipping_labeled_samples_with_their_labels_changes_no_bit(self):
+        lab, unlab = self.draw(97)
+        flip = np.where(np.random.default_rng(98).random(lab.n) < 0.5, -1.0, 1.0)
+        flipped = LabeledDataset(x=lab.x * flip[:, None], y=lab.y * flip)
+        thresholds = [0.0, 0.4, 1.1, math.inf]
+        fits = self_train_path(lab, unlab, thresholds, self.RIDGE, tol=self.TOL)
+        again = self_train_path(flipped, unlab, thresholds, self.RIDGE, tol=self.TOL)
+        for out, want in zip(again, fits):
+            assert np.array_equal(out.theta, want.theta)
 
     def test_rejects_bad_thresholds(self):
         lab, unlab = self.draw(94)
