@@ -16,7 +16,7 @@ import math
 import xml.etree.ElementTree as ET
 
 from .errors import ValidationError
-from .experiments import METRIC_FIELDS, SweepResult, error_gap
+from .experiments import SweepResult, error_gap
 
 #: Series colors, assigned to methods in chart order.
 PALETTE = (
@@ -193,11 +193,6 @@ def _draw_legend(root, entries):
         y += 16
 
 
-def _check_metric(metric: str):
-    if metric not in METRIC_FIELDS:
-        raise ValidationError(f"metric must be one of {METRIC_FIELDS}")
-
-
 def _check_sweep(sweep: SweepResult):
     if not sweep.grid:
         raise ValidationError("sweep has no grid cells to plot")
@@ -217,7 +212,6 @@ def render_series_chart(
     segment is drawn only where both edges are plottable, so log-scaled
     charts simply omit the parts of a band that would cross zero.
     """
-    _check_metric(metric)
     _check_sweep(sweep)
     methods = sweep.methods()
     if not methods:
@@ -287,7 +281,6 @@ def render_gap_chart(
     Positive values mean method_b wins at that cell. A dashed zero line
     is drawn whenever zero falls inside the plotted range.
     """
-    _check_metric(metric)
     _check_sweep(sweep)
     xs = [float(v) for v in sweep.grid]
     if log_x and min(xs) <= 0.0:

@@ -46,7 +46,6 @@ from .data_io import (
 )
 from .errors import DataFormatError, SslLabError, ValidationError
 from .experiments import (
-    HARNESS_METHODS,
     METHODS,
     METRIC_FIELDS,
     PRESETS,
@@ -63,6 +62,7 @@ from .experiments import (
     sweep_cell_configs,
     test_error,
 )
+from .gmm import is_whole
 from .theory import ProblemSize, rate_report
 
 #: Accepted spellings of each method tag.
@@ -119,7 +119,7 @@ def _normalize_method(name: str) -> str:
     key = str(name).strip().lower()
     if key not in METHOD_ALIASES:
         raise ValidationError(
-            f"unknown method {name!r}; known tags are {', '.join(HARNESS_METHODS)}"
+            f"unknown method {name!r}; known tags are {', '.join(METHODS)}"
         )
     return METHOD_ALIASES[key]
 
@@ -141,9 +141,7 @@ def _real(value, key: str, kind: str = "a number") -> float:
 
 
 def _whole(value, key: str) -> int:
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if not _real(value, key, "a whole number").is_integer():
+    if not is_whole(value):
         raise ValidationError(f"{key} must be a whole number, got {value!r}")
     return int(value)
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DataFormatError, SchemaVersionError, ValidationError
 from .estimators import canonical_sign
-from .experiments import CellStats, SweepResult
+from .experiments import STAT_FIELDS, CellStats, SweepResult
 from .gmm import LabeledDataset, UnlabeledDataset, check_finite, readonly
 from .seeds import MASK64
 
@@ -42,20 +42,8 @@ RESULTS_SCHEMA_VERSION = 1
 
 _SCHEMA_PREFIX = "# schema ssl-lab-sweep "
 
-#: Fixed column order of a results file.
-RESULTS_COLUMNS = (
-    "axis_name",
-    "axis_value",
-    "method",
-    "replicates",
-    "mean_excess",
-    "std_excess",
-    "mean_estimation",
-    "std_estimation",
-    "mean_test_error",
-    "std_test_error",
-    "extra",
-)
+#: Fixed column order of a results file: the cell's axis name and value, then CellStats's fields.
+RESULTS_COLUMNS = ("axis_name", "axis_value", "method", "replicates", *STAT_FIELDS, "extra")
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,21 +441,12 @@ def write_results(sweep: SweepResult, path) -> None:
         writer.writerow(RESULTS_COLUMNS)
         for value, row in zip(sweep.grid, sweep.cells):
             for stats in row:
-                writer.writerow(
-                    [
-                        sweep.axis_name,
-                        _format_number(value),
-                        stats.method,
-                        str(int(stats.replicates)),
-                        _format_number(stats.mean_excess),
-                        _format_number(stats.std_excess),
-                        _format_number(stats.mean_estimation),
-                        _format_number(stats.std_estimation),
-                        _format_number(stats.mean_test_error),
-                        _format_number(stats.std_test_error),
-                        _format_extra(stats.extra),
-                    ]
-                )
+                writer.writerow([
+                    sweep.axis_name, _format_number(value), stats.method,
+                    str(int(stats.replicates)),
+                    *(_format_number(getattr(stats, name)) for name in STAT_FIELDS),
+                    _format_extra(stats.extra),
+                ])
 
 
 def _parse_number(text: str, line: int, column: str) -> float:
@@ -535,7 +514,7 @@ def read_results(path) -> SweepResult:
                     f"row {line}: expected {len(RESULTS_COLUMNS)} fields, "
                     f"found {len(record)}"
                 )
-            name, value_text, method, reps_text = record[:4]
+            name, value_text, method, reps_text, *stat_texts, extra_text = record
             if axis_name is None:
                 axis_name = name
             elif name != axis_name:
@@ -555,12 +534,12 @@ def read_results(path) -> SweepResult:
                 raise DataFormatError(
                     f"row {line}: replicates {reps} differs from {replicates}"
                 )
-            numbers = [
-                _parse_number(text, line, column)
-                for text, column in zip(record[4:10], RESULTS_COLUMNS[4:10])
-            ]
+            numbers = {
+                column: _parse_number(text, line, column)
+                for text, column in zip(stat_texts, STAT_FIELDS)
+            }
             try:
-                stats = CellStats(method, reps, *numbers, extra=_parse_extra(record[10], line))
+                stats = CellStats(method, reps, **numbers, extra=_parse_extra(extra_text, line))
             except ValidationError as err:
                 raise DataFormatError(f"row {line}: {err}") from None
             if value in index:

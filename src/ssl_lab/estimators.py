@@ -23,7 +23,8 @@ Supervised, unsupervised, and semi-supervised fits:
   theta <- (1/n) sum tanh(<theta, x_i>) x_i.
 - fit_em_means: EM with two free means (shared identity covariance, equal
   weights), the generic-mixture sibling of fit_em; returns half the mean
-  difference. Used as an alternative unsupervised backend in experiments.
+  difference. In experiments it is only the "em_means" method tag, not
+  one of the unsupervised backends (UL_BACKENDS).
 - fit_logistic: ridge-penalized logistic regression through the origin,
   damped Newton with backtracking; self_train_path builds on its kernel.
 - self_train_path: two-stage self-training refits for a list of
@@ -172,9 +173,10 @@ def fit_ssl_s(
     `s` is oracle knowledge of the SNR. Passing None plugs in the norm of
     fit_ul(unlabeled) instead, sqrt((lambda - 1)_+) of the unlabeled
     second moment; without a theta_ulp, the "ulplus" branch then
-    sign-fixes that same fit rather than solving again. An empty unlabeled set is allowed: both n_u thresholds are then +inf,
-    so the unlabeled data is never needed on the branch taken. Estimator
-    errors propagate only from the branch actually taken.
+    sign-fixes that same fit rather than solving again. An empty
+    unlabeled set is allowed: both n_u thresholds are then +inf, so the
+    unlabeled data is never needed on the branch taken. Estimator errors
+    propagate only from the branch actually taken.
 
     `theta_ulp` substitutes a precomputed sign-fixed spectral estimate for
     the "ulplus" branch; by default it is fix_sign(fit_ul(unlabeled),

@@ -71,6 +71,7 @@ from .gmm import (
     UnlabeledDataset,
     estimation_error,
     excess_risk,
+    is_whole,
     sample_labeled,
     sample_unlabeled,
 )
@@ -80,6 +81,8 @@ SWEEP_AXES = ("snr", "nl", "nu", "nu_over_nl")
 UL_BACKENDS = ("spectral", "em")
 DEFAULT_RIDGE_GRID = tuple(float(r) for r in np.logspace(-4.0, 1.0, 7))
 METRIC_FIELDS = ("excess", "estimation", "test_error")
+#: CellStats's statistics, each metric's mean then std: the results-file columns.
+STAT_FIELDS = tuple(f"{kind}_{metric}" for metric in METRIC_FIELDS for kind in ("mean", "std"))
 
 EM_INIT_SCALE = 1e-3
 
@@ -136,7 +139,7 @@ class TrialConfig:
             raise ValidationError("model must be a MixtureModel")
         for name in ("n_l", "n_u", "n_val", "n_test"):
             value = getattr(self, name)
-            if int(value) != value or value < 0:
+            if not is_whole(value) or value < 0:
                 raise ValidationError(f"{name} must be a nonnegative integer")
             # Grid cells pass here too, so sampling never sees such a size.
             if int(value) * self.model.d > np.iinfo(np.intp).max:
@@ -171,7 +174,7 @@ class TrialConfig:
             raise ValidationError("base_seed must be an integer")
         if self.ul_backend not in UL_BACKENDS:
             raise ValidationError(f"ul_backend must be one of {UL_BACKENDS}")
-        if int(self.em_budget) != self.em_budget or self.em_budget < 1:
+        if not is_whole(self.em_budget) or self.em_budget < 1:
             raise ValidationError("em_budget must be a positive integer")
         object.__setattr__(self, "em_budget", int(self.em_budget))
 
@@ -205,8 +208,8 @@ class CellStats:
     """Aggregated statistics of one method at one grid cell.
 
     The one contract of a cell, which the harness and read_results share:
-    at least one replicate; means and stds all NaN (no scored trial, as
-    _aggregate_cell writes it) or none NaN, each >= 0, the test-error pair
+    at least one replicate; the STAT_FIELDS all NaN (no scored trial, as
+    _aggregate_cell writes it) or all finite, each >= 0, the test-error pair
     <= 1; no extra NaN (an extra may be +inf: a threshold of inf is legal).
     """
 
@@ -223,17 +226,18 @@ class CellStats:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValidationError(f"replicates must be at least 1, got {self.replicates}")
-        stats = {f"{kind}_{m}": getattr(self, f"{kind}_{m}")
-                 for m in METRIC_FIELDS for kind in ("mean", "std")}
-        nan = [name for name, value in stats.items() if math.isnan(value)]
-        if nan and len(nan) < len(stats):
-            raise ValidationError(f"{nan[0]} is NaN, but not every mean and std is")
-        for name, value in stats.items():
-            if value < 0 or (name.endswith("test_error") and value > 1):
-                raise ValidationError(f"{name} {value!r} is out of range")
         for key, value in self.extra.items():
             if math.isnan(value):
                 raise ValidationError(f"extra {key} is NaN")
+        stats = {name: getattr(self, name) for name in STAT_FIELDS}
+        nan = [name for name, value in stats.items() if math.isnan(value)]
+        if len(nan) == len(stats):
+            return
+        if nan:
+            raise ValidationError(f"{nan[0]} is NaN, but not every mean and std is")
+        for name, value in stats.items():
+            if not 0.0 <= value < math.inf or (name.endswith("test_error") and value > 1):
+                raise ValidationError(f"{name} {value!r} is out of range")
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,18 +261,15 @@ class SweepResult:
         raise ValidationError(f"method {method!r} not present at grid index {grid_index}")
 
     def series(self, method: str, metric: str = "excess") -> tuple:
-        if metric not in METRIC_FIELDS:
-            raise ValidationError(f"metric must be one of {METRIC_FIELDS}")
-        return tuple(
-            getattr(self.cell(i, method), f"mean_{metric}") for i in range(len(self.grid))
-        )
+        return self._column(method, f"mean_{metric}")
 
     def std_series(self, method: str, metric: str = "excess") -> tuple:
-        if metric not in METRIC_FIELDS:
+        return self._column(method, f"std_{metric}")
+
+    def _column(self, method: str, name: str) -> tuple:
+        if name not in STAT_FIELDS:
             raise ValidationError(f"metric must be one of {METRIC_FIELDS}")
-        return tuple(
-            getattr(self.cell(i, method), f"std_{metric}") for i in range(len(self.grid))
-        )
+        return tuple(getattr(self.cell(i, method), name) for i in range(len(self.grid)))
 
 
 def test_error(theta: np.ndarray, test) -> float:
@@ -484,7 +485,6 @@ METHODS = {
         fit_default=True,
     ),
 }
-HARNESS_METHODS = tuple(METHODS)
 #: Methods that select a hyperparameter on the validation set.
 VALIDATION_METHODS = tuple(tag for tag, method in METHODS.items() if method.validation)
 
@@ -513,7 +513,7 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
     Per-method estimator failures are recorded in TrialResult.failures
     instead of aborting the whole trial.
     """
-    if int(trial_index) != trial_index or trial_index < 0:
+    if not is_whole(trial_index) or trial_index < 0:
         raise ValidationError("trial_index must be a nonnegative integer")
     seed = trial_seed(cfg.base_seed, int(trial_index))
     model = cfg.model
@@ -606,25 +606,16 @@ def _aggregate_cell(results, methods, replicates) -> tuple:
             if method not in result.metrics:
                 continue
             mm = result.metrics[method]
-            accs["excess"].add(mm.excess)
-            accs["estimation"].add(mm.estimation)
-            accs["test_error"].add(mm.test_error)
+            for name, acc in accs.items():
+                acc.add(getattr(mm, name))
             for key, value in mm.extra.items():
                 extras.setdefault(key, _Welford()).add(float(value))
         extra = {key: acc.result_mean() for key, acc in sorted(extras.items())}
         if failed:
             extra["failures"] = float(failed)
-        stats.append(CellStats(
-            method=method,
-            replicates=replicates,
-            mean_excess=accs["excess"].result_mean(),
-            std_excess=accs["excess"].std(),
-            mean_estimation=accs["estimation"].result_mean(),
-            std_estimation=accs["estimation"].std(),
-            mean_test_error=accs["test_error"].result_mean(),
-            std_test_error=accs["test_error"].std(),
-            extra=extra,
-        ))
+        # accs and STAT_FIELDS both follow METRIC_FIELDS, mean before std.
+        values = (v for acc in accs.values() for v in (acc.result_mean(), acc.std()))
+        stats.append(CellStats(method, replicates, **dict(zip(STAT_FIELDS, values)), extra=extra))
     return tuple(stats)
 
 
@@ -644,9 +635,9 @@ def sweep_cell_configs(cfg: TrialConfig, axis: str, grid, replicates: int, threa
     grid = tuple(grid)
     if not grid:
         raise ValidationError("grid must be nonempty")
-    if int(replicates) != replicates or replicates < 1:
+    if not is_whole(replicates) or replicates < 1:
         raise ValidationError("replicates must be a positive integer")
-    if int(threads) != threads or threads < 1:
+    if not is_whole(threads) or threads < 1:
         raise ValidationError("threads must be a positive integer")
     return [_cell_config(cfg, axis, value) for value in grid]
 

@@ -20,6 +20,7 @@ mutates shared state, so every function is safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,13 @@ def readonly(a: np.ndarray) -> np.ndarray:
 def check_finite(a: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(a)):
         raise ValidationError(f"{name} must have finite entries")
+
+
+def is_whole(value) -> bool:
+    """True for an integer that is not a bool, or a real with an integral value (not inf or NaN)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
 def as_vector(v, name: str) -> np.ndarray:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .gmm import std_normal_cdf
+from .gmm import is_whole, std_normal_cdf
 
 REGIMES = ("SL-dominant", "UL-dominant", "Balanced", "LowSNR")
 
@@ -33,16 +33,15 @@ class ProblemSize:
     def __post_init__(self):
         if not (isinstance(self.s, (int, float)) and math.isfinite(self.s) and self.s >= 0):
             raise ValidationError("s must be a nonnegative real")
-        if int(self.d) != self.d or self.d < 2:
+        if not is_whole(self.d) or self.d < 2:
             raise ValidationError("d must be an integer >= 2")
-        if int(self.n_l) != self.n_l or self.n_l < 0:
+        if not is_whole(self.n_l) or self.n_l < 0:
             raise ValidationError("n_l must be a nonnegative integer")
-        if int(self.n_u) != self.n_u or self.n_u < 0:
+        if not is_whole(self.n_u) or self.n_u < 0:
             raise ValidationError("n_u must be a nonnegative integer")
         object.__setattr__(self, "s", float(self.s))
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "n_l", int(self.n_l))
-        object.__setattr__(self, "n_u", int(self.n_u))
+        for name in ("d", "n_l", "n_u"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)

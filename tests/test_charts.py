@@ -137,6 +137,10 @@ class TestGapChart:
         svg = render_gap_chart(chart, "sl", "sslw", log_x=True)
         assert count(svg, "polyline") == 1
 
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValidationError, match="metric"):
+            render_gap_chart(self.two_method_sweep(), "sl", "sslw", metric="loss")
+
     def test_missing_method_rejected(self):
         with pytest.raises(ValidationError):
             render_gap_chart(self.two_method_sweep(), "sl", "em")

@@ -477,6 +477,7 @@ class TestReport:
     @pytest.mark.parametrize("column, value, every_row", [
         ("std_excess", "-1.0", False), ("mean_test_error", "1.7", False),
         ("mean_excess", "nan", False), ("replicates", "0", True),
+        ("mean_estimation", "inf", False),
     ])
     def test_results_no_sweep_can_write_exit_2(self, tmp_path, capsys, column, value, every_row):
         results = self.results_with(tmp_path, "sl,ulplus")

@@ -31,6 +31,11 @@ STAT_FIELDS = (
     "mean_estimation", "std_estimation",
     "mean_test_error", "std_test_error",
 )
+#: The version-1 header line, spelled out so a change to the derived columns shows.
+V1_HEADER = (
+    "axis_name,axis_value,method,replicates,mean_excess,std_excess,"
+    "mean_estimation,std_estimation,mean_test_error,std_test_error,extra"
+)
 
 
 def table(n=12, d=3, seed=0):
@@ -513,7 +518,7 @@ class TestSplit:
 
 
 def synthetic_sweep():
-    """Sweep with NaN stats, infinities, negative zero, and extras."""
+    """Sweep with NaN stats, extreme floats, negative zero, and extras (one infinite)."""
     cells = (
         (
             CellStats("sl", 3, 0.1, 0.01, 1.0 / 3.0, 0.2, 0.05, 0.001, {"t": 0.35}),
@@ -521,8 +526,8 @@ def synthetic_sweep():
                       float("nan"), float("nan"), float("nan"), {"failures": 3.0}),
         ),
         (
-            CellStats("sl", 3, -0.0, 0.0, float("inf"), 1e-308, 5e-324, 0.25,
-                      {"t": 0.1, "wrong_sign": 0.0}),
+            CellStats("sl", 3, -0.0, 0.0, 1.7976931348623157e308, 1e-308, 5e-324, 0.25,
+                      {"t": 0.1, "wrong_sign": 0.0, "threshold": float("inf")}),
             CellStats("ulplus", 3, 0.2, 0.02, 0.3, 0.03, 0.4, 0.04, {}),
         ),
     )
@@ -588,7 +593,7 @@ class TestResultsRoundTrip:
         lines = open(path).read().splitlines()
         assert len(lines) == 2
         assert lines[0] == f"# schema ssl-lab-sweep {RESULTS_SCHEMA_VERSION}"
-        assert lines[1] == ",".join(RESULTS_COLUMNS)
+        assert lines[1] == V1_HEADER
         loaded = read_results(path)
         assert loaded.axis_name == ""
         assert loaded.grid == () and loaded.cells == ()
@@ -605,7 +610,7 @@ class TestResultsRoundTrip:
         path = str(tmp_path / "sweep.csv")
         write_results(synthetic_sweep(), path)
         lines = open(path).read().splitlines()
-        assert lines[1] == ",".join(RESULTS_COLUMNS)
+        assert lines[1] == V1_HEADER == ",".join(RESULTS_COLUMNS)
         first = lines[2].split(",")
         assert first[0] == "nu" and first[2] == "sl"
         assert first[10] == "t=0.35"

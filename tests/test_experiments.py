@@ -11,7 +11,6 @@ from ssl_lab.estimators import fit_logistic, oracle_weight, self_train_path
 from ssl_lab import experiments
 from ssl_lab.cli import DEFAULT_FIT_METHODS, FIT_METHODS, METHOD_ALIASES
 from ssl_lab.experiments import (
-    HARNESS_METHODS,
     METHODS,
     PRESETS,
     VALIDATION_METHODS,
@@ -145,6 +144,10 @@ class TestTrialConfig:
         dict(n_u=1e30),
         dict(n_test=2**63),
         dict(n_test=0),
+        dict(n_l=math.inf),
+        dict(n_u=math.nan),
+        dict(n_val=True),
+        dict(em_budget=math.inf),
     ])
     def test_rejects_invalid_fields(self, bad):
         with pytest.raises(ValidationError):
@@ -182,7 +185,7 @@ class TestRunTrial:
         seeds = {run_trial(cfg, i).seed for i in range(6)}
         assert len(seeds) == 6
 
-    @pytest.mark.parametrize("bad", [-1, 0.5])
+    @pytest.mark.parametrize("bad", [-1, 0.5, math.inf, math.nan, True])
     def test_rejects_bad_trial_index(self, bad):
         with pytest.raises(ValidationError):
             run_trial(config(), bad)
@@ -190,11 +193,11 @@ class TestRunTrial:
     def test_every_method_tag_runs(self):
         cfg = config(
             model=model(1.5, 3), n_l=25, n_u=80, n_val=40, n_test=30,
-            methods=HARNESS_METHODS,
+            methods=tuple(METHODS),
         )
         result = run_trial(cfg, 3)
         assert not result.failures
-        assert sorted(result.metrics) == sorted(HARNESS_METHODS)
+        assert sorted(result.metrics) == sorted(METHODS)
         for mm in result.metrics.values():
             assert math.isfinite(mm.excess) and mm.excess >= 0.0
             assert math.isfinite(mm.estimation) and mm.estimation >= 0.0
@@ -276,7 +279,7 @@ class TestRunTrial:
 
 class TestMethodRegistry:
     def test_harness_order(self):
-        assert HARNESS_METHODS == (
+        assert tuple(METHODS) == (
             "zero", "sl", "ul", "ulplus", "ssls", "sslw",
             "em", "em_means", "logistic", "selftrain", "lda",
         )
@@ -314,7 +317,7 @@ class TestMethodRegistry:
                 called.add(_name)
                 return _fit(*args, **kwargs)
             monkeypatch.setattr(experiments, name, counted)
-        result = run_trial(config(methods=HARNESS_METHODS), 3)
+        result = run_trial(config(methods=tuple(METHODS)), 3)
         assert not result.failures
         assert called == set(names)
 
@@ -498,6 +501,11 @@ class TestRunSweep:
         dict(axis="nu", grid=(40.5,), replicates=1),
         dict(axis="nu_over_nl", grid=(4.0, 3.0), replicates=1),
         dict(axis="nu_over_nl", grid=(80.0,), replicates=1),
+        dict(axis="nl", grid=(5,), replicates=math.inf),
+        dict(axis="nl", grid=(5,), replicates=math.nan),
+        dict(axis="nl", grid=(5,), replicates=True),
+        dict(axis="nl", grid=(5,), replicates=1, threads=math.inf),
+        dict(axis="nl", grid=(5,), replicates=1, threads=True),
     ])
     def test_rejects_invalid_arguments(self, kwargs):
         with pytest.raises(ValidationError):
@@ -642,6 +650,7 @@ class TestCellStats:
         (1, (0.1, 0.0, 0.2, 0.0, 0.3, 1.5), {}, "std_test_error"),
         (1, (math.nan, 0.0, 0.2, 0.0, 0.3, 0.0), {}, "NaN"),
         (1, (0.1, 0.0, 0.2, 0.0, 0.3, 0.0), {"t": math.nan}, "extra t"),
+        (1, (0.1, 0.0, math.inf, 0.0, 0.3, 0.0), {}, "mean_estimation"),
     ])
     def test_values_no_sweep_can_write_are_rejected(self, replicates, numbers, extra, pattern):
         with pytest.raises(ValidationError, match=pattern):

@@ -75,3 +75,23 @@ def test_rule_catches_a_second_registry_loop(tmp_path):
         "        theta, extra = METHODS[tag].fit(ctx)\n"
     )
     assert registry_fits(module) == [(2, "fit_methods"), (6, "own_loop")]
+
+
+MAX_LINE = 100
+
+
+def long_lines(path):
+    """(line, length) of every line in a module longer than MAX_LINE characters."""
+    lines = path.read_text().splitlines()
+    return [(number, len(line)) for number, line in enumerate(lines, 1) if len(line) > MAX_LINE]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_line_exceeds_the_limit(path):
+    assert long_lines(path) == []
+
+
+def test_rule_catches_a_long_line(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("x = 1\n" + "y = " + "1" * (MAX_LINE - 4) + "\n" + "z = " + "2" * MAX_LINE + "\n")
+    assert long_lines(module) == [(3, MAX_LINE + 4)]

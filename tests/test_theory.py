@@ -35,6 +35,12 @@ class TestProblemSize:
             size(1.0, 2, -1, 1)
         with pytest.raises(ValidationError):
             size(math.nan, 2, 1, 1)
+        with pytest.raises(ValidationError):
+            size(1.0, math.inf, 1, 1)
+        with pytest.raises(ValidationError):
+            size(1.0, 2, math.nan, 1)
+        with pytest.raises(ValidationError):
+            size(1.0, 2, 1, True)
 
     def test_coerces_to_exact_types(self):
         p = size(1, 3, 10, 20)
