@@ -327,9 +327,13 @@ def fit_em(data: UnlabeledDataset, theta_init, max_iter: int = EM_MAX_ITER) -> E
     if theta.size != data.d:
         raise ValidationError("theta_init dimension differs from the data")
     x = data.x
+    soft_labels = np.empty(data.n)
     for _ in range(max_iter):
-        theta_next = (np.tanh(x @ theta) @ x) / data.n
-        if float(np.linalg.norm(theta_next - theta)) < EM_TOL:
+        np.tanh(np.matmul(x, theta, out=soft_labels), out=soft_labels)
+        theta_next = (soft_labels @ x) / data.n
+        step = theta_next - theta
+        # np.linalg.norm's own formula for a 1-d vector, without its overhead.
+        if math.sqrt(float(step @ step)) < EM_TOL:
             return EstimatorOutput(theta=theta_next, method="em")
         theta = theta_next
     raise ConvergenceError(
@@ -381,11 +385,18 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _loss(margins: np.ndarray, theta: np.ndarray, ridge: float) -> float:
+def _loss(margins: np.ndarray, theta: np.ndarray, ridge: float, scratch=None) -> float:
     """The objective (1/n) sum log(1 + exp(-m)) + ridge * ||theta||^2 of
-    the margins m = y <theta, x>; sum / size is np.mean without its overhead."""
-    # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), stable for any m.
-    loss = np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))
+    the margins m = y <theta, x>; sum / size is np.mean without its overhead.
+    `scratch`, two float arrays shaped like the margins, takes every pass."""
+    loss, tail = np.empty((2, margins.size)) if scratch is None else scratch
+    # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), stable for any m;
+    # -|m| is min(m, -m), with exp(+-0) = 1 either way.
+    np.negative(margins, out=loss)
+    np.minimum(margins, loss, out=tail)
+    np.log1p(np.exp(tail, out=tail), out=tail)
+    np.maximum(loss, 0.0, out=loss)
+    loss += tail
     return float(loss.sum()) / loss.size + float(ridge) * float(theta @ theta)
 
 
@@ -433,17 +444,28 @@ def _newton(yx, ridge: float, tol, max_iter: int, theta: np.ndarray) -> np.ndarr
 
     yx is d x n with column i = y_i x_i: exact as y_i = +-1, so no step
     needs the labels, and feature-major, so the Hessian's weighting runs
-    along n. An accepted step's margins are the next iteration's.
+    along n. An accepted step's margins are the next iteration's. Every
+    elementwise pass writes into scratch arrays allocated once per call;
+    the inputs are never written.
     """
     d, n = yx.shape
+    p, w, *scratch = np.empty((4, n))
+    yxw = np.empty((d, n))
     margins = theta @ yx
-    value = _loss(margins, theta, ridge)
+    value = _loss(margins, theta, ridge, scratch)
     for _ in range(max_iter):
-        p = _sigmoid(-margins)
+        # p = _sigmoid(-margins): 0.5 * (-m) and m * -0.5 are the same bits.
+        np.multiply(margins, -0.5, out=p)
+        np.tanh(p, out=p)
+        p += 1.0
+        p *= 0.5
         grad = -(yx @ p) / n + 2.0 * ridge * theta
         if math.sqrt(float(grad @ grad)) <= tol:
             return theta
-        hessian = ((yx * (p * (1.0 - p))) @ yx.T) / n
+        np.subtract(1.0, p, out=w)
+        w *= p
+        np.multiply(yx, w, out=yxw)
+        hessian = (yxw @ yx.T) / n
         hessian.flat[:: d + 1] += 2.0 * ridge
         try:
             direction = np.linalg.solve(hessian, -grad)
@@ -456,7 +478,7 @@ def _newton(yx, ridge: float, tol, max_iter: int, theta: np.ndarray) -> np.ndarr
         while True:
             candidate = theta + step * direction
             cand_margins = candidate @ yx
-            cand_value = _loss(cand_margins, candidate, ridge)
+            cand_value = _loss(cand_margins, candidate, ridge, scratch)
             if cand_value <= value + 1e-4 * step * slope:
                 break
             step *= 0.5
@@ -525,15 +547,22 @@ def self_train_path(
         scores = unlabeled.x @ theta1
         margins = np.abs(scores) / norm1
         # missed[i]: how many distinct thresholds row i's margin falls short
-        # of. A stable sort of these small integers (a radix sort) orders
-        # the pool by bucket; kept[j] counts the rows missing at most j.
+        # of, counted by one comparison per level. A stable sort of these
+        # small integers (a radix sort) orders the pool by bucket; kept[j]
+        # counts the rows missing at most j.
         levels = np.unique(thresholds)
-        missed = len(levels) - np.searchsorted(levels, margins, side="right")
-        order = np.argsort(missed.astype(np.min_scalar_type(len(levels))), kind="stable")
+        missed = np.zeros(unlabeled.n, dtype=np.min_scalar_type(len(levels)))
+        for level in levels:
+            missed += margins < level
+        order = np.argsort(missed, kind="stable")
         kept = np.cumsum(np.bincount(missed, minlength=len(levels)))
         counts = kept[len(levels) - 1 - np.searchsorted(levels, thresholds)]
         signs = np.where(scores[order] >= 0.0, 1.0, -1.0)
-        yx = np.concatenate([yx, unlabeled.x[order].T * signs], axis=1)
+        # The pool is gathered in place: labeled columns, then the sorted rows.
+        pool = np.empty((labeled.d, labeled.n + unlabeled.n))
+        pool[:, :labeled.n] = yx
+        np.multiply(np.take(unlabeled.x, order, axis=0).T, signs, out=pool[:, labeled.n:])
+        yx = pool
 
     fits = {}
     theta = np.zeros(labeled.d)

@@ -804,6 +804,19 @@ class TestLogisticKernels:
             assert math.isfinite(value)
             assert abs(value - expected) <= 1e-15 * max(1.0, expected)
 
+    def test_newton_on_read_only_inputs_gives_the_same_bits(self):
+        # Scratch arrays take every elementwise pass: a write into yx or
+        # the start theta would raise here.
+        lab = sample_labeled(MixtureModel(theta_star=np.array([0.8, -0.5])), 300, seed=71)
+        yx = np.multiply(lab.x.T, lab.y, order="C")
+        start = np.array([0.2, 0.1])
+        want = estimators._newton(yx.copy(), 0.01, 1e-10, 100, start.copy())
+        frozen_yx, frozen_start = yx.copy(), start.copy()
+        frozen_yx.flags.writeable = False
+        frozen_start.flags.writeable = False
+        assert np.array_equal(estimators._newton(frozen_yx, 0.01, 1e-10, 100, frozen_start), want)
+        assert np.array_equal(frozen_yx, yx) and np.array_equal(frozen_start, start)
+
 
 class TestSelfTrain:
     def test_precomputed_stage1_is_bitwise_identical(self):
@@ -1008,6 +1021,43 @@ class TestSelfTrainPath:
         again = self_train_path(flipped, unlab, thresholds, self.RIDGE, tol=self.TOL)
         for out, want in zip(again, fits):
             assert np.array_equal(out.theta, want.theta)
+
+    def union_sizes(self, monkeypatch, lab, unlab, thresholds, stage1):
+        """Each threshold's union size, the sizes refit in call order, and
+        the fits, from a stub _newton whose theta is the size of its union."""
+        calls = []
+
+        def stub(yx, ridge, tol, max_iter, theta):
+            calls.append(yx.shape[1])
+            return np.full(yx.shape[0], float(yx.shape[1]))
+
+        monkeypatch.setattr(estimators, "_newton", stub)
+        fits = self_train_path(lab, unlab, thresholds, self.RIDGE, stage1=stage1)
+        return [int(out.theta[0]) for out in fits], calls, fits
+
+    def test_a_margin_equal_to_a_threshold_is_kept(self, monkeypatch):
+        lab, unlab = unit_margin_data()
+        stage1 = EstimatorOutput(np.array([3.0, 0.0]), "logistic")  # every margin is 1.0
+        above, below = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+        thresholds = [1.0, above, 1.0, math.inf, below]
+        sizes, calls, fits = self.union_sizes(monkeypatch, lab, unlab, thresholds, stage1)
+        assert sizes == [9, 4, 9, 4, 9]
+        # duplicates share one refit; inf, like a threshold above every margin, keeps no row
+        assert calls == [4, 9]
+        assert fits[0] is fits[2] is fits[4] and fits[1] is fits[3]
+
+    def test_union_sizes_match_a_searchsorted_reference(self, monkeypatch):
+        lab, unlab = self.draw(99, n_u=400)
+        stage1 = fit_logistic(lab, self.RIDGE, tol=self.TOL)
+        margins = np.abs(unlab.x @ stage1.theta) / float(np.linalg.norm(stage1.theta))
+        ordered = np.sort(margins)
+        # Exact margins (tied with a row), repeats, points between and beyond them.
+        thresholds = [float(ordered[i]) for i in (0, 57, 57, 200, 399)]
+        thresholds += [0.0, 0.3, 0.3, float(ordered[-1]) + 1.0, math.inf]
+        sizes, calls, _ = self.union_sizes(monkeypatch, lab, unlab, thresholds, stage1)
+        want = [lab.n + unlab.n - int(np.searchsorted(ordered, t)) for t in thresholds]
+        assert sizes == want
+        assert calls == sorted(set(want))
 
     def test_rejects_bad_thresholds(self):
         lab, unlab = self.draw(94)

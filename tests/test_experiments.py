@@ -119,6 +119,10 @@ class TestTrialConfig:
         assert cfg.t_grid == (0.0, 1.0)
         assert cfg.em_budget == 30 and isinstance(cfg.em_budget, int)
 
+    def test_numpy_integer_seed_is_stored_as_int(self):
+        cfg = config(base_seed=np.int64(3))
+        assert cfg.base_seed == 3 and type(cfg.base_seed) is int
+
     @pytest.mark.parametrize("bad", [
         dict(model="not a model"),
         dict(n_l=0),
@@ -148,6 +152,7 @@ class TestTrialConfig:
         dict(n_u=math.nan),
         dict(n_val=True),
         dict(em_budget=math.inf),
+        dict(base_seed=True),
     ])
     def test_rejects_invalid_fields(self, bad):
         with pytest.raises(ValidationError):
@@ -363,6 +368,21 @@ def cold_logistic(ridge):
     return lambda x, y: fit_logistic(
         LabeledDataset(x=x, y=y), ridge,
     ).theta
+
+
+class TestStage1ThresholdGrid:
+    def test_equals_the_quantiles_of_the_unsorted_margins(self):
+        # On the first axis the margins are |x_0|: integers with many ties,
+        # so most quantiles interpolate between equal order statistics.
+        rng = np.random.default_rng(7)
+        x = np.column_stack([rng.integers(-3, 4, 501), rng.standard_normal(501)])
+        unlab = UnlabeledDataset(x=x.astype(float))
+        for theta in (np.array([2.0, 0.0]), np.array([0.6, -0.8])):
+            margins = np.abs(unlab.x @ theta) / float(np.linalg.norm(theta))
+            want = np.quantile(margins, [i / 8.0 for i in range(1, 8)])
+            grid = experiments._stage1_threshold_grid(theta, unlab)
+            assert np.array_equal(grid, want)
+        assert len(np.unique(np.abs(unlab.x[:, 0]))) == 4
 
 
 class TestSelfTrainSearch:
@@ -795,7 +815,10 @@ class TestCompatibility:
         assert rho == 0.0
         assert math.isinf(inverse)
 
-    @pytest.mark.parametrize("args", [(-0.1, 0.2, 4), (0.1, 1.2, 4), (0.1, 0.2, 0)])
+    @pytest.mark.parametrize("args", [
+        (-0.1, 0.2, 4), (0.1, 1.2, 4), (0.1, 0.2, 0),
+        (0.2, 0.3, math.inf), (0.2, 0.3, math.nan), (0.2, 0.3, 1.5), (0.2, 0.3, True),
+    ])
     def test_rejects_bad_inputs(self, args):
         with pytest.raises(ValidationError):
             compatibility_from_errors(*args)
