@@ -299,13 +299,15 @@ def standardize(data: TabularDataset):
     if data.n < 2:
         raise ValidationError("standardize needs at least 2 rows")
     mean = data.x.mean(axis=0)
-    std = data.x.std(axis=0)
+    centered = data.x - mean
+    # numpy's own std: the mean of the squared deviations, then its square root.
+    std = np.sqrt(np.mean(centered * centered, axis=0))
     constant = std == 0.0
     record = StandardizeRecord(
         mean=mean, scale=np.where(constant, 1.0, std), constant=constant
     )
     table = TabularDataset(
-        x=record.transform(data.x),
+        x=np.divide(centered, record.scale, out=centered),
         y=data.y,
         columns=data.columns,
         provenance=f"standardize({data.provenance})",
@@ -329,6 +331,12 @@ def pca_basis(data: TabularDataset, k: int):
     matching components. Raises ValidationError unless 1 <= k <= d and
     the table has at least two rows.
     """
+    values, components, _ = _centered_pca(data, k)
+    return values, components
+
+
+def _centered_pca(data: TabularDataset, k: int):
+    """pca_basis's (values, components) and the centered features they came from."""
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValidationError("k must be an integer")
     k = int(k)
@@ -339,7 +347,7 @@ def pca_basis(data: TabularDataset, k: int):
     centered = data.x - data.x.mean(axis=0)
     values, vectors = np.linalg.eigh(centered.T @ centered / data.n)
     components = np.column_stack([canonical_sign(vectors[:, -1 - j]) for j in range(k)])
-    return values[::-1][:k].copy(), components
+    return values[::-1][:k].copy(), components, centered
 
 
 def pca_project(data: TabularDataset, k: int) -> TabularDataset:
@@ -349,8 +357,9 @@ def pca_project(data: TabularDataset, k: int) -> TabularDataset:
     an n x k matrix with columns named pc1..pck; labels ride along
     unchanged. Same preconditions and errors as pca_basis.
     """
-    _, components = pca_basis(data, k)
-    scores = (data.x - data.x.mean(axis=0)) @ components
+    _, components, centered = _centered_pca(data, k)
+    scores = centered @ components
+    del centered  # frees the n x d block before the dataset copies the scores
     return TabularDataset(
         x=scores,
         y=data.y,

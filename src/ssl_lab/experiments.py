@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
@@ -668,6 +667,9 @@ def run_sweep(
     if threads == 1:
         results = [run_trial(c, idx) for c, idx in jobs]
     else:
+        # Imported here so that serial runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=int(threads)) as pool:
             chunk = max(1, len(jobs) // (4 * int(threads)))
             results = list(pool.map(_run_indexed_trial, jobs, chunksize=chunk))

@@ -13,8 +13,11 @@ standard normal CDF, so all error metrics here are exact rather than sampled:
 
 Sampling is fully determined by a 64-bit seed. Each call owns a fresh
 numpy PCG64 generator (Gaussians via numpy's ziggurat standard_normal) and
-draws in a fixed order: labels first, then the noise matrix. Nothing here
-mutates shared state, so every function is safe to call concurrently.
+draws in a fixed order: labels first, then the noise matrix. The signal
+theta_star * y is then added into that noise block in place, which gives the
+same bits as y * theta_star + noise since IEEE + and * commute exactly.
+Nothing here mutates shared state, so every function is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from .errors import ValidationError
 from .seeds import MASK64
 
 _SQRT2 = math.sqrt(2.0)
+#: The label for each value of the 0/1 draw.
+_SIGNS = np.array([-1.0, 1.0])
 
 
 def readonly(a: np.ndarray) -> np.ndarray:
@@ -38,7 +43,7 @@ def readonly(a: np.ndarray) -> np.ndarray:
 
 
 def check_finite(a: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{name} must have finite entries")
 
 
@@ -58,7 +63,7 @@ def as_vector(v, name: str) -> np.ndarray:
 
 
 def _normalize_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValidationError("seed must be an integer")
     return int(seed) & MASK64
 
@@ -118,7 +123,7 @@ class LabeledDataset(UnlabeledDataset):
         y = np.asarray(self.y, dtype=float)
         if y.ndim != 1 or y.shape[0] != self.n:
             raise ValidationError("y must be a vector with one entry per row of x")
-        if not np.all(np.isin(y, (-1.0, 1.0))):
+        if not (np.abs(y) == 1.0).all():
             raise ValidationError("labels must be exactly -1 or +1")
         object.__setattr__(self, "y", readonly(y))
 
@@ -145,13 +150,16 @@ class EstimatorOutput:
 
 def _draw(model: MixtureModel, n: int, seed: int) -> tuple:
     """(x, y) of n draws, determined entirely by (model, n, seed): labels
-    first, then the n x d standard normal noise block."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
+    first, then the n x d standard normal noise block, which becomes x once
+    the signal is added into it."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
         raise ValidationError("n must be a nonnegative integer")
     rng = np.random.default_rng(_normalize_seed(seed))
-    y = 2.0 * rng.integers(0, 2, size=int(n)) - 1.0
-    z = rng.standard_normal((int(n), model.d))
-    return y[:, None] * model.theta_star + z, y
+    y = _SIGNS[rng.integers(0, 2, size=int(n))]
+    x = rng.standard_normal((int(n), model.d))
+    # Through the d x n view, each row of the add runs n long, not d.
+    np.add(x.T, np.multiply.outer(model.theta_star, y), out=x.T)
+    return x, y
 
 
 def sample_labeled(model: MixtureModel, n: int, seed: int) -> LabeledDataset:

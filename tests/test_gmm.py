@@ -16,6 +16,7 @@ from ssl_lab.gmm import (
     sample_unlabeled,
     std_normal_cdf,
 )
+from ssl_lab.seeds import MASK64
 
 
 class TestStdNormalCdf:
@@ -86,6 +87,37 @@ class TestSampling:
         assert unlab.x.tobytes() == lab.x.tobytes()
         for array in (lab.x, lab.y, unlab.x):
             assert not array.flags.writeable
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 4_096])
+    @pytest.mark.parametrize("theta", [[-0.75], [0.0], [-0.75, 0.0], [0.0, -1.1, 0.6, 2.5, -3.0]],
+                             ids=["d1-negative", "d1-zero", "d2", "d5"])
+    def test_draw_keeps_the_seed_contract(self, theta, n):
+        """Labels from integers, then the noise, then x = y * theta_star + noise, bit for bit."""
+        model = MixtureModel(theta_star=np.array(theta))
+        for seed in (0, 11, 2**63 + 9, -4):
+            rng = np.random.default_rng(seed & MASK64)
+            y = 2.0 * rng.integers(0, 2, size=n) - 1.0
+            z = rng.standard_normal((n, model.d))
+            x = y[:, None] * model.theta_star + z
+            data = sample_labeled(model, n, seed)
+            assert data.y.tobytes() == y.tobytes()
+            assert data.x.tobytes() == x.tobytes()
+            assert data.x.flags.c_contiguous and not data.x.flags.writeable
+
+    @pytest.mark.parametrize("sampler", [sample_labeled, sample_unlabeled])
+    @pytest.mark.parametrize("n, seed", [(True, 1), (3, True)], ids=["bool-n", "bool-seed"])
+    def test_rejects_a_bool_size_or_seed(self, sampler, n, seed):
+        model = MixtureModel(theta_star=np.array([1.0, -0.5]))
+        with pytest.raises(ValidationError):
+            sampler(model, n, seed)
+
+    def test_numpy_integers_and_negative_seeds_are_accepted(self):
+        model = MixtureModel(theta_star=np.array([1.0, -0.5]))
+        plain = sample_labeled(model, 6, 2**64 - 4)
+        for n, seed in ((np.int32(6), -4), (6, np.int64(-4)), (np.uint8(6), np.uint64(2**64 - 4))):
+            data = sample_labeled(model, n, seed)
+            assert data.x.tobytes() == plain.x.tobytes()
+            assert data.y.tobytes() == plain.y.tobytes()
 
     def test_different_seeds_differ(self):
         model = MixtureModel(theta_star=np.array([1.0, 0.0]))

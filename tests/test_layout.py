@@ -1,6 +1,8 @@
 """Source layout rules that no single behaviour test would catch."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,28 @@ def test_rule_catches_a_long_line(tmp_path):
     module = tmp_path / "mod.py"
     module.write_text("x = 1\n" + "y = " + "1" * (MAX_LINE - 4) + "\n" + "z = " + "2" * MAX_LINE + "\n")
     assert long_lines(module) == [(3, MAX_LINE + 4)]
+
+
+#: Modules that only a run with a worker pool needs; importing them costs start-up time.
+POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+
+
+def pool_modules_after(statements):
+    """The POOL_MODULES loaded once `statements` ran in a fresh interpreter with src on its path."""
+    code = (
+        f"import sys\nsys.path.insert(0, {str(SRC.parent)!r})\n{statements}\n"
+        f"print(' '.join(name for name in {POOL_MODULES!r} if name in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
+    )
+    return done.stdout.split()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    assert pool_modules_after("import ssl_lab.cli") == []
+
+
+def test_rule_catches_a_pool_import():
+    statements = "import ssl_lab.cli\nfrom concurrent.futures import ProcessPoolExecutor"
+    assert pool_modules_after(statements) == list(POOL_MODULES)
