@@ -15,7 +15,8 @@ valid --config file, so re-running with it reproduces results.csv
 byte-for-byte. Exit codes: 0 success, 2 a usage or configuration
 problem (bad flags, unreadable inputs, malformed files), 3 a runtime
 failure (solver non-convergence, empty results, every requested method
-failing, failed writes). The SSL_LAB_OUT_DIR environment variable
+failing, failed writes, running out of memory, a worker pool that lost a
+worker). The SSL_LAB_OUT_DIR environment variable
 supplies the default output directory; --out wins when both are set.
 """
 
@@ -324,8 +325,8 @@ def _cmd_fit(args) -> int:
         check_validation_size(methods, args.nval)
         if args.ntest is not None and args.ntest < 1:
             raise ValidationError("n_test must be at least 1")
-        data = load_csv(args.data, args.label_column, args.positive_label)
-        table, _ = standardize(data)
+        # No name holds the raw table once standardized, so PCA and the split run without it.
+        table, _ = standardize(load_csv(args.data, args.label_column, args.positive_label))
         if args.pca is not None:
             table = pca_project(table, args.pca)
         remainder = table.n - args.nl
@@ -559,7 +560,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (SslLabError, OSError) as err:
+    except (SslLabError, OSError, MemoryError) as err:
+        return _fail(3, str(err) or type(err).__name__)
+    except RuntimeError as err:
+        # A pool that lost a worker raises BrokenExecutor, a RuntimeError. Importing
+        # it only here keeps concurrent.futures off the CLI's import path.
+        from concurrent.futures import BrokenExecutor
+
+        if not isinstance(err, BrokenExecutor):
+            raise
         return _fail(3, err)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DataFormatError, SchemaVersionError, ValidationError
 from .estimators import canonical_sign
 from .experiments import STAT_FIELDS, CellStats, SweepResult
-from .gmm import LabeledDataset, UnlabeledDataset, check_finite, readonly
+from .gmm import LabeledDataset, UnlabeledDataset, check_finite, freeze, readonly
 from .seeds import MASK64
 
 #: Version stamped into (and required from) results files.
@@ -44,6 +44,9 @@ _SCHEMA_PREFIX = "# schema ssl-lab-sweep "
 
 #: Fixed column order of a results file: the cell's axis name and value, then CellStats's fields.
 RESULTS_COLUMNS = ("axis_name", "axis_value", "method", "replicates", *STAT_FIELDS, "extra")
+
+#: Rows whose squares standardize holds at once, as estimators.MARGIN_BLOCK bounds margins.
+_SPREAD_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,9 +132,7 @@ class StandardizeRecord:
             raise ValidationError("scale entries must be positive")
         object.__setattr__(self, "mean", readonly(mean))
         object.__setattr__(self, "scale", readonly(scale))
-        flags = np.array(constant, copy=True)
-        flags.setflags(write=False)
-        object.__setattr__(self, "constant", flags)
+        object.__setattr__(self, "constant", freeze(np.array(constant, copy=True)))
 
     def _check_width(self, matrix: np.ndarray) -> np.ndarray:
         arr = np.asarray(matrix, dtype=float)
@@ -227,10 +228,10 @@ def load_csv(path, label_column: str, positive_label) -> TabularDataset:
         raise DataFormatError(
             f"{display}: positive label {positive!r} not among label values {distinct}"
         )
-    y = np.where(table[:, label_index] == codes[positive], 1.0, -1.0)
-    return TabularDataset(
-        x=np.delete(table, label_index, axis=1), y=y, columns=feature_names, provenance=display
-    )
+    y = freeze(np.where(table[:, label_index] == codes[positive], 1.0, -1.0))
+    x = freeze(np.delete(table, label_index, axis=1))
+    del table  # the parse goes before the dataset checks x
+    return TabularDataset(x=x, y=y, columns=feature_names, provenance=display)
 
 
 def _raise_first_fault(handle, display: str, header: list, label_index: int, cause) -> NoReturn:
@@ -301,18 +302,39 @@ def standardize(data: TabularDataset):
     mean = data.x.mean(axis=0)
     centered = data.x - mean
     # numpy's own std: the mean of the squared deviations, then its square root.
-    std = np.sqrt(np.mean(centered * centered, axis=0))
+    std = np.sqrt(_column_mean_square(centered))
     constant = std == 0.0
     record = StandardizeRecord(
         mean=mean, scale=np.where(constant, 1.0, std), constant=constant
     )
     table = TabularDataset(
-        x=np.divide(centered, record.scale, out=centered),
+        x=freeze(np.divide(centered, record.scale, out=centered)),
         y=data.y,
         columns=data.columns,
         provenance=f"standardize({data.provenance})",
     )
     return table, record
+
+
+def _column_mean_square(centered: np.ndarray) -> np.ndarray:
+    """np.mean(centered * centered, axis=0) bit for bit, without its n x d array of squares.
+
+    numpy sums axis 0 of a C-contiguous matrix one row after another, so each
+    block's squares are summed after the running sum, which sits in the row
+    before them. A single column numpy sums pairwise instead, so at d = 1 the
+    one block holds every row.
+    """
+    n, d = centered.shape
+    step = _SPREAD_BLOCK if d > 1 else n
+    buf = np.empty((min(step, n) + 1, d))
+    for start in range(0, n, step):
+        rows = centered[start:start + step]
+        squares = np.multiply(rows, rows, out=buf[1:len(rows) + 1])
+        if start:
+            buf[0] = total
+            squares = buf[:len(rows) + 1]
+        total = np.add.reduce(squares, axis=0)
+    return total / n
 
 
 def pca_basis(data: TabularDataset, k: int):
@@ -359,9 +381,9 @@ def pca_project(data: TabularDataset, k: int) -> TabularDataset:
     """
     _, components, centered = _centered_pca(data, k)
     scores = centered @ components
-    del centered  # frees the n x d block before the dataset copies the scores
+    del centered  # frees the n x d block before the dataset checks the scores
     return TabularDataset(
-        x=scores,
+        x=freeze(scores),
         y=data.y,
         columns=tuple(f"pc{j + 1}" for j in range(components.shape[1])),
         provenance=f"pca{components.shape[1]}({data.provenance})",
@@ -389,11 +411,12 @@ def split(data: TabularDataset, spec: SplitSpec):
     stop_t = stop_v + spec.n_test
     rows_l, rows_v = perm[:stop_l], perm[stop_l:stop_v]
     rows_t, rows_p = perm[stop_v:stop_t], perm[stop_t:]
+    x, y = data.x, data.y
     return (
-        LabeledDataset(x=data.x[rows_l], y=data.y[rows_l]),
-        UnlabeledDataset(x=data.x[rows_p]),
-        UnlabeledDataset(x=data.x[rows_v]),
-        LabeledDataset(x=data.x[rows_t], y=data.y[rows_t]),
+        LabeledDataset(x=freeze(x[rows_l]), y=freeze(y[rows_l])),
+        UnlabeledDataset(x=freeze(x[rows_p])),
+        UnlabeledDataset(x=freeze(x[rows_v])),
+        LabeledDataset(x=freeze(x[rows_t]), y=freeze(y[rows_t])),
     )
 
 

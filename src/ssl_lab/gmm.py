@@ -36,10 +36,29 @@ _SQRT2 = math.sqrt(2.0)
 _SIGNS = np.array([-1.0, 1.0])
 
 
-def readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
+def freeze(a: np.ndarray) -> np.ndarray:
+    """Make `a` read-only in place and return it; no other module freezes arrays.
+
+    The caller has just made `a` and let no view of it escape, so the frozen
+    array cannot change, and readonly takes it without a copy.
+    """
+    a.setflags(write=False)
+    return a
+
+
+def readonly(a) -> np.ndarray:
+    """`a` as a read-only float64 array that no one else can write.
+
+    A float64, C-contiguous ndarray that owns its data and is already
+    read-only (what freeze leaves) is returned as-is; like freeze, this
+    trusts that no writeable view of it is left. Anything else is copied:
+    a list, another dtype, a view, or a writeable array, which its caller
+    could still change.
+    """
+    owned = type(a) is np.ndarray and a.flags.owndata and a.flags.c_contiguous
+    if owned and a.dtype == np.float64 and not a.flags.writeable:
+        return a
+    return freeze(np.array(a, dtype=float, copy=True))
 
 
 def check_finite(a: np.ndarray, name: str) -> None:
@@ -159,7 +178,7 @@ def _draw(model: MixtureModel, n: int, seed: int) -> tuple:
     x = rng.standard_normal((int(n), model.d))
     # Through the d x n view, each row of the add runs n long, not d.
     np.add(x.T, np.multiply.outer(model.theta_star, y), out=x.T)
-    return x, y
+    return freeze(x), freeze(y)
 
 
 def sample_labeled(model: MixtureModel, n: int, seed: int) -> LabeledDataset:

@@ -1,19 +1,23 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from ssl_lab import experiments
+from ssl_lab import cli, experiments
 from ssl_lab.cli import _write_manifest, main
 from ssl_lab.data_io import read_results
 from ssl_lab.errors import ConvergenceError
 from ssl_lab.experiments import TrialConfig
 
-DATA_CSV = str(Path(__file__).resolve().parent.parent / "data" / "synthetic_2gmm_200.csv")
+ROOT = Path(__file__).resolve().parent.parent
+DATA_CSV = str(ROOT / "data" / "synthetic_2gmm_200.csv")
 
 SMALL_SIM = [
     "simulate", "--s", "1.5", "--d", "3", "--nl", "8", "--nu", "40",
@@ -274,6 +278,38 @@ class TestSimulate:
         assert code == 3
         assert "ConvergenceError: injected" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    def test_running_out_of_memory_exits_3_with_one_line(self, tmp_path):
+        """A 200M-row draw under a 1 GiB address-space limit that this subprocess sets on itself."""
+        limited = (
+            f"import resource, sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "from ssl_lab.cli import main\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        args = ["simulate", "--threads", "1", "--nu", "200000000", "--out", str(tmp_path)]
+        done = subprocess.run(
+            [sys.executable, "-c", limited, *args], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: Unable to allocate")
+        assert done.stderr.count("\n") == 1
+
+    def test_broken_pool_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(cli, "run_sweep", broken)
+        assert main(SMALL_SIM + ["--out", str(tmp_path / "run"), "--quiet"]) == 3
+        assert capsys.readouterr().err == "error: a worker died\n"
+
+    def test_other_runtime_errors_still_propagate(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(cli, "run_sweep", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(SMALL_SIM + ["--out", str(tmp_path / "run"), "--quiet"])
 
     @pytest.mark.parametrize("methods", ["sl", "sl,sslw", ["sl", "sslw"]])
     def test_config_methods_may_be_string_or_list(self, tmp_path, methods):

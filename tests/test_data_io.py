@@ -1,6 +1,7 @@
 import math
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,6 +347,19 @@ class TestStandardize:
         assert np.max(np.abs(twice.x - once.x)) <= 1e-9
         assert np.array_equal(twice.y, once.y)
 
+    @pytest.mark.parametrize("n, d", [(2, 1), (5, 3), (4_096, 2), (4_097, 4), (9_001, 1),
+                                      (12_345, 7)])
+    def test_scale_is_numpys_std_bit_for_bit(self, n, d):
+        """The spread is summed a block of rows at a time, in numpy's own order."""
+        rng = np.random.default_rng(n + d)
+        x = rng.normal(loc=3.0, scale=7.0, size=(n, d))
+        y = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        columns = tuple(f"c{j}" for j in range(d))
+        out, record = standardize(TabularDataset(x=x, y=y, columns=columns))
+        std = x.std(axis=0)
+        assert record.scale.tobytes() == std.tobytes()
+        assert out.x.tobytes() == ((x - x.mean(axis=0)) / std).tobytes()
+
     def test_needs_two_rows(self):
         data = TabularDataset(x=[[1.0, 2.0]], y=[1.0], columns=("a", "b"))
         with pytest.raises(ValidationError):
@@ -515,6 +529,62 @@ class TestSplit:
     def test_infeasible_sizes_rejected(self):
         with pytest.raises(ValidationError, match="10 rows but the table has 9"):
             split(self.ladder(9), SplitSpec(3, 3, 4))
+
+
+def traced_peak(run) -> int:
+    """Peak bytes allocated while run() ran, as tracemalloc counts them (numpy reports to it)."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOwnership:
+    """Each dataset keeps the array its producer made, so no step copies the table again."""
+
+    ROWS, COLS = 20_000, 20
+    FEATURE_BYTES = ROWS * COLS * 8
+    #: Peak allocation over FEATURE_BYTES. load_csv holds its (d + 1)-column parse and the
+    #: features (2.11 measured), standardize its output and one block of squares (1.21).
+    #: One more copy of the table reads 3.16 and 2.06.
+    LOAD_CSV_PEAK = 2.25
+    STANDARDIZE_PEAK = 1.5
+
+    @pytest.fixture(scope="class")
+    def big(self, tmp_path_factory):
+        """(path, dataset): a ROWS x COLS table and the CSV it was saved to."""
+        data = table(n=self.ROWS, d=self.COLS, seed=4)
+        path = str(tmp_path_factory.mktemp("big") / "big.csv")
+        save_csv(data, path)
+        return path, data
+
+    @pytest.mark.parametrize("producer", ["load_csv", "standardize", "pca_project", "split"])
+    def test_datasets_own_their_arrays(self, tmp_path, producer):
+        data = table(n=40, d=4, seed=3)
+        path = str(tmp_path / "t.csv")
+        save_csv(data, path)
+        made = {
+            "load_csv": lambda: [load_csv(path, "label", "1")],
+            "standardize": lambda: [standardize(data)[0]],
+            "pca_project": lambda: [pca_project(data, 2)],
+            "split": lambda: split(data, SplitSpec(5, 6, 7)),
+        }[producer]()
+        for part in made:
+            for array in (part.x, getattr(part, "y", part.x)):
+                assert array.base is None and array.flags.c_contiguous
+                assert not array.flags.writeable
+
+    def test_load_csv_holds_the_parse_and_the_features_only(self, big):
+        path, _ = big
+        peak = traced_peak(lambda: load_csv(path, "label", "1"))
+        assert peak <= self.LOAD_CSV_PEAK * self.FEATURE_BYTES
+
+    def test_standardize_holds_its_output_and_one_block(self, big):
+        _, data = big
+        peak = traced_peak(lambda: standardize(data))
+        assert peak <= self.STANDARDIZE_PEAK * self.FEATURE_BYTES
 
 
 def synthetic_sweep():

@@ -11,7 +11,9 @@ from ssl_lab.gmm import (
     UnlabeledDataset,
     estimation_error,
     excess_risk,
+    freeze,
     prediction_error,
+    readonly,
     sample_labeled,
     sample_unlabeled,
     std_normal_cdf,
@@ -47,6 +49,43 @@ class TestStdNormalCdf:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValidationError):
             std_normal_cdf(bad)
+
+
+def frozen_view():
+    """A read-only view whose writeable base its maker could still change."""
+    view = np.arange(6.0)[1:]
+    view.setflags(write=False)
+    return view
+
+
+class TestReadonly:
+    def test_a_frozen_array_that_owns_its_data_is_taken_as_is(self):
+        a = freeze(np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]))
+        assert readonly(a) is a
+        data = LabeledDataset(x=a, y=freeze(np.array([1.0, -1.0])))
+        assert data.x is a
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: np.arange(6.0).reshape(2, 3),
+            frozen_view,
+            lambda: freeze(np.arange(6)),
+            lambda: freeze(np.asfortranarray(np.arange(6.0).reshape(2, 3))),
+            lambda: [[0.0, 1.0], [2.0, 3.0]],
+        ],
+        ids=["writeable", "frozen-view", "int-dtype", "fortran-order", "list"],
+    )
+    def test_anything_else_is_copied(self, make):
+        a = make()
+        out = readonly(a)
+        assert out is not a and not np.shares_memory(out, a)
+        assert out.dtype == np.float64 and out.flags.owndata and not out.flags.writeable
+        assert np.array_equal(out, a)
+
+    def test_freeze_works_in_place(self):
+        a = np.zeros(3)
+        assert freeze(a) is a and not a.flags.writeable
 
 
 class TestMixtureModel:
@@ -103,6 +142,12 @@ class TestSampling:
             assert data.y.tobytes() == y.tobytes()
             assert data.x.tobytes() == x.tobytes()
             assert data.x.flags.c_contiguous and not data.x.flags.writeable
+
+    @pytest.mark.parametrize("sampler", [sample_labeled, sample_unlabeled])
+    def test_samples_own_their_arrays(self, sampler):
+        data = sampler(MixtureModel(theta_star=np.array([1.0, -0.5])), 9, 4)
+        for array in (data.x, getattr(data, "y", data.x)):
+            assert array.base is None and not array.flags.writeable
 
     @pytest.mark.parametrize("sampler", [sample_labeled, sample_unlabeled])
     @pytest.mark.parametrize("n, seed", [(True, 1), (3, True)], ids=["bool-n", "bool-seed"])

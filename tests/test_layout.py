@@ -37,27 +37,32 @@ def test_rule_catches_a_private_import(tmp_path):
     assert private_imports(module) == [(1, "_helper")]
 
 
-def registry_fits(path):
-    """(line, enclosing function) of every `METHODS[...].fit` in a module."""
+def node_sites(path, matches):
+    """(line, enclosing function) of every node of a module for which matches(node) holds."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if (
-            isinstance(node, ast.Attribute)
-            and node.attr == "fit"
-            and isinstance(node.value, ast.Subscript)
-            and isinstance(node.value.value, ast.Name)
-            and node.value.value.id == "METHODS"
-        ):
+        if matches(node):
             found.append((node.lineno, function))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(tree, None)
     return found
+
+
+def registry_fits(path):
+    """(line, enclosing function) of every `METHODS[...].fit` in a module."""
+    return node_sites(path, lambda node: (
+        isinstance(node, ast.Attribute)
+        and node.attr == "fit"
+        and isinstance(node.value, ast.Subscript)
+        and isinstance(node.value.value, ast.Name)
+        and node.value.value.id == "METHODS"
+    ))
 
 
 def test_only_fit_methods_fits_from_the_registry():
@@ -77,6 +82,44 @@ def test_rule_catches_a_second_registry_loop(tmp_path):
         "        theta, extra = METHODS[tag].fit(ctx)\n"
     )
     assert registry_fits(module) == [(2, "fit_methods"), (6, "own_loop")]
+
+
+def freezes_an_array(node):
+    """A `setflags` call, or an assignment to an array's flags (`a.flags.writeable = False`)."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Attribute) and node.func.attr == "setflags"
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(
+        isinstance(part, ast.Attribute) and part.attr == "flags"
+        for target in targets for part in ast.walk(target)
+    )
+
+
+def test_only_gmm_freeze_freezes_arrays():
+    """Producers freeze what they make through gmm.freeze, which readonly trusts."""
+    found = [(path.name, function) for path in sorted(SRC.glob("*.py"))
+             for _, function in node_sites(path, freezes_an_array)]
+    assert found == [("gmm.py", "freeze")]
+
+
+def test_rule_catches_a_second_freeze(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def freeze(a):\n"
+        "    a.setflags(write=False)\n"
+        "\n"
+        "def by_flags(a):\n"
+        "    a.flags.writeable = False\n"
+        "    a.flags['WRITEABLE'] = False\n"
+        "    return a.flags.writeable, a.setflags\n"
+    )
+    found = node_sites(module, freezes_an_array)
+    assert found == [(2, "freeze"), (5, "by_flags"), (6, "by_flags")]
 
 
 MAX_LINE = 100
