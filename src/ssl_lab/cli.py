@@ -5,7 +5,9 @@ problem) and writes results.csv plus a manifest; theory prints the
 closed-form rate report for one problem size as JSON; fit ingests a
 user CSV, standardizes it, optionally PCA-projects it, splits it, and
 scores the requested estimators on the held-out test rows; report
-renders results CSVs as self-contained SVG line charts.
+renders results CSVs as self-contained SVG line charts. theory and charts
+(with xml.etree) are imported only by the commands that use them, so no
+other command pays for loading them.
 
 Configuration precedence for simulate is defaults < preset < config
 file < flags. Every layer goes through one table of config keys, which
@@ -34,7 +36,6 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .charts import render_gap_chart, render_series_chart
 from .data_io import (
     SplitSpec,
     atomic_writer,
@@ -64,7 +65,6 @@ from .experiments import (
     test_error,
 )
 from .gmm import is_whole
-from .theory import ProblemSize, rate_report
 
 #: Accepted spellings of each method tag.
 METHOD_ALIASES = {
@@ -300,8 +300,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    if args.config:
-        return _fail(2, "--config applies to the simulate command")
+    from .theory import ProblemSize, rate_report
+
     try:
         report = rate_report(ProblemSize(s=args.s, d=args.d, n_l=args.nl, n_u=args.nu))
     except SslLabError as err:
@@ -311,8 +311,6 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.config:
-        return _fail(2, "--config applies to the simulate command")
     seed = _base_seed(args)
     try:
         methods = _parse_methods(args.methods) if args.methods else DEFAULT_FIT_METHODS
@@ -354,10 +352,14 @@ def _cmd_fit(args) -> int:
     except OSError as err:
         return _fail(3, err)
 
-    ctx = FitContext(labeled=labeled, unlabeled=pool, validation=validation)
     scores, failures = fit_methods(
-        ctx, methods, lambda theta, extra: (test_error(theta, test), extra)
+        FitContext(labeled=labeled, unlabeled=pool, validation=validation),
+        methods,
+        lambda theta, extra: (test_error(theta, test), extra),
     )
+    # The parts are a second copy of the table; none is alive through the whole-table fit.
+    n_pool = pool.n
+    del labeled, pool, validation, test
     test_errors = {tag: error for tag, (error, _) in scores.items()}
     selections = {
         f"{tag}_{key}": value for tag, (_, extra) in scores.items() for key, value in extra.items()
@@ -377,7 +379,7 @@ def _cmd_fit(args) -> int:
             "n_l": spec.n_l,
             "n_val": spec.n_val,
             "n_test": spec.n_test,
-            "pool": pool.n,
+            "pool": n_pool,
             "seed": seed,
         },
         "test_errors": test_errors,
@@ -402,8 +404,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.config:
-        return _fail(2, "--config applies to the simulate command")
+    from .charts import render_gap_chart, render_series_chart
+
     try:
         gap_pair = tuple(_normalize_method(name) for name in args.gap) if args.gap else None
     except ValidationError as err:
@@ -558,6 +560,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    for flag in ("config", "threads"):
+        if args.command != "simulate" and getattr(args, flag) is not None:
+            return _fail(2, f"--{flag} applies to the simulate command")
     try:
         return args.handler(args)
     except (SslLabError, OSError, MemoryError) as err:

@@ -3,9 +3,11 @@
 A trial samples labeled/unlabeled/validation/test sets for one problem
 size, fits the requested methods, and records closed-form metrics (excess
 risk and estimation error against the true theta) plus the empirical
-test-set error. A sweep repeats trials over a grid (SNR, n_l, n_u, or the
-n_u/n_l ratio) with a fixed replicate count and aggregates mean/std per
-cell with a hand-rolled Welford accumulator.
+test-set error. Every method of a trial is scored against one TrialTruth:
+the model, whose s and Bayes error are computed once, and the test set
+with its label mask, built once per trial. A sweep repeats trials over a
+grid (SNR, n_l, n_u, or the n_u/n_l ratio) with a fixed replicate count
+and aggregates mean/std per cell with a hand-rolled Welford accumulator.
 
 Determinism: the per-trial seed is a 64-bit mix of (base_seed, global
 trial index) and every random stream inside the trial derives from it, so
@@ -68,8 +70,7 @@ from .gmm import (
     LabeledDataset,
     MixtureModel,
     UnlabeledDataset,
-    estimation_error,
-    excess_risk,
+    check_snr,
     is_whole,
     sample_labeled,
     sample_unlabeled,
@@ -86,10 +87,9 @@ STAT_FIELDS = tuple(f"{kind}_{metric}" for metric in METRIC_FIELDS for kind in (
 EM_INIT_SCALE = 1e-3
 
 
-def first_axis_model(s: float, d: int) -> MixtureModel:
-    """The mixture whose theta_star is s times the first basis vector of R^d."""
-    if not s >= 0:
-        raise ValidationError(f"s must be nonnegative, got {s}")
+def first_axis_model(s: float, d: int, name: str = "s") -> MixtureModel:
+    """The mixture whose theta_star is s times the first basis vector of R^d; `name` names s."""
+    s = check_snr(s, name)
     if d < 1:
         raise ValidationError(f"d must be at least 1, got {d}")
     if d > np.iinfo(np.intp).max:
@@ -272,21 +272,34 @@ class SweepResult:
         return tuple(getattr(self.cell(i, method), name) for i in range(len(self.grid)))
 
 
-def test_error(theta: np.ndarray, test) -> float:
-    """Share of test rows whose label the sign of <theta, x> gets wrong."""
+def test_error(theta: np.ndarray, test, positive: np.ndarray | None = None) -> float:
+    """Share of test rows whose label the sign of <theta, x> gets wrong.
+
+    `positive` is the mask test.y > 0 when the caller has it. A count over
+    n is one rounding, the same bits as np.mean of the 0/1 mismatches.
+    """
     if test.n < 1:
         raise ValidationError("the test set is empty")
-    predictions = np.where(test.x @ theta >= 0.0, 1.0, -1.0)
-    return float(np.mean(predictions != test.y))
+    if positive is None:
+        positive = test.y > 0.0
+    return np.count_nonzero((test.x @ theta >= 0.0) != positive) / test.n
 
 
-def _evaluate(theta: np.ndarray, model: MixtureModel, test, extra: dict) -> MethodMetrics:
-    return MethodMetrics(
-        excess=excess_risk(theta, model.theta_star),
-        estimation=estimation_error(theta, model.theta_star),
-        test_error=test_error(theta, test),
-        extra=dict(extra),
-    )
+@dataclass(frozen=True, eq=False)
+class TrialTruth:
+    """What every method of one trial is scored against: the true model
+    and the test set, with the test labels' mask built once."""
+
+    model: MixtureModel
+    test: LabeledDataset
+    positive: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "positive", self.test.y > 0.0)
+
+    def score(self, theta, extra: dict) -> MethodMetrics:
+        excess, estimation = self.model.risks(theta)
+        return MethodMetrics(excess, estimation, test_error(theta, self.test, self.positive), extra)
 
 
 def _select_by_margin(grid, fit, validation):
@@ -529,17 +542,14 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
         ul_backend=cfg.ul_backend,
         em_budget=cfg.em_budget,
     )
-    test = sample_labeled(model, cfg.n_test, stream_seed(seed, 3))
-
-    metrics, failures = fit_methods(
-        ctx, cfg.methods, lambda theta, extra: _evaluate(theta, model, test, extra)
-    )
+    truth = TrialTruth(model, sample_labeled(model, cfg.n_test, stream_seed(seed, 3)))
+    metrics, failures = fit_methods(ctx, cfg.methods, truth.score)
     return TrialResult(trial_index=int(trial_index), seed=seed, metrics=metrics, failures=failures)
 
 
 def _cell_config(cfg: TrialConfig, axis: str, value) -> TrialConfig:
     if axis == "snr":
-        return replace(cfg, model=first_axis_model(float(value), cfg.model.d))
+        return replace(cfg, model=first_axis_model(value, cfg.model.d, "snr grid value"))
     if axis in ("nl", "nu") and not float(value).is_integer():
         raise ValidationError(f"{axis} grid values must be whole sample sizes, got {value}")
     if axis == "nl":

@@ -11,6 +11,9 @@ standard normal CDF, so all error metrics here are exact rather than sampled:
 - excess_risk: prediction error minus the Bayes error Phi(-s);
 - estimation_error: the Euclidean distance ||theta_hat - theta_star||.
 
+MixtureModel caches s and the Bayes error; its `risks` shares the formulas
+of the free functions. s <= MAX_SNR keeps s**3 in the closed forms finite.
+
 Sampling is fully determined by a 64-bit seed. Each call owns a fresh
 numpy PCG64 generator (Gaussians via numpy's ziggurat standard_normal) and
 draws in a fixed order: labels first, then the noise matrix. The signal
@@ -32,6 +35,8 @@ from .errors import ValidationError
 from .seeds import MASK64
 
 _SQRT2 = math.sqrt(2.0)
+#: The largest SNR taken anywhere (check_snr); float max is about 1.8e308.
+MAX_SNR = 1e100
 #: The label for each value of the 0/1 draw.
 _SIGNS = np.array([-1.0, 1.0])
 
@@ -73,6 +78,13 @@ def is_whole(value) -> bool:
     return isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
+def check_snr(value, name: str) -> float:
+    """`value` as a float if it is a real in [0, MAX_SNR], not a bool; the one SNR rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= MAX_SNR:
+        raise ValidationError(f"{name} must be nonnegative and at most {MAX_SNR:g}, got {value}")
+    return float(value)
+
+
 def as_vector(v, name: str) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
@@ -91,19 +103,30 @@ def _normalize_seed(seed: int) -> int:
 class MixtureModel:
     """The mixture N(+theta_star, I) / N(-theta_star, I) with uniform labels.
 
-    `s` (the SNR, equal to ||theta_star||) and `d` are derived from
-    theta_star and cached on construction.
+    `s` (the SNR, equal to ||theta_star||, at most MAX_SNR), `d` and the
+    Bayes error Phi(-s) are derived from theta_star and cached on
+    construction.
     """
 
     theta_star: np.ndarray
     s: float = field(init=False)
     d: int = field(init=False)
+    bayes_error: float = field(init=False)
 
     def __post_init__(self):
         theta = as_vector(self.theta_star, "theta_star")
+        # A norm past float range reads inf here, which check_snr rejects.
+        with np.errstate(over="ignore"):
+            s = check_snr(float(np.linalg.norm(theta)), "||theta_star||")
         object.__setattr__(self, "theta_star", readonly(theta))
-        object.__setattr__(self, "s", float(np.linalg.norm(theta)))
+        object.__setattr__(self, "s", s)
         object.__setattr__(self, "d", int(theta.size))
+        object.__setattr__(self, "bayes_error", std_normal_cdf(-s))
+
+    def risks(self, theta_hat) -> tuple:
+        """(excess_risk, estimation_error) of theta_hat, which is checked once."""
+        th, ts = _checked_hat(theta_hat, self.theta_star), self.theta_star
+        return _excess(th, ts, self.bayes_error), _estimation(th, ts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,34 +227,48 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-xf / _SQRT2)
 
 
-def prediction_error(theta_hat, theta_star) -> float:
-    """Exact misclassification rate of sign(<theta_hat, x>) under the model.
-
-    Returns Phi(-<theta_hat, theta_star>/||theta_hat||), or 0.5 for the zero
-    vector (the chance classifier, by convention).
-    """
+def _checked_hat(theta_hat, theta_star: np.ndarray) -> np.ndarray:
+    """theta_hat as a finite vector of the checked theta_star's length."""
     th = as_vector(theta_hat, "theta_hat")
-    ts = as_vector(theta_star, "theta_star")
-    if th.size != ts.size:
+    if th.size != theta_star.size:
         raise ValidationError("theta_hat and theta_star must have equal length")
+    return th
+
+
+def _prediction(th: np.ndarray, ts: np.ndarray) -> float:
     norm = float(np.linalg.norm(th))
     if norm == 0.0:
         return 0.5
     return std_normal_cdf(-float(th @ ts) / norm)
 
 
+def _excess(th: np.ndarray, ts: np.ndarray, bayes: float) -> float:
+    # The subtraction can round to a tiny negative for near-optimal inputs.
+    return max(0.0, _prediction(th, ts) - bayes)
+
+
+def _estimation(th: np.ndarray, ts: np.ndarray) -> float:
+    return float(np.linalg.norm(th - ts))
+
+
+def prediction_error(theta_hat, theta_star) -> float:
+    """Exact misclassification rate of sign(<theta_hat, x>) under the model.
+
+    Returns Phi(-<theta_hat, theta_star>/||theta_hat||), or 0.5 for the zero
+    vector (the chance classifier, by convention).
+    """
+    ts = as_vector(theta_star, "theta_star")
+    return _prediction(_checked_hat(theta_hat, ts), ts)
+
+
 def excess_risk(theta_hat, theta_star) -> float:
     """prediction_error minus the Bayes error Phi(-||theta_star||); >= 0."""
     ts = as_vector(theta_star, "theta_star")
     bayes = std_normal_cdf(-float(np.linalg.norm(ts)))
-    # The subtraction can round to a tiny negative for near-optimal inputs.
-    return max(0.0, prediction_error(theta_hat, ts) - bayes)
+    return _excess(_checked_hat(theta_hat, ts), ts, bayes)
 
 
 def estimation_error(theta_hat, theta_star) -> float:
     """Euclidean distance ||theta_hat - theta_star||."""
-    th = as_vector(theta_hat, "theta_hat")
     ts = as_vector(theta_star, "theta_star")
-    if th.size != ts.size:
-        raise ValidationError("theta_hat and theta_star must have equal length")
-    return float(np.linalg.norm(th - ts))
+    return _estimation(_checked_hat(theta_hat, ts), ts)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .gmm import is_whole, std_normal_cdf
+from .gmm import check_snr, is_whole, std_normal_cdf
 
 REGIMES = ("SL-dominant", "UL-dominant", "Balanced", "LowSNR")
 
@@ -31,15 +31,13 @@ class ProblemSize:
     n_u: int
 
     def __post_init__(self):
-        if not (isinstance(self.s, (int, float)) and math.isfinite(self.s) and self.s >= 0):
-            raise ValidationError("s must be a nonnegative real")
+        object.__setattr__(self, "s", check_snr(self.s, "s"))
         if not is_whole(self.d) or self.d < 2:
             raise ValidationError("d must be an integer >= 2")
         if not is_whole(self.n_l) or self.n_l < 0:
             raise ValidationError("n_l must be a nonnegative integer")
         if not is_whole(self.n_u) or self.n_u < 0:
             raise ValidationError("n_u must be a nonnegative integer")
-        object.__setattr__(self, "s", float(self.s))
         for name in ("d", "n_l", "n_u"):
             object.__setattr__(self, name, int(getattr(self, name)))
 
@@ -183,9 +181,7 @@ def classify_regime(p: ProblemSize, ratio_threshold: float = 10.0) -> str:
 
 def trivial_excess(s: float) -> float:
     """Excess risk of predicting with the zero vector: Phi(s) - 0.5."""
-    if not (isinstance(s, (int, float)) and math.isfinite(s) and s >= 0):
-        raise ValidationError("s must be a nonnegative real")
-    return std_normal_cdf(float(s)) - 0.5
+    return std_normal_cdf(check_snr(s, "s")) - 0.5
 
 
 def oracle_gap(mse_sl: float, mse_ul: float) -> tuple[float, float]:

@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+import weakref
 import xml.etree.ElementTree as ET
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
@@ -72,6 +74,41 @@ class TestTheory:
     def test_invalid_problem_size_exits_2(self, capsys):
         assert main(["theory", "--s", "-1", "--d", "10", "--nl", "10", "--nu", "0"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_snr_past_the_rule_exits_2_naming_s(self, capsys):
+        assert main(["theory", "--s", "1e154", "--d", "2", "--nl", "5", "--nu", "10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: s must be nonnegative and at most 1e+100")
+        assert err.count("\n") == 1
+
+
+#: A results file for report, and the arguments of each non-simulate command.
+REPORT_INPUT = str(ROOT / "tests" / "golden" / "fig3.csv")
+OTHER_COMMANDS = {
+    "theory": ["theory", "--s", "1", "--d", "2", "--nl", "5", "--nu", "10"],
+    "fit": ["fit", DATA_CSV, "--nl", "20"],
+    "report": ["report", REPORT_INPUT],
+}
+
+
+class TestSimulateOnlyFlags:
+    @pytest.mark.parametrize("command", sorted(OTHER_COMMANDS))
+    @pytest.mark.parametrize("flag", [["--threads", "0"], ["--threads", "-3"], ["--threads", "1"]])
+    def test_threads_exits_2_outside_simulate(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "out"
+        assert main(OTHER_COMMANDS[command] + flag + ["--out", str(out), "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --threads applies to the simulate command\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(OTHER_COMMANDS))
+    def test_config_exits_2_outside_simulate(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = OTHER_COMMANDS[command] + ["--config", str(tmp_path / "c.json"), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --config applies to the simulate command\n"
+        assert not out.exists()
 
 
 class TestSimulate:
@@ -213,6 +250,26 @@ class TestSimulate:
         assert pattern in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
         assert not (out / "results.csv").exists()
+
+    def test_snr_past_the_rule_exits_2_before_the_manifest(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--s", "1e160", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: s must be nonnegative and at most 1e+100")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_snr_grid_value_past_the_rule_exits_2_before_the_manifest(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        argv = ["simulate", "--s", "1", "--nl", "5", "--nu", "10", "--methods", "sl",
+                "--axis", "snr", "--grid", "1e200", "--threads", "1", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: snr grid value must be nonnegative and at most 1e+100")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "values,pattern",
@@ -370,6 +427,25 @@ class TestFit:
         assert payload["failures"] == {}
         assert (tmp_path / "fit_results.json").exists()
         assert (tmp_path / "fit_manifest.json").exists()
+
+    def test_split_parts_are_gone_before_the_whole_table_fit(self, tmp_path, monkeypatch):
+        refs, alive = [], []
+        split, compatibility_score = cli.split, cli.compatibility_score
+
+        def spy_split(table, spec):
+            parts = split(table, spec)
+            refs.extend(weakref.ref(part) for part in parts)
+            return parts
+
+        def spy_compatibility_score(table):
+            alive.extend(ref for ref in refs if ref() is not None)
+            return compatibility_score(table)
+
+        monkeypatch.setattr(cli, "split", spy_split)
+        monkeypatch.setattr(cli, "compatibility_score", spy_compatibility_score)
+        assert main(self.fit_args(tmp_path)) == 0
+        assert len(refs) == 4
+        assert alive == []
 
     def test_duplicate_method_tags_fit_and_record_once(self, tmp_path, capsys):
         assert main(self.fit_args(tmp_path, ["--methods", "sl,supervised"])) == 0

@@ -20,6 +20,7 @@ from ssl_lab.experiments import (
     SweepResult,
     TrialConfig,
     TrialResult,
+    TrialTruth,
     compatibility_from_errors,
     compatibility_score,
     error_gap,
@@ -35,6 +36,8 @@ from ssl_lab.gmm import (
     LabeledDataset,
     MixtureModel,
     UnlabeledDataset,
+    estimation_error,
+    excess_risk,
     sample_labeled,
     sample_unlabeled,
 )
@@ -280,6 +283,55 @@ class TestRunTrial:
         assert ulp.estimation < 0.2
         assert ulp.excess < 1e-3
         assert ulp.extra["wrong_sign"] == 0.0
+
+
+def fits_to_score(theta_star, rng):
+    """Seeded random fits plus the zero, aligned, orthogonal and anti-aligned ones."""
+    d = theta_star.size
+    fits = [rng.standard_normal(d) * rng.uniform(0.01, 5.0) for _ in range(30)]
+    fits += [np.zeros(d), 0.3 * theta_star, -0.7 * theta_star, -theta_star]
+    if d > 1:
+        orthogonal = np.zeros(d)
+        orthogonal[1] = 2.0
+        fits.append(orthogonal)
+    return fits
+
+
+class TestTrialTruth:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n_test", [1, 25])
+    def test_scores_are_the_free_functions_bit_for_bit(self, d, n_test):
+        rng = np.random.default_rng(100 * d + n_test)
+        truth_model = MixtureModel(theta_star=rng.standard_normal(d) * 1.3)
+        test = sample_labeled(truth_model, n_test, seed=d)
+        truth = TrialTruth(truth_model, test)
+        for theta in fits_to_score(truth_model.theta_star, rng):
+            mm = truth.score(theta, {"t": 0.5})
+            assert mm.excess == excess_risk(theta, truth_model.theta_star)
+            assert mm.estimation == estimation_error(theta, truth_model.theta_star)
+            assert mm.test_error == experiments.test_error(theta, test)
+            # The np.mean spelling that the mismatch count replaced.
+            predictions = np.where(test.x @ theta >= 0.0, 1.0, -1.0)
+            assert mm.test_error == float(np.mean(predictions != test.y))
+            assert mm.extra == {"t": 0.5}
+
+    def test_label_mask_is_built_once_from_the_test_labels(self):
+        test = sample_labeled(model(1.0, 2), 40, seed=3)
+        truth = TrialTruth(model(1.0, 2), test)
+        assert np.array_equal(truth.positive, test.y > 0)
+
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [math.inf, 1.0, 0.0], [1.0, 0.0]])
+    def test_a_bad_fit_is_a_validation_failure(self, monkeypatch, bad):
+        monkeypatch.setitem(
+            METHODS, "zero", experiments.Method(lambda ctx: (np.array(bad), {}), real_data=False)
+        )
+        result = run_trial(config(methods=("zero", "sl")), 4)
+        assert sorted(result.metrics) == ["sl"]
+        assert result.failures["zero"].startswith("ValidationError: theta_hat")
+
+    def test_an_snr_grid_value_past_the_rule_names_the_grid(self):
+        with pytest.raises(ValidationError, match="^snr grid value must be nonnegative"):
+            sweep_cell_configs(config(), "snr", (1.0, 1e200), 1)
 
 
 class TestMethodRegistry:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from oracles import normal_cdf
 from ssl_lab.errors import ValidationError
 from ssl_lab.gmm import (
+    MAX_SNR,
     LabeledDataset,
     MixtureModel,
     UnlabeledDataset,
+    check_snr,
     estimation_error,
     excess_risk,
     freeze,
@@ -102,6 +105,36 @@ class TestMixtureModel:
             MixtureModel(theta_star=np.array([]))
         with pytest.raises(ValidationError):
             MixtureModel(theta_star=np.array([1.0, math.nan]))
+
+    def test_bayes_error_is_phi_of_minus_s(self):
+        rng = np.random.default_rng(22)
+        for theta in [np.zeros(2), np.array([40.0]), *(rng.standard_normal(3) for _ in range(10))]:
+            model = MixtureModel(theta_star=theta)
+            assert model.bayes_error == std_normal_cdf(-model.s)
+
+    @pytest.mark.parametrize("theta", [[1e160, 0.0], [MAX_SNR, MAX_SNR], [2.0 * MAX_SNR]])
+    def test_rejects_an_snr_past_the_rule_without_a_warning(self, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="theta_star"):
+                MixtureModel(theta_star=np.array(theta))
+
+    def test_takes_the_largest_snr(self):
+        assert MixtureModel(theta_star=np.array([0.0, MAX_SNR])).s == MAX_SNR
+
+
+class TestCheckSnr:
+    @pytest.mark.parametrize("value", [0, 0.0, 1, 2.5, np.float64(3.0), MAX_SNR])
+    def test_takes_a_real_in_range_as_a_float(self, value):
+        s = check_snr(value, "s")
+        assert type(s) is float and s == value
+
+    @pytest.mark.parametrize(
+        "value", [-0.1, math.nan, math.inf, 1.01 * MAX_SNR, 1e154, True, "1", None]
+    )
+    def test_rejects_the_rest_naming_the_key(self, value):
+        with pytest.raises(ValidationError, match="^grid value must be nonnegative and at most"):
+            check_snr(value, "grid value")
 
 
 class TestSampling:

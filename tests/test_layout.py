@@ -142,15 +142,17 @@ def test_rule_catches_a_long_line(tmp_path):
     assert long_lines(module) == [(3, MAX_LINE + 4)]
 
 
-#: Modules that only a run with a worker pool needs; importing them costs start-up time.
+#: Modules that only some runs need, each costing start-up time when loaded: the
+#: process pool (a run with workers), charts with xml.etree (report) and theory (theory).
 POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
+LAZY_MODULES = (*POOL_MODULES, "xml.etree", "ssl_lab.charts", "ssl_lab.theory")
 
 
-def pool_modules_after(statements):
-    """The POOL_MODULES loaded once `statements` ran in a fresh interpreter with src on its path."""
+def lazy_modules_after(statements):
+    """The LAZY_MODULES loaded once `statements` ran in a fresh interpreter with src on its path."""
     code = (
         f"import sys\nsys.path.insert(0, {str(SRC.parent)!r})\n{statements}\n"
-        f"print(' '.join(name for name in {POOL_MODULES!r} if name in sys.modules))\n"
+        f"print(' '.join(name for name in {LAZY_MODULES!r} if name in sys.modules))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120
@@ -159,9 +161,14 @@ def pool_modules_after(statements):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    assert pool_modules_after("import ssl_lab.cli") == []
+    assert lazy_modules_after("import ssl_lab.cli") == []
 
 
 def test_rule_catches_a_pool_import():
     statements = "import ssl_lab.cli\nfrom concurrent.futures import ProcessPoolExecutor"
-    assert pool_modules_after(statements) == list(POOL_MODULES)
+    assert lazy_modules_after(statements) == list(POOL_MODULES)
+
+
+def test_rule_catches_a_chart_import():
+    statements = "import ssl_lab.cli\nimport ssl_lab.charts"
+    assert lazy_modules_after(statements) == ["xml.etree", "ssl_lab.charts"]
