@@ -471,19 +471,24 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--out", default=None, help="output directory (default: SSL_LAB_OUT_DIR or '.')"
     )
-    common.add_argument(
-        "--config", default=None, help="JSON config file; flags override its values"
-    )
-    common.add_argument(
-        "--threads", type=int, default=None,
-        help="worker processes (default: available parallelism)",
-    )
     common.add_argument("--quiet", action="store_true", help="suppress informational output")
+    # theory, fit and report take --config and --threads only so that main can
+    # reject them with one error line; their help does not list them.
+    unhelped = argparse.ArgumentParser(add_help=False)
+    unhelped.add_argument("--config", help=argparse.SUPPRESS)
+    unhelped.add_argument("--threads", help=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser(
         "simulate", parents=[common], help="run a replicated sweep and write results.csv"
+    )
+    sim.add_argument(
+        "--config", default=None, help="JSON config file; flags override its values"
+    )
+    sim.add_argument(
+        "--threads", type=int, default=None,
+        help="worker processes (default: available parallelism)",
     )
     sim.add_argument("--preset", choices=sorted(PRESETS), help="compiled-in sweep")
     sim.add_argument("--s", type=float, default=None, help="signal-to-noise ratio")
@@ -507,7 +512,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(handler=_cmd_simulate)
 
     theory = sub.add_parser(
-        "theory", parents=[common], help="print the closed-form rate report as JSON"
+        "theory", parents=[common, unhelped], help="print the closed-form rate report as JSON"
     )
     theory.add_argument("--s", type=float, required=True, help="signal-to-noise ratio")
     theory.add_argument("--d", type=int, required=True, help="dimension")
@@ -516,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     theory.set_defaults(handler=_cmd_theory)
 
     fit = sub.add_parser(
-        "fit", parents=[common], help="fit estimators to a CSV dataset"
+        "fit", parents=[common, unhelped], help="fit estimators to a CSV dataset"
     )
     fit.add_argument("data", help="CSV file with a header row and one label column")
     fit.add_argument(
@@ -542,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(handler=_cmd_fit)
 
     report = sub.add_parser(
-        "report", parents=[common], help="render results CSVs as SVG charts"
+        "report", parents=[common, unhelped], help="render results CSVs as SVG charts"
     )
     report.add_argument("results", nargs="+", help="results CSV files written by simulate")
     report.add_argument(

@@ -3,11 +3,11 @@
 A trial samples labeled/unlabeled/validation/test sets for one problem
 size, fits the requested methods, and records closed-form metrics (excess
 risk and estimation error against the true theta) plus the empirical
-test-set error. Every method of a trial is scored against one TrialTruth:
-the model, whose s and Bayes error are computed once, and the test set
-with its label mask, built once per trial. A sweep repeats trials over a
-grid (SNR, n_l, n_u, or the n_u/n_l ratio) with a fixed replicate count
-and aggregates mean/std per cell with a hand-rolled Welford accumulator.
+test-set error. score_fit scores every method of a trial against the
+trial's model, whose s and Bayes error are computed once, and its test
+set. A sweep repeats trials over a grid (SNR, n_l, n_u, or the n_u/n_l
+ratio) with a fixed replicate count and aggregates mean/std per cell
+with a hand-rolled Welford accumulator.
 
 Determinism: the per-trial seed is a 64-bit mix of (base_seed, global
 trial index) and every random stream inside the trial derives from it, so
@@ -272,34 +272,21 @@ class SweepResult:
         return tuple(getattr(self.cell(i, method), name) for i in range(len(self.grid)))
 
 
-def test_error(theta: np.ndarray, test, positive: np.ndarray | None = None) -> float:
+def test_error(theta: np.ndarray, test) -> float:
     """Share of test rows whose label the sign of <theta, x> gets wrong.
 
-    `positive` is the mask test.y > 0 when the caller has it. A count over
-    n is one rounding, the same bits as np.mean of the 0/1 mismatches.
+    A count over n is one rounding, the same bits as np.mean of the 0/1
+    mismatches.
     """
     if test.n < 1:
         raise ValidationError("the test set is empty")
-    if positive is None:
-        positive = test.y > 0.0
-    return np.count_nonzero((test.x @ theta >= 0.0) != positive) / test.n
+    return np.count_nonzero((test.x @ theta >= 0.0) != (test.y > 0.0)) / test.n
 
 
-@dataclass(frozen=True, eq=False)
-class TrialTruth:
-    """What every method of one trial is scored against: the true model
-    and the test set, with the test labels' mask built once."""
-
-    model: MixtureModel
-    test: LabeledDataset
-    positive: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "positive", self.test.y > 0.0)
-
-    def score(self, theta, extra: dict) -> MethodMetrics:
-        excess, estimation = self.model.risks(theta)
-        return MethodMetrics(excess, estimation, test_error(theta, self.test, self.positive), extra)
+def score_fit(model: MixtureModel, test, theta, extra: dict) -> MethodMetrics:
+    """Score one fit against the true model and the test set."""
+    excess, estimation = model.risks(theta)
+    return MethodMetrics(excess, estimation, test_error(theta, test), extra)
 
 
 def _select_by_margin(grid, fit, validation):
@@ -542,8 +529,10 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
         ul_backend=cfg.ul_backend,
         em_budget=cfg.em_budget,
     )
-    truth = TrialTruth(model, sample_labeled(model, cfg.n_test, stream_seed(seed, 3)))
-    metrics, failures = fit_methods(ctx, cfg.methods, truth.score)
+    test = sample_labeled(model, cfg.n_test, stream_seed(seed, 3))
+    metrics, failures = fit_methods(
+        ctx, cfg.methods, lambda theta, extra: score_fit(model, test, theta, extra)
+    )
     return TrialResult(trial_index=int(trial_index), seed=seed, metrics=metrics, failures=failures)
 
 

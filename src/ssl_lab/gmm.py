@@ -35,7 +35,7 @@ from .errors import ValidationError
 from .seeds import MASK64
 
 _SQRT2 = math.sqrt(2.0)
-#: The largest SNR taken anywhere (check_snr); float max is about 1.8e308.
+#: The largest SNR taken anywhere (check_snr, MixtureModel); float max is about 1.8e308.
 MAX_SNR = 1e100
 #: The label for each value of the 0/1 draw.
 _SIGNS = np.array([-1.0, 1.0])
@@ -115,9 +115,12 @@ class MixtureModel:
 
     def __post_init__(self):
         theta = as_vector(self.theta_star, "theta_star")
-        # A norm past float range reads inf here, which check_snr rejects.
+        # The norm of finite entries is a nonnegative real, or inf past float
+        # range, so the one bound it can break is MAX_SNR.
         with np.errstate(over="ignore"):
-            s = check_snr(float(np.linalg.norm(theta)), "||theta_star||")
+            s = float(np.linalg.norm(theta))
+        if s > MAX_SNR:
+            raise ValidationError(f"the norm of theta_star must be at most {MAX_SNR:g}")
         object.__setattr__(self, "theta_star", readonly(theta))
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "d", int(theta.size))

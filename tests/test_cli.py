@@ -110,6 +110,14 @@ class TestSimulateOnlyFlags:
         assert capsys.readouterr().err == "error: --config applies to the simulate command\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", sorted(OTHER_COMMANDS))
+    def test_help_outside_simulate_lists_neither_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--threads" not in usage and "--config" not in usage
+
 
 class TestSimulate:
     def test_writes_manifest_and_results(self, tmp_path, capsys):

@@ -20,7 +20,6 @@ from ssl_lab.experiments import (
     SweepResult,
     TrialConfig,
     TrialResult,
-    TrialTruth,
     compatibility_from_errors,
     compatibility_score,
     error_gap,
@@ -28,6 +27,7 @@ from ssl_lab.experiments import (
     run_sweep,
     run_trial,
     scaling_fit,
+    score_fit,
     sweep_cell_configs,
     switching_point_oracle,
 )
@@ -297,16 +297,15 @@ def fits_to_score(theta_star, rng):
     return fits
 
 
-class TestTrialTruth:
+class TestScoreFit:
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n_test", [1, 25])
     def test_scores_are_the_free_functions_bit_for_bit(self, d, n_test):
         rng = np.random.default_rng(100 * d + n_test)
         truth_model = MixtureModel(theta_star=rng.standard_normal(d) * 1.3)
         test = sample_labeled(truth_model, n_test, seed=d)
-        truth = TrialTruth(truth_model, test)
         for theta in fits_to_score(truth_model.theta_star, rng):
-            mm = truth.score(theta, {"t": 0.5})
+            mm = score_fit(truth_model, test, theta, {"t": 0.5})
             assert mm.excess == excess_risk(theta, truth_model.theta_star)
             assert mm.estimation == estimation_error(theta, truth_model.theta_star)
             assert mm.test_error == experiments.test_error(theta, test)
@@ -314,11 +313,6 @@ class TestTrialTruth:
             predictions = np.where(test.x @ theta >= 0.0, 1.0, -1.0)
             assert mm.test_error == float(np.mean(predictions != test.y))
             assert mm.extra == {"t": 0.5}
-
-    def test_label_mask_is_built_once_from_the_test_labels(self):
-        test = sample_labeled(model(1.0, 2), 40, seed=3)
-        truth = TrialTruth(model(1.0, 2), test)
-        assert np.array_equal(truth.positive, test.y > 0)
 
     @pytest.mark.parametrize("bad", [[math.nan, 0.0, 0.0], [math.inf, 1.0, 0.0], [1.0, 0.0]])
     def test_a_bad_fit_is_a_validation_failure(self, monkeypatch, bad):
