@@ -25,6 +25,7 @@ import csv
 import math
 import os
 import shutil
+import stat
 import warnings
 from dataclasses import dataclass
 from typing import NoReturn
@@ -47,6 +48,9 @@ RESULTS_COLUMNS = ("axis_name", "axis_value", "method", "replicates", *STAT_FIEL
 
 #: Rows whose squares standardize holds at once, as estimators.MARGIN_BLOCK bounds margins.
 _SPREAD_BLOCK = 4096
+
+#: Suffixes on which numpy's path opener decompresses; load_csv reads such names as plain text.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,6 +170,8 @@ def load_csv(path, label_column: str, positive_label) -> TabularDataset:
     '1e-3', ' 2.5 ' or '-inf' do; non-finite values are then rejected.
     This is numpy.loadtxt's grammar, narrower than float()'s: '1_000'
     and non-ASCII digits such as the full-width U+FF11 are rejected.
+    The file is plain text whatever its name: a '.gz' suffix is not
+    decompressed.
 
     Raises DataFormatError when the header is missing or has duplicate
     names, the label column is absent, a row has the wrong number of
@@ -173,48 +179,39 @@ def load_csv(path, label_column: str, positive_label) -> TabularDataset:
     the column and the 1-based file line of the first such cell, a
     quoted field spanning lines counting as one), there are no data rows
     or no feature columns, the labels do not take exactly two distinct
-    values, or positive_label is not one of them.
+    values, positive_label is not one of them, or the bytes are not text
+    in the locale's encoding (the message names the first physical line
+    that does not decode).
     """
-    display = os.fspath(path)
+    display = os.fsdecode(path)
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = [name.strip() for name in next(reader)]
-        except StopIteration:
-            raise DataFormatError(f"{display}: empty file, expected a header row") from None
-        if len(set(header)) != len(header):
-            raise DataFormatError(f"{display}: duplicate column names in header")
-        if label_column not in header:
-            raise DataFormatError(
-                f"{display}: label column {label_column!r} not found; columns are {header}"
-            )
-        label_index = header.index(label_column)
-        feature_names = tuple(name for i, name in enumerate(header) if i != label_index)
-        if not feature_names:
-            raise DataFormatError(f"{display}: no feature columns besides the label column")
-        codes = {}
-
-        def code(raw: str) -> float:
-            return codes.setdefault(raw.strip(), float(len(codes)))
-
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(
-                    handle,
-                    dtype=float,
-                    delimiter=",",
-                    quotechar='"',
-                    comments=None,
-                    ndmin=2,
-                    converters={label_index: code},
-                    encoding=None,
+            try:
+                header = [name.strip() for name in next(reader)]
+            except StopIteration:
+                raise DataFormatError(f"{display}: empty file, expected a header row") from None
+            if len(set(header)) != len(header):
+                raise DataFormatError(f"{display}: duplicate column names in header")
+            if label_column not in header:
+                raise DataFormatError(
+                    f"{display}: label column {label_column!r} not found; columns are {header}"
                 )
-        except ValueError as err:
-            _raise_first_fault(handle, display, header, label_index, err)
-        # loadtxt takes the width from the first data row, not the header.
-        if table.size and (table.shape[1] != len(header) or not np.all(np.isfinite(table))):
-            _raise_first_fault(handle, display, header, label_index, "rows do not match the header")
+            label_index = header.index(label_column)
+            feature_names = tuple(name for i, name in enumerate(header) if i != label_index)
+            if not feature_names:
+                raise DataFormatError(f"{display}: no feature columns besides the label column")
+            try:
+                table, codes = _parse_rows(handle, display, reader.line_num, label_index)
+            except ValueError as err:
+                _raise_first_fault(handle, display, header, label_index, err)
+            # loadtxt takes the width from the first data row, not the header.
+            if table.size and (table.shape[1] != len(header) or not np.all(np.isfinite(table))):
+                _raise_first_fault(
+                    handle, display, header, label_index, "rows do not match the header"
+                )
+        except UnicodeDecodeError as err:
+            _raise_undecodable(handle.buffer, display, err)
     if table.shape[0] == 0:
         raise DataFormatError(f"{display}: no data rows after the header")
     distinct = sorted(codes)
@@ -232,6 +229,74 @@ def load_csv(path, label_column: str, positive_label) -> TabularDataset:
     x = freeze(np.delete(table, label_index, axis=1))
     del table  # the parse goes before the dataset checks x
     return TabularDataset(x=x, y=y, columns=feature_names, provenance=display)
+
+
+class _LabelCodes(dict):
+    """Stripped label cell -> float code, numbered in order of first appearance.
+
+    The parse calls the bound __getitem__, so an unpadded label already
+    seen costs one C-level lookup; any other cell lands in __missing__.
+    """
+
+    def __missing__(self, raw: str) -> float:
+        return self.setdefault(raw.strip(), float(len(self)))
+
+
+def _parse_rows(handle, display: str, header_lines: int, label_index: int):
+    """(table, codes): numpy.loadtxt's parse of the rows after the header.
+
+    `handle` has just read the header's `header_lines` physical lines. A
+    regular file is parsed again from its path, which numpy reads in large
+    chunks where it iterates a handle line by line. The handle parses the
+    rest itself: a pipe, which cannot be opened twice; a name that numpy's
+    path opener would decompress (_COMPRESSED); and a table with a quoted
+    line break in a label, which that opener would turn from CR LF or CR
+    into LF.
+    """
+    if stat.S_ISREG(os.fstat(handle.fileno()).st_mode) and not display.endswith(_COMPRESSED):
+        # An absolute name, which numpy's opener cannot take for a URL.
+        table, codes = _loadtxt(os.path.join(os.getcwd(), display), header_lines, label_index)
+        if not any("\n" in label for label in codes):
+            return table, codes
+    return _loadtxt(handle, 0, label_index)
+
+
+def _loadtxt(source, skiprows: int, label_index: int):
+    """(table, codes) of the rows in `source` after its first `skiprows` lines."""
+    codes = _LabelCodes()
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        table = np.loadtxt(
+            source,
+            dtype=float,
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            skiprows=skiprows,
+            ndmin=2,
+            converters={label_index: codes.__getitem__},
+            encoding=None,
+        )
+    return table, codes
+
+
+def _raise_undecodable(raw, display: str, err: UnicodeDecodeError) -> NoReturn:
+    """Raise DataFormatError naming the first physical line that err's codec cannot decode.
+
+    `raw` is the binary stream under the table's handle; a pipe cannot be
+    rescanned, so its message names no line.
+    """
+    if raw.seekable():
+        raw.seek(0)
+        lines = (line for piece in raw for line in piece.splitlines())
+        for number, line in enumerate(lines, start=1):
+            try:
+                line.decode(err.encoding)
+            except UnicodeDecodeError:
+                raise DataFormatError(
+                    f"{display}: line {number}: not valid {err.encoding} text"
+                ) from None
+    raise DataFormatError(f"{display}: not valid {err.encoding} text: {err.reason}") from None
 
 
 def _raise_first_fault(handle, display: str, header: list, label_index: int, cause) -> NoReturn:

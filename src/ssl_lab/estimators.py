@@ -72,6 +72,10 @@ DEFAULT_T_GRID = tuple(round(0.05 * i, 2) for i in range(21))
 MARGIN_BLOCK = 4096
 #: Margins this close to the largest, relative to it, are tied.
 MARGIN_RTOL = 1e-12
+#: Columns per product of _newton's blocked Hessian sum. Up to this many rows the
+#: sum is one gemm, bit for bit the unblocked (yx * w) @ yx.T; past it the d x n
+#: scratch that product needs shrinks to d x HESSIAN_BLOCK.
+HESSIAN_BLOCK = 16_384
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,11 +450,16 @@ def _newton(yx, ridge: float, tol, max_iter: int, theta: np.ndarray) -> np.ndarr
     needs the labels, and feature-major, so the Hessian's weighting runs
     along n. An accepted step's margins are the next iteration's. Every
     elementwise pass writes into scratch arrays allocated once per call;
-    the inputs are never written.
+    the inputs are never written. The Hessian is summed over column
+    blocks of HESSIAN_BLOCK.
     """
     d, n = yx.shape
     p, w, *scratch = np.empty((4, n))
-    yxw = np.empty((d, n))
+    yxw = np.empty((d, min(n, HESSIAN_BLOCK)))
+    first, *rest = [
+        (yx[:, i:i + HESSIAN_BLOCK], w[i:i + HESSIAN_BLOCK], yxw[:, :min(n - i, HESSIAN_BLOCK)])
+        for i in range(0, n, HESSIAN_BLOCK)
+    ]
     margins = theta @ yx
     value = _loss(margins, theta, ridge, scratch)
     for _ in range(max_iter):
@@ -464,8 +473,12 @@ def _newton(yx, ridge: float, tol, max_iter: int, theta: np.ndarray) -> np.ndarr
             return theta
         np.subtract(1.0, p, out=w)
         w *= p
-        np.multiply(yx, w, out=yxw)
-        hessian = (yxw @ yx.T) / n
+        # The first block's product starts the sum, as 0.0 + -0.0 would be +0.0.
+        cols, weights, out = first
+        hessian = np.multiply(cols, weights, out=out) @ cols.T
+        for cols, weights, out in rest:
+            hessian += np.multiply(cols, weights, out=out) @ cols.T
+        hessian /= n
         hessian.flat[:: d + 1] += 2.0 * ridge
         try:
             direction = np.linalg.solve(hessian, -grad)

@@ -12,7 +12,8 @@ standard normal CDF, so all error metrics here are exact rather than sampled:
 - estimation_error: the Euclidean distance ||theta_hat - theta_star||.
 
 MixtureModel caches s and the Bayes error; its `risks` shares the formulas
-of the free functions. s <= MAX_SNR keeps s**3 in the closed forms finite.
+of the free functions, which check theta_star by building a MixtureModel.
+s <= MAX_SNR keeps s**3 in the closed forms finite.
 
 Sampling is fully determined by a 64-bit seed. Each call owns a fresh
 numpy PCG64 generator (Gaussians via numpy's ziggurat standard_normal) and
@@ -260,18 +261,18 @@ def prediction_error(theta_hat, theta_star) -> float:
     Returns Phi(-<theta_hat, theta_star>/||theta_hat||), or 0.5 for the zero
     vector (the chance classifier, by convention).
     """
-    ts = as_vector(theta_star, "theta_star")
+    ts = MixtureModel(theta_star).theta_star
     return _prediction(_checked_hat(theta_hat, ts), ts)
 
 
 def excess_risk(theta_hat, theta_star) -> float:
     """prediction_error minus the Bayes error Phi(-||theta_star||); >= 0."""
-    ts = as_vector(theta_star, "theta_star")
-    bayes = std_normal_cdf(-float(np.linalg.norm(ts)))
-    return _excess(_checked_hat(theta_hat, ts), ts, bayes)
+    model = MixtureModel(theta_star)
+    ts = model.theta_star
+    return _excess(_checked_hat(theta_hat, ts), ts, model.bayes_error)
 
 
 def estimation_error(theta_hat, theta_star) -> float:
     """Euclidean distance ||theta_hat - theta_star||."""
-    ts = as_vector(theta_star, "theta_star")
+    ts = MixtureModel(theta_star).theta_star
     return _estimation(_checked_hat(theta_hat, ts), ts)

@@ -7,13 +7,15 @@ from fixed-step gradient descent with a trace-bound step size, gradients
 from central differences, the mixture log-likelihood from a logcosh
 identity, CSV tables from csv.reader and float() one cell at a time, and
 the self-training threshold search from one boolean-mask union per
-threshold, each fitted cold from zero.
+threshold, each fitted cold from zero. traced_peak reads the allocation
+peak that the memory bounds check.
 Keep them boring and obviously correct.
 """
 
 import csv
 import math
 import os
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -257,3 +259,13 @@ def self_train_by_masks(labeled_x, labeled_y, unlabeled_x, validation_x, thresho
         if margin > best_margin:
             best, best_margin = i, margin
     return best, unions, thetas
+
+
+def traced_peak(run) -> int:
+    """Peak bytes allocated while run() ran, as tracemalloc counts them (numpy reports to it)."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -478,6 +478,19 @@ class TestFit:
         assert main(args) == 2
         assert "missing.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line,text", [(1, b"x1,x2,\xe9t\xe9,label"), (4, b"1.0,2.0,3.0\xff,1")]
+    )
+    def test_text_that_does_not_decode_exits_2(self, tmp_path, capsys, line, text):
+        lines = Path(DATA_CSV).read_bytes().splitlines()
+        lines[line - 1] = text
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join(lines))
+        args = self.fit_args(tmp_path)
+        args[1] = str(path)
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {path}: line {line}: not valid utf-8 text\n"
+
     def test_unsupported_method_exits_2(self, tmp_path, capsys):
         assert main(self.fit_args(tmp_path, ["--methods", "ssls"])) == 2
         assert "not available on real data" in capsys.readouterr().err

@@ -1,12 +1,13 @@
+import gzip
 import math
 import os
 import stat
-import tracemalloc
+import threading
 
 import numpy as np
 import pytest
 
-from oracles import jacobi_eigh, load_csv_rows
+from oracles import jacobi_eigh, load_csv_rows, traced_peak
 from ssl_lab.data_io import (
     RESULTS_COLUMNS,
     RESULTS_SCHEMA_VERSION,
@@ -204,6 +205,85 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=f"row 3: cannot parse {cell!r} in column 'b'"):
             load_csv(path, label_column="label", positive_label="p")
 
+    def test_reads_a_regular_file_from_its_path(self, tmp_path, monkeypatch):
+        # numpy reads a path in large chunks, but an open handle one line at a time.
+        sources = []
+        loadtxt = np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            sources.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        load_csv(write_text(tmp_path / "t.csv", "a,label\n1.0,p\n2.0,q\n"), "label", "p")
+        assert [type(source) for source in sources] == [str]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_a_compression_suffix_is_still_plain_text(self, tmp_path, suffix):
+        text = "a,b,label\n1.5,-2,p\n0.25,4e3,q\n"
+        want = load_csv(write_text(tmp_path / "t.csv", text), "label", "p")
+        data = load_csv(write_text(tmp_path / f"t.csv{suffix}", text), "label", "p")
+        assert np.array_equal(data.x, want.x) and np.array_equal(data.y, want.y)
+
+    @staticmethod
+    def load_through_pipe(tmp_path, data):
+        """(outcome, path): load_csv of a named pipe that the caller fills with `data`.
+
+        The outcome is the dataset or the DataFormatError raised. A second
+        open of the pipe would wait for a writer that never comes.
+        """
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        outcome = []
+
+        def read():
+            try:
+                outcome.append(load_csv(path, "label", "p"))
+            except DataFormatError as err:
+                outcome.append(err)
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        path.write_bytes(data)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        return outcome[0], path
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_named_pipe_is_opened_once(self, tmp_path):
+        data, _ = self.load_through_pipe(tmp_path, b"a,label\n1.0,p\n2.0,q\n")
+        assert np.array_equal(data.x, [[1.0], [2.0]]) and np.array_equal(data.y, [1.0, -1.0])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_named_pipe_that_does_not_decode_names_the_file(self, tmp_path):
+        err, path = self.load_through_pipe(tmp_path, b"a,label\n1.0,p\n2.0\xff,q\n")
+        assert str(err) == f"{path}: not valid utf-8 text: invalid start byte"
+
+    def test_path_like_and_bytes_paths_load(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_text(path, "a,label\n1.0,p\n2.0,q\n")
+        for name in (path, os.fsencode(path)):
+            data = load_csv(name, "label", "p")
+            assert np.array_equal(data.x, [[1.0], [2.0]]) and data.provenance == str(path)
+
+    @pytest.mark.parametrize(
+        "data,line",
+        [
+            (b"x1,x2,\xe9t\xe9,label\n1,2,3,p\n4,5,6,q\n", 1),
+            (b"a,label\n1.0,p\n2.0\xff,q\n", 3),
+            (b"a,label\r1.0,p\r\r2.0,q\xff\r", 4),
+            (b"a,label\n" + b"1.0,p\n" * 5000 + b"2.0\xff,q\n", 5002),
+            (gzip.compress(b"a,label\n1.0,p\n2.0,q\n"), 1),
+        ],
+        ids=["latin1_header", "stray_byte", "cr_lines", "past_the_first_chunk", "gzip"],
+    )
+    def test_text_that_does_not_decode_names_the_file_and_line(self, tmp_path, data, line):
+        path = tmp_path / "t.csv"
+        path.write_bytes(data)
+        with pytest.raises(DataFormatError) as info:
+            load_csv(str(path), "label", "p")
+        assert str(info.value) == f"{path}: line {line}: not valid utf-8 text"
+
 
 #: (text, label column, positive label) for the differential test. Every
 #: case reads the same under load_csv and the reference row-by-row reader.
@@ -218,6 +298,10 @@ DIFFERENTIAL_CASES = {
     "tab_only_line": ("a,label\n1.0,p\n\t\n2.0,q\n", "label", "p"),
     "quoted_label_comma": ('a,label\n1.0,"p,x"\n2.0,q\n3.0,"p,x"\n', "label", "p,x"),
     "quoted_label_newline": ('a,label\n1.0,"p\nx"\n2.0,q\n', "label", "p\nx"),
+    "quoted_label_crlf": ('a,label\r\n1.0,"p\r\nx"\r\n2.0,q\r\n', "label", "p\r\nx"),
+    "quoted_label_cr": ('a,label\r1.0,"p\rx"\r2.0,q\r', "label", "p\rx"),
+    "quoted_header_newline": ('"a\nb",label\n1.0,p\n2.0,q\n', "label", "p"),
+    "quoted_header_crlf": ('"a\r\nb",label\r\n1.0,p\r\n2.0,q\r\n', "label", "p"),
     "row_after_quoted_newline": ('a,label\n1.0,"p\nx"\n2.0,q\noops,q\n', "label", "q"),
     "doubled_quote_label": ('a,label\n1.0,"p""x"\n2.0,q\n', "label", 'p"x'),
     "quoted_feature": ('a,label\n"1.5",p\n" 2.0 ",q\n', "label", "p"),
@@ -529,16 +613,6 @@ class TestSplit:
     def test_infeasible_sizes_rejected(self):
         with pytest.raises(ValidationError, match="10 rows but the table has 9"):
             split(self.ladder(9), SplitSpec(3, 3, 4))
-
-
-def traced_peak(run) -> int:
-    """Peak bytes allocated while run() ran, as tracemalloc counts them (numpy reports to it)."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestOwnership:

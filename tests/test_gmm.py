@@ -124,6 +124,16 @@ class TestMixtureModel:
     def test_takes_the_largest_snr(self):
         assert MixtureModel(theta_star=np.array([0.0, MAX_SNR])).s == MAX_SNR
 
+    @pytest.mark.parametrize("metric", [prediction_error, excess_risk, estimation_error])
+    @pytest.mark.parametrize("theta", [[1e200, 0.0], [MAX_SNR, MAX_SNR]])
+    def test_free_metrics_take_the_same_rule(self, metric, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValidationError, match="^the norm of theta_star must be at most 1e\\+100$"
+            ):
+                metric([1.0, 0.0], theta)
+
 
 class TestCheckSnr:
     @pytest.mark.parametrize("value", [0, 0.0, 1, 2.5, np.float64(3.0), MAX_SNR])
