@@ -321,10 +321,12 @@ def _cmd_fit(args) -> int:
                 f"choose from {', '.join(FIT_METHODS)}"
             )
         check_validation_size(methods, args.nval)
+        if args.nl < 1:
+            raise ValidationError("n_l must be at least 1")
         if args.ntest is not None and args.ntest < 1:
             raise ValidationError("n_test must be at least 1")
         # No name holds the raw table once standardized, so PCA and the split run without it.
-        table, _ = standardize(load_csv(args.data, args.label_column, args.positive_label))
+        table = standardize(load_csv(args.data, args.label_column, args.positive_label))
         if args.pca is not None:
             table = pca_project(table, args.pca)
         remainder = table.n - args.nl

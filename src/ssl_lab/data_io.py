@@ -5,11 +5,11 @@ separators, and no quoting of numeric fields. One designated column
 holds the labels; every other column is parsed as a real-valued
 feature, and malformed or non-finite cells are rejected with the
 1-based file line of the offending row. Preprocessing covers per-column
-standardization (returning a reusable, invertible affine record) and
-PCA by one dense eigensolve (numpy.linalg.eigh) of the centered
-covariance, deliberately unlike the uncentered second moment the
-estimators diagonalize: ingested tables carry no symmetry around the
-origin, so the mean must be removed before directions mean anything.
+standardization and PCA by one dense eigensolve (numpy.linalg.eigh) of
+the centered covariance, deliberately unlike the uncentered second
+moment the estimators diagonalize: ingested tables carry no symmetry
+around the origin, so the mean must be removed before directions mean
+anything.
 
 Sweep results round-trip through a versioned CSV schema: a '# schema'
 line first, then a fixed header, then one row per (grid cell, method).
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DataFormatError, SchemaVersionError, ValidationError
 from .estimators import canonical_sign
 from .experiments import STAT_FIELDS, CellStats, SweepResult
-from .gmm import LabeledDataset, UnlabeledDataset, check_finite, freeze, readonly
+from .gmm import LabeledDataset, UnlabeledDataset, freeze
 from .seeds import MASK64
 
 #: Version stamped into (and required from) results files.
@@ -108,53 +108,6 @@ class SplitSpec:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-@dataclass(frozen=True, eq=False)
-class StandardizeRecord:
-    """The affine map fitted by standardize: z = (x - mean) / scale.
-
-    `scale` holds the per-column population standard deviation, except on
-    constant columns where it is 1 so the map stays invertible; those
-    columns are marked in the boolean `constant` array. transform applies
-    the map to any matrix of matching width, inverse undoes it exactly.
-    """
-
-    mean: np.ndarray
-    scale: np.ndarray
-    constant: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        scale = np.asarray(self.scale, dtype=float)
-        constant = np.asarray(self.constant, dtype=bool)
-        if not (mean.ndim == scale.ndim == constant.ndim == 1):
-            raise ValidationError("mean, scale, and constant must be 1-d arrays")
-        if not (mean.shape == scale.shape == constant.shape):
-            raise ValidationError("mean, scale, and constant must share one length")
-        check_finite(mean, "mean")
-        check_finite(scale, "scale")
-        if not np.all(scale > 0.0):
-            raise ValidationError("scale entries must be positive")
-        object.__setattr__(self, "mean", readonly(mean))
-        object.__setattr__(self, "scale", readonly(scale))
-        object.__setattr__(self, "constant", freeze(np.array(constant, copy=True)))
-
-    def _check_width(self, matrix: np.ndarray) -> np.ndarray:
-        arr = np.asarray(matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != self.mean.shape[0]:
-            raise ValidationError(
-                f"matrix must have {self.mean.shape[0]} columns to match this record"
-            )
-        return arr
-
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
-        """Apply z = (x - mean) / scale row-wise."""
-        return (self._check_width(matrix) - self.mean) / self.scale
-
-    def inverse(self, matrix: np.ndarray) -> np.ndarray:
-        """Undo transform: x = z * scale + mean."""
-        return self._check_width(matrix) * self.scale + self.mean
-
-
 def load_csv(path, label_column: str, positive_label) -> TabularDataset:
     """Read a feature table from a CSV file.
 
@@ -181,7 +134,7 @@ def load_csv(path, label_column: str, positive_label) -> TabularDataset:
     or no feature columns, the labels do not take exactly two distinct
     values, positive_label is not one of them, or the bytes are not text
     in the locale's encoding (the message names the first physical line
-    that does not decode).
+    that does not decode). A pipe, read once, gets no line number.
     """
     display = os.fsdecode(path)
     with open(path, newline="") as handle:
@@ -207,9 +160,8 @@ def load_csv(path, label_column: str, positive_label) -> TabularDataset:
                 _raise_first_fault(handle, display, header, label_index, err)
             # loadtxt takes the width from the first data row, not the header.
             if table.size and (table.shape[1] != len(header) or not np.all(np.isfinite(table))):
-                _raise_first_fault(
-                    handle, display, header, label_index, "rows do not match the header"
-                )
+                cause = "a row has the wrong width or a non-finite value"
+                _raise_first_fault(handle, display, header, label_index, cause)
         except UnicodeDecodeError as err:
             _raise_undecodable(handle.buffer, display, err)
     if table.shape[0] == 0:
@@ -305,8 +257,13 @@ def _raise_first_fault(handle, display: str, header: list, label_index: int, cau
     Faults are checked in row-major order: a row with the wrong number
     of fields, then each feature cell that does not parse under the
     load_csv grammar or is non-finite. When every row passes, the error
-    carries `cause`, the reason the fast parse gave up.
+    carries `cause`, the reason the fast parse gave up. A pipe cannot be
+    rescanned, so its error carries `cause` at once, less numpy's row
+    number, which counts rows after the header rather than file lines.
     """
+    if not handle.seekable():
+        reason, at, _ = str(cause).rpartition(" at row ")
+        raise DataFormatError(f"{display}: {reason if at else cause}") from None
     handle.seek(0)
     reader = csv.reader(handle)
     next(reader)
@@ -353,14 +310,13 @@ def save_csv(data: TabularDataset, path, label_column: str = "label") -> None:
             writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
 
 
-def standardize(data: TabularDataset):
+def standardize(data: TabularDataset) -> TabularDataset:
     """Center each feature column and rescale it to unit population spread.
 
     Needs at least two rows. Non-constant columns come out with mean
-    0 +/- 1e-9 and population standard deviation 1; zero-variance columns
-    are passed through centered (all zeros) and flagged in the returned
-    record. Returns (table, record) where record is the fitted
-    StandardizeRecord whose inverse restores the original features.
+    0 +/- 1e-9 and population standard deviation 1 (numpy's std, bit for
+    bit); zero-variance columns are divided by 1, so they come out
+    centered, all zeros.
     """
     if data.n < 2:
         raise ValidationError("standardize needs at least 2 rows")
@@ -368,17 +324,13 @@ def standardize(data: TabularDataset):
     centered = data.x - mean
     # numpy's own std: the mean of the squared deviations, then its square root.
     std = np.sqrt(_column_mean_square(centered))
-    constant = std == 0.0
-    record = StandardizeRecord(
-        mean=mean, scale=np.where(constant, 1.0, std), constant=constant
-    )
-    table = TabularDataset(
-        x=freeze(np.divide(centered, record.scale, out=centered)),
+    scale = np.where(std == 0.0, 1.0, std)
+    return TabularDataset(
+        x=freeze(np.divide(centered, scale, out=centered)),
         y=data.y,
         columns=data.columns,
         provenance=f"standardize({data.provenance})",
     )
-    return table, record
 
 
 def _column_mean_square(centered: np.ndarray) -> np.ndarray:
@@ -402,28 +354,17 @@ def _column_mean_square(centered: np.ndarray) -> np.ndarray:
     return total / n
 
 
-def pca_basis(data: TabularDataset, k: int):
-    """Top-k eigenpairs of the centered feature covariance.
+def pca_project(data: TabularDataset, k: int) -> TabularDataset:
+    """Project the features onto their top-k principal axes.
 
-    One dense symmetric eigensolve (numpy.linalg.eigh) of the covariance;
-    the components are its top-k eigenvectors, orthonormal to rounding,
-    each with its largest-|entry| coordinate made positive (the sign rule
-    of estimators.leading_eigenpair). The covariance is centered on
-    purpose; the estimators diagonalize the uncentered second moment
-    because their model is symmetric around the origin, but an ingested
-    table is not.
-
-    Returns (values, components): a length-k array of eigenvalues in
-    nonincreasing order and the d x k matrix whose columns are the
-    matching components. Raises ValidationError unless 1 <= k <= d and
-    the table has at least two rows.
+    The axes are the top-k eigenvectors of the centered covariance (one
+    dense eigensolve), each with its largest-|entry| coordinate made
+    positive as in estimators.leading_eigenpair. The scores, the centered
+    features times the axes, are an n x k matrix with columns pc1..pck in
+    nonincreasing order of variance; labels ride along unchanged. Raises
+    ValidationError unless k is an integer with 1 <= k <= d and the table
+    has at least two rows.
     """
-    values, components, _ = _centered_pca(data, k)
-    return values, components
-
-
-def _centered_pca(data: TabularDataset, k: int):
-    """pca_basis's (values, components) and the centered features they came from."""
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValidationError("k must be an integer")
     k = int(k)
@@ -432,26 +373,15 @@ def _centered_pca(data: TabularDataset, k: int):
     if data.n < 2:
         raise ValidationError("pca needs at least 2 rows")
     centered = data.x - data.x.mean(axis=0)
-    values, vectors = np.linalg.eigh(centered.T @ centered / data.n)
+    _, vectors = np.linalg.eigh(centered.T @ centered / data.n)
     components = np.column_stack([canonical_sign(vectors[:, -1 - j]) for j in range(k)])
-    return values[::-1][:k].copy(), components, centered
-
-
-def pca_project(data: TabularDataset, k: int) -> TabularDataset:
-    """Project the features onto their top-k principal axes.
-
-    The scores are the centered features times the pca_basis components,
-    an n x k matrix with columns named pc1..pck; labels ride along
-    unchanged. Same preconditions and errors as pca_basis.
-    """
-    _, components, centered = _centered_pca(data, k)
     scores = centered @ components
     del centered  # frees the n x d block before the dataset checks the scores
     return TabularDataset(
         x=freeze(scores),
         y=data.y,
-        columns=tuple(f"pc{j + 1}" for j in range(components.shape[1])),
-        provenance=f"pca{components.shape[1]}({data.provenance})",
+        columns=tuple(f"pc{j + 1}" for j in range(k)),
+        provenance=f"pca{k}({data.provenance})",
     )
 
 

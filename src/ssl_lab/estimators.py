@@ -11,8 +11,8 @@ Supervised, unsupervised, and semi-supervised fits:
 - fix_sign: resolves UL's inherent sign ambiguity with the labeled data,
   sign(<theta_sl, theta_ul>) * theta_ul, where sign(0) := +1.
 - fit_ssl_s: the three-branch switch between the zero vector, fit_sl, and
-  the sign-fixed fit_ul, driven by thresholds on (s, d, n_l, n_u); without
-  an oracle s it plugs in ||fit_ul||.
+  the sign-fixed fit_ul, driven by thresholds on the oracle SNR s and on
+  (d, n_l, n_u).
 - fit_ssl_w: the convex combination t*theta_sl + (1-t)*theta_ulplus with t
   picked by average margin on an unlabeled validation set.
 - avg_margins: the mean absolute normalized validation margins of a stack
@@ -163,7 +163,7 @@ def fix_sign(theta_ul: EstimatorOutput, theta_sl: EstimatorOutput) -> EstimatorO
 def fit_ssl_s(
     labeled: LabeledDataset,
     unlabeled: UnlabeledDataset,
-    s: float | None,
+    s: float,
     theta_ulp: EstimatorOutput | None = None,
 ) -> tuple[EstimatorOutput, str]:
     """Three-branch switch between 0, fit_sl, and sign-fixed fit_ul.
@@ -174,13 +174,10 @@ def fit_ssl_s(
     - branch "sl"     elif s <= sqrt(n_l/n_u),
     - branch "ulplus" otherwise.
 
-    `s` is oracle knowledge of the SNR. Passing None plugs in the norm of
-    fit_ul(unlabeled) instead, sqrt((lambda - 1)_+) of the unlabeled
-    second moment; without a theta_ulp, the "ulplus" branch then
-    sign-fixes that same fit rather than solving again. An empty
-    unlabeled set is allowed: both n_u thresholds are then +inf, so the
-    unlabeled data is never needed on the branch taken. Estimator errors
-    propagate only from the branch actually taken.
+    `s` is oracle knowledge of the SNR. An empty unlabeled set is
+    allowed: both n_u thresholds are then +inf, so the unlabeled data is
+    never needed on the branch taken. Estimator errors propagate only
+    from the branch actually taken.
 
     `theta_ulp` substitutes a precomputed sign-fixed spectral estimate for
     the "ulplus" branch; by default it is fix_sign(fit_ul(unlabeled),
@@ -194,16 +191,9 @@ def fit_ssl_s(
         raise ValidationError("fit_ssl_s needs at least one labeled sample")
     if labeled.d != unlabeled.d and unlabeled.n > 0:
         raise ValidationError("labeled and unlabeled dimensions differ")
-    ul = None
-    if s is None:
-        if unlabeled.n < 1:
-            raise ValidationError("plug-in SNR needs a nonempty unlabeled set")
-        ul = fit_ul(unlabeled)
-        s_val = float(np.linalg.norm(ul.theta))
-    else:
-        s_val = float(s)
-        if not math.isfinite(s_val) or s_val < 0.0:
-            raise ValidationError("s must be a nonnegative real")
+    s_val = float(s)
+    if not math.isfinite(s_val) or s_val < 0.0:
+        raise ValidationError("s must be a nonnegative real")
 
     d = float(labeled.d)
     n_l = float(labeled.n)
@@ -217,7 +207,7 @@ def fit_ssl_s(
         branch = "sl"
     else:
         if theta_ulp is None:
-            theta_ulp = fix_sign(fit_ul(unlabeled) if ul is None else ul, fit_sl(labeled))
+            theta_ulp = fix_sign(fit_ul(unlabeled), fit_sl(labeled))
         theta = theta_ulp.theta
         if theta.size != labeled.d:
             raise ValidationError("theta_ulp dimension differs from the data")

@@ -708,29 +708,6 @@ def error_gap(sweep: SweepResult, method_a, method_b, metric: str = "excess") ->
     return tuple(a - b for a, b in zip(series_a, series_b))
 
 
-def switching_point_oracle(sweep: SweepResult, metric: str = "test_error") -> tuple:
-    """Grid value where the better of {sl, ulplus} changes identity.
-
-    Returns (grid_value, crossed). An exact tie counts as the change
-    already having happened, so the switch lands on the smaller grid
-    value. Without a crossing the last grid value is returned with
-    crossed=False.
-    """
-    sl = _resolve_series(sweep, "sl", metric)
-    ulp = _resolve_series(sweep, "ulplus", metric)
-    identity = "sl" if sl[0] <= ulp[0] else "ulplus"
-    for i in range(1, len(sweep.grid)):
-        if sl[i] == ulp[i]:
-            continue
-        winner = "sl" if sl[i] < ulp[i] else "ulplus"
-        if winner != identity:
-            first = i
-            while first > 0 and sl[first - 1] == ulp[first - 1]:
-                first -= 1
-            return sweep.grid[first], True
-    return sweep.grid[-1], False
-
-
 def compatibility_from_errors(err_bayes: float, err_ulp: float, d: int) -> tuple:
     """(rho, 1/rho) from the two training errors and the dimension.
 

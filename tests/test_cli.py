@@ -525,6 +525,16 @@ class TestFit:
         assert not (out / "fit_manifest.json").exists()
         assert not (out / "fit_results.json").exists()
 
+    @pytest.mark.parametrize("n_l", ["0", "-2"])
+    def test_nl_below_one_exits_2_before_any_manifest(self, tmp_path, capsys, n_l):
+        out = tmp_path / "run"
+        args = self.fit_args(out)
+        args[args.index("--nl") + 1] = n_l
+        assert main(args) == 2
+        assert "n_l must be at least 1" in capsys.readouterr().err
+        assert not (out / "fit_manifest.json").exists()
+        assert not (out / "fit_results.json").exists()
+
     def test_results_file_is_replaced_whole(self, tmp_path):
         stale = tmp_path / "fit_results.json"
         stale.write_text("stale")

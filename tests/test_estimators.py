@@ -236,7 +236,7 @@ class TestFixSign:
 
 
 class TestPluginSnr:
-    """fit_ssl_s's plug-in SNR is the norm of fit_ul's estimate."""
+    """The norm of fit_ul's estimate, a plug-in SNR, is sqrt((lambda - 1)_+)."""
 
     def test_matches_oracle_eigenvalue(self):
         rng = np.random.default_rng(66)
@@ -368,45 +368,6 @@ class TestFitSslS:
             else:
                 assert branch == "ulplus"
                 assert np.array_equal(out.theta, ulp)
-
-    def test_plug_in_snr_mode(self, monkeypatch):
-        model = MixtureModel(theta_star=np.array([2.0, 0.0]))
-        lab = sample_labeled(model, 50, seed=1)
-        unlab = sample_unlabeled(model, 5_000, seed=2)
-        calls = []
-        monkeypatch.setattr(estimators, "fit_ul", lambda data: calls.append(data) or fit_ul(data))
-        out, branch = fit_ssl_s(lab, unlab, None)
-        # the plug-in estimate sits near 2, far above both thresholds
-        assert branch == "ulplus"
-        assert out.method == "ssls"
-        # the branch sign-fixes the one fit the plug-in SNR came from
-        assert len(calls) == 1
-        assert np.array_equal(out.theta, fix_sign(fit_ul(unlab), fit_sl(lab)).theta)
-
-    def test_plug_in_snr_matches_explicit_plugin_value(self):
-        cases = []
-        for s, n_l, n_u in [(0.3, 100, 10_000), (0.3, 10_000, 100), (2.0, 50, 5_000)]:
-            model = MixtureModel(theta_star=np.array([s, 0.0, 0.0]))
-            cases.append((sample_labeled(model, n_l, seed=n_l), sample_unlabeled(model, n_u, seed=n_u)))
-        # second-moment spectrum below 1, so the plug-in SNR is exactly 0
-        a, b = math.sqrt(0.9), math.sqrt(0.8)
-        cases.append((
-            labeled([[1.0, 0.2], [-0.7, 0.1]], [1.0, -1.0]),
-            unlabeled([[a, b], [-a, b], [a, -b], [-a, -b]]),
-        ))
-        branches = set()
-        for lab, unlab in cases:
-            out, branch = fit_ssl_s(lab, unlab, None)
-            ref, ref_branch = fit_ssl_s(lab, unlab, float(np.linalg.norm(fit_ul(unlab).theta)))
-            assert branch == ref_branch
-            assert np.array_equal(out.theta, ref.theta)
-            branches.add(branch)
-        assert branches == {"zero", "sl", "ulplus"}
-
-    def test_plug_in_snr_needs_unlabeled_data(self):
-        lab, unlab = self.make(100, 0)
-        with pytest.raises(ValidationError):
-            fit_ssl_s(lab, unlab, None)
 
     def test_rejects_bad_snr(self):
         lab, unlab = self.make(10, 10)

@@ -29,7 +29,6 @@ from ssl_lab.experiments import (
     scaling_fit,
     score_fit,
     sweep_cell_configs,
-    switching_point_oracle,
 )
 from ssl_lab.gmm import (
     EstimatorOutput,
@@ -777,68 +776,6 @@ class TestErrorGap:
         sweep = SweepResult(axis_name="nl", grid=(10,), replicates=1, cells=cells)
         assert error_gap(sweep, "sl", "zero", metric="estimation") == (1.0,)
         assert error_gap(sweep, "sl", "zero", metric="test_error") == pytest.approx((-0.4,))
-
-
-class TestSwitchingPointOracle:
-    def test_single_crossing_is_located(self):
-        sweep = synthetic_sweep(
-            (10, 100, 1000),
-            {"sl": (0.3, 0.2, 0.05), "ulplus": (0.1, 0.15, 0.2)},
-        )
-        assert switching_point_oracle(sweep, metric="excess") == (1000, True)
-
-    def test_crossing_in_the_other_direction(self):
-        sweep = synthetic_sweep(
-            (10, 100, 1000),
-            {"sl": (0.1, 0.2, 0.3), "ulplus": (0.2, 0.15, 0.1)},
-        )
-        assert switching_point_oracle(sweep, metric="excess") == (100, True)
-
-    def test_no_crossing_returns_boundary_with_flag(self):
-        sl_better = synthetic_sweep(
-            (10, 100), {"sl": (0.1, 0.1), "ulplus": (0.2, 0.3)}
-        )
-        assert switching_point_oracle(sl_better, metric="excess") == (100, False)
-        ul_better = synthetic_sweep(
-            (10, 100), {"sl": (0.4, 0.3), "ulplus": (0.2, 0.2)}
-        )
-        assert switching_point_oracle(ul_better, metric="excess") == (100, False)
-
-    def test_tie_resolves_to_smaller_grid_value(self):
-        sweep = synthetic_sweep(
-            (10, 100, 1000),
-            {"sl": (0.1, 0.2, 0.3), "ulplus": (0.2, 0.2, 0.2)},
-        )
-        assert switching_point_oracle(sweep, metric="excess") == (100, True)
-
-    def test_equal_series_never_cross(self):
-        sweep = synthetic_sweep(
-            (10, 100), {"sl": (0.2, 0.2), "ulplus": (0.2, 0.2)}
-        )
-        assert switching_point_oracle(sweep, metric="excess") == (100, False)
-
-    def test_default_metric_is_test_error(self):
-        sl_test = (0.1, 0.3)
-        ul_test = (0.2, 0.2)
-        rows = []
-        for i in range(2):
-            rows.append((
-                CellStats(
-                    method="sl", replicates=1,
-                    mean_excess=0.1, std_excess=0.0,
-                    mean_estimation=0.1, std_estimation=0.0,
-                    mean_test_error=sl_test[i], std_test_error=0.0,
-                ),
-                CellStats(
-                    method="ulplus", replicates=1,
-                    mean_excess=0.2, std_excess=0.0,
-                    mean_estimation=0.2, std_estimation=0.0,
-                    mean_test_error=ul_test[i], std_test_error=0.0,
-                ),
-            ))
-        sweep = SweepResult(axis_name="nl", grid=(10, 100), replicates=1, cells=tuple(rows))
-        assert switching_point_oracle(sweep) == (100, True)
-        assert switching_point_oracle(sweep, metric="excess") == (100, False)
 
 
 class TestCompatibility:

@@ -1,6 +1,7 @@
 """Source layout rules that no single behaviour test would catch."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -172,3 +173,78 @@ def test_rule_catches_a_pool_import():
 def test_rule_catches_a_chart_import():
     statements = "import ssl_lab.cli\nimport ssl_lab.charts"
     assert lazy_modules_after(statements) == ["xml.etree", "ssl_lab.charts"]
+
+
+#: Files outside src/ssl_lab whose use of a public name keeps it in the library: the
+#: contract (acceptance tests, oracles, golden pins), the benchmark, and the data recipe.
+CALLERS = ("tests/test_acceptance.py", "tests/oracles.py", "tests/test_golden.py", "bench/*.py",
+           "data/README.md")
+
+
+def names_read(nodes):
+    """Every name a list of statements reads, imports or takes as an attribute."""
+    found = set()
+    for node in (child for top in nodes for child in ast.walk(top)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def unused_public_names(src, callers):
+    """(module, name) of each public top-level function or class in the modules of `src`
+    that neither another module, the rest of its own module, nor a caller file uses.
+
+    `callers` are Python files, or markdown whose fenced blocks hold Python recipes.
+    """
+    read = {}
+    for path in callers:
+        text = path.read_text()
+        if path.suffix == ".md":
+            read[path] = set(re.findall(r"\w+", "\n".join(text.split("```")[1::2])))
+        else:
+            read[path] = names_read(ast.parse(text).body)
+    bodies = {path: ast.parse(path.read_text()).body for path in sorted(src.glob("*.py"))}
+    for path, body in bodies.items():
+        read[path] = names_read(body)
+    unused = []
+    for path, body in bodies.items():
+        elsewhere = set().union(*(names for other, names in read.items() if other != path))
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or node.name in elsewhere:
+                continue
+            if node.name not in names_read([other for other in body if other is not node]):
+                unused.append((path.stem, node.name))
+    return unused
+
+
+def test_every_public_name_has_a_caller():
+    root = SRC.parent.parent
+    found = {pattern: sorted(root.glob(pattern)) for pattern in CALLERS}
+    assert all(found.values())
+    assert unused_public_names(SRC, [path for paths in found.values() for path in paths]) == []
+
+
+def test_rule_catches_a_name_only_its_own_tests_call(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "core.py").write_text(
+        "def used():\n    return helper()\n\n"
+        "def helper():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "class Record:\n    pass\n\n"
+        "def benched():\n    pass\n\n"
+        "def recipe():\n    pass\n"
+    )
+    (src / "cli.py").write_text("from .core import used\n")
+    bench = tmp_path / "bench.py"
+    bench.write_text('import pkg.core\n\nSPANNED = (pkg.core.benched, "recursive")\n')
+    readme = tmp_path / "README.md"
+    readme.write_text("Run:\n\n```\npython -c 'from pkg.core import recipe'\n```\nnot Record\n")
+    found = unused_public_names(src, [bench, readme])
+    assert found == [("core", "recursive"), ("core", "Record")]
