@@ -325,10 +325,10 @@ def _cmd_fit(args) -> int:
             raise ValidationError("n_l must be at least 1")
         if args.ntest is not None and args.ntest < 1:
             raise ValidationError("n_test must be at least 1")
-        # No name holds the raw table once standardized, so PCA and the split run without it.
-        table = standardize(load_csv(args.data, args.label_column, args.positive_label))
-        if args.pca is not None:
-            table = pca_project(table, args.pca)
+        # One transform per path, and no name holds the raw table once it has run.
+        raw = load_csv(args.data, args.label_column, args.positive_label)
+        table = standardize(raw) if args.pca is None else pca_project(raw, args.pca)
+        del raw
         remainder = table.n - args.nl
         n_val = args.nval if args.nval is not None else max(1, remainder // 4)
         n_test = args.ntest if args.ntest is not None else max(1, remainder // 4)
@@ -543,7 +543,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="test rows (default: a quarter of the remainder)",
     )
     fit.add_argument(
-        "--pca", type=int, default=None, metavar="K", help="project onto K principal axes"
+        "--pca", type=int, default=None, metavar="K",
+        help="project the standardized features onto K principal axes",
     )
     fit.add_argument("--methods", default=None, help="comma-separated method tags")
     fit.set_defaults(handler=_cmd_fit)

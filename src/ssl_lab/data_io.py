@@ -5,11 +5,14 @@ separators, and no quoting of numeric fields. One designated column
 holds the labels; every other column is parsed as a real-valued
 feature, and malformed or non-finite cells are rejected with the
 1-based file line of the offending row. Preprocessing covers per-column
-standardization and PCA by one dense eigensolve (numpy.linalg.eigh) of
-the centered covariance, deliberately unlike the uncentered second
-moment the estimators diagonalize: ingested tables carry no symmetry
-around the origin, so the mean must be removed before directions mean
-anything.
+standardization and PCA of the standardized table by one dense
+eigensolve (numpy.linalg.eigh) of its covariance, deliberately unlike
+the uncentered second moment the estimators diagonalize: ingested tables
+carry no symmetry around the origin and no common unit, so the mean and
+the spread must be removed before directions mean anything. No stage
+holds a second copy of the table: load_csv cuts the label column out of
+its parse in place, and both transforms go through the table in blocks
+of ROW_BLOCK rows beside their one output.
 
 Sweep results round-trip through a versioned CSV schema: a '# schema'
 line first, then a fixed header, then one row per (grid cell, method).
@@ -46,8 +49,12 @@ _SCHEMA_PREFIX = "# schema ssl-lab-sweep "
 #: Fixed column order of a results file: the cell's axis name and value, then CellStats's fields.
 RESULTS_COLUMNS = ("axis_name", "axis_value", "method", "replicates", *STAT_FIELDS, "extra")
 
-#: Rows whose squares standardize holds at once, as estimators.MARGIN_BLOCK bounds margins.
-_SPREAD_BLOCK = 4096
+#: Rows that load_csv, standardize and pca_project hold a copy of at once, as
+#: estimators.MARGIN_BLOCK bounds margins.
+ROW_BLOCK = 4096
+
+#: Why a parse gave up when a rescan finds no row at fault, or a pipe cannot be rescanned.
+_BAD_ROWS = "a row has the wrong width or a non-finite value"
 
 #: Suffixes on which numpy's path opener decompresses; load_csv reads such names as plain text.
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
@@ -124,7 +131,8 @@ def load_csv(path, label_column: str, positive_label) -> TabularDataset:
     This is numpy.loadtxt's grammar, narrower than float()'s: '1_000'
     and non-ASCII digits such as the full-width U+FF11 are rejected.
     The file is plain text whatever its name: a '.gz' suffix is not
-    decompressed.
+    decompressed. The features are the parse itself, with the label
+    column cut out in place.
 
     Raises DataFormatError when the header is missing or has duplicate
     names, the label column is absent, a row has the wrong number of
@@ -157,11 +165,12 @@ def load_csv(path, label_column: str, positive_label) -> TabularDataset:
             try:
                 table, codes = _parse_rows(handle, display, reader.line_num, label_index)
             except ValueError as err:
-                _raise_first_fault(handle, display, header, label_index, err)
+                # Rows narrower than the label column fail before numpy parses any.
+                cause = _BAD_ROWS if "invalid for the number of fields" in str(err) else err
+                _raise_first_fault(handle, display, header, label_index, cause)
             # loadtxt takes the width from the first data row, not the header.
             if table.size and (table.shape[1] != len(header) or not np.all(np.isfinite(table))):
-                cause = "a row has the wrong width or a non-finite value"
-                _raise_first_fault(handle, display, header, label_index, cause)
+                _raise_first_fault(handle, display, header, label_index, _BAD_ROWS)
         except UnicodeDecodeError as err:
             _raise_undecodable(handle.buffer, display, err)
     if table.shape[0] == 0:
@@ -178,9 +187,31 @@ def load_csv(path, label_column: str, positive_label) -> TabularDataset:
             f"{display}: positive label {positive!r} not among label values {distinct}"
         )
     y = freeze(np.where(table[:, label_index] == codes[positive], 1.0, -1.0))
-    x = freeze(np.delete(table, label_index, axis=1))
-    del table  # the parse goes before the dataset checks x
+    x = freeze(_drop_column(table, label_index))
     return TabularDataset(x=x, y=y, columns=feature_names, provenance=display)
+
+
+def _drop_column(table: np.ndarray, index: int) -> np.ndarray:
+    """`table` less column `index`, moved to the front of the table's own buffer and cut to fit.
+
+    Row r's kept cells move from flat offset r (d + 1) to r d, so no row lands
+    on a row after it, but within a block of rows one lands on the rows
+    before it: each block goes through a block-sized buffer. The caller made
+    `table` and holds no view of it, so resize may give the tail back.
+    """
+    n, width = table.shape
+    d = width - 1
+    flat = table.reshape(-1)
+    buf = np.empty((min(ROW_BLOCK, n), d))
+    for start in range(0, n, ROW_BLOCK):
+        rows = flat[start * width:(start + ROW_BLOCK) * width].reshape(-1, width)
+        kept = buf[:len(rows)]
+        kept[:, :index] = rows[:, :index]
+        kept[:, index:] = rows[:, index + 1:]
+        flat[start * d:start * d + kept.size].reshape(-1, d)[...] = kept
+    del flat, rows
+    table.resize((n, d), refcheck=False)
+    return table
 
 
 class _LabelCodes(dict):
@@ -316,37 +347,44 @@ def standardize(data: TabularDataset) -> TabularDataset:
     Needs at least two rows. Non-constant columns come out with mean
     0 +/- 1e-9 and population standard deviation 1 (numpy's std, bit for
     bit); zero-variance columns are divided by 1, so they come out
-    centered, all zeros.
+    centered, all zeros. Beside its output it holds one block of rows.
     """
     if data.n < 2:
         raise ValidationError("standardize needs at least 2 rows")
-    mean = data.x.mean(axis=0)
-    centered = data.x - mean
-    # numpy's own std: the mean of the squared deviations, then its square root.
-    std = np.sqrt(_column_mean_square(centered))
-    scale = np.where(std == 0.0, 1.0, std)
+    mean, scale = _standardizer(data.x)
+    z = np.subtract(data.x, mean)
     return TabularDataset(
-        x=freeze(np.divide(centered, scale, out=centered)),
+        x=freeze(np.divide(z, scale, out=z)),
         y=data.y,
         columns=data.columns,
         provenance=f"standardize({data.provenance})",
     )
 
 
-def _column_mean_square(centered: np.ndarray) -> np.ndarray:
-    """np.mean(centered * centered, axis=0) bit for bit, without its n x d array of squares.
+def _standardizer(x: np.ndarray):
+    """(mean, scale) of standardize's rule: x's column means, and each
+    column's population spread (numpy's std, bit for bit) or 1 where it is 0.
+    """
+    mean = x.mean(axis=0)
+    std = np.sqrt(_column_mean_square(x, mean))
+    return mean, np.where(std == 0.0, 1.0, std)
+
+
+def _column_mean_square(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """np.mean((x - mean) ** 2, axis=0) bit for bit, centring one block of rows at a time.
 
     numpy sums axis 0 of a C-contiguous matrix one row after another, so each
     block's squares are summed after the running sum, which sits in the row
     before them. A single column numpy sums pairwise instead, so at d = 1 the
     one block holds every row.
     """
-    n, d = centered.shape
-    step = _SPREAD_BLOCK if d > 1 else n
+    n, d = x.shape
+    step = ROW_BLOCK if d > 1 else n
     buf = np.empty((min(step, n) + 1, d))
     for start in range(0, n, step):
-        rows = centered[start:start + step]
-        squares = np.multiply(rows, rows, out=buf[1:len(rows) + 1])
+        rows = x[start:start + step]
+        squares = np.subtract(rows, mean, out=buf[1:len(rows) + 1])
+        np.multiply(squares, squares, out=squares)
         if start:
             buf[0] = total
             squares = buf[:len(rows) + 1]
@@ -354,16 +392,27 @@ def _column_mean_square(centered: np.ndarray) -> np.ndarray:
     return total / n
 
 
-def pca_project(data: TabularDataset, k: int) -> TabularDataset:
-    """Project the features onto their top-k principal axes.
+def _standardized_blocks(x: np.ndarray, mean: np.ndarray, scale: np.ndarray):
+    """Yield (start, z): rows start.. of standardize's output, a block at a time in one buffer."""
+    buf = np.empty((min(ROW_BLOCK, len(x)), x.shape[1]))
+    for start in range(0, len(x), ROW_BLOCK):
+        rows = x[start:start + ROW_BLOCK]
+        z = np.subtract(rows, mean, out=buf[:len(rows)])
+        yield start, np.divide(z, scale, out=z)
 
-    The axes are the top-k eigenvectors of the centered covariance (one
+
+def pca_project(data: TabularDataset, k: int) -> TabularDataset:
+    """Project the standardized features onto their top-k principal axes.
+
+    The table is standardized as by standardize, one block of rows at a
+    time, never as a whole. The axes are the top-k eigenvectors of the
+    standardized table's covariance, z'z / n summed over the blocks (one
     dense eigensolve), each with its largest-|entry| coordinate made
-    positive as in estimators.leading_eigenpair. The scores, the centered
-    features times the axes, are an n x k matrix with columns pc1..pck in
-    nonincreasing order of variance; labels ride along unchanged. Raises
-    ValidationError unless k is an integer with 1 <= k <= d and the table
-    has at least two rows.
+    positive as in estimators.leading_eigenpair. The scores, z times the
+    axes, are an n x k matrix with columns pc1..pck in nonincreasing order
+    of variance, written a block at a time; labels ride along unchanged.
+    Raises ValidationError unless k is an integer with 1 <= k <= d and the
+    table has at least two rows.
     """
     if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
         raise ValidationError("k must be an integer")
@@ -372,11 +421,13 @@ def pca_project(data: TabularDataset, k: int) -> TabularDataset:
         raise ValidationError(f"k must satisfy 1 <= k <= d = {data.d}")
     if data.n < 2:
         raise ValidationError("pca needs at least 2 rows")
-    centered = data.x - data.x.mean(axis=0)
-    _, vectors = np.linalg.eigh(centered.T @ centered / data.n)
+    mean, scale = _standardizer(data.x)
+    gram = sum(z.T @ z for _, z in _standardized_blocks(data.x, mean, scale))
+    _, vectors = np.linalg.eigh(gram / data.n)
     components = np.column_stack([canonical_sign(vectors[:, -1 - j]) for j in range(k)])
-    scores = centered @ components
-    del centered  # frees the n x d block before the dataset checks the scores
+    scores = np.empty((data.n, k))
+    for start, z in _standardized_blocks(data.x, mean, scale):
+        np.matmul(z, components, out=scores[start:start + len(z)])
     return TabularDataset(
         x=freeze(scores),
         y=data.y,

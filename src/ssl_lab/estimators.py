@@ -497,6 +497,13 @@ def _newton(yx, ridge: float, tol, max_iter: int, theta: np.ndarray) -> np.ndarr
     )
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """np.unique(values) for a list of reals none of which is NaN, without
+    np.unique, which loads numpy.ma. set merges 0.0 and -0.0 as np.unique does.
+    """
+    return np.array(sorted(set(values)), dtype=float)
+
+
 def self_train_path(
     labeled: LabeledDataset,
     unlabeled: UnlabeledDataset,
@@ -553,7 +560,7 @@ def self_train_path(
         # of, counted by one comparison per level. A stable sort of these
         # small integers (a radix sort) orders the pool by bucket; kept[j]
         # counts the rows missing at most j.
-        levels = np.unique(thresholds)
+        levels = sorted_distinct(thresholds)
         missed = np.zeros(unlabeled.n, dtype=np.min_scalar_type(len(levels)))
         for level in levels:
             missed += margins < level

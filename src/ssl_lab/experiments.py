@@ -321,10 +321,24 @@ def _stage1_threshold_grid(stage1_theta, unlabeled):
     norm = float(np.linalg.norm(stage1_theta))
     if unlabeled.n < 1 or norm == 0.0:
         return (0.0,)
-    margins = np.abs(unlabeled.x @ stage1_theta) / norm
-    # Sorted first, the same order statistics come out faster.
-    qs = np.quantile(np.sort(margins), [i / 8.0 for i in range(1, 8)])
-    return tuple(float(q) for q in qs)
+    margins = np.sort(np.abs(unlabeled.x @ stage1_theta) / norm)
+    return tuple(linear_quantile(margins, i / 8.0) for i in range(1, 8))
+
+
+def linear_quantile(ordered: np.ndarray, q: float) -> float:
+    """np.quantile(ordered, q) bit for bit, for sorted finite values and 0 <= q <= 1.
+
+    numpy's default linear rule, without np.quantile, which loads numpy.ma:
+    the virtual index (n - 1) q splits into i and a fraction t, and the
+    value a + (b - a) t between a = ordered[i] and b = ordered[i + 1] is
+    taken from b's side, b - (b - a)(1 - t), once t >= 0.5.
+    """
+    index = (len(ordered) - 1) * q
+    i = math.floor(index)
+    if i >= len(ordered) - 1:
+        return float(ordered[-1])
+    a, b, t = float(ordered[i]), float(ordered[i + 1]), index - i
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _budgeted_em(unlabeled, init, budget: int):

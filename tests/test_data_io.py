@@ -11,6 +11,7 @@ from oracles import jacobi_eigh, load_csv_rows, traced_peak
 from ssl_lab.data_io import (
     RESULTS_COLUMNS,
     RESULTS_SCHEMA_VERSION,
+    ROW_BLOCK,
     SplitSpec,
     TabularDataset,
     load_csv,
@@ -22,6 +23,7 @@ from ssl_lab.data_io import (
     write_results,
 )
 from ssl_lab.errors import DataFormatError, SchemaVersionError, ValidationError
+from ssl_lab.estimators import canonical_sign
 from ssl_lab.experiments import CellStats, SweepResult, TrialConfig, run_sweep
 from ssl_lab.gmm import LabeledDataset, MixtureModel, UnlabeledDataset
 from ssl_lab.seeds import MASK64
@@ -223,6 +225,28 @@ class TestLoadCsv:
         data = load_csv(write_text(tmp_path / f"t.csv{suffix}", text), "label", "p")
         assert np.array_equal(data.x, want.x) and np.array_equal(data.y, want.y)
 
+    @pytest.mark.parametrize("label_index", [0, 3, 6])
+    def test_dropping_the_label_column_keeps_the_parse_bytes(self, tmp_path, label_index):
+        # The features move within the parse a block of rows at a time, with the label
+        # first, in the middle or last of seven columns: the bytes np.delete would copy.
+        n = int(2.5 * ROW_BLOCK)
+        rows = np.random.default_rng(label_index).normal(size=(n, 6)).tolist()
+        names = [f"c{j}" for j in range(6)]
+        names.insert(label_index, "label")
+        path = str(tmp_path / "t.csv")
+        with open(path, "w", newline="") as handle:
+            handle.write(",".join(names) + "\n")
+            for i, row in enumerate(rows):
+                cells = [repr(value) for value in row]
+                cells.insert(label_index, "p" if i % 3 else "q")
+                handle.write(",".join(cells) + "\n")
+        parse = np.loadtxt(path, delimiter=",", skiprows=1,
+                           converters={label_index: lambda cell: float(cell == "p")})
+        data = load_csv(path, "label", "p")
+        assert data.x.tobytes() == np.delete(parse, label_index, axis=1).tobytes()
+        assert data.x.shape == (n, 6)
+        assert np.array_equal(data.y, np.where(parse[:, label_index] == 1.0, 1.0, -1.0))
+
     @staticmethod
     def load_through_pipe(tmp_path, data):
         """(outcome, path): load_csv of a named pipe that the caller fills with `data`.
@@ -262,8 +286,9 @@ class TestLoadCsv:
         (b"a,label\n1.0,p\nxx,q\n", "could not convert string 'xx' to float64"),
         (b"a,label\n1.0,p\n2.0,q,3\n", "the number of columns changed from 2 to 3"),
         (b"label,a,b\np,1.0\nq,2.0\n", "a row has the wrong width or a non-finite value"),
+        (b"a,b,label\n1.0,p\n2.0,q\n", "a row has the wrong width or a non-finite value"),
         (b"a,label\n1.0,p\nnan,q\n", "a row has the wrong width or a non-finite value"),
-    ], ids=["bad_cell", "extra_field", "narrow_rows", "nan"])
+    ], ids=["bad_cell", "extra_field", "narrow_rows", "narrow_rows_label_last", "nan"])
     def test_a_named_pipe_whose_rows_do_not_parse_names_the_file(self, tmp_path, data, reason):
         # A pipe cannot be rescanned for the file line, and numpy's row number is not one.
         err, path = self.load_through_pipe(tmp_path, data)
@@ -463,15 +488,18 @@ class TestPca:
             x=x, y=np.where(weights > 0, 1.0, -1.0), columns=("a", "b", "c", "d")
         )
         scores = pca_project(data, k=1).x[:, 0]
-        # The one axis is the unit direction, up to the sign the scores carry.
+        # Standardized, every column is +-(weights - mean) / std, so the one axis is
+        # still the unit direction, up to the sign the scores carry.
+        z = standardize(data).x
         sign = 1.0 if scores @ (weights - weights.mean()) > 0.0 else -1.0
-        reconstruction = np.outer(sign * scores, direction) + x.mean(axis=0)
-        assert np.max(np.abs(reconstruction - x)) <= 1e-9
+        reconstruction = np.outer(sign * scores, direction) + z.mean(axis=0)
+        assert np.max(np.abs(reconstruction - z)) <= 1e-9
 
     def test_full_projection_preserves_pairwise_distances(self):
         data = table(n=25, d=3, seed=7)
         scores = pca_project(data, k=3)
-        original = data.x[:, None, :] - data.x[None, :, :]
+        z = standardize(data).x
+        original = z[:, None, :] - z[None, :, :]
         projected = scores.x[:, None, :] - scores.x[None, :, :]
         dist_original = np.linalg.norm(original, axis=2)
         dist_projected = np.linalg.norm(projected, axis=2)
@@ -481,7 +509,7 @@ class TestPca:
         for seed in range(5):
             data = table(n=40, d=3, seed=seed)
             scores = pca_project(data, k=3).x
-            centered = data.x - data.x.mean(axis=0)
+            centered = standardize(data).x
             oracle_values, oracle_vectors = jacobi_eigh(centered.T @ centered / data.n)
             variances = np.diag(scores.T @ scores / data.n)
             assert np.max(np.abs(variances - oracle_values)) <= 1e-6
@@ -491,8 +519,8 @@ class TestPca:
     def test_components_are_orthonormal(self):
         for seed in range(4):
             data = table(n=60, d=6, seed=seed)
-            centered = data.x - data.x.mean(axis=0)
-            # The axes the scores came from, recovered from full-rank centered features.
+            centered = standardize(data).x
+            # The axes the scores came from, recovered from full-rank standardized features.
             axes = np.linalg.lstsq(centered, pca_project(data, k=4).x, rcond=None)[0]
             assert np.max(np.abs(axes.T @ axes - np.eye(4))) <= 1e-8
 
@@ -522,10 +550,27 @@ class TestPca:
         )
         scores = pca_project(data, k=3).x
         # The first axis is the unit e1; the others see no spread at all.
-        assert aligned(scores[:, 0], weights) <= 1e-12
+        assert aligned(scores[:, 0], standardize(data).x[:, 0]) <= 1e-12
         variances = np.diag(scores.T @ scores / data.n)
         assert variances[0] > 0.0
         assert abs(variances[1]) <= 1e-12 and abs(variances[2]) <= 1e-12
+
+    def test_blocked_projection_matches_one_product(self):
+        # About two and a half blocks of rows, so the Gram matrix is summed in
+        # three parts; the reference standardizes the whole table, solves
+        # z'z / n once and multiplies z by the axes in one product.
+        n = int(2.5 * ROW_BLOCK)
+        rng = np.random.default_rng(17)
+        factors = rng.normal(size=(n, 4)) * np.array([3.0, 2.0, 1.0, 0.5])
+        x = factors @ rng.normal(size=(4, 6)) + 0.1 * rng.normal(size=(n, 6)) + 5.0
+        data = TabularDataset(x=x, y=np.where(factors[:, 0] > 0, 1.0, -1.0),
+                              columns=tuple(f"c{j}" for j in range(6)))
+        z = standardize(data).x
+        _, vectors = np.linalg.eigh(z.T @ z / n)
+        axes = np.column_stack([canonical_sign(vectors[:, -1 - j]) for j in range(3)])
+        want = z @ axes
+        got = pca_project(data, k=3).x
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("k", [0, -1, 5, 2.0])
     def test_rejects_bad_k(self, k):
@@ -611,11 +656,13 @@ class TestOwnership:
 
     ROWS, COLS = 20_000, 20
     FEATURE_BYTES = ROWS * COLS * 8
-    #: Peak allocation over FEATURE_BYTES. load_csv holds its (d + 1)-column parse and the
-    #: features (2.11 measured), standardize its output and one block of squares (1.21).
-    #: One more copy of the table reads 3.16 and 2.06.
-    LOAD_CSV_PEAK = 2.25
+    #: Peak allocation over FEATURE_BYTES. load_csv holds its (d + 1)-column parse, cut
+    #: to the features in place (1.33 measured), standardize its output and one block of
+    #: rows (1.13), and pca_project at k = 2 its scores and one block (0.36). A copy of
+    #: the features beside the parse reads 2.13, and a copy of the table in pca 1.10.
+    LOAD_CSV_PEAK = 1.6
     STANDARDIZE_PEAK = 1.5
+    PCA_PEAK = 0.5
 
     @pytest.fixture(scope="class")
     def big(self, tmp_path_factory):
@@ -650,6 +697,12 @@ class TestOwnership:
         _, data = big
         peak = traced_peak(lambda: standardize(data))
         assert peak <= self.STANDARDIZE_PEAK * self.FEATURE_BYTES
+
+    def test_pca_project_holds_its_scores_and_one_block(self, big):
+        # ROWS spans several blocks of ROW_BLOCK rows.
+        _, data = big
+        peak = traced_peak(lambda: pca_project(data, 2))
+        assert peak <= self.PCA_PEAK * self.FEATURE_BYTES
 
 
 def synthetic_sweep():

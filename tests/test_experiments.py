@@ -7,7 +7,7 @@ import pytest
 import oracles
 from ssl_lab.errors import ConvergenceError, ValidationError
 from ssl_lab import estimators
-from ssl_lab.estimators import fit_logistic, oracle_weight, self_train_path
+from ssl_lab.estimators import fit_logistic, oracle_weight, self_train_path, sorted_distinct
 from ssl_lab import experiments
 from ssl_lab.cli import DEFAULT_FIT_METHODS, FIT_METHODS, METHOD_ALIASES
 from ssl_lab.experiments import (
@@ -24,6 +24,7 @@ from ssl_lab.experiments import (
     compatibility_score,
     error_gap,
     fit_methods,
+    linear_quantile,
     run_sweep,
     run_trial,
     scaling_fit,
@@ -428,6 +429,36 @@ class TestStage1ThresholdGrid:
             grid = experiments._stage1_threshold_grid(theta, unlab)
             assert np.array_equal(grid, want)
         assert len(np.unique(np.abs(unlab.x[:, 0]))) == 4
+
+
+class TestNumpyWithoutNumpyMa:
+    """linear_quantile and sorted_distinct give np.quantile's and np.unique's values."""
+
+    QUANTILES = [i / 8.0 for i in range(9)] + [0.3, 0.7]
+
+    @staticmethod
+    def samples(n):
+        """Sorted draws of n values at three scales, and n values with many ties."""
+        rng = np.random.default_rng(n)
+        return [np.sort(v) for v in (rng.random(n), 1e-6 * rng.exponential(size=n),
+                                     1e6 * rng.random(n), rng.integers(0, 3, n) / 2.0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 17, 500, 3001])
+    def test_linear_quantile_matches_numpy_bit_for_bit(self, n):
+        for ordered in self.samples(n):
+            want = np.quantile(ordered, self.QUANTILES)
+            got = [linear_quantile(ordered, q) for q in self.QUANTILES]
+            assert np.array(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_sorted_distinct_matches_numpy(self, n):
+        rng = np.random.default_rng(n)
+        cases = [list(rng.integers(0, 4, n) / 4.0), list(rng.random(n)),
+                 [0.0, -0.0, math.inf, 1, 1.0, 0.5][:n + 1]]
+        for values in cases:
+            want = np.unique(values)
+            got = sorted_distinct(values)
+            assert got.dtype == np.float64 and np.array_equal(got, want)
 
 
 class TestSelfTrainSearch:

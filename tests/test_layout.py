@@ -145,8 +145,9 @@ def test_rule_catches_a_long_line(tmp_path):
 
 #: Modules that only some runs need, each costing start-up time when loaded: the
 #: process pool (a run with workers), charts with xml.etree (report) and theory (theory).
+#: numpy.ma no run needs; np.quantile and np.unique load it on their first call.
 POOL_MODULES = ("concurrent.futures.process", "multiprocessing")
-LAZY_MODULES = (*POOL_MODULES, "xml.etree", "ssl_lab.charts", "ssl_lab.theory")
+LAZY_MODULES = (*POOL_MODULES, "xml.etree", "ssl_lab.charts", "ssl_lab.theory", "numpy.ma")
 
 
 def lazy_modules_after(statements):
@@ -173,6 +174,25 @@ def test_rule_catches_a_pool_import():
 def test_rule_catches_a_chart_import():
     statements = "import ssl_lab.cli\nimport ssl_lab.charts"
     assert lazy_modules_after(statements) == ["xml.etree", "ssl_lab.charts"]
+
+
+def test_fit_and_a_self_training_sweep_load_no_lazy_module(tmp_path):
+    data = SRC.parent.parent / "data" / "synthetic_2gmm_200.csv"
+    runs = [
+        ["fit", str(data), "--nl", "20", "--pca", "2"],
+        ["simulate", "--preset", "fig1b", "--replicates", "1", "--threads", "1"],
+    ]
+    statements = "import contextlib, io\nfrom ssl_lab.cli import main\n" + "".join(
+        f"with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv + ['--quiet', '--out', str(tmp_path)]!r}) == 0\n"
+        for argv in runs
+    )
+    assert lazy_modules_after(statements) == []
+
+
+def test_rule_catches_numpy_ma():
+    statements = "import ssl_lab.cli\nimport numpy as np\nnp.quantile([1.0, 2.0], 0.5)"
+    assert lazy_modules_after(statements) == ["numpy.ma"]
 
 
 #: Files outside src/ssl_lab whose use of a public name keeps it in the library: the
