@@ -135,10 +135,10 @@ def _parse_methods(text, key: str = "methods") -> tuple:
     return tuple(dict.fromkeys(_normalize_method(name) for name in names))
 
 
-def _real(value, key: str, kind: str = "a number") -> float:
+def _real(value, key: str) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
-    raise ValidationError(f"{key} must be {kind}, got {value!r}")
+    raise ValidationError(f"{key} must be a number, got {value!r}")
 
 
 def _whole(value, key: str) -> int:
@@ -323,8 +323,12 @@ def _cmd_fit(args) -> int:
         check_validation_size(methods, args.nval)
         if args.nl < 1:
             raise ValidationError("n_l must be at least 1")
+        if args.nval is not None and args.nval < 0:
+            raise ValidationError(f"n_val must be nonnegative, got {args.nval}")
         if args.ntest is not None and args.ntest < 1:
             raise ValidationError("n_test must be at least 1")
+        if args.pca is not None and args.pca < 1:
+            raise ValidationError(f"pca must be at least 1, got {args.pca}")
         # One transform per path, and no name holds the raw table once it has run.
         raw = load_csv(args.data, args.label_column, args.positive_label)
         table = standardize(raw) if args.pca is None else pca_project(raw, args.pca)

@@ -325,18 +325,19 @@ def _raise_first_fault(handle, display: str, header: list, label_index: int, cau
     raise DataFormatError(f"{display}: {cause}")
 
 
-def save_csv(data: TabularDataset, path, label_column: str = "label") -> None:
+def save_csv(data: TabularDataset, path) -> None:
     """Write the table to CSV with full-precision floats.
 
     Features are written with repr(), which round-trips every float64
-    bit-for-bit; labels are written as 1 / -1. load_csv(path,
-    label_column, "1") restores the dataset exactly.
+    bit-for-bit; labels are written as 1 / -1 in a last column named
+    "label", so no feature may take that name. load_csv(path, "label",
+    "1") restores the dataset exactly.
     """
-    if label_column in data.columns:
-        raise ValidationError(f"label column name {label_column!r} collides with a feature")
+    if "label" in data.columns:
+        raise ValidationError("label column name 'label' collides with a feature")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(list(data.columns) + [label_column])
+        writer.writerow(list(data.columns) + ["label"])
         for row, label in zip(data.x, data.y):
             writer.writerow([repr(float(v)) for v in row] + [str(int(label))])
 
@@ -555,7 +556,8 @@ def read_results(path) -> SweepResult:
     a missing line or any other version raises SchemaVersionError. A
     header-only file reads back as an empty sweep. Grid values appear in
     file order, and rows sharing an axis value group into one cell. A row
-    that breaks CellStats's contract raises DataFormatError naming it.
+    that breaks CellStats's contract, has a NaN or infinite axis value or
+    repeats a method of its cell raises DataFormatError naming it.
     """
     with open(path, newline="") as handle:
         first = handle.readline()
@@ -600,6 +602,8 @@ def read_results(path) -> SweepResult:
                     f"row {line}: axis name {name!r} differs from {axis_name!r}"
                 )
             value = _parse_number(value_text, line, "axis_value")
+            if not math.isfinite(value):
+                raise DataFormatError(f"row {line}: axis value {value_text!r} is not finite")
             try:
                 reps = int(reps_text)
             except ValueError:
@@ -621,7 +625,12 @@ def read_results(path) -> SweepResult:
             except ValidationError as err:
                 raise DataFormatError(f"row {line}: {err}") from None
             if value in index:
-                cells[index[value]].append(stats)
+                cell = cells[index[value]]
+                if any(other.method == method for other in cell):
+                    raise DataFormatError(
+                        f"row {line}: method {method!r} repeats at axis value {value_text}"
+                    )
+                cell.append(stats)
             else:
                 index[value] = len(grid)
                 grid.append(value)

@@ -38,10 +38,10 @@ once when they were built. Everything is a pure function of its
 arguments; iterative solvers keep all state local and report
 non-convergence as ConvergenceError carrying the last iterate. The
 solver settings every program run uses are stated once, here: EM_TOL and
-EM_MAX_ITER for both EMs, LOGISTIC_TOL and LOGISTIC_MAX_ITER as the
-defaults of fit_logistic and self_train_path. Callers pass a setting
-only to depart from them (the "em" backend's iteration budget, a test's
-tighter tolerance).
+EM_MAX_ITER for both EMs, LOGISTIC_TOL and LOGISTIC_MAX_ITER for the
+logistic fits. self_train_path's refits read the latter two when called.
+Only two settings are passed per call: fit_em's iteration cap (the "em"
+backend's budget) and fit_logistic's tolerance and cap.
 """
 
 from __future__ import annotations
@@ -255,10 +255,9 @@ def best_margin(margins) -> int:
 
 def fit_ssl_w(
     labeled: LabeledDataset,
-    unlabeled: UnlabeledDataset,
+    theta_ulp: EstimatorOutput,
     validation: UnlabeledDataset,
     t_grid=DEFAULT_T_GRID,
-    theta_ulp: EstimatorOutput | None = None,
 ) -> tuple[EstimatorOutput, WeightSelection]:
     """Pick t from t_grid maximizing the validation margin of the convex
     combination t*theta_sl + (1-t)*theta_ulp.
@@ -268,8 +267,7 @@ def fit_ssl_w(
     in one avg_margins call. Ties (best_margin: equal to within rounding)
     break toward the smallest t, so when theta_ulp is zero, and every
     candidate is a multiple of theta_sl, the smallest nonzero t wins.
-    `theta_ulp` substitutes a precomputed sign-fixed unsupervised
-    estimate; by default it is fix_sign(fit_ul(unlabeled), fit_sl(labeled)).
+    `theta_ulp` is the sign-fixed unsupervised estimate.
     """
     grid = [float(t) for t in t_grid]
     if not grid:
@@ -278,8 +276,6 @@ def fit_ssl_w(
         raise ValidationError("t_grid values must lie in [0, 1]")
 
     sl = fit_sl(labeled)
-    if theta_ulp is None:
-        theta_ulp = fix_sign(fit_ul(unlabeled), sl)
     ulp = theta_ulp.theta
     if ulp.size != sl.d:
         raise ValidationError("theta_sl and theta_ulp must have equal length")
@@ -379,11 +375,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def _loss(margins: np.ndarray, theta: np.ndarray, ridge: float, scratch=None) -> float:
+def _loss(margins: np.ndarray, theta: np.ndarray, ridge: float, scratch) -> float:
     """The objective (1/n) sum log(1 + exp(-m)) + ridge * ||theta||^2 of
     the margins m = y <theta, x>; sum / size is np.mean without its overhead.
     `scratch`, two float arrays shaped like the margins, takes every pass."""
-    loss, tail = np.empty((2, margins.size)) if scratch is None else scratch
+    loss, tail = scratch
     # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), stable for any m;
     # -|m| is min(m, -m), with exp(+-0) = 1 either way.
     np.negative(margins, out=loss)
@@ -413,18 +409,18 @@ def fit_logistic(
     """
     if data.n < 1:
         raise ValidationError("fit_logistic needs at least one sample")
-    _check_logistic_settings(ridge, tol, max_iter)
+    _check_ridge(ridge)
+    if not (isinstance(tol, (int, float)) and tol > 0):
+        raise ValidationError("tol must be positive")
+    _check_max_iter(max_iter)
     yx = np.multiply(data.x.T, data.y, order="C")
     theta = _newton(yx, ridge, tol, max_iter, np.zeros(data.d))
     return EstimatorOutput(theta=theta, method="logistic")
 
 
-def _check_logistic_settings(ridge, tol, max_iter) -> None:
+def _check_ridge(ridge) -> None:
     if not (isinstance(ridge, (int, float)) and math.isfinite(ridge) and ridge >= 0.0):
         raise ValidationError("ridge must be a nonnegative real")
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise ValidationError("tol must be positive")
-    _check_max_iter(max_iter)
 
 
 def _check_max_iter(max_iter) -> None:
@@ -509,21 +505,20 @@ def self_train_path(
     unlabeled: UnlabeledDataset,
     thresholds,
     ridge: float,
-    tol: float = LOGISTIC_TOL,
-    max_iter: int = LOGISTIC_MAX_ITER,
-    stage1: EstimatorOutput | None = None,
+    stage1: EstimatorOutput,
 ) -> list:
     """Two-stage self-training with logistic pseudolabeling, for every
     threshold, from one sorted pool.
 
-    Stage 1 fits fit_logistic on the labeled data; `stage1` substitutes a
-    precomputed fit. Stage 2 pseudolabels every unlabeled x whose absolute
+    Stage 1 is `stage1`, the fit_logistic fit on the labeled data at this
+    ridge. Stage 2 pseudolabels every unlabeled x whose absolute
     normalized margin |<theta_1, x>| / ||theta_1|| reaches the threshold
     t as sign(<theta_1, x>), with sign(0) := +1. Stage 3 refits the
     logistic loss on the union: the labeled rows, then the kept unlabeled
     rows in their original order. t = +inf, an empty unlabeled set or a
     zero stage-1 fit (whose margins are undefined) keeps no unlabeled row,
-    so the refit is plain fit_logistic on the labeled data.
+    so the refit is plain fit_logistic on the labeled data. Every refit
+    runs to LOGISTIC_TOL within LOGISTIC_MAX_ITER iterations.
 
     The unions are nested: with the unlabeled rows stable-sorted by how
     many thresholds their margin reaches, most first, each is a prefix of
@@ -543,9 +538,7 @@ def self_train_path(
             raise ValidationError("threshold must be nonnegative")
     if labeled.n < 1:
         raise ValidationError("self_train_path needs at least one labeled sample")
-    _check_logistic_settings(ridge, tol, max_iter)
-    if stage1 is None:
-        stage1 = fit_logistic(labeled, ridge, tol=tol, max_iter=max_iter)
+    _check_ridge(ridge)
     theta1 = stage1.theta
     if theta1.size != labeled.d:
         raise ValidationError("stage1 dimension differs from the data")
@@ -579,7 +572,7 @@ def self_train_path(
     for count in sorted(set(counts.tolist())):
         rows = labeled.n + count
         try:
-            theta = _newton(yx[:, :rows], ridge, tol, max_iter, theta)
+            theta = _newton(yx[:, :rows], ridge, LOGISTIC_TOL, LOGISTIC_MAX_ITER, theta)
             fits[count] = EstimatorOutput(theta=theta, method="selftrain")
         except ConvergenceError as err:
             fits[count] = err

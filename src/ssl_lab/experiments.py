@@ -85,6 +85,8 @@ METRIC_FIELDS = ("excess", "estimation", "test_error")
 STAT_FIELDS = tuple(f"{kind}_{metric}" for metric in METRIC_FIELDS for kind in ("mean", "std"))
 
 EM_INIT_SCALE = 1e-3
+#: The ridge of compatibility_score's logistic fit.
+COMPATIBILITY_RIDGE = 1e-3
 
 
 def first_axis_model(s: float, d: int, name: str = "s") -> MixtureModel:
@@ -450,9 +452,7 @@ def _fit_ssls(ctx):
 
 
 def _fit_sslw(ctx):
-    out, selection = fit_ssl_w(
-        ctx.labeled, ctx.unlabeled, ctx.validation, t_grid=ctx.t_grid, theta_ulp=ctx.ulplus
-    )
+    out, selection = fit_ssl_w(ctx.labeled, ctx.ulplus, ctx.validation, t_grid=ctx.t_grid)
     return out.theta, {"t": selection.t}
 
 
@@ -561,8 +561,12 @@ def _cell_config(cfg: TrialConfig, axis: str, value) -> TrialConfig:
         return replace(cfg, n_u=value)
     if axis == "nu_over_nl":
         ratio = float(value)
-        if ratio <= 0:
-            raise ValidationError("nu_over_nl grid values must be positive")
+        # round() below needs n_u / ratio finite, which a tiny ratio overflows.
+        if not (0 < ratio < math.inf and math.isfinite(cfg.n_u / ratio)):
+            raise ValidationError(
+                f"nu_over_nl grid value {value} must be positive and finite, "
+                f"and so must n_u / value with n_u={cfg.n_u}"
+            )
         # The cell records `ratio`, so it must be the ratio that runs.
         n_l = max(1, round(cfg.n_u / ratio))
         if cfg.n_u / n_l != ratio:
@@ -742,14 +746,14 @@ def compatibility_from_errors(err_bayes: float, err_ulp: float, d: int) -> tuple
     return rho, inverse
 
 
-def compatibility_score(labeled_full, ridge: float = 1e-3) -> tuple:
+def compatibility_score(labeled_full) -> tuple:
     """Compatibility of a labeled dataset: plug training errors into rho.
 
-    The linear proxy for the Bayes rule is a ridge logistic fit on the
-    full dataset; the unsupervised-style reference is the spherical LDA
-    direction. Both are scored by training error.
+    The linear proxy for the Bayes rule is a logistic fit on the full
+    dataset at ridge COMPATIBILITY_RIDGE; the unsupervised-style reference
+    is the spherical LDA direction. Both are scored by training error.
     """
-    bayes = fit_logistic(labeled_full, ridge)
+    bayes = fit_logistic(labeled_full, COMPATIBILITY_RIDGE)
     lda = fit_spherical_lda(labeled_full)
     err_bayes = test_error(bayes.theta, labeled_full)
     err_ulp = test_error(lda.theta, labeled_full)

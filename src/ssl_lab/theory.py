@@ -5,9 +5,10 @@ minimax rates for excess risk and estimation error, upper bounds for the
 sign-fixed spectral estimator, the labeled/unlabeled rate-improvement
 split, a finite-sample regime classifier, and the oracle-weighting gap.
 
-Asymptotic statements carry unspecified universal constants; they default
-to 1 via BoundConstants and scale the corresponding terms, so only decay
-exponents are meaningful, never absolute values.
+Asymptotic statements carry unspecified universal constants. Every one
+of them is 1 here, so only decay exponents are meaningful, never absolute
+values. A source dominates the regime label once its rate weight is more
+than REGIME_RATIO times the other's.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import ValidationError
 from .gmm import check_snr, is_whole, std_normal_cdf
 
 REGIMES = ("SL-dominant", "UL-dominant", "Balanced", "LowSNR")
+REGIME_RATIO = 10.0
 
 
 @dataclass(frozen=True)
@@ -40,23 +42,6 @@ class ProblemSize:
             raise ValidationError("n_u must be a nonnegative integer")
         for name in ("d", "n_l", "n_u"):
             object.__setattr__(self, name, int(getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class BoundConstants:
-    """Universal constants in the bounds; unspecified upstream, default 1."""
-
-    c0: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 1.0
-    c4: float = 1.0
-
-    def __post_init__(self):
-        for name in ("c0", "c1", "c2", "c3", "c4"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValidationError(f"{name} must be a positive real")
 
 
 @dataclass(frozen=True)
@@ -121,34 +106,32 @@ def _check_ulp_validity(p: ProblemSize) -> None:
         )
 
 
-def _clamped_exponent_factor(p: ProblemSize, c: BoundConstants) -> float:
-    """(1 - (c0/min(s, s^2)) * sqrt(d*log(n_u)/(s^2*n_u))), clamped to [0,1]."""
-    scale = c.c0 / min(p.s, p.s ** 2)
+def _clamped_exponent_factor(p: ProblemSize) -> float:
+    """(1 - (1/min(s, s^2)) * sqrt(d*log(n_u)/(s^2*n_u))), clamped to [0,1]."""
+    scale = 1.0 / min(p.s, p.s ** 2)
     inner = math.sqrt(p.d * math.log(p.n_u) / (p.s ** 2 * p.n_u))
     return min(1.0, max(0.0, 1.0 - scale * inner))
 
 
-def ulplus_excess_upper(p: ProblemSize, c: BoundConstants = BoundConstants()) -> float:
+def ulplus_excess_upper(p: ProblemSize) -> float:
     """Two-term excess-risk upper bound for the sign-fixed spectral fit.
 
-    c3 * e^(-s^2/2) * d*log(d*n_u)/(s^3*n_u)
-    + c4 * e^(-s^2*n_l*factor^2/2), factor as in _clamped_exponent_factor.
+    e^(-s^2/2) * d*log(d*n_u)/(s^3*n_u)
+    + e^(-s^2*n_l*factor^2/2), factor as in _clamped_exponent_factor.
     Requires n_u >= (160/s)^2 * d.
     """
     _check_ulp_validity(p)
-    first = c.c3 * math.exp(-0.5 * p.s ** 2) * p.d * math.log(p.d * p.n_u) / (p.s ** 3 * p.n_u)
-    factor = _clamped_exponent_factor(p, c)
-    second = c.c4 * math.exp(-0.5 * p.s ** 2 * p.n_l * factor ** 2)
-    return first + second
+    first = math.exp(-0.5 * p.s ** 2) * p.d * math.log(p.d * p.n_u) / (p.s ** 3 * p.n_u)
+    factor = _clamped_exponent_factor(p)
+    return first + math.exp(-0.5 * p.s ** 2 * p.n_l * factor ** 2)
 
 
-def ulplus_estimation_upper(p: ProblemSize, c: BoundConstants = BoundConstants()) -> float:
-    """c1 * sqrt(d/(s^2*n_u)) + c2 * s * e^(-s^2*n_l*factor^2/2)."""
+def ulplus_estimation_upper(p: ProblemSize) -> float:
+    """sqrt(d/(s^2*n_u)) + s * e^(-s^2*n_l*factor^2/2)."""
     _check_ulp_validity(p)
-    first = c.c1 * math.sqrt(p.d / (p.s ** 2 * p.n_u))
-    factor = _clamped_exponent_factor(p, c)
-    second = c.c2 * p.s * math.exp(-0.5 * p.s ** 2 * p.n_l * factor ** 2)
-    return first + second
+    first = math.sqrt(p.d / (p.s ** 2 * p.n_u))
+    factor = _clamped_exponent_factor(p)
+    return first + p.s * math.exp(-0.5 * p.s ** 2 * p.n_l * factor ** 2)
 
 
 def rate_improvement(p: ProblemSize) -> tuple[float, float]:
@@ -160,21 +143,19 @@ def rate_improvement(p: ProblemSize) -> tuple[float, float]:
     return h_l, 1.0 - h_l
 
 
-def classify_regime(p: ProblemSize, ratio_threshold: float = 10.0) -> str:
+def classify_regime(p: ProblemSize) -> str:
     """Label the problem size by which data source carries the rate.
 
     LowSNR when s^2*n_u <= 1 (the s <= 1/sqrt(n_u) condition in a form
-    that tolerates n_u = 0); otherwise whichever of n_l and s^2*n_u
-    exceeds the other by ratio_threshold dominates; otherwise Balanced.
+    that tolerates n_u = 0); otherwise whichever of n_l and s^2*n_u is
+    more than REGIME_RATIO times the other dominates; otherwise Balanced.
     """
-    if not (isinstance(ratio_threshold, (int, float)) and ratio_threshold > 1.0):
-        raise ValidationError("ratio_threshold must exceed 1")
     weight_u = p.s ** 2 * p.n_u
     if weight_u <= 1.0:
         return "LowSNR"
-    if p.n_l > ratio_threshold * weight_u:
+    if p.n_l > REGIME_RATIO * weight_u:
         return "SL-dominant"
-    if weight_u > ratio_threshold * p.n_l:
+    if weight_u > REGIME_RATIO * p.n_l:
         return "UL-dominant"
     return "Balanced"
 
@@ -197,11 +178,7 @@ def oracle_gap(mse_sl: float, mse_ul: float) -> tuple[float, float]:
     return min(mse_sl, mse_ul) - combined, combined
 
 
-def rate_report(
-    p: ProblemSize,
-    c: BoundConstants = BoundConstants(),
-    ratio_threshold: float = 10.0,
-) -> RateReport:
+def rate_report(p: ProblemSize) -> RateReport:
     """Assemble every quantity that applies to p; inapplicable ones are None."""
     try:
         excess = minimax_excess_rate(p)
@@ -212,8 +189,8 @@ def rate_report(
     except ValidationError:
         estimation = None
     try:
-        ulp_excess = ulplus_excess_upper(p, c)
-        ulp_estimation = ulplus_estimation_upper(p, c)
+        ulp_excess = ulplus_excess_upper(p)
+        ulp_estimation = ulplus_estimation_upper(p)
     except ValidationError:
         ulp_excess = None
         ulp_estimation = None
@@ -229,5 +206,5 @@ def rate_report(
         h_l=h_l,
         h_u=h_u,
         trivial_excess=trivial_excess(p.s),
-        regime=classify_regime(p, ratio_threshold),
+        regime=classify_regime(p),
     )

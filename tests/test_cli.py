@@ -54,7 +54,68 @@ def run_small_sim(out_dir, extra=()):
     return Path(out_dir)
 
 
+#: `theory` output, byte for byte, at one size per regime label and at a size whose
+#: bound exponent factor clamps to 0 (n_u at the validity edge (160/s)^2 * d).
+THEORY_PINS = {
+    "--s 1 --d 2 --nl 10000 --nu 50": """{
+  "excess_rate": 0.00012070261884828525,
+  "estimation_rate": 0.014106912317171965,
+  "ulp_excess_upper": null,
+  "ulp_estimation_upper": null,
+  "h_l": 0.9950248756218906,
+  "h_u": 0.00497512437810943,
+  "trivial_excess": 0.3413447460685429,
+  "regime": "SL-dominant"
+}""",
+    "--s 1 --d 2 --nl 10 --nu 1000000": """{
+  "excess_rate": 1.2130491889333774e-06,
+  "estimation_rate": 0.0014142064913583157,
+  "ulp_excess_upper": 0.007118221577156297,
+  "ulp_estimation_upper": 0.008514835248030008,
+  "h_l": 9.99990000099999e-06,
+  "h_u": 0.999990000099999,
+  "trivial_excess": 0.3413447460685429,
+  "regime": "UL-dominant"
+}""",
+    "--s 1 --d 2 --nl 100 --nu 100": """{
+  "excess_rate": 0.006065306597126334,
+  "estimation_rate": 0.1,
+  "ulp_excess_upper": null,
+  "ulp_estimation_upper": null,
+  "h_l": 0.5,
+  "h_u": 0.5,
+  "trivial_excess": 0.3413447460685429,
+  "regime": "Balanced"
+}""",
+    "--s 0.001 --d 2 --nl 50 --nu 1000": """{
+  "excess_rate": 0.000999999500000125,
+  "estimation_rate": 0.001,
+  "ulp_excess_upper": null,
+  "ulp_estimation_upper": null,
+  "h_l": 0.999980000399992,
+  "h_u": 1.999960000798051e-05,
+  "trivial_excess": 0.00039894221391101325,
+  "regime": "LowSNR"
+}""",
+    "--s 0.1 --d 2 --nl 50 --nu 5120000": """{
+  "excess_rate": 0.00038829755285568084,
+  "estimation_rate": 0.006246950475544242,
+  "ulp_excess_upper": 1.0062739470912,
+  "ulp_estimation_upper": 0.10625000000000001,
+  "h_l": 0.0009756097560975609,
+  "h_u": 0.9990243902439024,
+  "trivial_excess": 0.03982783727702899,
+  "regime": "UL-dominant"
+}""",
+}
+
+
 class TestTheory:
+    @pytest.mark.parametrize("size", sorted(THEORY_PINS))
+    def test_report_is_pinned_byte_for_byte(self, capsys, size):
+        assert main(["theory", *size.split()]) == 0
+        assert capsys.readouterr().out == THEORY_PINS[size] + "\n"
+
     def test_prints_rate_report_json(self, capsys):
         assert main(["theory", "--s", "1", "--d", "10", "--nl", "10", "--nu", "0"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -279,6 +340,20 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("ratio", ["nan", "1e-320"])
+    def test_ratio_that_leaves_no_finite_n_l_exits_2_before_the_manifest(
+        self, tmp_path, capsys, ratio
+    ):
+        # 100 / 1e-320 overflows to inf, which has no whole n_l to round to.
+        out = tmp_path / "run"
+        argv = ["simulate", "--axis", "nu_over_nl", "--grid", ratio, "--nl", "5", "--nu", "100",
+                "--methods", "sl", "--threads", "1", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: nu_over_nl grid value {float(ratio)} must be positive")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "values,pattern",
         [
@@ -299,6 +374,7 @@ class TestSimulate:
             ({"n_u": 1e30}, "n_u is too large"),
             ({"d": 1e30}, "d is too large"),
             ({"n_test": 0}, "n_test must be at least 1"),
+            ({"axis": "nu_over_nl", "grid": [float("nan")]}, "nu_over_nl grid value nan"),
         ],
     )
     def test_bad_selftrain_grid_in_config_exits_2_before_compute(
@@ -518,6 +594,20 @@ class TestFit:
         assert not (out / "fit_manifest.json").exists()
         assert not (out / "fit_results.json").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--pca", "0", "pca must be at least 1, got 0"),
+        ("--pca", "-2", "pca must be at least 1, got -2"),
+        ("--nval", "-1", "n_val must be nonnegative, got -1"),
+    ])
+    def test_bad_flag_exits_2_before_the_table_is_read(self, tmp_path, capsys, flag, value,
+                                                       message):
+        out = tmp_path / "run"
+        args = self.fit_args(out, [flag, value])
+        args[1] = str(tmp_path / "missing.csv")
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_ntest_zero_exits_2_before_any_manifest(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(self.fit_args(out, ["--ntest", "0"])) == 2
@@ -636,6 +726,25 @@ class TestReport:
         assert main(["report", str(results), "--out", str(charts)]) == 2
         assert "row 3" in capsys.readouterr().err
         assert not (charts / "report_manifest.json").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines.insert(3, lines[2]), "row 4: method 'sl' repeats at axis value 8.0"),
+        (lambda lines: lines.__setitem__(2, lines[2].replace(",8.0,", ",nan,", 1)),
+         "row 3: axis value 'nan' is not finite"),
+        (lambda lines: lines.__setitem__(2, lines[2].replace(",8.0,", ",inf,", 1)),
+         "row 3: axis value 'inf' is not finite"),
+    ])
+    def test_results_a_sweep_cannot_write_exit_2_and_write_nothing(
+        self, tmp_path, capsys, edit, message
+    ):
+        results = self.results_with(tmp_path, "sl,ulplus")
+        lines = results.read_text().splitlines()
+        edit(lines)
+        results.write_text("\n".join(lines) + "\n")
+        charts = tmp_path / "charts"
+        assert main(["report", str(results), "--out", str(charts)]) == 2
+        assert message in capsys.readouterr().err
+        assert not charts.exists()
 
     def test_missing_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # The good file comes first: nothing is written until every input reads.

@@ -411,18 +411,11 @@ class TestSaveLoadRoundTrip:
         assert np.array_equal(loaded.y, data.y)
         assert loaded.columns == data.columns
 
-    def test_custom_label_column_name(self, tmp_path):
-        data = table(n=6, d=2, seed=3)
-        path = str(tmp_path / "round.csv")
-        save_csv(data, path, label_column="target")
-        loaded = load_csv(path, label_column="target", positive_label="1")
-        assert np.array_equal(loaded.x, data.x)
-        assert np.array_equal(loaded.y, data.y)
-
     def test_label_column_may_not_collide_with_a_feature(self, tmp_path):
-        data = table(n=4, d=2)
-        with pytest.raises(ValidationError):
-            save_csv(data, str(tmp_path / "t.csv"), label_column="f0")
+        data = TabularDataset(x=[[1.0, 2.0]], y=[1.0], columns=("f0", "label"))
+        with pytest.raises(ValidationError, match="collides"):
+            save_csv(data, str(tmp_path / "t.csv"))
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestStandardize:
@@ -852,6 +845,11 @@ class TestResultsErrors:
             (lambda lines: lines.__setitem__(
                 slice(2, None), [line.replace(",3,", ",0,", 1) for line in lines[2:]]
             ), "row 3: replicates must be at least 1"),
+            (lambda lines: lines.insert(4, lines[2]), "row 5: method 'sl' repeats"),
+            (lambda lines: lines.__setitem__(2, lines[2].replace(",2000.0,", ",nan,", 1)),
+             "row 3: axis value 'nan' is not finite"),
+            (lambda lines: lines.__setitem__(2, lines[2].replace(",2000.0,", ",-inf,", 1)),
+             "row 3: axis value '-inf' is not finite"),
         ],
     )
     def test_malformed_rows_are_rejected(self, tmp_path, mutate, pattern):

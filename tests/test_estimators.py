@@ -382,7 +382,7 @@ def ssl_w_at(sl_theta, ulp_theta, t):
     labeled set whose fit_sl is exactly sl_theta."""
     lab = labeled([sl_theta], [1.0])
     ulp = EstimatorOutput(theta=np.asarray(ulp_theta, dtype=float), method="ulplus")
-    out, sel = fit_ssl_w(lab, lab, lab, t_grid=[t], theta_ulp=ulp)
+    out, sel = fit_ssl_w(lab, ulp, lab, t_grid=[t])
     assert sel.t == t
     return out
 
@@ -492,7 +492,7 @@ class TestFitSslW:
         lab = labeled([[1.0, 0.0]], [1.0])
         validation = unlabeled([[10.0, 0.0], [-10.0, 0.0]])
         ulp = EstimatorOutput(theta=np.array([0.0, 1.0]), method="ulplus")
-        out, sel = fit_ssl_w(lab, unlabeled([[0.0, 1.0]]), validation, t_grid=(0.0, 1.0), theta_ulp=ulp)
+        out, sel = fit_ssl_w(lab, ulp, validation, t_grid=(0.0, 1.0))
         assert sel.t == 1.0
         assert np.allclose(out.theta, [1.0, 0.0])
         assert out.method == "sslw"
@@ -503,17 +503,17 @@ class TestFitSslW:
         lab = sample_labeled(model, 20, seed=1)
         unlab = sample_unlabeled(model, 200, seed=2)
         validation = sample_unlabeled(model, 100, seed=3)
-        out, sel = fit_ssl_w(lab, unlab, validation, t_grid=[0.3])
+        ulp = fix_sign(fit_ul(unlab), fit_sl(lab))
+        out, sel = fit_ssl_w(lab, ulp, validation, t_grid=[0.3])
         assert sel.t == 0.3
-        sl, ulp = fit_sl(lab).theta, fix_sign(fit_ul(unlab), fit_sl(lab)).theta
-        assert np.array_equal(out.theta, 0.3 * sl + (1 - 0.3) * ulp)
+        assert np.array_equal(out.theta, 0.3 * fit_sl(lab).theta + (1 - 0.3) * ulp.theta)
 
     def test_tie_breaks_toward_smallest_t(self):
         lab = labeled([[1.0, 0.0]], [1.0])
         validation = unlabeled([[3.0, 0.0], [-5.0, 0.0]])
         # identical candidates at every t: the tie must resolve to t=0
         ulp = EstimatorOutput(theta=np.array([1.0, 0.0]), method="ulplus")
-        _, sel = fit_ssl_w(lab, unlabeled([[1.0, 0.0]]), validation, t_grid=(0.0, 0.5, 1.0), theta_ulp=ulp)
+        _, sel = fit_ssl_w(lab, ulp, validation, t_grid=(0.0, 0.5, 1.0))
         assert sel.t == 0.0
 
     def test_zero_ulplus_picks_the_smallest_nonzero_t(self):
@@ -524,11 +524,10 @@ class TestFitSslW:
             lab = sample_labeled(model, 10, seed=seed)
             validation = sample_unlabeled(model, 1000, seed=100 + seed)
             zero = EstimatorOutput(theta=np.zeros(2), method="ulplus")
-            out, sel = fit_ssl_w(lab, validation, validation, theta_ulp=zero)
+            out, sel = fit_ssl_w(lab, zero, validation)
             assert sel.t == 0.05
             assert np.array_equal(out.theta, 0.05 * fit_sl(lab).theta + (1 - 0.05) * zero.theta)
-            _, sel = fit_ssl_w(lab, validation, validation, t_grid=(0.9, 0.3, 0.0, 0.6),
-                               theta_ulp=zero)
+            _, sel = fit_ssl_w(lab, zero, validation, t_grid=(0.9, 0.3, 0.0, 0.6))
             assert sel.t == 0.3
 
     def test_candidates_match_weighted_bitwise(self):
@@ -539,7 +538,7 @@ class TestFitSslW:
         sl = fit_sl(lab)
         ulp = fix_sign(fit_ul(unlab), sl)
         for t in estimators.DEFAULT_T_GRID:
-            out, sel = fit_ssl_w(lab, unlab, validation, t_grid=[t], theta_ulp=ulp)
+            out, sel = fit_ssl_w(lab, ulp, validation, t_grid=[t])
             assert sel.t == t
             assert np.array_equal(out.theta, t * sl.theta + (1 - t) * ulp.theta)
 
@@ -547,21 +546,21 @@ class TestFitSslW:
         lab = labeled([[1.0, 0.0]], [1.0])
         validation = unlabeled([[2.0, 0.0]])
         ulp = EstimatorOutput(theta=np.array([-1.0, 0.0]), method="ulplus")
-        _, sel = fit_ssl_w(lab, unlabeled([[1.0, 0.0]]), validation, t_grid=(0.0, 0.5, 1.0), theta_ulp=ulp)
+        _, sel = fit_ssl_w(lab, ulp, validation, t_grid=(0.0, 0.5, 1.0))
         assert sel.t == 0.0
         with pytest.raises(ValidationError):
-            fit_ssl_w(lab, unlabeled([[1.0, 0.0]]), validation, t_grid=(0.5,), theta_ulp=ulp)
+            fit_ssl_w(lab, ulp, validation, t_grid=(0.5,))
 
     def test_default_grid_argmax(self):
         model = MixtureModel(theta_star=np.array([1.0, 0.2]))
         lab = sample_labeled(model, 15, seed=4)
         unlab = sample_unlabeled(model, 500, seed=5)
         validation = sample_unlabeled(model, 300, seed=6)
-        out, sel = fit_ssl_w(lab, unlab, validation)
-        grid = [round(0.05 * i, 2) for i in range(21)]
-        assert sel.t in grid
         sl = fit_sl(lab)
         ulp = fix_sign(fit_ul(unlab), sl)
+        out, sel = fit_ssl_w(lab, ulp, validation)
+        grid = [round(0.05 * i, 2) for i in range(21)]
+        assert sel.t in grid
         best = avg_margins([out.theta], validation)[0]
         for t in grid:
             candidate = t * sl.theta + (1 - t) * ulp.theta
@@ -572,10 +571,11 @@ class TestFitSslW:
     def test_rejects_bad_grid(self):
         lab = labeled([[1.0, 0.0]], [1.0])
         v = unlabeled([[1.0, 0.0]])
+        ulp = EstimatorOutput(theta=np.array([1.0, 0.0]), method="ulplus")
         with pytest.raises(ValidationError):
-            fit_ssl_w(lab, v, v, t_grid=())
+            fit_ssl_w(lab, ulp, v, t_grid=())
         with pytest.raises(ValidationError):
-            fit_ssl_w(lab, v, v, t_grid=(0.5, 1.5))
+            fit_ssl_w(lab, ulp, v, t_grid=(0.5, 1.5))
 
 
 class TestOracleWeight:
@@ -672,7 +672,8 @@ def newton_unblocked(data, ridge, tol, max_iter):
     d, n = yx.shape
     theta = np.zeros(d)
     margins = theta @ yx
-    value = estimators._loss(margins, theta, ridge)
+    scratch = np.empty((2, n))
+    value = estimators._loss(margins, theta, ridge, scratch)
     for _ in range(max_iter):
         p = _sigmoid(-margins)
         grad = -(yx @ p) / n + 2.0 * ridge * theta
@@ -686,7 +687,7 @@ def newton_unblocked(data, ridge, tol, max_iter):
         while True:
             candidate = theta + step * direction
             cand_margins = candidate @ yx
-            cand_value = estimators._loss(cand_margins, candidate, ridge)
+            cand_value = estimators._loss(cand_margins, candidate, ridge, scratch)
             if cand_value <= value + 1e-4 * step * slope:
                 break
             step *= 0.5
@@ -753,8 +754,6 @@ class TestFitLogistic:
         for bad in BAD_MAX_ITER:
             with pytest.raises(ValidationError, match="max_iter"):
                 fit_logistic(data, 0.1, max_iter=bad)
-            with pytest.raises(ValidationError, match="max_iter"):
-                self_train_path(data, unlabeled([[1.0, 0.0]]), [0.5], 0.1, max_iter=bad)
 
     @pytest.mark.parametrize("blocks,rtol", [(1, 0.0), (2.5, 1e-12)])
     def test_blocked_hessian_matches_one_product(self, blocks, rtol):
@@ -806,7 +805,7 @@ class TestLogisticKernels:
             data = labeled([[margin]], [1.0])
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                value = estimators._loss(data.y * (data.x @ theta), theta, 0.0)
+                value = estimators._loss(data.y * (data.x @ theta), theta, 0.0, np.empty((2, 1)))
             expected = oracles.logistic_objective(theta, data.x, data.y, 0.0)
             assert math.isfinite(value)
             assert abs(value - expected) <= 1e-15 * max(1.0, expected)
@@ -825,49 +824,50 @@ class TestLogisticKernels:
         assert np.array_equal(frozen_yx, yx) and np.array_equal(frozen_start, start)
 
 
-class TestSelfTrain:
-    def test_precomputed_stage1_is_bitwise_identical(self):
-        model = MixtureModel(theta_star=np.array([1.0, 0.0]))
-        lab = sample_labeled(model, 30, seed=65)
-        unlab = sample_unlabeled(model, 500, seed=66)
-        stage1 = fit_logistic(lab, ridge=0.01, tol=1e-6, max_iter=5_000)
-        for threshold in (0.0, 0.5, 1.0, math.inf):
-            (plain,) = self_train_path(
-                lab, unlab, [threshold], ridge=0.01, tol=1e-6, max_iter=5_000
-            )
-            (reused,) = self_train_path(
-                lab, unlab, [threshold], ridge=0.01, tol=1e-6, max_iter=5_000, stage1=stage1
-            )
-            assert np.array_equal(reused.theta, plain.theta)
-            assert reused.method == "selftrain"
+def set_logistic_solver(monkeypatch, tol, max_iter=estimators.LOGISTIC_MAX_ITER):
+    """Run every self-training refit to `tol` within `max_iter` iterations."""
+    monkeypatch.setattr(estimators, "LOGISTIC_TOL", tol)
+    monkeypatch.setattr(estimators, "LOGISTIC_MAX_ITER", max_iter)
 
+
+def self_train(lab, unlab, thresholds, ridge):
+    """self_train_path from the stage-1 fit at the refits' solver settings."""
+    tol, max_iter = estimators.LOGISTIC_TOL, estimators.LOGISTIC_MAX_ITER
+    stage1 = fit_logistic(lab, ridge, tol=tol, max_iter=max_iter)
+    return self_train_path(lab, unlab, thresholds, ridge, stage1)
+
+
+class TestSelfTrain:
     def test_rejects_stage1_of_wrong_dimension(self):
         lab = labeled([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0])
         with pytest.raises(ValidationError):
             self_train_path(lab, unlabeled([[1.0, 0.0]]), [0.5], ridge=0.1,
                             stage1=EstimatorOutput(np.ones(3), "logistic"))
 
-    def test_infinite_threshold_degenerates_to_logistic(self):
+    def test_infinite_threshold_degenerates_to_logistic(self, monkeypatch):
+        set_logistic_solver(monkeypatch, 1e-8, 50_000)
         model = MixtureModel(theta_star=np.array([1.0, 0.0]))
         lab = sample_labeled(model, 25, seed=61)
         unlab = sample_unlabeled(model, 100, seed=62)
         plain = fit_logistic(lab, ridge=0.01, tol=1e-8, max_iter=50_000)
-        (st,) = self_train_path(lab, unlab, [math.inf], ridge=0.01, tol=1e-8, max_iter=50_000)
+        (st,) = self_train(lab, unlab, [math.inf], 0.01)
         assert np.array_equal(st.theta, plain.theta)
         assert st.method == "selftrain"
 
-    def test_empty_unlabeled_degenerates_to_logistic(self):
+    def test_empty_unlabeled_degenerates_to_logistic(self, monkeypatch):
+        set_logistic_solver(monkeypatch, 1e-8, 50_000)
         model = MixtureModel(theta_star=np.array([1.0, 0.0]))
         lab = sample_labeled(model, 25, seed=63)
         unlab = sample_unlabeled(model, 0, seed=64)
         plain = fit_logistic(lab, ridge=0.01, tol=1e-8, max_iter=50_000)
-        (st,) = self_train_path(lab, unlab, [1.0], ridge=0.01, tol=1e-8, max_iter=50_000)
+        (st,) = self_train(lab, unlab, [1.0], 0.01)
         assert np.array_equal(st.theta, plain.theta)
 
-    def test_pseudolabels_match_manual_union(self):
+    def test_pseudolabels_match_manual_union(self, monkeypatch):
+        set_logistic_solver(monkeypatch, 1e-7, 50_000)
         lab = labeled([[10.0, 0.0], [-10.0, 0.0]], [1.0, -1.0])
         unlab = unlabeled([[5.0, 0.0], [-5.0, 0.0], [0.1, 0.0]])
-        (st,) = self_train_path(lab, unlab, [1.0], ridge=0.1, tol=1e-7, max_iter=50_000)
+        (st,) = self_train(lab, unlab, [1.0], 0.1)
         union = labeled(
             [[10.0, 0.0], [-10.0, 0.0], [5.0, 0.0], [-5.0, 0.0]],
             [1.0, -1.0, 1.0, -1.0],
@@ -875,10 +875,11 @@ class TestSelfTrain:
         manual = fit_logistic(union, ridge=0.1, tol=1e-7, max_iter=50_000)
         assert np.array_equal(st.theta, manual.theta)
 
-    def test_threshold_zero_uses_all_points(self):
+    def test_threshold_zero_uses_all_points(self, monkeypatch):
+        set_logistic_solver(monkeypatch, 1e-7, 50_000)
         lab = labeled([[10.0, 0.0], [-10.0, 0.0]], [1.0, -1.0])
         unlab = unlabeled([[5.0, 0.0], [-5.0, 0.0], [0.0, 3.0]])
-        (st,) = self_train_path(lab, unlab, [0.0], ridge=0.1, tol=1e-7, max_iter=50_000)
+        (st,) = self_train(lab, unlab, [0.0], 0.1)
         union = labeled(
             [[10.0, 0.0], [-10.0, 0.0], [5.0, 0.0], [-5.0, 0.0], [0.0, 3.0]],
             [1.0, -1.0, 1.0, -1.0, 1.0],
@@ -886,14 +887,16 @@ class TestSelfTrain:
         manual = fit_logistic(union, ridge=0.1, tol=1e-7, max_iter=50_000)
         assert np.array_equal(st.theta, manual.theta)
 
-    def test_degenerate_stage_one(self):
+    def test_degenerate_stage_one(self, monkeypatch):
+        set_logistic_solver(monkeypatch, 1e-10, 50_000)
         # contradictory labels force the stage-1 fit to zero
         lab = labeled([[1.0, 0.0], [1.0, 0.0]], [1.0, -1.0])
         unlab = unlabeled([[5.0, 0.0]])
-        (st,) = self_train_path(lab, unlab, [0.5], ridge=0.1, tol=1e-10, max_iter=50_000)
+        (st,) = self_train(lab, unlab, [0.5], 0.1)
         assert np.linalg.norm(st.theta) <= 1e-8
 
-    def test_beats_plain_logistic_with_plenty_of_unlabeled(self):
+    def test_beats_plain_logistic_with_plenty_of_unlabeled(self, monkeypatch):
+        set_logistic_solver(monkeypatch, 1e-7, 50_000)
         model = MixtureModel(theta_star=np.array([1.0, 0.0]))
         st_errors = []
         sl_errors = []
@@ -901,7 +904,7 @@ class TestSelfTrain:
             lab = sample_labeled(model, 20, seed=100 + seed)
             unlab = sample_unlabeled(model, 2_000, seed=200 + seed)
             plain = fit_logistic(lab, ridge=0.01, tol=1e-7, max_iter=50_000)
-            (st,) = self_train_path(lab, unlab, [1.0], ridge=0.01, tol=1e-7, max_iter=50_000)
+            (st,) = self_train(lab, unlab, [1.0], 0.01)
             sl_errors.append(prediction_error(plain.theta, model.theta_star))
             st_errors.append(prediction_error(st.theta, model.theta_star))
         assert np.mean(st_errors) <= np.mean(sl_errors)
@@ -909,7 +912,7 @@ class TestSelfTrain:
     def test_rejects_negative_threshold(self):
         lab = labeled([[1.0, 0.0]], [1.0])
         with pytest.raises(ValidationError):
-            self_train_path(lab, unlabeled([[1.0, 0.0]]), [-1.0], ridge=0.1)
+            self_train(lab, unlabeled([[1.0, 0.0]]), [-1.0], 0.1)
 
 
 def unit_margin_data():
@@ -923,6 +926,10 @@ def unit_margin_data():
 class TestSelfTrainPath:
     RIDGE = 0.01
     TOL = 1e-8
+
+    @pytest.fixture(autouse=True)
+    def tight_tolerance(self, monkeypatch):
+        set_logistic_solver(monkeypatch, self.TOL)
 
     def draw(self, seed, n_l=30, n_u=600):
         model = MixtureModel(theta_star=np.array([0.8, 0.3]))
@@ -946,7 +953,7 @@ class TestSelfTrainPath:
             estimators, "_newton", lambda yx, *a: calls.append(yx.shape[1]) or newton(yx, *a)
         )
         thresholds = [0.5, 1.0, 0.5, 1.0, 1.0]
-        fits = self_train_path(lab, unlab, thresholds, self.RIDGE, tol=self.TOL)
+        fits = self_train(lab, unlab, thresholds, self.RIDGE)
         assert fits[0] is fits[2]
         assert fits[1] is fits[3] is fits[4]
         # the stage-1 fit, then the two unions in ascending size
@@ -956,7 +963,7 @@ class TestSelfTrainPath:
     def test_tied_margins_at_a_threshold_are_all_kept(self):
         lab, unlab = unit_margin_data()
         thresholds = [1.0, 1.0 + 1e-12, 0.5]
-        fits = self_train_path(lab, unlab, thresholds, 0.1, tol=self.TOL)
+        fits = self_train(lab, unlab, thresholds, 0.1)
         union = labeled(
             np.concatenate([lab.x, unlab.x]), np.concatenate([lab.y, [1.0, -1.0, 1.0, -1.0, 1.0]])
         )
@@ -967,7 +974,7 @@ class TestSelfTrainPath:
         grad = oracles.logistic_gradient(fits[0].theta, union.x, union.y, 0.1)
         assert float(np.linalg.norm(grad)) <= self.TOL
         assert np.array_equal(
-            self_train_path(lab, unlab, [1.0], 0.1, tol=self.TOL)[0].theta,
+            self_train(lab, unlab, [1.0], 0.1)[0].theta,
             fit_logistic(union, 0.1, tol=self.TOL).theta,
         )
 
@@ -981,9 +988,7 @@ class TestSelfTrainPath:
             lab.x, lab.y, unlab.x, unlab.x[:1], thresholds, stage1.theta, lambda x, y: None
         )
         for threshold, (x, y) in zip(thresholds, unions):
-            (st,) = self_train_path(
-                lab, unlab, [threshold], self.RIDGE, tol=self.TOL, stage1=stage1
-            )
+            (st,) = self_train_path(lab, unlab, [threshold], self.RIDGE, stage1)
             cold = fit_logistic(LabeledDataset(x=x, y=y), self.RIDGE, tol=self.TOL)
             assert np.array_equal(st.theta, cold.theta)
 
@@ -997,7 +1002,7 @@ class TestSelfTrainPath:
             estimators, "_newton",
             lambda yx, *a: unions.append(yx.copy()) or newton(yx, *a),
         )
-        self_train_path(lab, unlab, thresholds, self.RIDGE, tol=self.TOL, stage1=stage1)
+        self_train_path(lab, unlab, thresholds, self.RIDGE, stage1)
         _, masks, _ = oracles.self_train_by_masks(
             lab.x, lab.y, unlab.x, unlab.x[:1], thresholds, stage1.theta, lambda x, y: None
         )
@@ -1016,7 +1021,7 @@ class TestSelfTrainPath:
 
         monkeypatch.setattr(estimators, "_newton", failing)
         # The path returns the failure in that threshold's slot, not raises it.
-        (out,) = self_train_path(lab, unlab, [0.2], self.RIDGE, tol=self.TOL, stage1=stage1)
+        (out,) = self_train_path(lab, unlab, [0.2], self.RIDGE, stage1)
         assert isinstance(out, ConvergenceError) and str(out) == "injected"
 
     def test_flipping_labeled_samples_with_their_labels_changes_no_bit(self):
@@ -1024,8 +1029,8 @@ class TestSelfTrainPath:
         flip = np.where(np.random.default_rng(98).random(lab.n) < 0.5, -1.0, 1.0)
         flipped = LabeledDataset(x=lab.x * flip[:, None], y=lab.y * flip)
         thresholds = [0.0, 0.4, 1.1, math.inf]
-        fits = self_train_path(lab, unlab, thresholds, self.RIDGE, tol=self.TOL)
-        again = self_train_path(flipped, unlab, thresholds, self.RIDGE, tol=self.TOL)
+        fits = self_train(lab, unlab, thresholds, self.RIDGE)
+        again = self_train(flipped, unlab, thresholds, self.RIDGE)
         for out, want in zip(again, fits):
             assert np.array_equal(out.theta, want.theta)
 
@@ -1070,7 +1075,7 @@ class TestSelfTrainPath:
         lab, unlab = self.draw(94)
         for bad in ([-0.1], [0.5, math.nan], ["1.0"]):
             with pytest.raises(ValidationError):
-                self_train_path(lab, unlab, bad, self.RIDGE)
+                self_train(lab, unlab, bad, self.RIDGE)
 
 
 class TestFitSphericalLda:

@@ -602,6 +602,8 @@ class TestRunSweep:
         dict(axis="nl", grid=(5,), replicates=True),
         dict(axis="nl", grid=(5,), replicates=1, threads=math.inf),
         dict(axis="nl", grid=(5,), replicates=1, threads=True),
+        dict(axis="nu_over_nl", grid=(math.nan,), replicates=1),
+        dict(axis="nu_over_nl", grid=(1e-320,), replicates=1),
     ])
     def test_rejects_invalid_arguments(self, kwargs):
         with pytest.raises(ValidationError):

@@ -268,3 +268,153 @@ def test_rule_catches_a_name_only_its_own_tests_call(tmp_path):
     readme.write_text("Run:\n\n```\npython -c 'from pkg.core import recipe'\n```\nnot Record\n")
     found = unused_public_names(src, [bench, readme])
     assert found == [("core", "recursive"), ("core", "Record")]
+
+
+def defaulted_parameters(module, body):
+    """((module, owner, name), position) of each parameter with a default of the public
+    functions, public methods and dataclass fields in a module's body. `position` is the
+    number of positional arguments a call makes before it, past `self`; None when it is
+    keyword-only."""
+
+    def of_function(node, skip):
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found = [((module, node.name, arg.arg), i - skip)
+                 for i, arg in enumerate(positional) if i >= first]
+        return found + [((module, node.name, arg.arg), None)
+                        for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                        if default is not None]
+
+    found = []
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found += of_function(node, 0)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        if any("dataclass" in ast.unparse(decorator) for decorator in node.decorator_list):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                      and "init=False" not in ast.unparse(item)]
+            found += [((module, node.name, item.target.id), i)
+                      for i, item in enumerate(fields) if item.value is not None]
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                found += of_function(item, 1)
+    return found
+
+
+def calls_in(tree):
+    """(call, name and parameter names of the function making it) of each call in a tree."""
+    found = []
+
+    def visit(node, function, params):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+            params = {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+        if isinstance(node, ast.Call):
+            found.append((node, function, params))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, params)
+
+    visit(tree, None, set())
+    return found
+
+
+def argument_for(call, owner, name, position):
+    """The expression a call passes for parameter `name` of `owner`, True when a `*` or
+    `**` argument may pass it, else None. Calls match by name, as in unused_public_names,
+    and a keyword of `replace(...)` (dataclasses.replace) passes every parameter so named."""
+    callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+    keywords = {keyword.arg: keyword.value for keyword in call.keywords}
+    if callee == "replace" and name in keywords:
+        return keywords[name]
+    if callee != owner:
+        return None
+    if None in keywords:
+        return True
+    if name in keywords:
+        return keywords[name]
+    if position is None:
+        return None
+    if any(isinstance(arg, ast.Starred) for arg in call.args[:position + 1]):
+        return True
+    return call.args[position] if position < len(call.args) else None
+
+
+def python_of(path):
+    """A caller file's Python: the file, or the heredocs in a markdown file's fenced blocks."""
+    text = path.read_text()
+    if path.suffix == ".md":
+        blocks = text.split("```")[1::2]
+        text = "\n".join(body for block in blocks
+                         for _, body in re.findall(r"<<'(\w+)'\n(.*?)\n\1\n", block, re.S))
+    return ast.parse(text)
+
+
+def unpassed_parameters(src, callers):
+    """(module, owner, name) of each defaulted public parameter (defaulted_parameters) in
+    the modules of `src` that no call in them or in a caller file passes.
+
+    A call whose argument is only a parameter of its own function that is itself never
+    passed does not count, so every link of a chain that forwards a default is found:
+    the links found by forwarding follow those found first.
+    """
+    modules = {path: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    parameters = [entry for path, tree in modules.items()
+                  for entry in defaulted_parameters(path.stem, tree.body)]
+    calls = [site for tree in [*modules.values(), *map(python_of, callers)]
+             for site in calls_in(tree)]
+    unpassed = []
+
+    def passed(key, position):
+        never = {(owner, name) for _, owner, name in unpassed}
+        for call, function, params in calls:
+            arg = argument_for(call, key[1], key[2], position)
+            forwards = (isinstance(arg, ast.Name) and arg.id in params
+                        and (function, arg.id) in never)
+            if arg is not None and not forwards:
+                return True
+        return False
+
+    while True:
+        found = [key for key, position in parameters
+                 if key not in unpassed and not passed(key, position)]
+        if not found:
+            return unpassed
+        unpassed += found
+
+
+def test_every_defaulted_parameter_has_a_caller_that_passes_it():
+    root = SRC.parent.parent
+    callers = [path for pattern in CALLERS for path in sorted(root.glob(pattern))]
+    assert unpassed_parameters(SRC, callers) == []
+
+
+def test_rule_catches_a_parameter_only_its_own_tests_pass(tmp_path):
+    src = tmp_path / "pkg"
+    src.mkdir()
+    (src / "core.py").write_text(
+        "from dataclasses import dataclass, field, replace\n\n"
+        "@dataclass\nclass Config:\n"
+        "    size: int\n    scale: float = 1.0\n    tag: str = 'a'\n"
+        "    count: int = 0\n    cache: dict = field(default=None, init=False)\n\n"
+        "class Model:\n    def fit(self, data, tol=1e-6, *, cap=10):\n        pass\n\n"
+        "def report(p, c=1.0):\n    return bound(p, c)\n\n"
+        "def bound(p, c=1.0):\n    return p * c\n\n"
+        "def spread(p, ratio=10.0):\n    return p * ratio\n\n"
+        "def run(cfg, options):\n"
+        "    Model().fit(cfg, cap=3)\n    spread(1, **options)\n"
+        "    return replace(cfg, tag='b'), report(cfg.size), Config(1, 2.0)\n"
+    )
+    bench = tmp_path / "bench.py"
+    bench.write_text("from pkg.core import Model\n\nModel().fit(None, 1e-3)\n")
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "```\npython3 - <<'EOF'\nfrom pkg.core import bound\nbound(2.0)\nEOF\n```\n"
+    )
+    tests = tmp_path / "test_core.py"
+    tests.write_text("from pkg.core import Config, report\n\nConfig(1, count=5)\nreport(1, c=2)\n")
+    assert unpassed_parameters(src, [bench, readme]) == [
+        ("core", "Config", "count"), ("core", "report", "c"), ("core", "bound", "c")
+    ]
+    assert unpassed_parameters(src, [bench, readme, tests]) == []

@@ -6,7 +6,6 @@ import pytest
 from oracles import normal_cdf
 from ssl_lab.errors import ValidationError
 from ssl_lab.theory import (
-    BoundConstants,
     ProblemSize,
     RateReport,
     classify_regime,
@@ -45,17 +44,6 @@ class TestProblemSize:
     def test_coerces_to_exact_types(self):
         p = size(1, 3, 10, 20)
         assert isinstance(p.s, float) and isinstance(p.d, int)
-
-
-class TestBoundConstants:
-    def test_defaults_are_unit(self):
-        c = BoundConstants()
-        assert (c.c0, c.c1, c.c2, c.c3, c.c4) == (1.0,) * 5
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValidationError):
-            BoundConstants(c0=bad)
 
 
 class TestMinimaxExcessRate:
@@ -108,8 +96,8 @@ class TestMinimaxEstimationRate:
             assert all(a >= b for a, b in zip(values, values[1:]))
 
 
-def first_excess_term(p, c3=1.0):
-    return c3 * math.exp(-0.5 * p.s ** 2) * p.d * math.log(p.d * p.n_u) / (p.s ** 3 * p.n_u)
+def first_excess_term(p):
+    return math.exp(-0.5 * p.s ** 2) * p.d * math.log(p.d * p.n_u) / (p.s ** 3 * p.n_u)
 
 
 class TestUlplusExcessUpper:
@@ -135,9 +123,9 @@ class TestUlplusExcessUpper:
             ulplus_excess_upper(size(0.0, 2, 10, 10 ** 7))
 
     def test_exponent_factor_clamps_at_zero(self):
-        p = size(1.0, 2, 50, 51_200)
-        constants = BoundConstants(c0=100.0)
-        value = ulplus_excess_upper(p, constants)
+        # n_u at the validity edge (160/s)^2 * d: the factor 1 - 2.46 clamps to 0.
+        p = size(0.1, 2, 50, 5_120_000)
+        value = ulplus_excess_upper(p)
         assert value == pytest.approx(first_excess_term(p) + 1.0, rel=1e-12)
 
     def test_nonincreasing_on_validity_grid(self):
@@ -211,12 +199,8 @@ class TestClassifyRegime:
         assert classify_regime(size(3.0, 2, 10_000, 0)) == "LowSNR"
 
     def test_threshold_boundary_is_balanced(self):
-        # n_l equals threshold * s^2 * n_u exactly: dominance is strict
-        assert classify_regime(size(1.0, 2, 1000, 100), ratio_threshold=10.0) == "Balanced"
-
-    def test_rejects_bad_threshold(self):
-        with pytest.raises(ValidationError):
-            classify_regime(size(1.0, 2, 10, 10), ratio_threshold=1.0)
+        # n_l equals REGIME_RATIO * s^2 * n_u exactly: dominance is strict
+        assert classify_regime(size(1.0, 2, 1000, 100)) == "Balanced"
 
 
 class TestTrivialExcess:
