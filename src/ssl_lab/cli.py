@@ -137,7 +137,11 @@ def _parse_methods(text, key: str = "methods") -> tuple:
 
 def _real(value, key: str) -> float:
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            # json reads a long run of digits as an int past float range.
+            raise ValidationError(f"{key} is too large for a float") from None
     raise ValidationError(f"{key} must be a number, got {value!r}")
 
 

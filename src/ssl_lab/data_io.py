@@ -352,10 +352,9 @@ def standardize(data: TabularDataset) -> TabularDataset:
     """
     if data.n < 2:
         raise ValidationError("standardize needs at least 2 rows")
-    mean, scale = _standardizer(data.x)
-    z = np.subtract(data.x, mean)
+    z = np.subtract(data.x, data.x.mean(axis=0))
     return TabularDataset(
-        x=freeze(np.divide(z, scale, out=z)),
+        x=freeze(np.divide(z, _scale(_column_mean_square(z)), out=z)),
         y=data.y,
         columns=data.columns,
         provenance=f"standardize({data.provenance})",
@@ -363,16 +362,21 @@ def standardize(data: TabularDataset) -> TabularDataset:
 
 
 def _standardizer(x: np.ndarray):
-    """(mean, scale) of standardize's rule: x's column means, and each
-    column's population spread (numpy's std, bit for bit) or 1 where it is 0.
-    """
+    """(mean, scale) of standardize's rule for x, which is not centred: its
+    column means, and _scale of its column mean squares about them."""
     mean = x.mean(axis=0)
-    std = np.sqrt(_column_mean_square(x, mean))
-    return mean, np.where(std == 0.0, 1.0, std)
+    return mean, _scale(_column_mean_square(x, mean))
 
 
-def _column_mean_square(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """np.mean((x - mean) ** 2, axis=0) bit for bit, centring one block of rows at a time.
+def _scale(mean_square: np.ndarray) -> np.ndarray:
+    """Each column's population spread (numpy's std, bit for bit) or 1 where it is 0."""
+    std = np.sqrt(mean_square)
+    return np.where(std == 0.0, 1.0, std)
+
+
+def _column_mean_square(x: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
+    """np.mean((x - mean) ** 2, axis=0) bit for bit, squaring one block of rows at a
+    time; with mean None, x is centred already and its squares are summed.
 
     numpy sums axis 0 of a C-contiguous matrix one row after another, so each
     block's squares are summed after the running sum, which sits in the row
@@ -384,8 +388,10 @@ def _column_mean_square(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
     buf = np.empty((min(step, n) + 1, d))
     for start in range(0, n, step):
         rows = x[start:start + step]
-        squares = np.subtract(rows, mean, out=buf[1:len(rows) + 1])
-        np.multiply(squares, squares, out=squares)
+        squares = buf[1:len(rows) + 1]
+        if mean is not None:
+            rows = np.subtract(rows, mean, out=squares)
+        np.multiply(rows, rows, out=squares)
         if start:
             buf[0] = total
             squares = buf[:len(rows) + 1]

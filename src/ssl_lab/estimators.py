@@ -27,6 +27,12 @@ Supervised, unsupervised, and semi-supervised fits:
   one of the unsupervised backends (UL_BACKENDS).
 - fit_logistic: ridge-penalized logistic regression through the origin,
   damped Newton with backtracking; self_train_path builds on its kernel.
+- fit_logistic_grid: fit_logistic at every ridge of a grid, bit for bit,
+  as one stacked damped Newton solve on the shared labeled set while the
+  k ridges times n rows are at most HESSIAN_BLOCK, and ridge by ridge past
+  that. The stack keeps every problem's own tests and steps; each sum
+  whose order matters is a stacked matmul with a unit dimension, which
+  numpy runs as the same BLAS call per problem that a single fit makes.
 - self_train_path: two-stage self-training refits for a list of
   pseudolabel thresholds (one threshold is a one-entry list),
   warm-started along nested unions of one margin-sorted pool.
@@ -39,7 +45,8 @@ arguments; iterative solvers keep all state local and report
 non-convergence as ConvergenceError carrying the last iterate. The
 solver settings every program run uses are stated once, here: EM_TOL and
 EM_MAX_ITER for both EMs, LOGISTIC_TOL and LOGISTIC_MAX_ITER for the
-logistic fits. self_train_path's refits read the latter two when called.
+logistic fits. self_train_path's refits and fit_logistic_grid read the
+latter two when called.
 Only two settings are passed per call: fit_em's iteration cap (the "em"
 backend's budget) and fit_logistic's tolerance and cap.
 """
@@ -74,7 +81,8 @@ MARGIN_BLOCK = 4096
 MARGIN_RTOL = 1e-12
 #: Columns per product of _newton's blocked Hessian sum. Up to this many rows the
 #: sum is one gemm, bit for bit the unblocked (yx * w) @ yx.T; past it the d x n
-#: scratch that product needs shrinks to d x HESSIAN_BLOCK.
+#: scratch that product needs shrinks to d x HESSIAN_BLOCK. fit_logistic_grid
+#: stacks k ridges on n rows while k * n is at most this, within the same scratch.
 HESSIAN_BLOCK = 16_384
 
 
@@ -237,7 +245,8 @@ def avg_margins(thetas, validation: UnlabeledDataset) -> np.ndarray:
     totals = np.zeros(len(th))
     for start in range(0, validation.n, MARGIN_BLOCK):
         block = validation.x[start:start + MARGIN_BLOCK]
-        totals += np.abs(th @ block.T).sum(axis=1)
+        margins = th @ block.T
+        totals += np.abs(margins, out=margins).sum(axis=1)
     return totals / validation.n / norms
 
 
@@ -379,6 +388,19 @@ def _loss(margins: np.ndarray, theta: np.ndarray, ridge: float, scratch) -> floa
     """The objective (1/n) sum log(1 + exp(-m)) + ridge * ||theta||^2 of
     the margins m = y <theta, x>; sum / size is np.mean without its overhead.
     `scratch`, two float arrays shaped like the margins, takes every pass."""
+    loss = _log_loss(margins, scratch)
+    return float(loss.sum()) / loss.size + float(ridge) * float(theta @ theta)
+
+
+def _stacked_loss(margins: np.ndarray, theta: np.ndarray, ridge: np.ndarray, scratch):
+    """_loss of each row of a stack, bit for bit: k x n margins, k x d thetas and
+    k ridges. `scratch` is two float arrays with at least k rows of n."""
+    loss = _log_loss(margins, [part[:len(margins)] for part in scratch])
+    return loss.sum(axis=1) / loss.shape[1] + ridge * _dots(theta, theta)
+
+
+def _log_loss(margins: np.ndarray, scratch) -> np.ndarray:
+    """log(1 + exp(-m)) of each margin m, in scratch[0]; scratch[1] takes a pass."""
     loss, tail = scratch
     # log(1 + exp(-m)) = max(-m, 0) + log1p(exp(-|m|)), stable for any m;
     # -|m| is min(m, -m), with exp(+-0) = 1 either way.
@@ -387,7 +409,13 @@ def _loss(margins: np.ndarray, theta: np.ndarray, ridge: float, scratch) -> floa
     np.log1p(np.exp(tail, out=tail), out=tail)
     np.maximum(loss, 0.0, out=loss)
     loss += tail
-    return float(loss.sum()) / loss.size + float(ridge) * float(theta @ theta)
+    return loss
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] of each row pair of two k x d stacks, bit for bit: a stacked
+    matmul with a unit dimension is one dot per row."""
+    return np.matmul(a[:, None], b[..., None])[:, 0, 0]
 
 
 def fit_logistic(
@@ -416,6 +444,35 @@ def fit_logistic(
     yx = np.multiply(data.x.T, data.y, order="C")
     theta = _newton(yx, ridge, tol, max_iter, np.zeros(data.d))
     return EstimatorOutput(theta=theta, method="logistic")
+
+
+def fit_logistic_grid(data: LabeledDataset, ridges) -> list:
+    """fit_logistic at every ridge of a grid, each to LOGISTIC_TOL within
+    LOGISTIC_MAX_ITER iterations.
+
+    Returns one entry per ridge, in grid order: the fit, or the
+    ConvergenceError it raised, each bit for bit what fit_logistic(data,
+    ridge) returns or raises. While k ridges times n rows is at most
+    HESSIAN_BLOCK, the k fits are one stacked solve (_newton_grid); past
+    that each ridge runs alone.
+    """
+    if data.n < 1:
+        raise ValidationError("fit_logistic needs at least one sample")
+    ridges = list(ridges)
+    for ridge in ridges:
+        _check_ridge(ridge)
+    yx = np.multiply(data.x.T, data.y, order="C")
+    if len(ridges) * data.n <= HESSIAN_BLOCK:
+        fits = _newton_grid(yx, ridges, LOGISTIC_TOL, LOGISTIC_MAX_ITER)
+    else:
+        fits = []
+        for ridge in ridges:
+            try:
+                fits.append(_newton(yx, ridge, LOGISTIC_TOL, LOGISTIC_MAX_ITER, np.zeros(data.d)))
+            except ConvergenceError as err:
+                fits.append(err)
+    return [fit if isinstance(fit, ConvergenceError) else EstimatorOutput(fit, "logistic")
+            for fit in fits]
 
 
 def _check_ridge(ridge) -> None:
@@ -491,6 +548,103 @@ def _newton(yx, ridge: float, tol, max_iter: int, theta: np.ndarray) -> np.ndarr
         f"damped Newton did not reach tolerance in {max_iter} iterations",
         last=EstimatorOutput(theta=theta, method="logistic"),
     )
+
+
+def _newton_grid(yx, ridges, tol, max_iter: int) -> list:
+    """_newton from zero at k ridges on one yx at once; k * n must be at most
+    HESSIAN_BLOCK, so the Hessians are one product. Returns one entry per
+    ridge: its final theta, or the ConvergenceError _newton raises for it.
+
+    Row i of every stacked array is problem ids[i], with its own convergence
+    test, Armijo step and fallback to -g; a problem that returns or raises
+    leaves the stack. Every order-dependent sum is a stacked matmul, which
+    numpy runs as the gemv, dot or gemm _newton makes, per problem, and a
+    batched solve is a gesv per problem, so each problem's iterates are bit
+    for bit _newton's. A batch whose solve fails solves problem by problem.
+    """
+    d, n = yx.shape
+    ids = np.arange(len(ridges))
+    ridge = np.array(ridges, dtype=float)
+    found = [None] * len(ids)
+    theta = np.zeros((len(ids), d))
+    p_rows, w_rows, *scratch = np.empty((4, len(ids), n))
+    yxw = np.empty((len(ids), d, n))
+    margins = np.matmul(theta[:, None], yx)[:, 0]
+    value = _stacked_loss(margins, theta, ridge, scratch)
+
+    def fail(rows, message):
+        for i in rows:
+            last = EstimatorOutput(theta=theta[i], method="logistic")
+            found[ids[i]] = ConvergenceError(message, last=last)
+
+    for _ in range(max_iter):
+        p = p_rows[:len(ids)]
+        np.multiply(margins, -0.5, out=p)
+        np.tanh(p, out=p)
+        p += 1.0
+        p *= 0.5
+        grad = -np.matmul(yx, p[..., None])[..., 0] / n + (2.0 * ridge)[:, None] * theta
+        squared = _dots(grad, grad)
+        done = np.sqrt(squared) <= tol
+        for i in np.flatnonzero(done):
+            found[ids[i]] = theta[i]
+        if done.all():
+            return found
+        if done.any():
+            keep = ~done
+            ids, ridge, theta, margins, value, grad, squared, p = (
+                part[keep] for part in (ids, ridge, theta, margins, value, grad, squared, p)
+            )
+        k = len(ids)
+        w = np.subtract(1.0, p, out=w_rows[:k])
+        w *= p
+        hessian = np.matmul(np.multiply(yx, w[:, None], out=yxw[:k]), yx.T)
+        hessian /= n
+        hessian.reshape(k, d * d)[:, :: d + 1] += (2.0 * ridge)[:, None]
+        try:
+            direction = np.linalg.solve(hessian, -grad[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            direction = -grad
+            for i in range(k):
+                try:
+                    direction[i] = np.linalg.solve(hessian[i], -grad[i])
+                except np.linalg.LinAlgError:
+                    pass
+        slope = _dots(grad, direction)
+        steep = ~(np.isfinite(slope) & (slope < 0.0))
+        if steep.any():
+            direction[steep], slope[steep] = -grad[steep], -squared[steep]
+        # Each problem tries the full step; `rows`, whose value it lowers too little, halve it.
+        cand = theta + direction
+        cand_margins = np.matmul(cand[:, None], yx)[:, 0]
+        cand_value = _stacked_loss(cand_margins, cand, ridge, scratch)
+        rows = np.flatnonzero(~(cand_value <= value + 1e-4 * slope))
+        step = np.ones(k)
+        stalled = []
+        while rows.size:
+            step[rows] *= 0.5
+            stalled += rows[step[rows] < 1e-18].tolist()
+            rows = rows[step[rows] >= 1e-18]
+            trial = theta[rows] + step[rows, None] * direction[rows]
+            trial_margins = np.matmul(trial[:, None], yx)[:, 0]
+            trial_value = _stacked_loss(trial_margins, trial, ridge[rows], scratch)
+            ok = trial_value <= value[rows] + 1e-4 * step[rows] * slope[rows]
+            took = rows[ok]
+            cand[took], cand_margins[took] = trial[ok], trial_margins[ok]
+            cand_value[took] = trial_value[ok]
+            rows = rows[~ok]
+        if stalled:
+            fail(stalled, "backtracking line search stalled")
+            keep = np.ones(k, dtype=bool)
+            keep[stalled] = False
+            if not keep.any():
+                return found
+            ids, ridge, cand, cand_margins, cand_value = (
+                part[keep] for part in (ids, ridge, cand, cand_margins, cand_value)
+            )
+        theta, margins, value = cand, cand_margins, cand_value
+    fail(range(len(ids)), f"damped Newton did not reach tolerance in {max_iter} iterations")
+    return found
 
 
 def sorted_distinct(values) -> np.ndarray:

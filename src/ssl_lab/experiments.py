@@ -57,6 +57,7 @@ from .estimators import (
     fit_em,
     fit_em_means,
     fit_logistic,
+    fit_logistic_grid,
     fit_sl,
     fit_spherical_lda,
     fit_ssl_s,
@@ -291,31 +292,30 @@ def score_fit(model: MixtureModel, test, theta, extra: dict) -> MethodMetrics:
     return MethodMetrics(excess, estimation, test_error(theta, test), extra)
 
 
-def _select_by_margin(grid, fit, validation):
-    """(value, fit(value)) with the largest validation margin over grid.
+def _select_by_margin(grid, fits, validation):
+    """(value, fit) with the largest validation margin over grid, given
+    one fit per value: an EstimatorOutput, or the error its fit raised.
 
-    Candidates whose fit raises or is the zero vector (whose margin is
+    Candidates whose fit raised or is the zero vector (whose margin is
     undefined) are skipped; if every candidate fails the last error is
     raised. The rest are scored in one avg_margins call, and ties
     (equal to within rounding) go to the first in grid order.
     """
-    values, fits = [], []
+    values, kept = [], []
     last_error = None
-    for value in grid:
-        try:
-            out = fit(value)
-        except SslLabError as err:
-            last_error = err
+    for value, out in zip(grid, fits):
+        if isinstance(out, SslLabError):
+            last_error = out
             continue
         if float(np.linalg.norm(out.theta)) == 0.0:
             last_error = ValidationError("avg_margins is undefined for the zero vector")
             continue
         values.append(value)
-        fits.append(out)
-    if not fits:
+        kept.append(out)
+    if not kept:
         raise last_error if last_error is not None else ValidationError("no candidates")
-    best = best_margin(avg_margins([out.theta for out in fits], validation))
-    return values[best], fits[best]
+    best = best_margin(avg_margins([out.theta for out in kept], validation))
+    return values[best], kept[best]
 
 
 def _stage1_threshold_grid(stage1_theta, unlabeled):
@@ -417,9 +417,8 @@ class FitContext:
     @cached_property
     def ridge(self):
         """(ridge, logistic fit) with the largest validation margin."""
-        return _select_by_margin(
-            self.ridge_grid, lambda ridge: fit_logistic(self.labeled, ridge), self.validation
-        )
+        fits = fit_logistic_grid(self.labeled, self.ridge_grid)
+        return _select_by_margin(self.ridge_grid, fits, self.validation)
 
 
 @dataclass(frozen=True)
@@ -469,14 +468,8 @@ def _fit_selftrain(ctx):
     if thresholds is None:
         thresholds = _stage1_threshold_grid(stage1.theta, ctx.unlabeled)
     fits = self_train_path(ctx.labeled, ctx.unlabeled, thresholds, ridge, stage1=stage1)
-
-    def refit(i):
-        if isinstance(fits[i], SslLabError):
-            raise fits[i]
-        return fits[i]
-
-    i, out = _select_by_margin(range(len(thresholds)), refit, ctx.validation)
-    return out.theta, {"ridge": ridge, "threshold": thresholds[i]}
+    threshold, out = _select_by_margin(thresholds, fits, ctx.validation)
+    return out.theta, {"ridge": ridge, "threshold": threshold}
 
 
 #: Every method tag, in harness order.

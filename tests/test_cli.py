@@ -393,6 +393,24 @@ class TestSimulate:
         assert not (out / "manifest.json").exists()
         assert not (out / "results.csv").exists()
 
+    @pytest.mark.parametrize("values", [
+        {"s": 10**400},
+        {"axis": "snr", "grid": [1.0, 10**400]},
+        {"t_grid": [10**400], "methods": ["sslw"]},
+        {"ridge_grid": [0.1, 10**400]},
+        {"self_train_thresholds": [10**400]},
+    ], ids=lambda values: [key for key in values if key not in ("axis", "methods")][0])
+    def test_a_number_past_float_range_exits_2_naming_its_key(self, tmp_path, capsys, values):
+        # json reads 1 followed by 400 zeros as an int that float() cannot hold.
+        key = [key for key in values if key not in ("axis", "methods")][0]
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"methods": ["sl"], "n_l": 6, "n_u": 30, **values}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_infinite_selftrain_threshold_is_the_labeled_only_fit(self, tmp_path):
         # Every trial's threshold is inf, so the cell's mean threshold is inf
         # at any replicate count (inf - inf must not turn it into NaN).
@@ -579,7 +597,7 @@ class TestFit:
 
     def test_every_method_failed_exits_3(self, tmp_path, capsys, monkeypatch):
         # Every default method fits through one of these three.
-        for name in ("fit_sl", "fit_logistic", "fit_spherical_lda"):
+        for name in ("fit_sl", "fit_logistic_grid", "fit_spherical_lda"):
             monkeypatch.setattr(experiments, name, failing_fit)
         assert main(self.fit_args(tmp_path)) == 3
         assert "ConvergenceError: injected" in capsys.readouterr().err

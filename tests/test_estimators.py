@@ -15,6 +15,7 @@ from ssl_lab.estimators import (
     fit_em,
     fit_em_means,
     fit_logistic,
+    fit_logistic_grid,
     fit_sl,
     fit_spherical_lda,
     fit_ssl_s,
@@ -835,6 +836,113 @@ def self_train(lab, unlab, thresholds, ridge):
     tol, max_iter = estimators.LOGISTIC_TOL, estimators.LOGISTIC_MAX_ITER
     stage1 = fit_logistic(lab, ridge, tol=tol, max_iter=max_iter)
     return self_train_path(lab, unlab, thresholds, ridge, stage1)
+
+
+def per_ridge(data, ridges):
+    """The reference for fit_logistic_grid: one fit_logistic per ridge at the
+    module's solver settings, each entry the fit or the error it raised."""
+    fits = []
+    for ridge in ridges:
+        try:
+            fits.append(fit_logistic(
+                data, ridge, tol=estimators.LOGISTIC_TOL, max_iter=estimators.LOGISTIC_MAX_ITER
+            ))
+        except ConvergenceError as err:
+            fits.append(err)
+    return fits
+
+
+def assert_same_fits(got, want):
+    """Byte-equal thetas, and errors of the same type, message and last iterate."""
+    assert len(got) == len(want)
+    for out, ref in zip(got, want):
+        assert type(out) is type(ref)
+        if isinstance(ref, ConvergenceError):
+            assert str(out) == str(ref)
+            out, ref = out.last, ref.last
+        assert out.method == ref.method == "logistic"
+        assert out.theta.tobytes() == ref.theta.tobytes()
+
+
+class TestFitLogisticGrid:
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("n", [1, 2, 10, 175, 1750])
+    def test_every_ridge_is_bit_for_bit_its_own_fit(self, n, d):
+        rng = np.random.default_rng(1000 * n + d)
+        for seed, snr in enumerate((0.3, 1.0, 3.0)):
+            theta = rng.standard_normal(d)
+            model = MixtureModel(theta_star=snr * theta / np.linalg.norm(theta))
+            data = sample_labeled(model, n, seed=seed)
+            assert_same_fits(fit_logistic_grid(data, DEFAULT_RIDGE_GRID),
+                             per_ridge(data, DEFAULT_RIDGE_GRID))
+
+    def test_near_separable_data_fails_only_the_smallest_ridge(self, monkeypatch):
+        # Separable draws: the smallest ridge needs 12 iterations, the next 10.
+        # Its problem leaves the stack last, and alone raises at a cap of 11.
+        data = sample_labeled(MixtureModel(theta_star=np.array([4.0, 0.0])), 10, seed=0)
+        for cap in (estimators.LOGISTIC_MAX_ITER, 11):
+            set_logistic_solver(monkeypatch, estimators.LOGISTIC_TOL, cap)
+            fits = fit_logistic_grid(data, DEFAULT_RIDGE_GRID)
+            assert_same_fits(fits, per_ridge(data, DEFAULT_RIDGE_GRID))
+            failed = [isinstance(fit, ConvergenceError) for fit in fits]
+            assert failed == [cap == 11] + [False] * 6
+
+    def test_a_failed_batch_solve_solves_problem_by_problem(self, monkeypatch):
+        # At ridge 0 the Hessian of axis-aligned data is singular, so the batched
+        # solve raises: that problem steps along -g, the others keep their Newton
+        # steps. On separable data ridge 0 never converges.
+        set_logistic_solver(monkeypatch, 1e-10, 60)
+        raised = []
+        solve = np.linalg.solve
+
+        def recorded(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                raised.append(np.ndim(a))
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        data = labeled([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0])
+        ridges = [0.0, 0.1, 1e-3, 0.0]
+        fits = fit_logistic_grid(data, ridges)
+        assert 3 in raised
+        assert_same_fits(fits, per_ridge(data, ridges))
+        assert [isinstance(fit, ConvergenceError) for fit in fits] == [True, False, False, True]
+
+    def test_a_stalled_line_search_raises_as_the_single_fit_does(self):
+        # Margins of 1e200-scale rows overflow, so no step along them is accepted.
+        data = labeled([[1e200, 1.0], [-1.0, 2.0], [3.0, -1e200]], [1.0, -1.0, 1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            fits = fit_logistic_grid(data, DEFAULT_RIDGE_GRID)
+            want = per_ridge(data, DEFAULT_RIDGE_GRID)
+        assert_same_fits(fits, want)
+        assert {str(fit) for fit in fits} == {"backtracking line search stalled"}
+
+    def test_past_the_block_each_ridge_runs_alone(self, monkeypatch):
+        calls = []
+        newton = estimators._newton
+        monkeypatch.setattr(
+            estimators, "_newton", lambda yx, *a: calls.append(yx.shape[1]) or newton(yx, *a)
+        )
+        model = MixtureModel(theta_star=np.array([0.6, -0.2]))
+        stacked = estimators.HESSIAN_BLOCK // len(DEFAULT_RIDGE_GRID)
+        for n, alone in ((stacked, 0), (stacked + 1, len(DEFAULT_RIDGE_GRID))):
+            data = sample_labeled(model, n, seed=n)
+            want = per_ridge(data, DEFAULT_RIDGE_GRID)
+            calls.clear()
+            assert_same_fits(fit_logistic_grid(data, DEFAULT_RIDGE_GRID), want)
+            assert calls == [n] * alone
+
+    def test_an_empty_grid_fits_nothing(self):
+        assert fit_logistic_grid(labeled([[1.0, 0.0]], [1.0]), []) == []
+
+    def test_rejects_bad_inputs(self):
+        data = labeled([[1.0, 0.0]], [1.0])
+        with pytest.raises(ValidationError, match="ridge"):
+            fit_logistic_grid(data, [0.1, -0.1])
+        with pytest.raises(ValidationError, match="at least one sample"):
+            fit_logistic_grid(LabeledDataset(x=np.zeros((0, 2)), y=np.zeros(0)), [0.1])
 
 
 class TestSelfTrain:

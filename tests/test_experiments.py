@@ -360,7 +360,7 @@ class TestMethodRegistry:
     def test_entries_call_estimators_through_module_globals(self, monkeypatch):
         names = (
             "fit_sl", "fit_ul", "fit_ssl_s", "fit_ssl_w", "fit_em", "fit_em_means",
-            "fit_logistic", "self_train_path", "fit_spherical_lda",
+            "fit_logistic_grid", "self_train_path", "fit_spherical_lda",
         )
         called = set()
         for name in names:
@@ -563,7 +563,7 @@ class TestSelectByMargin:
     def select(self, thetas):
         fits = [EstimatorOutput(theta=np.asarray(t, dtype=float), method="logistic")
                 for t in thetas]
-        return experiments._select_by_margin(range(len(fits)), fits.__getitem__, self.VALIDATION)
+        return experiments._select_by_margin(range(len(fits)), fits, self.VALIDATION)
 
     def test_rounding_ties_go_to_the_first_in_grid_order(self):
         # Positive multiples have the same margin up to rounding.
@@ -573,16 +573,16 @@ class TestSelectByMargin:
             assert index == 1
 
     def test_failed_and_zero_fits_are_skipped(self):
-        def fit(i):
-            if i == 0:
-                raise ConvergenceError("injected", last=None)
-            return EstimatorOutput(theta=np.zeros(2) if i == 1 else [0.0, 1.0], method="logistic")
-
-        assert experiments._select_by_margin(range(3), fit, self.VALIDATION)[0] == 2
+        fits = [
+            ConvergenceError("injected", last=None),
+            EstimatorOutput(theta=np.zeros(2), method="logistic"),
+            EstimatorOutput(theta=[0.0, 1.0], method="logistic"),
+        ]
+        assert experiments._select_by_margin(range(3), fits, self.VALIDATION)[0] == 2
         with pytest.raises(ValidationError, match="zero vector"):
-            experiments._select_by_margin(range(2), fit, self.VALIDATION)
+            experiments._select_by_margin(range(2), fits, self.VALIDATION)
         with pytest.raises(ConvergenceError):
-            experiments._select_by_margin(range(1), fit, self.VALIDATION)
+            experiments._select_by_margin(range(1), fits, self.VALIDATION)
 
 
 class TestRunSweep:

@@ -123,6 +123,41 @@ def test_rule_catches_a_second_freeze(tmp_path):
     assert found == [(2, "freeze"), (5, "by_flags"), (6, "by_flags")]
 
 
+def linear_solves(node):
+    """A reference to numpy's dense solve: `<...>linalg.solve`, or `solve` imported from it."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "solve" and ast.unparse(node.value).endswith("linalg")
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").endswith("linalg") and any(
+            alias.name == "solve" for alias in node.names
+        )
+    return False
+
+
+def test_only_the_newton_kernels_solve():
+    """_newton (one problem) and _newton_grid (a stacked ridge grid) are the only
+    Newton loops; a third one would show up here as another solve."""
+    found = sorted({(path.name, function) for path in sorted(SRC.glob("*.py"))
+                    for _, function in node_sites(path, linear_solves)})
+    assert found == [("estimators.py", "_newton"), ("estimators.py", "_newton_grid")]
+
+
+def test_rule_catches_a_second_newton_loop(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import numpy as np\n"
+        "from numpy.linalg import solve\n"
+        "\n"
+        "def _newton(h, g):\n"
+        "    return np.linalg.solve(h, -g)\n"
+        "\n"
+        "def own_loop(h, g):\n"
+        "    return numpy.linalg.solve(h, g), np.linalg.norm(g), solve\n"
+    )
+    found = node_sites(module, linear_solves)
+    assert found == [(2, None), (5, "_newton"), (8, "own_loop")]
+
+
 MAX_LINE = 100
 
 
