@@ -420,8 +420,9 @@ def _cmd_report(args) -> int:
         gap_pair = tuple(_normalize_method(name) for name in args.gap) if args.gap else None
     except ValidationError as err:
         return _fail(2, err)
-    # Every input is read and every chart rendered before anything is
-    # written, so a bad input leaves no manifest and no partial charts.
+    # Every input is read, every chart rendered and their names checked
+    # before anything is written, so a bad input leaves no manifest and no
+    # partial charts, and no chart overwrites another.
     charts = []
     for path in args.results:
         try:
@@ -432,16 +433,21 @@ def _cmd_report(args) -> int:
             return _fail(3, f"{path}: results file has no data rows to plot")
         stem = os.path.splitext(os.path.basename(path))[0]
         try:
-            charts.append((f"{stem}.svg", render_series_chart(
+            charts.append((path, f"{stem}.svg", render_series_chart(
                 sweep, metric=args.metric, log_x=args.log_x, log_y=args.log_y, title=stem
             )))
             if gap_pair:
                 a, b = gap_pair
-                charts.append((f"{stem}_gap_{a}_{b}.svg", render_gap_chart(
+                charts.append((path, f"{stem}_gap_{a}_{b}.svg", render_gap_chart(
                     sweep, a, b, metric=args.metric, log_x=args.log_x, title=f"{stem}: {a} vs {b}"
                 )))
         except ValidationError as err:
             return _fail(2, err)
+    owners = {}
+    for path, name, _ in charts:
+        if name in owners:
+            return _fail(2, f"{owners[name]} and {path} would both write {name}")
+        owners[name] = path
     try:
         out_dir = _resolve_out_dir(args)
     except OSError as err:
@@ -456,7 +462,7 @@ def _cmd_report(args) -> int:
     written = []
     try:
         _write_manifest(out_dir, "report_manifest.json", "report", resolved, _base_seed(args))
-        for name, svg in charts:
+        for _, name, svg in charts:
             target = os.path.join(out_dir, name)
             with atomic_writer(target) as handle:
                 handle.write(svg + "\n")

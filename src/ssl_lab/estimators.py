@@ -27,12 +27,14 @@ Supervised, unsupervised, and semi-supervised fits:
   one of the unsupervised backends (UL_BACKENDS).
 - fit_logistic: ridge-penalized logistic regression through the origin,
   damped Newton with backtracking; self_train_path builds on its kernel.
-- fit_logistic_grid: fit_logistic at every ridge of a grid, bit for bit,
-  as one stacked damped Newton solve on the shared labeled set while the
-  k ridges times n rows are at most HESSIAN_BLOCK, and ridge by ridge past
-  that. The stack keeps every problem's own tests and steps; each sum
-  whose order matters is a stacked matmul with a unit dimension, which
-  numpy runs as the same BLAS call per problem that a single fit makes.
+- fit_logistic_grid: fit_logistic at every ridge of a grid, bit for bit.
+  While the k ridges times n rows are at most HESSIAN_BLOCK, the grid runs
+  as one stacked solve on the shared labeled set for as long as each
+  ridge takes full Newton steps; each sum whose order matters is a
+  stacked matmul with a unit dimension, which numpy runs as the same BLAS
+  call per problem that a single fit makes. A ridge that leaves that
+  path, and every ridge past the block, runs alone through fit_logistic's
+  solver, which alone holds the line search, the -g step and the errors.
 - self_train_path: two-stage self-training refits for a list of
   pseudolabel thresholds (one threshold is a one-entry list),
   warm-started along nested unions of one margin-sorted pool.
@@ -438,7 +440,7 @@ def fit_logistic(
     if data.n < 1:
         raise ValidationError("fit_logistic needs at least one sample")
     _check_ridge(ridge)
-    if not (isinstance(tol, (int, float)) and tol > 0):
+    if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and tol > 0):
         raise ValidationError("tol must be positive")
     _check_max_iter(max_iter)
     yx = np.multiply(data.x.T, data.y, order="C")
@@ -453,8 +455,9 @@ def fit_logistic_grid(data: LabeledDataset, ridges) -> list:
     Returns one entry per ridge, in grid order: the fit, or the
     ConvergenceError it raised, each bit for bit what fit_logistic(data,
     ridge) returns or raises. While k ridges times n rows is at most
-    HESSIAN_BLOCK, the k fits are one stacked solve (_newton_grid); past
-    that each ridge runs alone.
+    HESSIAN_BLOCK, the k fits run as one stacked solve (_newton_grid) for as
+    long as each takes full Newton steps; a ridge that leaves that path, and
+    every ridge past the block, is solved alone by _newton from zero.
     """
     if data.n < 1:
         raise ValidationError("fit_logistic needs at least one sample")
@@ -462,21 +465,24 @@ def fit_logistic_grid(data: LabeledDataset, ridges) -> list:
     for ridge in ridges:
         _check_ridge(ridge)
     yx = np.multiply(data.x.T, data.y, order="C")
+    thetas = [None] * len(ridges)
     if len(ridges) * data.n <= HESSIAN_BLOCK:
-        fits = _newton_grid(yx, ridges, LOGISTIC_TOL, LOGISTIC_MAX_ITER)
-    else:
-        fits = []
-        for ridge in ridges:
-            try:
-                fits.append(_newton(yx, ridge, LOGISTIC_TOL, LOGISTIC_MAX_ITER, np.zeros(data.d)))
-            except ConvergenceError as err:
-                fits.append(err)
-    return [fit if isinstance(fit, ConvergenceError) else EstimatorOutput(fit, "logistic")
-            for fit in fits]
+        thetas = _newton_grid(yx, ridges, LOGISTIC_TOL, LOGISTIC_MAX_ITER)
+    fits = []
+    for ridge, theta in zip(ridges, thetas):
+        try:
+            if theta is None:
+                theta = _newton(yx, ridge, LOGISTIC_TOL, LOGISTIC_MAX_ITER, np.zeros(data.d))
+            fits.append(EstimatorOutput(theta=theta, method="logistic"))
+        except ConvergenceError as err:
+            fits.append(err)
+    return fits
 
 
 def _check_ridge(ridge) -> None:
-    if not (isinstance(ridge, (int, float)) and math.isfinite(ridge) and ridge >= 0.0):
+    if isinstance(ridge, bool) or not (
+        isinstance(ridge, (int, float)) and math.isfinite(ridge) and ridge >= 0.0
+    ):
         raise ValidationError("ridge must be a nonnegative real")
 
 
@@ -551,16 +557,18 @@ def _newton(yx, ridge: float, tol, max_iter: int, theta: np.ndarray) -> np.ndarr
 
 
 def _newton_grid(yx, ridges, tol, max_iter: int) -> list:
-    """_newton from zero at k ridges on one yx at once; k * n must be at most
-    HESSIAN_BLOCK, so the Hessians are one product. Returns one entry per
-    ridge: its final theta, or the ConvergenceError _newton raises for it.
+    """_newton's full-step path from zero at k ridges on one yx at once; k * n
+    must be at most HESSIAN_BLOCK, so the Hessians are one product. Returns one
+    entry per ridge: the theta _newton returns for it, or None.
 
-    Row i of every stacked array is problem ids[i], with its own convergence
-    test, Armijo step and fallback to -g; a problem that returns or raises
-    leaves the stack. Every order-dependent sum is a stacked matmul, which
-    numpy runs as the gemv, dot or gemm _newton makes, per problem, and a
-    batched solve is a gesv per problem, so each problem's iterates are bit
-    for bit _newton's. A batch whose solve fails solves problem by problem.
+    Row i of every stacked array is problem ids[i]. A problem stays in the
+    stack while the batched solve succeeds and its full Newton step is a
+    descent step that passes the Armijo test, and leaves it with its theta
+    once it converges. Any other problem, and one still in the stack at
+    max_iter, is None: _newton alone takes a shorter or a -g step, or raises.
+    Every order-dependent sum is a stacked matmul, which numpy runs as the
+    gemv, dot or gemm _newton makes, per problem, and a batched solve is a
+    gesv per problem, so each theta is bit for bit _newton's.
     """
     d, n = yx.shape
     ids = np.arange(len(ridges))
@@ -571,12 +579,6 @@ def _newton_grid(yx, ridges, tol, max_iter: int) -> list:
     yxw = np.empty((len(ids), d, n))
     margins = np.matmul(theta[:, None], yx)[:, 0]
     value = _stacked_loss(margins, theta, ridge, scratch)
-
-    def fail(rows, message):
-        for i in rows:
-            last = EstimatorOutput(theta=theta[i], method="logistic")
-            found[ids[i]] = ConvergenceError(message, last=last)
-
     for _ in range(max_iter):
         p = p_rows[:len(ids)]
         np.multiply(margins, -0.5, out=p)
@@ -584,18 +586,16 @@ def _newton_grid(yx, ridges, tol, max_iter: int) -> list:
         p += 1.0
         p *= 0.5
         grad = -np.matmul(yx, p[..., None])[..., 0] / n + (2.0 * ridge)[:, None] * theta
-        squared = _dots(grad, grad)
-        done = np.sqrt(squared) <= tol
+        done = np.sqrt(_dots(grad, grad)) <= tol
         for i in np.flatnonzero(done):
             found[ids[i]] = theta[i]
-        if done.all():
-            return found
         if done.any():
-            keep = ~done
-            ids, ridge, theta, margins, value, grad, squared, p = (
-                part[keep] for part in (ids, ridge, theta, margins, value, grad, squared, p)
+            ids, ridge, theta, value, grad, p = (
+                part[~done] for part in (ids, ridge, theta, value, grad, p)
             )
         k = len(ids)
+        if not k:
+            break
         w = np.subtract(1.0, p, out=w_rows[:k])
         w *= p
         hessian = np.matmul(np.multiply(yx, w[:, None], out=yxw[:k]), yx.T)
@@ -604,46 +604,16 @@ def _newton_grid(yx, ridges, tol, max_iter: int) -> list:
         try:
             direction = np.linalg.solve(hessian, -grad[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            direction = -grad
-            for i in range(k):
-                try:
-                    direction[i] = np.linalg.solve(hessian[i], -grad[i])
-                except np.linalg.LinAlgError:
-                    pass
+            break
         slope = _dots(grad, direction)
-        steep = ~(np.isfinite(slope) & (slope < 0.0))
-        if steep.any():
-            direction[steep], slope[steep] = -grad[steep], -squared[steep]
-        # Each problem tries the full step; `rows`, whose value it lowers too little, halve it.
         cand = theta + direction
         cand_margins = np.matmul(cand[:, None], yx)[:, 0]
         cand_value = _stacked_loss(cand_margins, cand, ridge, scratch)
-        rows = np.flatnonzero(~(cand_value <= value + 1e-4 * slope))
-        step = np.ones(k)
-        stalled = []
-        while rows.size:
-            step[rows] *= 0.5
-            stalled += rows[step[rows] < 1e-18].tolist()
-            rows = rows[step[rows] >= 1e-18]
-            trial = theta[rows] + step[rows, None] * direction[rows]
-            trial_margins = np.matmul(trial[:, None], yx)[:, 0]
-            trial_value = _stacked_loss(trial_margins, trial, ridge[rows], scratch)
-            ok = trial_value <= value[rows] + 1e-4 * step[rows] * slope[rows]
-            took = rows[ok]
-            cand[took], cand_margins[took] = trial[ok], trial_margins[ok]
-            cand_value[took] = trial_value[ok]
-            rows = rows[~ok]
-        if stalled:
-            fail(stalled, "backtracking line search stalled")
-            keep = np.ones(k, dtype=bool)
-            keep[stalled] = False
-            if not keep.any():
-                return found
-            ids, ridge, cand, cand_margins, cand_value = (
-                part[keep] for part in (ids, ridge, cand, cand_margins, cand_value)
-            )
-        theta, margins, value = cand, cand_margins, cand_value
-    fail(range(len(ids)), f"damped Newton did not reach tolerance in {max_iter} iterations")
+        # NaN fails slope < 0, and -inf the Armijo test, as no loss is -inf.
+        keep = (slope < 0.0) & (cand_value <= value + 1e-4 * slope)
+        ids, ridge, theta, margins, value = (
+            part[keep] for part in (ids, ridge, cand, cand_margins, cand_value)
+        )
     return found
 
 
@@ -688,7 +658,9 @@ def self_train_path(
     """
     thresholds = list(thresholds)
     for threshold in thresholds:
-        if not (isinstance(threshold, (int, float)) and threshold >= 0.0):
+        if isinstance(threshold, bool) or not (
+            isinstance(threshold, (int, float)) and threshold >= 0.0
+        ):
             raise ValidationError("threshold must be nonnegative")
     if labeled.n < 1:
         raise ValidationError("self_train_path needs at least one labeled sample")

@@ -773,6 +773,25 @@ class TestReport:
         assert "missing.csv" in capsys.readouterr().err
         assert not charts.exists()
 
+    def test_inputs_whose_charts_share_a_name_exit_2_and_write_nothing(self, tmp_path, capsys):
+        # Two runs' results.csv both chart to results.svg; an input named like
+        # another's gap chart clashes with that chart.
+        first = self.results_with(tmp_path / "a", "sl,sslw")
+        second = self.results_with(tmp_path / "b", "sl,sslw")
+        gap_named = tmp_path / "results_gap_sl_sslw.csv"
+        gap_named.write_bytes(first.read_bytes())
+        charts = tmp_path / "charts"
+        for inputs, gap, name in (
+            ([first, second], [], "results.svg"),
+            ([first, gap_named], ["--gap", "sl", "sslw"], "results_gap_sl_sslw.svg"),
+        ):
+            argv = ["report", *map(str, inputs), *gap, "--out", str(charts)]
+            assert main(argv) == 2
+            out = capsys.readouterr()
+            assert out.err == f"error: {inputs[0]} and {inputs[1]} would both write {name}\n"
+            assert out.out == ""
+            assert not charts.exists()
+
     def test_gap_method_missing_from_sweep_exits_2(self, tmp_path, capsys):
         results = self.results_with(tmp_path, "sl,sslw")
         assert main([

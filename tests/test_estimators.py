@@ -748,10 +748,12 @@ class TestFitLogistic:
 
     def test_rejects_bad_inputs(self):
         data = labeled([[1.0, 0.0]], [1.0])
-        with pytest.raises(ValidationError):
-            fit_logistic(data, ridge=-0.1)
-        with pytest.raises(ValidationError):
-            fit_logistic(data, ridge=0.1, tol=0.0)
+        for ridge in (-0.1, True):
+            with pytest.raises(ValidationError, match="ridge"):
+                fit_logistic(data, ridge=ridge)
+        for tol in (0.0, True):
+            with pytest.raises(ValidationError, match="tol"):
+                fit_logistic(data, ridge=0.1, tol=tol)
         for bad in BAD_MAX_ITER:
             with pytest.raises(ValidationError, match="max_iter"):
                 fit_logistic(data, 0.1, max_iter=bad)
@@ -825,6 +827,16 @@ class TestLogisticKernels:
         assert np.array_equal(frozen_yx, yx) and np.array_equal(frozen_start, start)
 
 
+def record_newton_calls(monkeypatch):
+    """Record the row count of every _newton call from here on; returns the record."""
+    calls = []
+    newton = estimators._newton
+    monkeypatch.setattr(
+        estimators, "_newton", lambda yx, *a: calls.append(yx.shape[1]) or newton(yx, *a)
+    )
+    return calls
+
+
 def set_logistic_solver(monkeypatch, tol, max_iter=estimators.LOGISTIC_MAX_ITER):
     """Run every self-training refit to `tol` within `max_iter` iterations."""
     monkeypatch.setattr(estimators, "LOGISTIC_TOL", tol)
@@ -878,20 +890,27 @@ class TestFitLogisticGrid:
 
     def test_near_separable_data_fails_only_the_smallest_ridge(self, monkeypatch):
         # Separable draws: the smallest ridge needs 12 iterations, the next 10.
-        # Its problem leaves the stack last, and alone raises at a cap of 11.
+        # Its problem is still in the stack at a cap of 11, so _newton alone
+        # solves it again and raises.
         data = sample_labeled(MixtureModel(theta_star=np.array([4.0, 0.0])), 10, seed=0)
+        calls = record_newton_calls(monkeypatch)
         for cap in (estimators.LOGISTIC_MAX_ITER, 11):
             set_logistic_solver(monkeypatch, estimators.LOGISTIC_TOL, cap)
+            want = per_ridge(data, DEFAULT_RIDGE_GRID)
+            calls.clear()
             fits = fit_logistic_grid(data, DEFAULT_RIDGE_GRID)
-            assert_same_fits(fits, per_ridge(data, DEFAULT_RIDGE_GRID))
+            assert_same_fits(fits, want)
+            assert calls == [data.n] * (cap == 11)
             failed = [isinstance(fit, ConvergenceError) for fit in fits]
             assert failed == [cap == 11] + [False] * 6
 
-    def test_a_failed_batch_solve_solves_problem_by_problem(self, monkeypatch):
+    def test_a_failed_batch_solve_hands_every_ridge_to_the_single_fit(self, monkeypatch):
         # At ridge 0 the Hessian of axis-aligned data is singular, so the batched
-        # solve raises: that problem steps along -g, the others keep their Newton
-        # steps. On separable data ridge 0 never converges.
+        # solve raises and _newton solves each ridge alone: that problem steps
+        # along -g, the others keep their Newton steps. On separable data ridge 0
+        # never converges.
         set_logistic_solver(monkeypatch, 1e-10, 60)
+        calls = record_newton_calls(monkeypatch)
         raised = []
         solve = np.linalg.solve
 
@@ -907,24 +926,24 @@ class TestFitLogisticGrid:
         ridges = [0.0, 0.1, 1e-3, 0.0]
         fits = fit_logistic_grid(data, ridges)
         assert 3 in raised
+        assert calls == [2] * len(ridges)
         assert_same_fits(fits, per_ridge(data, ridges))
         assert [isinstance(fit, ConvergenceError) for fit in fits] == [True, False, False, True]
 
-    def test_a_stalled_line_search_raises_as_the_single_fit_does(self):
-        # Margins of 1e200-scale rows overflow, so no step along them is accepted.
+    def test_a_stalled_line_search_raises_as_the_single_fit_does(self, monkeypatch):
+        # Margins of 1e200-scale rows overflow, so no step along them is accepted:
+        # no full step passes, and _newton alone solves every ridge.
         data = labeled([[1e200, 1.0], [-1.0, 2.0], [3.0, -1e200]], [1.0, -1.0, 1.0])
         with np.errstate(over="ignore", invalid="ignore"):
-            fits = fit_logistic_grid(data, DEFAULT_RIDGE_GRID)
             want = per_ridge(data, DEFAULT_RIDGE_GRID)
+            calls = record_newton_calls(monkeypatch)
+            fits = fit_logistic_grid(data, DEFAULT_RIDGE_GRID)
         assert_same_fits(fits, want)
+        assert calls == [data.n] * len(DEFAULT_RIDGE_GRID)
         assert {str(fit) for fit in fits} == {"backtracking line search stalled"}
 
     def test_past_the_block_each_ridge_runs_alone(self, monkeypatch):
-        calls = []
-        newton = estimators._newton
-        monkeypatch.setattr(
-            estimators, "_newton", lambda yx, *a: calls.append(yx.shape[1]) or newton(yx, *a)
-        )
+        calls = record_newton_calls(monkeypatch)
         model = MixtureModel(theta_star=np.array([0.6, -0.2]))
         stacked = estimators.HESSIAN_BLOCK // len(DEFAULT_RIDGE_GRID)
         for n, alone in ((stacked, 0), (stacked + 1, len(DEFAULT_RIDGE_GRID))):
@@ -939,8 +958,9 @@ class TestFitLogisticGrid:
 
     def test_rejects_bad_inputs(self):
         data = labeled([[1.0, 0.0]], [1.0])
-        with pytest.raises(ValidationError, match="ridge"):
-            fit_logistic_grid(data, [0.1, -0.1])
+        for ridge in (-0.1, True):
+            with pytest.raises(ValidationError, match="ridge"):
+                fit_logistic_grid(data, [0.1, ridge])
         with pytest.raises(ValidationError, match="at least one sample"):
             fit_logistic_grid(LabeledDataset(x=np.zeros((0, 2)), y=np.zeros(0)), [0.1])
 
@@ -1055,11 +1075,7 @@ class TestSelfTrainPath:
 
     def test_duplicate_thresholds_share_one_refit(self, monkeypatch):
         lab, unlab = self.draw(92)
-        calls = []
-        newton = estimators._newton
-        monkeypatch.setattr(
-            estimators, "_newton", lambda yx, *a: calls.append(yx.shape[1]) or newton(yx, *a)
-        )
+        calls = record_newton_calls(monkeypatch)
         thresholds = [0.5, 1.0, 0.5, 1.0, 1.0]
         fits = self_train(lab, unlab, thresholds, self.RIDGE)
         assert fits[0] is fits[2]
@@ -1181,7 +1197,7 @@ class TestSelfTrainPath:
 
     def test_rejects_bad_thresholds(self):
         lab, unlab = self.draw(94)
-        for bad in ([-0.1], [0.5, math.nan], ["1.0"]):
+        for bad in ([-0.1], [0.5, math.nan], ["1.0"], [0.5, True]):
             with pytest.raises(ValidationError):
                 self_train(lab, unlab, bad, self.RIDGE)
 

@@ -585,6 +585,29 @@ class TestSelectByMargin:
             experiments._select_by_margin(range(1), fits, self.VALIDATION)
 
 
+@pytest.mark.parametrize("name,handed", [
+    ("fig1a", [(20, 0)] * 6),
+    ("fig1b", [(7000, 7), (1750, 0), (700, 0), (175, 0), (70, 0), (35, 0), (10, 0)]),
+])
+def test_preset_ridge_grids_hand_off_only_past_the_block(monkeypatch, name, handed):
+    """(n_l, _newton calls) of each ridge grid in one replicate: the stacked solve
+    keeps every ridge while 7 n_l is at most HESSIAN_BLOCK, and none past it."""
+    calls, seen = [], []
+    newton, grid = estimators._newton, experiments.fit_logistic_grid
+
+    def counted(data, ridges):
+        calls.clear()
+        fits = grid(data, ridges)
+        seen.append((data.n, len(calls)))
+        return fits
+
+    monkeypatch.setattr(estimators, "_newton", lambda *a: calls.append(1) or newton(*a))
+    monkeypatch.setattr(experiments, "fit_logistic_grid", counted)
+    spec = PRESETS[name]
+    run_sweep(spec.cfg, spec.axis, spec.grid, replicates=1)
+    assert seen == handed
+
+
 class TestRunSweep:
     @pytest.mark.parametrize("kwargs", [
         dict(axis="bogus", grid=(1,), replicates=1),
