@@ -278,8 +278,9 @@ def render_gap_chart(
 ) -> str:
     """Single-series chart of error_gap(method_a, method_b) per grid cell.
 
-    Positive values mean method_b wins at that cell. A dashed zero line
-    is drawn whenever zero falls inside the plotted range.
+    Each side is one method tag. Positive values mean method_b wins at
+    that cell. A dashed zero line is drawn whenever zero falls inside the
+    plotted range.
     """
     _check_sweep(sweep)
     xs = [float(v) for v in sweep.grid]

@@ -64,14 +64,11 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 class TabularDataset(LabeledDataset):
     """A LabeledDataset whose feature columns have names.
 
-    `columns` holds the feature names in matrix order, and `provenance` a
-    free-form note on where the rows came from (a file path, or a
-    transform description). LabeledDataset checks x and y: entries are
-    finite and every label is -1 or +1.
+    `columns` holds the feature names in matrix order. LabeledDataset
+    checks x and y: entries are finite and every label is -1 or +1.
     """
 
     columns: tuple
-    provenance: str = ""
 
     def __post_init__(self):
         super().__post_init__()
@@ -82,8 +79,6 @@ class TabularDataset(LabeledDataset):
             raise ValidationError("column names must be nonempty strings")
         if len(set(columns)) != len(columns):
             raise ValidationError("column names must be unique")
-        if not isinstance(self.provenance, str):
-            raise ValidationError("provenance must be a string")
         object.__setattr__(self, "columns", columns)
 
 
@@ -188,7 +183,7 @@ def load_csv(path, label_column: str, positive_label) -> TabularDataset:
         )
     y = freeze(np.where(table[:, label_index] == codes[positive], 1.0, -1.0))
     x = freeze(_drop_column(table, label_index))
-    return TabularDataset(x=x, y=y, columns=feature_names, provenance=display)
+    return TabularDataset(x=x, y=y, columns=feature_names)
 
 
 def _drop_column(table: np.ndarray, index: int) -> np.ndarray:
@@ -353,12 +348,8 @@ def standardize(data: TabularDataset) -> TabularDataset:
     if data.n < 2:
         raise ValidationError("standardize needs at least 2 rows")
     z = np.subtract(data.x, data.x.mean(axis=0))
-    return TabularDataset(
-        x=freeze(np.divide(z, _scale(_column_mean_square(z)), out=z)),
-        y=data.y,
-        columns=data.columns,
-        provenance=f"standardize({data.provenance})",
-    )
+    x = freeze(np.divide(z, _scale(_column_mean_square(z)), out=z))
+    return TabularDataset(x=x, y=data.y, columns=data.columns)
 
 
 def _standardizer(x: np.ndarray):
@@ -435,12 +426,8 @@ def pca_project(data: TabularDataset, k: int) -> TabularDataset:
     scores = np.empty((data.n, k))
     for start, z in _standardized_blocks(data.x, mean, scale):
         np.matmul(z, components, out=scores[start:start + len(z)])
-    return TabularDataset(
-        x=freeze(scores),
-        y=data.y,
-        columns=tuple(f"pc{j + 1}" for j in range(k)),
-        provenance=f"pca{k}({data.provenance})",
-    )
+    columns = tuple(f"pc{j + 1}" for j in range(k))
+    return TabularDataset(x=freeze(scores), y=data.y, columns=columns)
 
 
 def split(data: TabularDataset, spec: SplitSpec):

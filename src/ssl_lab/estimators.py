@@ -40,11 +40,13 @@ Supervised, unsupervised, and semi-supervised fits:
   warm-started along nested unions of one margin-sorted pool.
 - fit_spherical_lda: half the difference of class-conditional means.
 
-Estimates passed in as arguments (fix_sign's, the theta_ulp of fit_ssl_s
-and fit_ssl_w, self_train_path's stage1) are EstimatorOutputs, checked
-once when they were built. Everything is a pure function of its
-arguments; iterative solvers keep all state local and report
-non-convergence as ConvergenceError carrying the last iterate. The
+Every fit returns an EstimatorOutput, which holds only theta and no method
+label: the method tags are experiments.METHODS. Estimates passed in as
+arguments (fix_sign's, the theta_ulp of fit_ssl_s and fit_ssl_w,
+self_train_path's stage1) are EstimatorOutputs, checked once when they
+were built. Everything is a pure function of its arguments; iterative
+solvers keep all state local and report non-convergence as
+ConvergenceError carrying the last iterate. The
 solver settings every program run uses are stated once, here: EM_TOL and
 EM_MAX_ITER for both EMs, LOGISTIC_TOL and LOGISTIC_MAX_ITER for the
 logistic fits. self_train_path's refits and fit_logistic_grid read the
@@ -117,7 +119,7 @@ def fit_sl(data: LabeledDataset) -> EstimatorOutput:
     if data.n < 1:
         raise ValidationError("fit_sl needs at least one labeled sample")
     theta = (data.y @ data.x) / data.n
-    return EstimatorOutput(theta=theta, method="sl")
+    return EstimatorOutput(theta=theta)
 
 
 def second_moment(data: UnlabeledDataset) -> np.ndarray:
@@ -158,7 +160,7 @@ def fit_ul(data: UnlabeledDataset) -> EstimatorOutput:
     """
     pair = leading_eigenpair(second_moment(data))
     magnitude = math.sqrt(max(pair.value - 1.0, 0.0))
-    return EstimatorOutput(theta=magnitude * pair.vector, method="ul")
+    return EstimatorOutput(theta=magnitude * pair.vector)
 
 
 def fix_sign(theta_ul: EstimatorOutput, theta_sl: EstimatorOutput) -> EstimatorOutput:
@@ -167,7 +169,7 @@ def fix_sign(theta_ul: EstimatorOutput, theta_sl: EstimatorOutput) -> EstimatorO
     if ul.size != sl.size:
         raise ValidationError("theta_ul and theta_sl must have equal length")
     sign = -1.0 if float(sl @ ul) < 0.0 else 1.0
-    return EstimatorOutput(theta=sign * ul, method="ulplus")
+    return EstimatorOutput(theta=sign * ul)
 
 
 def fit_ssl_s(
@@ -222,7 +224,7 @@ def fit_ssl_s(
         if theta.size != labeled.d:
             raise ValidationError("theta_ulp dimension differs from the data")
         branch = "ulplus"
-    return EstimatorOutput(theta=theta, method="ssls"), branch
+    return EstimatorOutput(theta=theta), branch
 
 
 def avg_margins(thetas, validation: UnlabeledDataset) -> np.ndarray:
@@ -298,10 +300,7 @@ def fit_ssl_w(
         raise ValidationError("every weighted candidate was the zero vector")
     ts, candidates = ts[nonzero], candidates[nonzero]
     best = best_margin(avg_margins(candidates, validation))
-    return (
-        EstimatorOutput(theta=candidates[best], method="sslw"),
-        WeightSelection(t=float(ts[best])),
-    )
+    return EstimatorOutput(theta=candidates[best]), WeightSelection(t=float(ts[best]))
 
 
 def oracle_weight(mse_sl: float, mse_ul: float) -> WeightSelection:
@@ -335,11 +334,11 @@ def fit_em(data: UnlabeledDataset, theta_init, max_iter: int = EM_MAX_ITER) -> E
         step = theta_next - theta
         # np.linalg.norm's own formula for a 1-d vector, without its overhead.
         if math.sqrt(float(step @ step)) < EM_TOL:
-            return EstimatorOutput(theta=theta_next, method="em")
+            return EstimatorOutput(theta=theta_next)
         theta = theta_next
     raise ConvergenceError(
         f"EM did not converge in {max_iter} iterations",
-        last=EstimatorOutput(theta=theta, method="em"),
+        last=EstimatorOutput(theta=theta),
     )
 
 
@@ -374,10 +373,10 @@ def fit_em_means(data: UnlabeledDataset, mu_init) -> EstimatorOutput:
         )
         mu1, mu2 = mu1_next, mu2_next
         if move < EM_TOL:
-            return EstimatorOutput(theta=0.5 * (mu1 - mu2), method="em_means")
+            return EstimatorOutput(theta=0.5 * (mu1 - mu2))
     raise ConvergenceError(
         f"free-means EM did not converge in {EM_MAX_ITER} iterations",
-        last=EstimatorOutput(theta=0.5 * (mu1 - mu2), method="em_means"),
+        last=EstimatorOutput(theta=0.5 * (mu1 - mu2)),
     )
 
 
@@ -445,7 +444,7 @@ def fit_logistic(
     _check_max_iter(max_iter)
     yx = np.multiply(data.x.T, data.y, order="C")
     theta = _newton(yx, ridge, tol, max_iter, np.zeros(data.d))
-    return EstimatorOutput(theta=theta, method="logistic")
+    return EstimatorOutput(theta=theta)
 
 
 def fit_logistic_grid(data: LabeledDataset, ridges) -> list:
@@ -467,13 +466,13 @@ def fit_logistic_grid(data: LabeledDataset, ridges) -> list:
     yx = np.multiply(data.x.T, data.y, order="C")
     thetas = [None] * len(ridges)
     if len(ridges) * data.n <= HESSIAN_BLOCK:
-        thetas = _newton_grid(yx, ridges, LOGISTIC_TOL, LOGISTIC_MAX_ITER)
+        thetas = _newton_grid(yx, ridges)
     fits = []
     for ridge, theta in zip(ridges, thetas):
         try:
             if theta is None:
                 theta = _newton(yx, ridge, LOGISTIC_TOL, LOGISTIC_MAX_ITER, np.zeros(data.d))
-            fits.append(EstimatorOutput(theta=theta, method="logistic"))
+            fits.append(EstimatorOutput(theta=theta))
         except ConvergenceError as err:
             fits.append(err)
     return fits
@@ -547,25 +546,26 @@ def _newton(yx, ridge: float, tol, max_iter: int, theta: np.ndarray) -> np.ndarr
             if step < 1e-18:
                 raise ConvergenceError(
                     "backtracking line search stalled",
-                    last=EstimatorOutput(theta=theta, method="logistic"),
+                    last=EstimatorOutput(theta=theta),
                 )
         theta, value, margins = candidate, cand_value, cand_margins
     raise ConvergenceError(
         f"damped Newton did not reach tolerance in {max_iter} iterations",
-        last=EstimatorOutput(theta=theta, method="logistic"),
+        last=EstimatorOutput(theta=theta),
     )
 
 
-def _newton_grid(yx, ridges, tol, max_iter: int) -> list:
-    """_newton's full-step path from zero at k ridges on one yx at once; k * n
-    must be at most HESSIAN_BLOCK, so the Hessians are one product. Returns one
-    entry per ridge: the theta _newton returns for it, or None.
+def _newton_grid(yx, ridges) -> list:
+    """_newton's full-step path from zero at k ridges on one yx at once, to
+    LOGISTIC_TOL within LOGISTIC_MAX_ITER (read when called); k * n must be at
+    most HESSIAN_BLOCK, so the Hessians are one product. Returns one entry per
+    ridge: the theta _newton returns for it, or None.
 
     Row i of every stacked array is problem ids[i]. A problem stays in the
     stack while the batched solve succeeds and its full Newton step is a
     descent step that passes the Armijo test, and leaves it with its theta
     once it converges. Any other problem, and one still in the stack at
-    max_iter, is None: _newton alone takes a shorter or a -g step, or raises.
+    LOGISTIC_MAX_ITER, is None: _newton alone takes a shorter or a -g step, or raises.
     Every order-dependent sum is a stacked matmul, which numpy runs as the
     gemv, dot or gemm _newton makes, per problem, and a batched solve is a
     gesv per problem, so each theta is bit for bit _newton's.
@@ -579,14 +579,14 @@ def _newton_grid(yx, ridges, tol, max_iter: int) -> list:
     yxw = np.empty((len(ids), d, n))
     margins = np.matmul(theta[:, None], yx)[:, 0]
     value = _stacked_loss(margins, theta, ridge, scratch)
-    for _ in range(max_iter):
+    for _ in range(LOGISTIC_MAX_ITER):
         p = p_rows[:len(ids)]
         np.multiply(margins, -0.5, out=p)
         np.tanh(p, out=p)
         p += 1.0
         p *= 0.5
         grad = -np.matmul(yx, p[..., None])[..., 0] / n + (2.0 * ridge)[:, None] * theta
-        done = np.sqrt(_dots(grad, grad)) <= tol
+        done = np.sqrt(_dots(grad, grad)) <= LOGISTIC_TOL
         for i in np.flatnonzero(done):
             found[ids[i]] = theta[i]
         if done.any():
@@ -699,7 +699,7 @@ def self_train_path(
         rows = labeled.n + count
         try:
             theta = _newton(yx[:, :rows], ridge, LOGISTIC_TOL, LOGISTIC_MAX_ITER, theta)
-            fits[count] = EstimatorOutput(theta=theta, method="selftrain")
+            fits[count] = EstimatorOutput(theta=theta)
         except ConvergenceError as err:
             fits[count] = err
     return [fits[count] for count in counts.tolist()]
@@ -713,4 +713,4 @@ def fit_spherical_lda(data: LabeledDataset) -> EstimatorOutput:
         raise ValidationError("fit_spherical_lda needs both classes present")
     mu_pos = data.x[pos].mean(axis=0)
     mu_neg = data.x[neg].mean(axis=0)
-    return EstimatorOutput(theta=0.5 * (mu_pos - mu_neg), method="lda")
+    return EstimatorOutput(theta=0.5 * (mu_pos - mu_neg))

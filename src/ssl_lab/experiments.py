@@ -357,7 +357,7 @@ def _budgeted_em(unlabeled, init, budget: int):
     try:
         return fit_em(unlabeled, init, max_iter=budget)
     except ConvergenceError:
-        return EstimatorOutput(theta=np.zeros(len(init)), method="em")
+        return EstimatorOutput(theta=np.zeros(len(init)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -640,6 +640,8 @@ def sweep_cell_configs(cfg: TrialConfig, axis: str, grid, replicates: int, threa
 
     run_sweep starts with this check, so a bad size (zero replicates or
     workers, a grid value that leaves n_l = 0) fails before any trial runs.
+    Grid values must differ as floats (0 and -0.0 are one value), as each
+    names one cell of the results file.
     """
     if axis not in SWEEP_AXES:
         raise ValidationError(f"axis must be one of {SWEEP_AXES}")
@@ -650,7 +652,11 @@ def sweep_cell_configs(cfg: TrialConfig, axis: str, grid, replicates: int, threa
         raise ValidationError("replicates must be a positive integer")
     if not is_whole(threads) or threads < 1:
         raise ValidationError("threads must be a positive integer")
-    return [_cell_config(cfg, axis, value) for value in grid]
+    configs = [_cell_config(cfg, axis, value) for value in grid]
+    floats = [float(value) for value in grid]
+    if len(set(floats)) < len(floats):
+        raise ValidationError(f"grid values must be distinct as floats, got {floats}")
+    return configs
 
 
 def run_sweep(
@@ -700,22 +706,10 @@ def run_sweep(
     )
 
 
-def _resolve_series(sweep: SweepResult, spec, metric: str):
-    """A method tag, or a sequence of tags meaning their pointwise min."""
-    if isinstance(spec, str):
-        return sweep.series(spec, metric)
-    parts = [sweep.series(tag, metric) for tag in spec]
-    return tuple(min(column) for column in zip(*parts))
-
-
-def error_gap(sweep: SweepResult, method_a, method_b, metric: str = "excess") -> tuple:
-    """Per-cell mean(error_a) - mean(error_b); positive where b wins.
-
-    Either side may be a single method tag or a sequence of tags, in which
-    case the pointwise minimum of their mean errors is used.
-    """
-    series_a = _resolve_series(sweep, method_a, metric)
-    series_b = _resolve_series(sweep, method_b, metric)
+def error_gap(sweep: SweepResult, method_a: str, method_b: str, metric: str = "excess") -> tuple:
+    """Per-cell mean(error_a) - mean(error_b) of two method tags; positive where b wins."""
+    series_a = sweep.series(method_a, metric)
+    series_b = sweep.series(method_b, metric)
     return tuple(a - b for a, b in zip(series_a, series_b))
 
 

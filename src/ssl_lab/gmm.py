@@ -176,14 +176,13 @@ class LabeledDataset(UnlabeledDataset):
 
 @dataclass(frozen=True, eq=False)
 class EstimatorOutput:
-    """A fitted direction estimate together with the method that produced it.
+    """A fitted direction estimate: a finite, read-only vector theta.
 
-    `method` is a label for reading, not a registry key: the method tags
-    are experiments.METHODS.
+    It carries no method label; a method is named only by its tag in
+    experiments.METHODS.
     """
 
     theta: np.ndarray
-    method: str
 
     def __post_init__(self):
         theta = as_vector(self.theta, "theta")

@@ -310,6 +310,10 @@ class TestSimulate:
             (["--d", "0"], "d must be at least 1"),
             (["--s", "-1", "--axis", "nl", "--grid", "5"], "s must be nonnegative"),
             (["--ntest", "0"], "n_test must be at least 1"),
+            # Each grid value is one cell of results.csv, which report could not read back.
+            (["--axis", "snr", "--grid", "1,1"], "grid values must be distinct"),
+            (["--axis", "snr", "--grid", "0,-0.0"], "grid values must be distinct"),
+            (["--nu", "100", "--axis", "nu_over_nl", "--grid", "10,10.0"], "must be distinct"),
         ],
     )
     def test_bad_sweep_size_exits_2_before_compute(self, tmp_path, capsys, extra, pattern):

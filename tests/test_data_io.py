@@ -106,7 +106,6 @@ class TestTabularDataset:
             dict(x=np.ones((2, 2)), y=[1.0, -1.0], columns=("a",)),
             dict(x=np.ones((2, 2)), y=[1.0, -1.0], columns=("a", "a")),
             dict(x=np.ones((2, 2)), y=[1.0, -1.0], columns=("a", "")),
-            dict(x=np.ones((2, 1)), y=[1.0, -1.0], columns=("a",), provenance=3),
         ],
     )
     def test_rejects_malformed_input(self, kwargs):
@@ -150,7 +149,6 @@ class TestLoadCsv:
         assert data.columns == ("a", "c")
         assert np.array_equal(data.x, [[1.5, -2.0], [0.25, 4.0], [-3.0, 0.5]])
         assert np.array_equal(data.y, [1.0, -1.0, 1.0])
-        assert data.provenance == path
 
     def test_numeric_positive_label_is_coerced_to_text(self, tmp_path):
         path = write_text(tmp_path / "t.csv", "a,label\n1.0,1\n2.0,-1\n")
@@ -300,7 +298,10 @@ class TestLoadCsv:
         write_text(path, "a,label\n1.0,p\n2.0,q\n")
         for name in (path, os.fsencode(path)):
             data = load_csv(name, "label", "p")
-            assert np.array_equal(data.x, [[1.0], [2.0]]) and data.provenance == str(path)
+            assert np.array_equal(data.x, [[1.0], [2.0]])
+            with pytest.raises(DataFormatError) as err:
+                load_csv(name, "label", "z")
+            assert str(err.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize(
         "data,line",

@@ -56,7 +56,6 @@ class TestFitSl:
     def test_worked_example(self):
         out = fit_sl(labeled([[2.0, 0.0], [-4.0, 0.0]], [1.0, -1.0]))
         assert np.allclose(out.theta, [3.0, 0.0])
-        assert out.method == "sl"
 
     def test_single_sample(self):
         out = fit_sl(labeled([[0.4, -1.7]], [1.0]))
@@ -174,7 +173,6 @@ class TestFitUl:
         data = unlabeled([[a, 1.0], [-a, 1.0], [a, -1.0], [-a, -1.0]])
         out = fit_ul(data)
         assert np.abs(out.theta - np.array([0.5, 0.0])).max() < 1e-6
-        assert out.method == "ul"
 
     def test_sub_unit_spectrum_gives_zero(self):
         a, b = math.sqrt(0.9), math.sqrt(0.8)
@@ -198,31 +196,30 @@ class TestFitUl:
 class TestFixSign:
     def test_flips_when_opposed(self):
         out = fix_sign(
-            EstimatorOutput(theta=np.array([-1.0, 0.0]), method="ul"),
-            EstimatorOutput(theta=np.array([1.0, 0.0]), method="sl"),
+            EstimatorOutput(theta=np.array([-1.0, 0.0])),
+            EstimatorOutput(theta=np.array([1.0, 0.0])),
         )
         assert np.allclose(out.theta, [1.0, 0.0])
-        assert out.method == "ulplus"
 
     def test_keeps_when_aligned(self):
         out = fix_sign(
-            EstimatorOutput(theta=np.array([1.0, 0.0]), method="ul"),
-            EstimatorOutput(theta=np.array([1.0, 0.0]), method="sl"),
+            EstimatorOutput(theta=np.array([1.0, 0.0])),
+            EstimatorOutput(theta=np.array([1.0, 0.0])),
         )
         assert np.allclose(out.theta, [1.0, 0.0])
 
     def test_zero_inner_product_keeps_plus(self):
         out = fix_sign(
-            EstimatorOutput(theta=np.array([1.0, 0.0]), method="ul"),
-            EstimatorOutput(theta=np.array([0.0, 1.0]), method="sl"),
+            EstimatorOutput(theta=np.array([1.0, 0.0])),
+            EstimatorOutput(theta=np.array([0.0, 1.0])),
         )
         assert np.allclose(out.theta, [1.0, 0.0])
 
     def test_idempotent_and_norm_preserving(self):
         rng = np.random.default_rng(64)
         for _ in range(50):
-            ul = EstimatorOutput(theta=rng.standard_normal(4), method="ul")
-            sl = EstimatorOutput(theta=rng.standard_normal(4), method="sl")
+            ul = EstimatorOutput(theta=rng.standard_normal(4))
+            sl = EstimatorOutput(theta=rng.standard_normal(4))
             once = fix_sign(ul, sl)
             twice = fix_sign(once, sl)
             assert np.array_equal(once.theta, twice.theta)
@@ -231,8 +228,8 @@ class TestFixSign:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             fix_sign(
-                EstimatorOutput(theta=np.zeros(2), method="ul"),
-                EstimatorOutput(theta=np.zeros(3), method="sl"),
+                EstimatorOutput(theta=np.zeros(2)),
+                EstimatorOutput(theta=np.zeros(3)),
             )
 
 
@@ -284,7 +281,6 @@ class TestFitSslS:
         lab, unlab = self.make(100, 10_000)
         out, branch = fit_ssl_s(lab, unlab, s)
         assert branch == expected
-        assert out.method == "ssls"
         zero, sl, ulp = ssl_s_candidates(lab, unlab)
         target = {"zero": zero, "sl": sl, "ulplus": ulp}[expected]
         assert np.array_equal(out.theta, target)
@@ -305,17 +301,16 @@ class TestFitSslS:
         reused, reused_branch = fit_ssl_s(lab, unlab, s, theta_ulp=theta_ulp)
         assert branch == reused_branch == expected
         assert np.array_equal(reused.theta, plain.theta)
-        assert reused.method == "ssls"
 
     def test_precomputed_estimate_is_used_on_the_ulplus_branch_only(self):
         lab, unlab = self.make(100, 10_000)
-        stand_in = EstimatorOutput(theta=np.array([0.0, 0.0, 0.0, 7.0]), method="ulplus")
+        stand_in = EstimatorOutput(theta=np.array([0.0, 0.0, 0.0, 7.0]))
         out, branch = fit_ssl_s(lab, unlab, 0.15, theta_ulp=stand_in)
         assert branch == "ulplus" and np.array_equal(out.theta, stand_in.theta)
         out, branch = fit_ssl_s(lab, unlab, 0.05, theta_ulp=stand_in)
         assert branch == "zero" and not np.any(out.theta)
         with pytest.raises(ValidationError):
-            fit_ssl_s(lab, unlab, 0.15, theta_ulp=EstimatorOutput(np.ones(3), "ulplus"))
+            fit_ssl_s(lab, unlab, 0.15, theta_ulp=EstimatorOutput(np.ones(3)))
 
     def test_empty_unlabeled_never_needs_it(self):
         lab, unlab = self.make(100, 0)
@@ -382,7 +377,7 @@ def ssl_w_at(sl_theta, ulp_theta, t):
     """fit_ssl_w's estimate on the one-entry grid [t], from a one-row
     labeled set whose fit_sl is exactly sl_theta."""
     lab = labeled([sl_theta], [1.0])
-    ulp = EstimatorOutput(theta=np.asarray(ulp_theta, dtype=float), method="ulplus")
+    ulp = EstimatorOutput(theta=np.asarray(ulp_theta, dtype=float))
     out, sel = fit_ssl_w(lab, ulp, lab, t_grid=[t])
     assert sel.t == t
     return out
@@ -399,7 +394,6 @@ class TestWeighted:
     def test_midpoint_example(self):
         out = ssl_w_at([1.0, 0.0], [0.0, 1.0], 0.5)
         assert np.allclose(out.theta, [0.5, 0.5])
-        assert out.method == "sslw"
 
     def test_linear_in_t(self):
         rng = np.random.default_rng(66)
@@ -492,11 +486,10 @@ class TestFitSslW:
     def test_margin_dominance_selects_sl(self):
         lab = labeled([[1.0, 0.0]], [1.0])
         validation = unlabeled([[10.0, 0.0], [-10.0, 0.0]])
-        ulp = EstimatorOutput(theta=np.array([0.0, 1.0]), method="ulplus")
+        ulp = EstimatorOutput(theta=np.array([0.0, 1.0]))
         out, sel = fit_ssl_w(lab, ulp, validation, t_grid=(0.0, 1.0))
         assert sel.t == 1.0
         assert np.allclose(out.theta, [1.0, 0.0])
-        assert out.method == "sslw"
         assert avg_margins([out.theta], validation)[0] == pytest.approx(10.0)
 
     def test_singleton_grid(self):
@@ -513,7 +506,7 @@ class TestFitSslW:
         lab = labeled([[1.0, 0.0]], [1.0])
         validation = unlabeled([[3.0, 0.0], [-5.0, 0.0]])
         # identical candidates at every t: the tie must resolve to t=0
-        ulp = EstimatorOutput(theta=np.array([1.0, 0.0]), method="ulplus")
+        ulp = EstimatorOutput(theta=np.array([1.0, 0.0]))
         _, sel = fit_ssl_w(lab, ulp, validation, t_grid=(0.0, 0.5, 1.0))
         assert sel.t == 0.0
 
@@ -524,7 +517,7 @@ class TestFitSslW:
         for seed in range(10):
             lab = sample_labeled(model, 10, seed=seed)
             validation = sample_unlabeled(model, 1000, seed=100 + seed)
-            zero = EstimatorOutput(theta=np.zeros(2), method="ulplus")
+            zero = EstimatorOutput(theta=np.zeros(2))
             out, sel = fit_ssl_w(lab, zero, validation)
             assert sel.t == 0.05
             assert np.array_equal(out.theta, 0.05 * fit_sl(lab).theta + (1 - 0.05) * zero.theta)
@@ -546,7 +539,7 @@ class TestFitSslW:
     def test_skips_zero_candidates(self):
         lab = labeled([[1.0, 0.0]], [1.0])
         validation = unlabeled([[2.0, 0.0]])
-        ulp = EstimatorOutput(theta=np.array([-1.0, 0.0]), method="ulplus")
+        ulp = EstimatorOutput(theta=np.array([-1.0, 0.0]))
         _, sel = fit_ssl_w(lab, ulp, validation, t_grid=(0.0, 0.5, 1.0))
         assert sel.t == 0.0
         with pytest.raises(ValidationError):
@@ -572,7 +565,7 @@ class TestFitSslW:
     def test_rejects_bad_grid(self):
         lab = labeled([[1.0, 0.0]], [1.0])
         v = unlabeled([[1.0, 0.0]])
-        ulp = EstimatorOutput(theta=np.array([1.0, 0.0]), method="ulplus")
+        ulp = EstimatorOutput(theta=np.array([1.0, 0.0]))
         with pytest.raises(ValidationError):
             fit_ssl_w(lab, ulp, v, t_grid=())
         with pytest.raises(ValidationError):
@@ -608,7 +601,6 @@ class TestFitEm:
         data = unlabeled([[1.0, 0.0], [-1.0, 0.0]])
         out = fit_em(data, np.array([1.0, 0.0]), max_iter=500_000)
         assert np.linalg.norm(out.theta) <= 0.005
-        assert out.method == "em"
 
     def test_zero_is_a_fixed_point(self):
         data = unlabeled([[1.0, 2.0], [3.0, -1.0]])
@@ -659,7 +651,6 @@ class TestFitEmMeans:
             np.linalg.norm(out.theta + model.theta_star),
         )
         assert err < 0.2
-        assert out.method == "em_means"
 
     def test_rejects_empty(self):
         model = MixtureModel(theta_star=np.array([1.0, 0.0]))
@@ -702,7 +693,6 @@ class TestFitLogistic:
         data = sample_labeled(model, 40, seed=21)
         out = fit_logistic(data, ridge=1e6, tol=1e-4, max_iter=10_000)
         assert np.linalg.norm(out.theta) <= 1e-3
-        assert out.method == "logistic"
 
     def test_symmetric_two_point_data(self):
         data = labeled([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0])
@@ -872,7 +862,6 @@ def assert_same_fits(got, want):
         if isinstance(ref, ConvergenceError):
             assert str(out) == str(ref)
             out, ref = out.last, ref.last
-        assert out.method == ref.method == "logistic"
         assert out.theta.tobytes() == ref.theta.tobytes()
 
 
@@ -970,7 +959,7 @@ class TestSelfTrain:
         lab = labeled([[1.0, 0.0], [-1.0, 0.0]], [1.0, -1.0])
         with pytest.raises(ValidationError):
             self_train_path(lab, unlabeled([[1.0, 0.0]]), [0.5], ridge=0.1,
-                            stage1=EstimatorOutput(np.ones(3), "logistic"))
+                            stage1=EstimatorOutput(np.ones(3)))
 
     def test_infinite_threshold_degenerates_to_logistic(self, monkeypatch):
         set_logistic_solver(monkeypatch, 1e-8, 50_000)
@@ -980,7 +969,6 @@ class TestSelfTrain:
         plain = fit_logistic(lab, ridge=0.01, tol=1e-8, max_iter=50_000)
         (st,) = self_train(lab, unlab, [math.inf], 0.01)
         assert np.array_equal(st.theta, plain.theta)
-        assert st.method == "selftrain"
 
     def test_empty_unlabeled_degenerates_to_logistic(self, monkeypatch):
         set_logistic_solver(monkeypatch, 1e-8, 50_000)
@@ -1069,7 +1057,6 @@ class TestSelfTrainPath:
             lab.x, lab.y, unlab.x, unlab.x[:1], thresholds, stage1.theta, lambda x, y: None
         )
         for out, (x, y) in zip(fits, unions):
-            assert out.method == "selftrain"
             grad = oracles.logistic_gradient(out.theta, x, y, self.RIDGE)
             assert float(np.linalg.norm(grad)) <= self.TOL
 
@@ -1141,7 +1128,7 @@ class TestSelfTrainPath:
         stage1 = fit_logistic(lab, self.RIDGE, tol=self.TOL)
 
         def failing(yx, ridge, tol, max_iter, theta0):
-            raise ConvergenceError("injected", last=EstimatorOutput(theta0, "logistic"))
+            raise ConvergenceError("injected", last=EstimatorOutput(theta0))
 
         monkeypatch.setattr(estimators, "_newton", failing)
         # The path returns the failure in that threshold's slot, not raises it.
@@ -1173,7 +1160,7 @@ class TestSelfTrainPath:
 
     def test_a_margin_equal_to_a_threshold_is_kept(self, monkeypatch):
         lab, unlab = unit_margin_data()
-        stage1 = EstimatorOutput(np.array([3.0, 0.0]), "logistic")  # every margin is 1.0
+        stage1 = EstimatorOutput(np.array([3.0, 0.0]))  # every margin is 1.0
         above, below = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
         thresholds = [1.0, above, 1.0, math.inf, below]
         sizes, calls, fits = self.union_sizes(monkeypatch, lab, unlab, thresholds, stage1)
@@ -1206,7 +1193,6 @@ class TestFitSphericalLda:
     def test_worked_example(self):
         out = fit_spherical_lda(labeled([[2.0, 0.0], [-4.0, 0.0]], [1.0, -1.0]))
         assert np.allclose(out.theta, [3.0, 0.0])
-        assert out.method == "lda"
 
     def test_balanced_classes_match_fit_sl(self):
         rng = np.random.default_rng(72)

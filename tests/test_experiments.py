@@ -529,7 +529,7 @@ class TestSelfTrainSearch:
         def flaky(x, *args):
             starts.append(args[-1])
             if len(starts) == 2:
-                raise ConvergenceError("injected", last=EstimatorOutput(args[-1], "logistic"))
+                raise ConvergenceError("injected", last=EstimatorOutput(args[-1]))
             ends.append(newton(x, *args))
             return ends[-1]
 
@@ -561,8 +561,7 @@ class TestSelectByMargin:
     VALIDATION = UnlabeledDataset(x=np.array([[1.0, 0.5], [-2.0, 0.3], [0.4, -1.1]]))
 
     def select(self, thetas):
-        fits = [EstimatorOutput(theta=np.asarray(t, dtype=float), method="logistic")
-                for t in thetas]
+        fits = [EstimatorOutput(theta=np.asarray(t, dtype=float)) for t in thetas]
         return experiments._select_by_margin(range(len(fits)), fits, self.VALIDATION)
 
     def test_rounding_ties_go_to_the_first_in_grid_order(self):
@@ -575,8 +574,8 @@ class TestSelectByMargin:
     def test_failed_and_zero_fits_are_skipped(self):
         fits = [
             ConvergenceError("injected", last=None),
-            EstimatorOutput(theta=np.zeros(2), method="logistic"),
-            EstimatorOutput(theta=[0.0, 1.0], method="logistic"),
+            EstimatorOutput(theta=np.zeros(2)),
+            EstimatorOutput(theta=[0.0, 1.0]),
         ]
         assert experiments._select_by_margin(range(3), fits, self.VALIDATION)[0] == 2
         with pytest.raises(ValidationError, match="zero vector"):
@@ -627,6 +626,9 @@ class TestRunSweep:
         dict(axis="nl", grid=(5,), replicates=1, threads=True),
         dict(axis="nu_over_nl", grid=(math.nan,), replicates=1),
         dict(axis="nu_over_nl", grid=(1e-320,), replicates=1),
+        dict(axis="snr", grid=(1.0, 1), replicates=1),
+        dict(axis="snr", grid=(0.0, -0.0), replicates=1),
+        dict(axis="nu_over_nl", grid=(10.0, 4.0, 10), replicates=1),
     ])
     def test_rejects_invalid_arguments(self, kwargs):
         with pytest.raises(ValidationError):
@@ -799,13 +801,6 @@ class TestErrorGap:
     def test_positive_gap_means_second_method_wins(self):
         sweep = synthetic_sweep((1, 2), {"sl": (0.3, 0.1), "sslw": (0.1, 0.2)})
         assert error_gap(sweep, "sl", "sslw") == pytest.approx((0.2, -0.1))
-
-    def test_composite_side_uses_pointwise_minimum(self):
-        sweep = synthetic_sweep(
-            (1, 2), {"sl": (0.3, 0.1), "ulplus": (0.1, 0.4), "sslw": (0.05, 0.05)}
-        )
-        gap = error_gap(sweep, ("sl", "ulplus"), "sslw")
-        assert gap == pytest.approx((0.05, 0.05))
 
     def test_missing_method_rejected(self):
         sweep = synthetic_sweep((1, 2), {"sl": (0.3, 0.1)})

@@ -253,7 +253,8 @@ def unused_public_names(src, callers):
     """(module, name) of each public top-level function or class in the modules of `src`
     that neither another module, the rest of its own module, nor a caller file uses.
 
-    `callers` are Python files, or markdown whose fenced blocks hold Python recipes.
+    `callers` are Python files, or markdown whose fenced blocks hold Python recipes. A
+    name that `__init__.py` only re-exports is not used by it: its imports are not read.
     """
     read = {}
     for path in callers:
@@ -264,6 +265,8 @@ def unused_public_names(src, callers):
             read[path] = names_read(ast.parse(text).body)
     bodies = {path: ast.parse(path.read_text()).body for path in sorted(src.glob("*.py"))}
     for path, body in bodies.items():
+        if path.name == "__init__.py":
+            body = [node for node in body if not isinstance(node, (ast.Import, ast.ImportFrom))]
         read[path] = names_read(body)
     unused = []
     for path, body in bodies.items():
@@ -294,15 +297,17 @@ def test_rule_catches_a_name_only_its_own_tests_call(tmp_path):
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
         "class Record:\n    pass\n\n"
         "def benched():\n    pass\n\n"
-        "def recipe():\n    pass\n"
+        "def recipe():\n    pass\n\n"
+        "def reexported():\n    pass\n"
     )
     (src / "cli.py").write_text("from .core import used\n")
+    (src / "__init__.py").write_text("from .core import reexported  # noqa: F401\n")
     bench = tmp_path / "bench.py"
     bench.write_text('import pkg.core\n\nSPANNED = (pkg.core.benched, "recursive")\n')
     readme = tmp_path / "README.md"
     readme.write_text("Run:\n\n```\npython -c 'from pkg.core import recipe'\n```\nnot Record\n")
     found = unused_public_names(src, [bench, readme])
-    assert found == [("core", "recursive"), ("core", "Record")]
+    assert found == [("core", "recursive"), ("core", "Record"), ("core", "reexported")]
 
 
 def defaulted_parameters(module, body):
