@@ -64,7 +64,7 @@ from .experiments import (
     sweep_cell_configs,
     test_error,
 )
-from .gmm import is_whole
+from .gmm import check_whole
 
 #: Accepted spellings of each method tag.
 METHOD_ALIASES = {
@@ -145,12 +145,6 @@ def _real(value, key: str) -> float:
     raise ValidationError(f"{key} must be a number, got {value!r}")
 
 
-def _whole(value, key: str) -> int:
-    if not is_whole(value):
-        raise ValidationError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
-
-
 def _reals(value, key: str):
     """A list of reals, also as a comma-separated string; null means not given."""
     if value is None:
@@ -177,21 +171,21 @@ def _as_given(value, key: str):
 #: TrialConfig fields, then SweepSpec's axis, grid and replicates.
 _SIMULATE_KEYS = {
     "s": _real,
-    "d": _whole,
-    "n_l": _whole,
-    "n_u": _whole,
-    "n_val": _whole,
-    "n_test": _whole,
+    "d": check_whole,
+    "n_l": check_whole,
+    "n_u": check_whole,
+    "n_val": check_whole,
+    "n_test": check_whole,
     "methods": _parse_methods,
     "t_grid": _reals,
     "self_train_thresholds": _reals,
     "ridge_grid": _reals,
-    "base_seed": _whole,
+    "base_seed": check_whole,
     "ul_backend": _as_given,
-    "em_budget": _whole,
+    "em_budget": check_whole,
     "axis": _as_given,
     "grid": _reals,
-    "replicates": _whole,
+    "replicates": check_whole,
 }
 #: simulate without a preset: TrialConfig's defaults on s = 1, d = 2,
 #: n_l = 20, n_u = 2000, one replicate, and no axis or grid yet.
@@ -325,14 +319,10 @@ def _cmd_fit(args) -> int:
                 f"choose from {', '.join(FIT_METHODS)}"
             )
         check_validation_size(methods, args.nval)
-        if args.nl < 1:
-            raise ValidationError("n_l must be at least 1")
-        if args.nval is not None and args.nval < 0:
-            raise ValidationError(f"n_val must be nonnegative, got {args.nval}")
-        if args.ntest is not None and args.ntest < 1:
-            raise ValidationError("n_test must be at least 1")
-        if args.pca is not None and args.pca < 1:
-            raise ValidationError(f"pca must be at least 1, got {args.pca}")
+        for name, value, least in (("n_l", args.nl, 1), ("n_val", args.nval, 0),
+                                   ("n_test", args.ntest, 1), ("pca", args.pca, 1)):
+            if value is not None:
+                check_whole(value, name, least)
         # One transform per path, and no name holds the raw table once it has run.
         raw = load_csv(args.data, args.label_column, args.positive_label)
         table = standardize(raw) if args.pca is None else pca_project(raw, args.pca)

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DataFormatError, SchemaVersionError, ValidationError
 from .estimators import canonical_sign
 from .experiments import STAT_FIELDS, CellStats, SweepResult
-from .gmm import LabeledDataset, UnlabeledDataset, freeze
+from .gmm import LabeledDataset, UnlabeledDataset, check_whole, freeze
 from .seeds import MASK64
 
 #: Version stamped into (and required from) results files.
@@ -88,26 +88,18 @@ class SplitSpec:
 
     `n_l` rows become the labeled training set, `n_val` the (unlabeled)
     validation set, and `n_test` the held-out test set; whatever remains
-    joins the unlabeled pool. The seed is a 64-bit integer and fully
-    determines the split.
+    joins the unlabeled pool. The seed, a whole number taken modulo 2**64,
+    fully determines the split.
     """
 
     n_l: int
-    n_val: int = 1000
-    n_test: int = 1000
-    seed: int = 0
+    n_val: int
+    n_test: int
+    seed: int
 
     def __post_init__(self):
-        for name in ("n_l", "n_val", "n_test"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ValidationError(f"{name} must be an integer")
-            if value < 0:
-                raise ValidationError(f"{name} must be nonnegative")
-            object.__setattr__(self, name, int(value))
-        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
-            raise ValidationError("seed must be an integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, least in (("n_l", 0), ("n_val", 0), ("n_test", 0), ("seed", None)):
+            object.__setattr__(self, name, check_whole(getattr(self, name), name, least))
 
 
 def load_csv(path, label_column: str, positive_label) -> TabularDataset:
@@ -409,14 +401,12 @@ def pca_project(data: TabularDataset, k: int) -> TabularDataset:
     positive as in estimators.leading_eigenpair. The scores, z times the
     axes, are an n x k matrix with columns pc1..pck in nonincreasing order
     of variance, written a block at a time; labels ride along unchanged.
-    Raises ValidationError unless k is an integer with 1 <= k <= d and the
-    table has at least two rows.
+    Raises ValidationError unless k is a whole number with 1 <= k <= d and
+    the table has at least two rows.
     """
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
-        raise ValidationError("k must be an integer")
-    k = int(k)
-    if not 1 <= k <= data.d:
-        raise ValidationError(f"k must satisfy 1 <= k <= d = {data.d}")
+    k = check_whole(k, "k", 1)
+    if k > data.d:
+        raise ValidationError(f"k must be at most d = {data.d}, got {k}")
     if data.n < 2:
         raise ValidationError("pca needs at least 2 rows")
     mean, scale = _standardizer(data.x)

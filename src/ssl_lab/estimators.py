@@ -69,6 +69,7 @@ from .gmm import (
     UnlabeledDataset,
     as_vector,
     check_finite,
+    check_whole,
     readonly,
 )
 
@@ -195,9 +196,8 @@ def fit_ssl_s(
     the "ulplus" branch; by default it is fix_sign(fit_ul(unlabeled),
     fit_sl(labeled)).
 
-    Returns (output, branch) with branch in {"zero", "sl", "ulplus"}. The
-    output's method tag is "ssls"; its vector is bitwise equal to the
-    chosen candidate's.
+    Returns (output, branch) with branch in {"zero", "sl", "ulplus"}; the
+    output's vector is bitwise equal to the chosen candidate's.
     """
     if labeled.n < 1:
         raise ValidationError("fit_ssl_s needs at least one labeled sample")
@@ -322,7 +322,7 @@ def fit_em(data: UnlabeledDataset, theta_init, max_iter: int = EM_MAX_ITER) -> E
     """
     if data.n < 1:
         raise ValidationError("fit_em needs at least one sample")
-    _check_max_iter(max_iter)
+    max_iter = check_whole(max_iter, "max_iter", 1)
     theta = as_vector(theta_init, "theta_init").copy()
     if theta.size != data.d:
         raise ValidationError("theta_init dimension differs from the data")
@@ -441,7 +441,7 @@ def fit_logistic(
     _check_ridge(ridge)
     if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and tol > 0):
         raise ValidationError("tol must be positive")
-    _check_max_iter(max_iter)
+    max_iter = check_whole(max_iter, "max_iter", 1)
     yx = np.multiply(data.x.T, data.y, order="C")
     theta = _newton(yx, ridge, tol, max_iter, np.zeros(data.d))
     return EstimatorOutput(theta=theta)
@@ -483,11 +483,6 @@ def _check_ridge(ridge) -> None:
         isinstance(ridge, (int, float)) and math.isfinite(ridge) and ridge >= 0.0
     ):
         raise ValidationError("ridge must be a nonnegative real")
-
-
-def _check_max_iter(max_iter) -> None:
-    if isinstance(max_iter, bool) or not isinstance(max_iter, int) or max_iter < 1:
-        raise ValidationError("max_iter must be a positive integer")
 
 
 def _newton(yx, ridge: float, tol, max_iter: int, theta: np.ndarray) -> np.ndarray:

@@ -72,7 +72,7 @@ from .gmm import (
     MixtureModel,
     UnlabeledDataset,
     check_snr,
-    is_whole,
+    check_whole,
     sample_labeled,
     sample_unlabeled,
 )
@@ -93,8 +93,7 @@ COMPATIBILITY_RIDGE = 1e-3
 def first_axis_model(s: float, d: int, name: str = "s") -> MixtureModel:
     """The mixture whose theta_star is s times the first basis vector of R^d; `name` names s."""
     s = check_snr(s, name)
-    if d < 1:
-        raise ValidationError(f"d must be at least 1, got {d}")
+    d = check_whole(d, "d", 1)
     if d > np.iinfo(np.intp).max:
         raise ValidationError(f"d is too large for a vector, got {d}")
     theta = np.zeros(d)
@@ -139,17 +138,12 @@ class TrialConfig:
     def __post_init__(self):
         if not isinstance(self.model, MixtureModel):
             raise ValidationError("model must be a MixtureModel")
-        for name in ("n_l", "n_u", "n_val", "n_test"):
-            value = getattr(self, name)
-            if not is_whole(value) or value < 0:
-                raise ValidationError(f"{name} must be a nonnegative integer")
+        for name, least in (("n_l", 1), ("n_u", 0), ("n_val", 0), ("n_test", 1)):
+            value = check_whole(getattr(self, name), name, least)
             # Grid cells pass here too, so sampling never sees such a size.
-            if int(value) * self.model.d > np.iinfo(np.intp).max:
+            if value * self.model.d > np.iinfo(np.intp).max:
                 raise ValidationError(f"{name} is too large for an n x d draw, got {value}")
-            object.__setattr__(self, name, int(value))
-        for name in ("n_l", "n_test"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1")
+            object.__setattr__(self, name, value)
         methods = tuple(dict.fromkeys(self.methods))
         if not methods:
             raise ValidationError("methods must be nonempty")
@@ -172,14 +166,10 @@ class TrialConfig:
         if not ridge_grid or any(r <= 0 or not math.isfinite(r) for r in ridge_grid):
             raise ValidationError("ridge_grid must be nonempty, positive and finite")
         object.__setattr__(self, "ridge_grid", ridge_grid)
-        if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, (int, np.integer)):
-            raise ValidationError("base_seed must be an integer")
-        object.__setattr__(self, "base_seed", int(self.base_seed))
+        object.__setattr__(self, "base_seed", check_whole(self.base_seed, "base_seed"))
         if self.ul_backend not in UL_BACKENDS:
             raise ValidationError(f"ul_backend must be one of {UL_BACKENDS}")
-        if not is_whole(self.em_budget) or self.em_budget < 1:
-            raise ValidationError("em_budget must be a positive integer")
-        object.__setattr__(self, "em_budget", int(self.em_budget))
+        object.__setattr__(self, "em_budget", check_whole(self.em_budget, "em_budget", 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,9 +511,8 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
     Per-method estimator failures are recorded in TrialResult.failures
     instead of aborting the whole trial.
     """
-    if not is_whole(trial_index) or trial_index < 0:
-        raise ValidationError("trial_index must be a nonnegative integer")
-    seed = trial_seed(cfg.base_seed, int(trial_index))
+    trial_index = check_whole(trial_index, "trial_index", 0)
+    seed = trial_seed(cfg.base_seed, trial_index)
     model = cfg.model
     ctx = FitContext(
         labeled=sample_labeled(model, cfg.n_l, stream_seed(seed, 0)),
@@ -540,18 +529,16 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
     metrics, failures = fit_methods(
         ctx, cfg.methods, lambda theta, extra: score_fit(model, test, theta, extra)
     )
-    return TrialResult(trial_index=int(trial_index), seed=seed, metrics=metrics, failures=failures)
+    return TrialResult(trial_index=trial_index, seed=seed, metrics=metrics, failures=failures)
 
 
 def _cell_config(cfg: TrialConfig, axis: str, value) -> TrialConfig:
     if axis == "snr":
         return replace(cfg, model=first_axis_model(value, cfg.model.d, "snr grid value"))
-    if axis in ("nl", "nu") and not float(value).is_integer():
-        raise ValidationError(f"{axis} grid values must be whole sample sizes, got {value}")
     if axis == "nl":
-        return replace(cfg, n_l=value)
+        return replace(cfg, n_l=check_whole(value, "nl grid value"))
     if axis == "nu":
-        return replace(cfg, n_u=value)
+        return replace(cfg, n_u=check_whole(value, "nu grid value"))
     if axis == "nu_over_nl":
         ratio = float(value)
         # round() below needs n_u / ratio finite, which a tiny ratio overflows.
@@ -648,10 +635,8 @@ def sweep_cell_configs(cfg: TrialConfig, axis: str, grid, replicates: int, threa
     grid = tuple(grid)
     if not grid:
         raise ValidationError("grid must be nonempty")
-    if not is_whole(replicates) or replicates < 1:
-        raise ValidationError("replicates must be a positive integer")
-    if not is_whole(threads) or threads < 1:
-        raise ValidationError("threads must be a positive integer")
+    check_whole(replicates, "replicates", 1)
+    check_whole(threads, "threads", 1)
     configs = [_cell_config(cfg, axis, value) for value in grid]
     floats = [float(value) for value in grid]
     if len(set(floats)) < len(floats):
@@ -722,8 +707,7 @@ def compatibility_from_errors(err_bayes: float, err_ulp: float, d: int) -> tuple
     """
     if not (0.0 <= err_bayes <= 1.0 and 0.0 <= err_ulp <= 1.0):
         raise ValidationError("training errors must lie in [0, 1]")
-    if not (is_whole(d) and d >= 1):
-        raise ValidationError("d must be a positive integer")
+    d = check_whole(d, "d", 1)
     if err_bayes <= 0.01:
         rho = err_bayes
     else:

@@ -72,18 +72,28 @@ def check_finite(a: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} must have finite entries")
 
 
-def is_whole(value) -> bool:
-    """True for an integer that is not a bool, or a real with an integral value (not inf or NaN)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    return isinstance(value, numbers.Integral) or float(value).is_integer()
-
-
 def check_snr(value, name: str) -> float:
     """`value` as a float if it is a real in [0, MAX_SNR], not a bool; the one SNR rule."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= MAX_SNR:
         raise ValidationError(f"{name} must be nonnegative and at most {MAX_SNR:g}, got {value}")
     return float(value)
+
+
+def check_whole(value, name: str, least: int | None = None) -> int:
+    """`value` as an int if it is a whole number, and at least `least` when that is given.
+
+    The one count rule: an int, a numpy integer or a real with an integral
+    value (not inf or NaN), and not a bool, so 20 and 20.0 pass but 20.5,
+    "20" and True do not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+        isinstance(value, numbers.Integral) or float(value).is_integer()
+    ):
+        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+    whole = int(value)
+    if least is not None and whole < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value!r}")
+    return whole
 
 
 def as_vector(v, name: str) -> np.ndarray:
@@ -92,12 +102,6 @@ def as_vector(v, name: str) -> np.ndarray:
         raise ValidationError(f"{name} must be a nonempty 1-d vector")
     check_finite(arr, name)
     return arr
-
-
-def _normalize_seed(seed: int) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValidationError("seed must be an integer")
-    return int(seed) & MASK64
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,11 +201,10 @@ def _draw(model: MixtureModel, n: int, seed: int) -> tuple:
     """(x, y) of n draws, determined entirely by (model, n, seed): labels
     first, then the n x d standard normal noise block, which becomes x once
     the signal is added into it."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValidationError("n must be a nonnegative integer")
-    rng = np.random.default_rng(_normalize_seed(seed))
-    y = _SIGNS[rng.integers(0, 2, size=int(n))]
-    x = rng.standard_normal((int(n), model.d))
+    n = check_whole(n, "n", 0)
+    rng = np.random.default_rng(check_whole(seed, "seed") & MASK64)
+    y = _SIGNS[rng.integers(0, 2, size=n)]
+    x = rng.standard_normal((n, model.d))
     # Through the d x n view, each row of the add runs n long, not d.
     np.add(x.T, np.multiply.outer(model.theta_star, y), out=x.T)
     return freeze(x), freeze(y)

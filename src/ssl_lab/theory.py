@@ -14,10 +14,11 @@ than REGIME_RATIO times the other's.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .gmm import check_snr, is_whole, std_normal_cdf
+from .gmm import check_snr, check_whole, std_normal_cdf
 
 REGIMES = ("SL-dominant", "UL-dominant", "Balanced", "LowSNR")
 REGIME_RATIO = 10.0
@@ -34,14 +35,15 @@ class ProblemSize:
 
     def __post_init__(self):
         object.__setattr__(self, "s", check_snr(self.s, "s"))
-        if not is_whole(self.d) or self.d < 2:
-            raise ValidationError("d must be an integer >= 2")
-        if not is_whole(self.n_l) or self.n_l < 0:
-            raise ValidationError("n_l must be a nonnegative integer")
-        if not is_whole(self.n_u) or self.n_u < 0:
-            raise ValidationError("n_u must be a nonnegative integer")
-        for name in ("d", "n_l", "n_u"):
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, least in (("d", 2), ("n_l", 0), ("n_u", 0)):
+            value = check_whole(getattr(self, name), name, least)
+            # The rates take each size as a float; a bigger int has none.
+            if value > sys.float_info.max:
+                raise ValidationError(
+                    f"{name} must be at most {sys.float_info.max:g}, "
+                    f"got a {value.bit_length()}-bit integer"
+                )
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -76,30 +78,39 @@ class RateReport:
 
 
 def minimax_excess_rate(p: ProblemSize) -> float:
-    """e^(-s^2/2) * min(s, d/(s*n_l + s^3*n_u)); 0 when s = 0."""
+    """e^(-s^2/2) * min(s, d/(s*n_l + s^3*n_u)); 0 when s = 0.
+
+    A denominator that underflows to 0 takes its limit, min(s, inf) = s.
+    """
     if p.s == 0.0:
         return 0.0
     if p.n_l + p.n_u < 1:
         raise ValidationError("need at least one sample (n_l + n_u >= 1)")
     denom = p.s * p.n_l + p.s ** 3 * p.n_u
-    return math.exp(-0.5 * p.s ** 2) * min(p.s, p.d / denom)
+    return math.exp(-0.5 * p.s ** 2) * (min(p.s, p.d / denom) if denom > 0 else p.s)
 
 
 def minimax_estimation_rate(p: ProblemSize) -> float:
-    """min(s, sqrt(d/(n_l + s^2*n_u))) for s in [0, 1]."""
+    """min(s, sqrt(d/(n_l + s^2*n_u))) for s in [0, 1]; an underflowed
+    denominator takes its limit, as in minimax_excess_rate."""
     if p.s > 1.0:
         raise ValidationError("estimation rate is stated only for s in [0, 1]")
     if p.s == 0.0:
         return 0.0
     if p.n_l + p.n_u < 1:
         raise ValidationError("need at least one sample (n_l + n_u >= 1)")
-    return min(p.s, math.sqrt(p.d / (p.n_l + p.s ** 2 * p.n_u)))
+    denom = p.n_l + p.s ** 2 * p.n_u
+    return min(p.s, math.sqrt(p.d / denom)) if denom > 0 else p.s
 
 
 def _check_ulp_validity(p: ProblemSize) -> None:
     if not (0.0 < p.s <= 1.0):
         raise ValidationError("upper bounds are stated for s in (0, 1]")
-    required = (160.0 / p.s) ** 2 * p.d
+    try:
+        required = (160.0 / p.s) ** 2 * p.d
+    except OverflowError:
+        # (160/s)**2 past float range: no n_u meets the condition.
+        required = math.inf
     if p.n_u < required:
         raise ValidationError(
             f"validity condition n_u >= (160/s)^2 * d fails: n_u={p.n_u} < {required:.6g}"
@@ -121,7 +132,9 @@ def ulplus_excess_upper(p: ProblemSize) -> float:
     Requires n_u >= (160/s)^2 * d.
     """
     _check_ulp_validity(p)
-    first = math.exp(-0.5 * p.s ** 2) * p.d * math.log(p.d * p.n_u) / (p.s ** 3 * p.n_u)
+    # s**3 underflows to 0 below s = 1e-108 or so, where the valid n_u keeps s**2 * n_u * s > 0.
+    weight = p.s ** 3 * p.n_u or p.s ** 2 * p.n_u * p.s
+    first = math.exp(-0.5 * p.s ** 2) * p.d * math.log(p.d * p.n_u) / weight
     factor = _clamped_exponent_factor(p)
     return first + math.exp(-0.5 * p.s ** 2 * p.n_l * factor ** 2)
 

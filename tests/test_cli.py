@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -141,6 +142,33 @@ class TestTheory:
         err = capsys.readouterr().err
         assert err.startswith("error: s must be nonnegative and at most 1e+100")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("s", ["0", "5e-324", "1e-200", "1e-155", "1", "1e100"])
+    def test_extreme_sizes_exit_0_or_2(self, capsys, s):
+        sizes = ["0", "1", "2", str(10 ** 308), str(10 ** 400)]
+        for d, n_l, n_u in itertools.product(sizes, repeat=3):
+            code = main(["theory", "--s", s, "--d", d, "--nl", n_l, "--nu", n_u])
+            out, err = capsys.readouterr()
+            shape = (code, out.startswith("{"), err.startswith("error: "), err.count("\n"))
+            assert shape in ((0, True, False, 0), (2, False, True, 1)), (d, n_l, n_u)
+
+    @pytest.mark.parametrize("size, field, want", [
+        # A denominator that underflows to 0 takes its limit: min(s, d / 0+) = s.
+        ("--s 1e-200 --d 2 --nl 0 --nu 10", "excess_rate", 1e-200),
+        ("--s 1e-200 --d 2 --nl 0 --nu 10", "estimation_rate", 1e-200),
+        # (160/s)**2 overflows, so no n_u meets the bounds' validity condition.
+        ("--s 1e-155 --d 2 --nl 1 --nu 10", "ulp_excess_upper", None),
+    ])
+    def test_underflow_and_overflow_take_their_limits(self, capsys, size, field, want):
+        assert main(["theory", *size.split()]) == 0
+        assert json.loads(capsys.readouterr().out)[field] == want
+
+    def test_size_past_float_range_exits_2(self, capsys):
+        argv = ["theory", "--s", "1", "--d", "2", "--nl", "1", "--nu", str(10 ** 400)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: n_u must be at most 1.79769e+308, got a 1329-bit integer\n"
+        )
 
 
 #: A results file for report, and the arguments of each non-simulate command.
@@ -293,7 +321,7 @@ class TestSimulate:
         out = tmp_path / "run"
         code = main(["simulate", "--axis", axis, "--grid", "2,1.7", "--out", str(out)])
         assert code == 2
-        assert "whole sample sizes" in capsys.readouterr().err
+        assert f"{axis} grid value must be a whole number, got 1.7" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
         assert not (out / "results.csv").exists()
 
@@ -619,7 +647,7 @@ class TestFit:
     @pytest.mark.parametrize("flag, value, message", [
         ("--pca", "0", "pca must be at least 1, got 0"),
         ("--pca", "-2", "pca must be at least 1, got -2"),
-        ("--nval", "-1", "n_val must be nonnegative, got -1"),
+        ("--nval", "-1", "n_val must be at least 0, got -1"),
     ])
     def test_bad_flag_exits_2_before_the_table_is_read(self, tmp_path, capsys, flag, value,
                                                        message):

@@ -1,17 +1,33 @@
+import contextlib
+import io
 import math
+import re
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from oracles import normal_cdf
+from ssl_lab.cli import _SIMULATE_KEYS, _build_parser
+from ssl_lab.data_io import SplitSpec, TabularDataset, pca_project
 from ssl_lab.errors import ValidationError
+from ssl_lab.estimators import fit_em, fit_logistic
+from ssl_lab.experiments import (
+    TrialConfig,
+    compatibility_from_errors,
+    first_axis_model,
+    run_trial,
+    sweep_cell_configs,
+)
 from ssl_lab.gmm import (
     MAX_SNR,
     LabeledDataset,
     MixtureModel,
     UnlabeledDataset,
     check_snr,
+    check_whole,
     estimation_error,
     excess_risk,
     freeze,
@@ -22,6 +38,7 @@ from ssl_lab.gmm import (
     std_normal_cdf,
 )
 from ssl_lab.seeds import MASK64
+from ssl_lab.theory import ProblemSize
 
 
 class TestStdNormalCdf:
@@ -147,6 +164,104 @@ class TestCheckSnr:
     def test_rejects_the_rest_naming_the_key(self, value):
         with pytest.raises(ValidationError, match="^grid value must be nonnegative and at most"):
             check_snr(value, "grid value")
+
+
+DATA_CSV = str(Path(__file__).resolve().parent.parent / "data" / "synthetic_2gmm_200.csv")
+SEPARATED = MixtureModel(theta_star=np.array([2.0, 0.5]))
+
+
+def trial_config(**kwargs):
+    fields = dict(model=first_axis_model(1.0, 2), n_l=8, n_u=40, n_val=10, n_test=10)
+    return TrialConfig(**{**fields, **kwargs})
+
+
+def fit_flag(dest):
+    """fit with one parsed flag replaced by `value`; exit 2 raises its error line, and
+    otherwise the result is fit_results.json."""
+
+    def call(value):
+        with tempfile.TemporaryDirectory() as out:
+            args = _build_parser().parse_args(["fit", DATA_CSV, "--nl", "20", "--quiet",
+                                               "--out", out])
+            setattr(args, dest, value)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = args.handler(args)
+            if code == 2:
+                raise ValidationError(err.getvalue().removeprefix("error: ").rstrip("\n"))
+            return code, Path(out, "fit_results.json").read_text()
+
+    return call
+
+
+def field_of(make, name, **fixed):
+    return lambda value: getattr(make(**{**fixed, name: value}), name)
+
+
+#: Every count the library takes, as (name in its messages, least, a valid k, call):
+#: call(value) gives what the entry point makes of value, or raises ValidationError.
+WHOLE_ENTRY_POINTS = {
+    "_draw n": ("n", 0, 5, lambda v: sample_labeled(SEPARATED, v, 1).x.tobytes()),
+    "_draw seed": ("seed", None, 7, lambda v: sample_labeled(SEPARATED, 5, v).x.tobytes()),
+    "first_axis_model d": ("d", 1, 3, lambda v: first_axis_model(1.0, v).theta_star.tobytes()),
+    **{f"TrialConfig {name}": (name, least, k, field_of(trial_config, name))
+       for name, least, k in [("n_l", 1, 8), ("n_u", 0, 40), ("n_val", 0, 10),
+                              ("n_test", 1, 10), ("em_budget", 1, 30), ("base_seed", None, 3)]},
+    "run_trial trial_index": ("trial_index", 0, 2, lambda v: run_trial(trial_config(), v).seed),
+    "sweep replicates": ("replicates", 1, 2,
+                         lambda v: len(sweep_cell_configs(trial_config(), "nl", (5,), v))),
+    "sweep threads": ("threads", 1, 2,
+                      lambda v: len(sweep_cell_configs(trial_config(), "nl", (5,), 1, v))),
+    "_cell_config nl": ("nl grid value", None, 5,
+                        lambda v: sweep_cell_configs(trial_config(), "nl", (v,), 1)[0].n_l),
+    "_cell_config nu": ("nu grid value", None, 50,
+                        lambda v: sweep_cell_configs(trial_config(), "nu", (v,), 1)[0].n_u),
+    "compatibility_from_errors d": ("d", 1, 4, lambda v: compatibility_from_errors(0.2, 0.3, v)),
+    **{f"SplitSpec {name}": (name, least, 2, field_of(SplitSpec, name, n_l=1, n_val=1,
+                                                      n_test=1, seed=0))
+       for name, least in [("n_l", 0), ("n_val", 0), ("n_test", 0), ("seed", None)]},
+    "pca_project k": ("k", 1, 2, lambda v: pca_project(TabularDataset(
+        x=sample_labeled(SEPARATED, 20, 3).x, y=np.ones(20), columns=("a", "b")), v).x.tobytes()),
+    "fit_em max_iter": ("max_iter", 1, 200, lambda v: fit_em(
+        sample_unlabeled(SEPARATED, 200, 4), [1.0, 0.0], v).theta.tobytes()),
+    "fit_logistic max_iter": ("max_iter", 1, 100, lambda v: fit_logistic(
+        sample_labeled(SEPARATED, 50, 5), 0.1, max_iter=v).theta.tobytes()),
+    **{f"ProblemSize {name}": (name, least, k, field_of(ProblemSize, name, s=1.0, d=3,
+                                                        n_l=10, n_u=100))
+       for name, least, k in [("d", 2, 3), ("n_l", 0, 10), ("n_u", 0, 100)]},
+    **{f"simulate key {key}": (key, None, 3, lambda v, key=key: _SIMULATE_KEYS[key](v, key))
+       for key in ("d", "n_l", "n_u", "n_val", "n_test", "base_seed", "em_budget",
+                   "replicates")},
+    **{f"fit {flag}": (name, least, k, fit_flag(dest))
+       for flag, dest, name, least, k in [("--nl", "nl", "n_l", 1, 20),
+                                          ("--nval", "nval", "n_val", 0, 40),
+                                          ("--ntest", "ntest", "n_test", 1, 40),
+                                          ("--pca", "pca", "pca", 1, 2)]},
+}
+
+
+class TestCheckWhole:
+    @pytest.mark.parametrize("value, least", [(0, None), (-3, None), (7, 7), (np.int64(5), 0),
+                                              (5.0, 5), (np.float64(-2.0), None), (2**70, 1)])
+    def test_takes_a_whole_number_as_an_int(self, value, least):
+        got = check_whole(value, "n", least)
+        assert type(got) is int and got == value
+
+    @pytest.mark.parametrize("entry", sorted(WHOLE_ENTRY_POINTS))
+    def test_every_spelling_of_a_count_gives_one_result(self, entry):
+        _, _, k, call = WHOLE_ENTRY_POINTS[entry]
+        assert repr(call(k)) == repr(call(np.int64(k))) == repr(call(float(k)))
+
+    @pytest.mark.parametrize("entry", sorted(WHOLE_ENTRY_POINTS))
+    def test_every_entry_point_rejects_the_rest_with_the_rule_message(self, entry):
+        name, least, k, call = WHOLE_ENTRY_POINTS[entry]
+        rejected = [(value, f"{name} must be a whole number, got {value!r}")
+                    for value in (True, k + 0.5, str(k), math.nan, math.inf)]
+        if least is not None:
+            rejected.append((least - 1, f"{name} must be at least {least}, got {least - 1}"))
+        for value, message in rejected:
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                call(value)
 
 
 class TestSampling:

@@ -158,6 +158,66 @@ def test_rule_catches_a_second_newton_loop(tmp_path):
     assert found == [(2, None), (5, "_newton"), (8, "own_loop")]
 
 
+def is_integrality_test(node):
+    """`.is_integer`, `numbers.Integral` (or a bare `Integral`) or `np.integer`."""
+    if isinstance(node, ast.Name):
+        return node.id == "Integral"
+    return isinstance(node, ast.Attribute) and (
+        node.attr == "is_integer"
+        or ast.unparse(node) in ("numbers.Integral", "np.integer", "numpy.integer")
+    )
+
+
+def integrality_tests(path):
+    """(line, function) of each integrality test (is_integrality_test) in a function of a
+    module that raises ValidationError: a whole-number check of its own."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def raises_validation(function):
+        return any(isinstance(node, ast.Raise) and node.exc is not None
+                   and "ValidationError" in ast.unparse(node.exc) for node in ast.walk(function))
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node
+        if function is not None and is_integrality_test(node) and raises_validation(function):
+            found.append((node.lineno, function.name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_check_whole_tests_for_whole_numbers():
+    """Every size, seed, cap and index goes through gmm.check_whole, the one count rule."""
+    found = {(path.name, function) for path in sorted(SRC.glob("*.py"))
+             for _, function in integrality_tests(path)}
+    assert found == {("gmm.py", "check_whole")}
+
+
+def test_rule_catches_a_second_whole_number_test(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import numbers\n"
+        "import numpy as np\n"
+        "\n"
+        "def check_whole(value):\n"
+        "    if not isinstance(value, numbers.Integral):\n"
+        "        raise ValidationError('not whole')\n"
+        "\n"
+        "def own_check(value):\n"
+        "    if not (isinstance(value, np.integer) or float(value).is_integer()):\n"
+        "        raise ValidationError(f'{value} is not whole')\n"
+        "\n"
+        "def _jsonable(value):\n"
+        "    return int(value) if isinstance(value, np.integer) else value\n"
+    )
+    found = integrality_tests(module)
+    assert found == [(5, "check_whole"), (9, "own_check"), (9, "own_check")]
+
+
 MAX_LINE = 100
 
 

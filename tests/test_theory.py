@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +41,14 @@ class TestProblemSize:
             size(1.0, 2, math.nan, 1)
         with pytest.raises(ValidationError):
             size(1.0, 2, 1, True)
+
+    @pytest.mark.parametrize("field", ["d", "n_l", "n_u"])
+    def test_takes_sizes_up_to_the_largest_float(self, field):
+        fields = dict(s=1.0, d=2, n_l=1, n_u=1)
+        largest = int(sys.float_info.max)
+        assert getattr(ProblemSize(**{**fields, field: largest}), field) == largest
+        with pytest.raises(ValidationError, match=f"^{field} must be at most 1.79769e\\+308, got a"):
+            ProblemSize(**{**fields, field: largest + 1})
 
     def test_coerces_to_exact_types(self):
         p = size(1, 3, 10, 20)
@@ -117,6 +126,12 @@ class TestUlplusExcessUpper:
     def test_validity_condition_named_in_error(self):
         with pytest.raises(ValidationError, match="n_u"):
             ulplus_excess_upper(size(1.0, 2, 10, 100))
+
+    def test_underflowed_cube_keeps_the_first_term(self):
+        # s**3 is 0 in floats here, but s**3 * n_u is about 1e-142.
+        p = size(1e-150, 2, 0, 10 ** 308)
+        want = 2 * math.log(2 * 10 ** 308) / (1e-150 ** 2 * 1e308 * 1e-150) + 1.0
+        assert ulplus_excess_upper(p) == pytest.approx(want, rel=1e-12)
         with pytest.raises(ValidationError):
             ulplus_excess_upper(size(1.5, 2, 10, 10 ** 7))
         with pytest.raises(ValidationError):
