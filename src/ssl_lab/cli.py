@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import os
 import sys
 from dataclasses import asdict, fields, replace
@@ -64,7 +63,7 @@ from .experiments import (
     sweep_cell_configs,
     test_error,
 )
-from .gmm import check_whole
+from .gmm import check_real, check_whole
 
 #: Accepted spellings of each method tag.
 METHOD_ALIASES = {
@@ -135,34 +134,25 @@ def _parse_methods(text, key: str = "methods") -> tuple:
     return tuple(dict.fromkeys(_normalize_method(name) for name in names))
 
 
-def _real(value, key: str) -> float:
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            # json reads a long run of digits as an int past float range.
-            raise ValidationError(f"{key} is too large for a float") from None
-    raise ValidationError(f"{key} must be a number, got {value!r}")
-
-
 def _reals(value, key: str):
-    """A list of reals, also as a comma-separated string; null means not given."""
+    """A list of reals in [0, inf], also as a comma-separated string; null means not
+    given. Each value is checked against its own bounds where it is used."""
     if value is None:
         return None
     try:
         if isinstance(value, str):
-            values = tuple(float(tok) for tok in value.split(",") if tok.strip())
-        else:
-            values = tuple(_real(entry, key) for entry in value)
+            value = [float(tok) for tok in value.split(",") if tok.strip()]
+        value = list(value)
     except (TypeError, ValueError):
         raise ValidationError(f"{key} values must be numbers, got {value!r}") from None
+    values = tuple(check_real(entry, f"{key} value", math.inf) for entry in value)
     if not values:
         raise ValidationError(f"{key} is empty")
     return values
 
 
 def _as_given(value, key: str):
-    """A name, checked where it is used; null means not given."""
+    """A value checked where it is used; null means not given."""
     return value
 
 
@@ -170,7 +160,7 @@ def _as_given(value, key: str):
 #: A key names the field that holds it: s and d on the model, then the
 #: TrialConfig fields, then SweepSpec's axis, grid and replicates.
 _SIMULATE_KEYS = {
-    "s": _real,
+    "s": _as_given,
     "d": check_whole,
     "n_l": check_whole,
     "n_u": check_whole,
@@ -215,12 +205,14 @@ def _write_manifest(out_dir, filename, command, config, base_seed=0, config_path
 
 def _load_config_file(path) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             obj = json.load(handle)
     except OSError as err:
         raise ValidationError(f"cannot read config file: {err}") from None
-    except json.JSONDecodeError as err:
-        raise DataFormatError(f"config file is not valid JSON: {err}") from None
+    except (ValueError, RecursionError) as err:
+        # Besides bad JSON: bytes that are not UTF-8, an int past Python's
+        # int-from-str digit limit, and nesting deeper than the recursion limit.
+        raise DataFormatError(f"config file {path} is not valid JSON: {err}") from None
     if isinstance(obj, dict) and "command" in obj and isinstance(obj.get("config"), dict):
         obj = obj["config"]
     if not isinstance(obj, dict):

@@ -404,9 +404,7 @@ def pca_project(data: TabularDataset, k: int) -> TabularDataset:
     Raises ValidationError unless k is a whole number with 1 <= k <= d and
     the table has at least two rows.
     """
-    k = check_whole(k, "k", 1)
-    if k > data.d:
-        raise ValidationError(f"k must be at most d = {data.d}, got {k}")
+    k = check_whole(k, "k", 1, data.d)
     if data.n < 2:
         raise ValidationError("pca needs at least 2 rows")
     mean, scale = _standardizer(data.x)
@@ -430,11 +428,7 @@ def split(data: TabularDataset, spec: SplitSpec):
     (labeled, pool, validation, test); raises ValidationError when
     n_l + n_val + n_test exceeds the number of rows.
     """
-    total = spec.n_l + spec.n_val + spec.n_test
-    if total > data.n:
-        raise ValidationError(
-            f"split needs n_l + n_val + n_test = {total} rows but the table has {data.n}"
-        )
+    check_whole(spec.n_l + spec.n_val + spec.n_test, "n_l + n_val + n_test", most=data.n)
     perm = np.random.default_rng(spec.seed & MASK64).permutation(data.n)
     stop_l = spec.n_l
     stop_v = stop_l + spec.n_val
@@ -540,84 +534,93 @@ def read_results(path) -> SweepResult:
     header-only file reads back as an empty sweep. Grid values appear in
     file order, and rows sharing an axis value group into one cell. A row
     that breaks CellStats's contract, has a NaN or infinite axis value or
-    repeats a method of its cell raises DataFormatError naming it.
+    repeats a method of its cell raises DataFormatError naming it, and so
+    do bytes the file's encoding cannot decode.
     """
-    with open(path, newline="") as handle:
-        first = handle.readline()
-        if not first.startswith(_SCHEMA_PREFIX):
-            raise SchemaVersionError(
-                f"missing schema line; expected {_SCHEMA_PREFIX!r}"
-                f" followed by the version number"
-            )
-        version = first[len(_SCHEMA_PREFIX):].strip()
-        if version != str(RESULTS_SCHEMA_VERSION):
-            raise SchemaVersionError(
-                f"unsupported results schema version {version!r}; "
-                f"this reader handles version {RESULTS_SCHEMA_VERSION}"
-            )
-        reader = csv.reader(handle)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise DataFormatError("missing header row") from None
-        if header != RESULTS_COLUMNS:
+    try:
+        with open(path, newline="") as handle:
+            return _read_sweep(handle)
+    except UnicodeDecodeError as err:
+        raise DataFormatError(f"{path} cannot be decoded: {err}") from None
+
+
+def _read_sweep(handle) -> SweepResult:
+    """read_results on an open handle."""
+    first = handle.readline()
+    if not first.startswith(_SCHEMA_PREFIX):
+        raise SchemaVersionError(
+            f"missing schema line; expected {_SCHEMA_PREFIX!r}"
+            f" followed by the version number"
+        )
+    version = first[len(_SCHEMA_PREFIX):].strip()
+    if version != str(RESULTS_SCHEMA_VERSION):
+        raise SchemaVersionError(
+            f"unsupported results schema version {version!r}; "
+            f"this reader handles version {RESULTS_SCHEMA_VERSION}"
+        )
+    reader = csv.reader(handle)
+    try:
+        header = tuple(next(reader))
+    except StopIteration:
+        raise DataFormatError("missing header row") from None
+    if header != RESULTS_COLUMNS:
+        raise DataFormatError(
+            f"unexpected header {list(header)}; expected {list(RESULTS_COLUMNS)}"
+        )
+    axis_name = None
+    replicates = None
+    grid = []
+    cells = []
+    index = {}
+    for line, record in enumerate(reader, start=3):
+        if not record:
+            continue
+        if len(record) != len(RESULTS_COLUMNS):
             raise DataFormatError(
-                f"unexpected header {list(header)}; expected {list(RESULTS_COLUMNS)}"
+                f"row {line}: expected {len(RESULTS_COLUMNS)} fields, "
+                f"found {len(record)}"
             )
-        axis_name = None
-        replicates = None
-        grid = []
-        cells = []
-        index = {}
-        for line, record in enumerate(reader, start=3):
-            if not record:
-                continue
-            if len(record) != len(RESULTS_COLUMNS):
+        name, value_text, method, reps_text, *stat_texts, extra_text = record
+        if axis_name is None:
+            axis_name = name
+        elif name != axis_name:
+            raise DataFormatError(
+                f"row {line}: axis name {name!r} differs from {axis_name!r}"
+            )
+        value = _parse_number(value_text, line, "axis_value")
+        if not math.isfinite(value):
+            raise DataFormatError(f"row {line}: axis value {value_text!r} is not finite")
+        try:
+            reps = int(reps_text)
+        except ValueError:
+            raise DataFormatError(
+                f"row {line}: cannot parse {reps_text!r} in column 'replicates'"
+            ) from None
+        if replicates is None:
+            replicates = reps
+        elif reps != replicates:
+            raise DataFormatError(
+                f"row {line}: replicates {reps} differs from {replicates}"
+            )
+        numbers = {
+            column: _parse_number(text, line, column)
+            for text, column in zip(stat_texts, STAT_FIELDS)
+        }
+        try:
+            stats = CellStats(method, reps, **numbers, extra=_parse_extra(extra_text, line))
+        except ValidationError as err:
+            raise DataFormatError(f"row {line}: {err}") from None
+        if value in index:
+            cell = cells[index[value]]
+            if any(other.method == method for other in cell):
                 raise DataFormatError(
-                    f"row {line}: expected {len(RESULTS_COLUMNS)} fields, "
-                    f"found {len(record)}"
+                    f"row {line}: method {method!r} repeats at axis value {value_text}"
                 )
-            name, value_text, method, reps_text, *stat_texts, extra_text = record
-            if axis_name is None:
-                axis_name = name
-            elif name != axis_name:
-                raise DataFormatError(
-                    f"row {line}: axis name {name!r} differs from {axis_name!r}"
-                )
-            value = _parse_number(value_text, line, "axis_value")
-            if not math.isfinite(value):
-                raise DataFormatError(f"row {line}: axis value {value_text!r} is not finite")
-            try:
-                reps = int(reps_text)
-            except ValueError:
-                raise DataFormatError(
-                    f"row {line}: cannot parse {reps_text!r} in column 'replicates'"
-                ) from None
-            if replicates is None:
-                replicates = reps
-            elif reps != replicates:
-                raise DataFormatError(
-                    f"row {line}: replicates {reps} differs from {replicates}"
-                )
-            numbers = {
-                column: _parse_number(text, line, column)
-                for text, column in zip(stat_texts, STAT_FIELDS)
-            }
-            try:
-                stats = CellStats(method, reps, **numbers, extra=_parse_extra(extra_text, line))
-            except ValidationError as err:
-                raise DataFormatError(f"row {line}: {err}") from None
-            if value in index:
-                cell = cells[index[value]]
-                if any(other.method == method for other in cell):
-                    raise DataFormatError(
-                        f"row {line}: method {method!r} repeats at axis value {value_text}"
-                    )
-                cell.append(stats)
-            else:
-                index[value] = len(grid)
-                grid.append(value)
-                cells.append([stats])
+            cell.append(stats)
+        else:
+            index[value] = len(grid)
+            grid.append(value)
+            cells.append([stats])
     if axis_name is None:
         return SweepResult(axis_name="", grid=(), replicates=0, cells=())
     return SweepResult(

@@ -69,6 +69,7 @@ from .gmm import (
     UnlabeledDataset,
     as_vector,
     check_finite,
+    check_real,
     check_whole,
     readonly,
 )
@@ -111,8 +112,7 @@ class WeightSelection:
     t: float
 
     def __post_init__(self):
-        if not (0.0 <= self.t <= 1.0):
-            raise ValidationError("t must lie in [0, 1]")
+        object.__setattr__(self, "t", check_real(self.t, "t", 1.0))
 
 
 def fit_sl(data: LabeledDataset) -> EstimatorOutput:
@@ -203,9 +203,7 @@ def fit_ssl_s(
         raise ValidationError("fit_ssl_s needs at least one labeled sample")
     if labeled.d != unlabeled.d and unlabeled.n > 0:
         raise ValidationError("labeled and unlabeled dimensions differ")
-    s_val = float(s)
-    if not math.isfinite(s_val) or s_val < 0.0:
-        raise ValidationError("s must be a nonnegative real")
+    s_val = check_real(s, "s")
 
     d = float(labeled.d)
     n_l = float(labeled.n)
@@ -282,11 +280,9 @@ def fit_ssl_w(
     candidate is a multiple of theta_sl, the smallest nonzero t wins.
     `theta_ulp` is the sign-fixed unsupervised estimate.
     """
-    grid = [float(t) for t in t_grid]
+    grid = [check_real(t, "t_grid value", 1.0) for t in t_grid]
     if not grid:
         raise ValidationError("t_grid must be nonempty")
-    if any(not (0.0 <= t <= 1.0) or not math.isfinite(t) for t in grid):
-        raise ValidationError("t_grid values must lie in [0, 1]")
 
     sl = fit_sl(labeled)
     ulp = theta_ulp.theta
@@ -438,9 +434,8 @@ def fit_logistic(
     """
     if data.n < 1:
         raise ValidationError("fit_logistic needs at least one sample")
-    _check_ridge(ridge)
-    if isinstance(tol, bool) or not (isinstance(tol, (int, float)) and tol > 0):
-        raise ValidationError("tol must be positive")
+    ridge = check_real(ridge, "ridge")
+    tol = check_real(tol, "tol", positive=True)
     max_iter = check_whole(max_iter, "max_iter", 1)
     yx = np.multiply(data.x.T, data.y, order="C")
     theta = _newton(yx, ridge, tol, max_iter, np.zeros(data.d))
@@ -460,9 +455,7 @@ def fit_logistic_grid(data: LabeledDataset, ridges) -> list:
     """
     if data.n < 1:
         raise ValidationError("fit_logistic needs at least one sample")
-    ridges = list(ridges)
-    for ridge in ridges:
-        _check_ridge(ridge)
+    ridges = [check_real(ridge, "ridge") for ridge in ridges]
     yx = np.multiply(data.x.T, data.y, order="C")
     thetas = [None] * len(ridges)
     if len(ridges) * data.n <= HESSIAN_BLOCK:
@@ -476,13 +469,6 @@ def fit_logistic_grid(data: LabeledDataset, ridges) -> list:
         except ConvergenceError as err:
             fits.append(err)
     return fits
-
-
-def _check_ridge(ridge) -> None:
-    if isinstance(ridge, bool) or not (
-        isinstance(ridge, (int, float)) and math.isfinite(ridge) and ridge >= 0.0
-    ):
-        raise ValidationError("ridge must be a nonnegative real")
 
 
 def _newton(yx, ridge: float, tol, max_iter: int, theta: np.ndarray) -> np.ndarray:
@@ -651,15 +637,10 @@ def self_train_path(
     Returns one entry per threshold, in the order given: the refit's
     EstimatorOutput, or the ConvergenceError it raised.
     """
-    thresholds = list(thresholds)
-    for threshold in thresholds:
-        if isinstance(threshold, bool) or not (
-            isinstance(threshold, (int, float)) and threshold >= 0.0
-        ):
-            raise ValidationError("threshold must be nonnegative")
+    thresholds = [check_real(threshold, "threshold", math.inf) for threshold in thresholds]
     if labeled.n < 1:
         raise ValidationError("self_train_path needs at least one labeled sample")
-    _check_ridge(ridge)
+    ridge = check_real(ridge, "ridge")
     theta1 = stage1.theta
     if theta1.size != labeled.d:
         raise ValidationError("stage1 dimension differs from the data")

@@ -42,6 +42,7 @@ estimators module's; only the "em" backend's em_budget is passed here.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -67,11 +68,12 @@ from .estimators import (
     self_train_path,
 )
 from .gmm import (
+    MAX_SNR,
     EstimatorOutput,
     LabeledDataset,
     MixtureModel,
     UnlabeledDataset,
-    check_snr,
+    check_real,
     check_whole,
     sample_labeled,
     sample_unlabeled,
@@ -92,10 +94,8 @@ COMPATIBILITY_RIDGE = 1e-3
 
 def first_axis_model(s: float, d: int, name: str = "s") -> MixtureModel:
     """The mixture whose theta_star is s times the first basis vector of R^d; `name` names s."""
-    s = check_snr(s, name)
-    d = check_whole(d, "d", 1)
-    if d > np.iinfo(np.intp).max:
-        raise ValidationError(f"d is too large for a vector, got {d}")
+    s = check_real(s, name, MAX_SNR)
+    d = check_whole(d, "d", 1, np.iinfo(np.intp).max)
     theta = np.zeros(d)
     theta[0] = s
     return MixtureModel(theta_star=theta)
@@ -138,12 +138,11 @@ class TrialConfig:
     def __post_init__(self):
         if not isinstance(self.model, MixtureModel):
             raise ValidationError("model must be a MixtureModel")
+        # n x d must index one draw; grid cells pass here too, so sampling never sees a
+        # bigger size.
+        most = np.iinfo(np.intp).max // self.model.d
         for name, least in (("n_l", 1), ("n_u", 0), ("n_val", 0), ("n_test", 1)):
-            value = check_whole(getattr(self, name), name, least)
-            # Grid cells pass here too, so sampling never sees such a size.
-            if value * self.model.d > np.iinfo(np.intp).max:
-                raise ValidationError(f"{name} is too large for an n x d draw, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, check_whole(getattr(self, name), name, least, most))
         methods = tuple(dict.fromkeys(self.methods))
         if not methods:
             raise ValidationError("methods must be nonempty")
@@ -152,20 +151,16 @@ class TrialConfig:
                 raise ValidationError(f"unknown method tag {tag!r}")
         object.__setattr__(self, "methods", methods)
         check_validation_size(methods, self.n_val)
-        t_grid = tuple(float(t) for t in self.t_grid)
-        if not t_grid or not all(0.0 <= t <= 1.0 for t in t_grid):
-            raise ValidationError("t_grid must be nonempty, with values in [0, 1]")
-        object.__setattr__(self, "t_grid", t_grid)
+        # Each grid's bounds. Ridge 0 is left out: on separable data its infimum is not attained.
+        grids = {"t_grid": (1.0, False), "ridge_grid": (sys.float_info.max, True)}
         if self.self_train_thresholds is not None:
-            thresholds = tuple(float(t) for t in self.self_train_thresholds)
-            if not thresholds or not all(t >= 0 for t in thresholds):
-                raise ValidationError("self_train_thresholds must be nonnegative, not NaN")
-            object.__setattr__(self, "self_train_thresholds", thresholds)
-        ridge_grid = tuple(float(r) for r in self.ridge_grid)
-        # ridge 0 is left out: on separable data its infimum is not attained.
-        if not ridge_grid or any(r <= 0 or not math.isfinite(r) for r in ridge_grid):
-            raise ValidationError("ridge_grid must be nonempty, positive and finite")
-        object.__setattr__(self, "ridge_grid", ridge_grid)
+            grids["self_train_thresholds"] = (math.inf, False)
+        for name, (most, positive) in grids.items():
+            grid = tuple(check_real(t, f"{name} value", most, positive)
+                         for t in getattr(self, name))
+            if not grid:
+                raise ValidationError(f"{name} must be nonempty")
+            object.__setattr__(self, name, grid)
         object.__setattr__(self, "base_seed", check_whole(self.base_seed, "base_seed"))
         if self.ul_backend not in UL_BACKENDS:
             raise ValidationError(f"ul_backend must be one of {UL_BACKENDS}")
@@ -540,15 +535,11 @@ def _cell_config(cfg: TrialConfig, axis: str, value) -> TrialConfig:
     if axis == "nu":
         return replace(cfg, n_u=check_whole(value, "nu grid value"))
     if axis == "nu_over_nl":
-        ratio = float(value)
-        # round() below needs n_u / ratio finite, which a tiny ratio overflows.
-        if not (0 < ratio < math.inf and math.isfinite(cfg.n_u / ratio)):
-            raise ValidationError(
-                f"nu_over_nl grid value {value} must be positive and finite, "
-                f"and so must n_u / value with n_u={cfg.n_u}"
-            )
+        ratio = check_real(value, "nu_over_nl grid value", positive=True)
+        # round() needs n_u / ratio finite, which a tiny ratio overflows.
+        quotient = check_real(cfg.n_u / ratio, f"n_u / nu_over_nl grid value (n_u = {cfg.n_u})")
         # The cell records `ratio`, so it must be the ratio that runs.
-        n_l = max(1, round(cfg.n_u / ratio))
+        n_l = max(1, round(quotient))
         if cfg.n_u / n_l != ratio:
             raise ValidationError(
                 f"nu_over_nl grid value {value} does not divide n_u={cfg.n_u} into a whole n_l"
@@ -705,9 +696,9 @@ def compatibility_from_errors(err_bayes: float, err_ulp: float, d: int) -> tuple
     (err_ulp - err_bayes)/err_bayes; when err_bayes <= 0.01 the data is
     treated as near separable and rho = err_bayes directly.
     """
-    if not (0.0 <= err_bayes <= 1.0 and 0.0 <= err_ulp <= 1.0):
-        raise ValidationError("training errors must lie in [0, 1]")
-    d = check_whole(d, "d", 1)
+    err_bayes = check_real(err_bayes, "err_bayes", 1.0)
+    err_ulp = check_real(err_ulp, "err_ulp", 1.0)
+    d = check_whole(d, "d", 1, np.iinfo(np.intp).max)
     if err_bayes <= 0.01:
         rho = err_bayes
     else:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,8 @@ from .errors import ValidationError
 from .seeds import MASK64
 
 _SQRT2 = math.sqrt(2.0)
-#: The largest SNR taken anywhere (check_snr, MixtureModel); float max is about 1.8e308.
+#: The largest SNR taken anywhere (every SNR's check_real bound, MixtureModel); float max
+#: is about 1.8e308.
 MAX_SNR = 1e100
 #: The label for each value of the 0/1 draw.
 _SIGNS = np.array([-1.0, 1.0])
@@ -72,15 +74,41 @@ def check_finite(a: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} must have finite entries")
 
 
-def check_snr(value, name: str) -> float:
-    """`value` as a float if it is a real in [0, MAX_SNR], not a bool; the one SNR rule."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= MAX_SNR:
-        raise ValidationError(f"{name} must be nonnegative and at most {MAX_SNR:g}, got {value}")
-    return float(value)
+def _past_float(value) -> bool:
+    """Whether `value` is an int past float range, which has no float."""
+    return (not isinstance(value, float) and isinstance(value, numbers.Integral)
+            and abs(int(value)) > sys.float_info.max)
 
 
-def check_whole(value, name: str, least: int | None = None) -> int:
-    """`value` as an int if it is a whole number, and at least `least` when that is given.
+def _shown(value) -> str:
+    """repr(value), or an int's size in bits once it is past float range: such
+    digits are slow to print, and past 4,300 of them Python refuses to."""
+    if _past_float(value):
+        return f"{'a negative' if value < 0 else 'an'} int of {abs(int(value)).bit_length()} bits"
+    return repr(value)
+
+
+def check_real(value, name: str, most: float = sys.float_info.max, positive: bool = False) -> float:
+    """`value` as a float if it is a real in [0, most], or (0, most] when `positive`.
+
+    The one real-number rule: a Python or numpy int or float, not a bool or a
+    string. The default `most` is the largest float, so the value must be
+    finite; most=math.inf also takes +inf. An int past float range has no
+    float, so it lies in no such interval. NaN lies in none either.
+    """
+    # float first skips the slower abstract-class test: fits check their t_grid, ridges
+    # and thresholds on every trial.
+    if isinstance(value, bool) or not isinstance(value, (float, numbers.Real)):
+        raise ValidationError(f"{name} must be a real number, got {_shown(value)}")
+    real = math.nan if _past_float(value) else float(value)
+    if not (0.0 < real <= most if positive else 0.0 <= real <= most):
+        interval = f"{'(' if positive else '['}0, {most:g}]"
+        raise ValidationError(f"{name} must lie in {interval}, got {_shown(value)}")
+    return real
+
+
+def check_whole(value, name: str, least: int | None = None, most: int | None = None) -> int:
+    """`value` as an int if it is a whole number in [least, most], each bound when given.
 
     The one count rule: an int, a numpy integer or a real with an integral
     value (not inf or NaN), and not a bool, so 20 and 20.0 pass but 20.5,
@@ -89,10 +117,12 @@ def check_whole(value, name: str, least: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
         isinstance(value, numbers.Integral) or float(value).is_integer()
     ):
-        raise ValidationError(f"{name} must be a whole number, got {value!r}")
+        raise ValidationError(f"{name} must be a whole number, got {_shown(value)}")
     whole = int(value)
     if least is not None and whole < least:
-        raise ValidationError(f"{name} must be at least {least}, got {value!r}")
+        raise ValidationError(f"{name} must be at least {least}, got {_shown(value)}")
+    if most is not None and whole > most:
+        raise ValidationError(f"{name} must be at most {most}, got {_shown(value)}")
     return whole
 
 
@@ -201,7 +231,7 @@ def _draw(model: MixtureModel, n: int, seed: int) -> tuple:
     """(x, y) of n draws, determined entirely by (model, n, seed): labels
     first, then the n x d standard normal noise block, which becomes x once
     the signal is added into it."""
-    n = check_whole(n, "n", 0)
+    n = check_whole(n, "n", 0, np.iinfo(np.intp).max // model.d)
     rng = np.random.default_rng(check_whole(seed, "seed") & MASK64)
     y = _SIGNS[rng.integers(0, 2, size=n)]
     x = rng.standard_normal((n, model.d))

@@ -14,11 +14,10 @@ than REGIME_RATIO times the other's.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .gmm import check_snr, check_whole, std_normal_cdf
+from .gmm import MAX_SNR, check_real, check_whole, std_normal_cdf
 
 REGIMES = ("SL-dominant", "UL-dominant", "Balanced", "LowSNR")
 REGIME_RATIO = 10.0
@@ -34,15 +33,11 @@ class ProblemSize:
     n_u: int
 
     def __post_init__(self):
-        object.__setattr__(self, "s", check_snr(self.s, "s"))
+        object.__setattr__(self, "s", check_real(self.s, "s", MAX_SNR))
         for name, least in (("d", 2), ("n_l", 0), ("n_u", 0)):
             value = check_whole(getattr(self, name), name, least)
             # The rates take each size as a float; a bigger int has none.
-            if value > sys.float_info.max:
-                raise ValidationError(
-                    f"{name} must be at most {sys.float_info.max:g}, "
-                    f"got a {value.bit_length()}-bit integer"
-                )
+            check_real(value, name)
             object.__setattr__(self, name, value)
 
 
@@ -175,7 +170,7 @@ def classify_regime(p: ProblemSize) -> str:
 
 def trivial_excess(s: float) -> float:
     """Excess risk of predicting with the zero vector: Phi(s) - 0.5."""
-    return std_normal_cdf(check_snr(s, "s")) - 0.5
+    return std_normal_cdf(check_real(s, "s", MAX_SNR)) - 0.5
 
 
 def oracle_gap(mse_sl: float, mse_ul: float) -> tuple[float, float]:

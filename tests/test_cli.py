@@ -140,8 +140,7 @@ class TestTheory:
     def test_snr_past_the_rule_exits_2_naming_s(self, capsys):
         assert main(["theory", "--s", "1e154", "--d", "2", "--nl", "5", "--nu", "10"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: s must be nonnegative and at most 1e+100")
-        assert err.count("\n") == 1
+        assert err == "error: s must lie in [0, 1e+100], got 1e+154\n"
 
     @pytest.mark.parametrize("s", ["0", "5e-324", "1e-200", "1e-155", "1", "1e100"])
     def test_extreme_sizes_exit_0_or_2(self, capsys, s):
@@ -167,7 +166,7 @@ class TestTheory:
         argv = ["theory", "--s", "1", "--d", "2", "--nl", "1", "--nu", str(10 ** 400)]
         assert main(argv) == 2
         assert capsys.readouterr().err == (
-            "error: n_u must be at most 1.79769e+308, got a 1329-bit integer\n"
+            "error: n_u must lie in [0, 1.79769e+308], got an int of 1329 bits\n"
         )
 
 
@@ -336,7 +335,7 @@ class TestSimulate:
             (["--nu", "100", "--axis", "nu_over_nl", "--grid", "3,7"], "whole n_l"),
             (["--nu", "100", "--axis", "nu_over_nl", "--grid", "4,7"], "whole n_l"),
             (["--d", "0"], "d must be at least 1"),
-            (["--s", "-1", "--axis", "nl", "--grid", "5"], "s must be nonnegative"),
+            (["--s", "-1", "--axis", "nl", "--grid", "5"], "s must lie in [0, 1e+100], got -1.0"),
             (["--ntest", "0"], "n_test must be at least 1"),
             # Each grid value is one cell of results.csv, which report could not read back.
             (["--axis", "snr", "--grid", "1,1"], "grid values must be distinct"),
@@ -357,9 +356,7 @@ class TestSimulate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["simulate", "--s", "1e160", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: s must be nonnegative and at most 1e+100")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == "error: s must lie in [0, 1e+100], got 1e+160\n"
         assert not out.exists()
 
     def test_snr_grid_value_past_the_rule_exits_2_before_the_manifest(self, tmp_path, capsys):
@@ -368,22 +365,23 @@ class TestSimulate:
                 "--axis", "snr", "--grid", "1e200", "--threads", "1", "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: snr grid value must be nonnegative and at most 1e+100")
-        assert err.count("\n") == 1
+        assert err == "error: snr grid value must lie in [0, 1e+100], got 1e+200\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("ratio", ["nan", "1e-320"])
+    @pytest.mark.parametrize("ratio, message", [
+        ("nan", "grid value must lie in [0, inf], got nan"),
+        ("1e-320", "n_u / nu_over_nl grid value (n_u = 100) must lie in [0, 1.79769e+308], "
+                   "got inf"),
+    ])
     def test_ratio_that_leaves_no_finite_n_l_exits_2_before_the_manifest(
-        self, tmp_path, capsys, ratio
+        self, tmp_path, capsys, ratio, message
     ):
         # 100 / 1e-320 overflows to inf, which has no whole n_l to round to.
         out = tmp_path / "run"
         argv = ["simulate", "--axis", "nu_over_nl", "--grid", ratio, "--nl", "5", "--nu", "100",
                 "--methods", "sl", "--threads", "1", "--out", str(out)]
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: nu_over_nl grid value {float(ratio)} must be positive")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -394,7 +392,7 @@ class TestSimulate:
             ({"ridge_grid": [0.0]}, "ridge_grid"),
             ({"ridge_grid": [0.1, 0.0, 1.0]}, "ridge_grid"),
             ({"n_l": "abc"}, "n_l must be a whole number"),
-            ({"s": "x"}, "s must be a number"),
+            ({"s": "x"}, "s must be a real number, got 'x'"),
             ({"grid": "1,2"}, "--grid must be given together"),
             ({"ridge_grid": "abc"}, "ridge_grid values must be numbers"),
             ({"em_budget": None}, "em_budget must be a whole number"),
@@ -402,11 +400,11 @@ class TestSimulate:
             ({"t_grid": [2.0], "methods": ["sslw"]}, "t_grid"),
             ({"d": 2.5}, "d must be a whole number"),
             ({"replicates": True}, "replicates must be a whole number"),
-            ({"axis": "nu", "grid": [1e30]}, "n_u is too large"),
-            ({"n_u": 1e30}, "n_u is too large"),
-            ({"d": 1e30}, "d is too large"),
+            ({"axis": "nu", "grid": [1e30]}, "n_u must be at most 4611686018427387903"),
+            ({"n_u": 1e30}, "n_u must be at most 4611686018427387903"),
+            ({"d": 1e30}, "d must be at most 9223372036854775807"),
             ({"n_test": 0}, "n_test must be at least 1"),
-            ({"axis": "nu_over_nl", "grid": [float("nan")]}, "nu_over_nl grid value nan"),
+            ({"axis": "nu_over_nl", "grid": [float("nan")]}, "grid value must lie in [0, inf]"),
         ],
     )
     def test_bad_selftrain_grid_in_config_exits_2_before_compute(
@@ -542,6 +540,23 @@ class TestSimulate:
             "simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)
         ]) == 2
         assert "config file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff\xfe{}", "can't decode byte 0xff"),
+        (b'{"n_l": ' + b"7" * 5_000 + b"}", "(4300 digits) for integer string conversion"),
+        (b"[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["not-utf8", "5000-digit-int", "deep-nesting"])
+    def test_unreadable_config_json_exits_2_naming_the_file(
+        self, tmp_path, capsys, content, reason
+    ):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(content)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {config} is not valid JSON: ")
+        assert reason in err and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestFit:
@@ -749,6 +764,15 @@ class TestReport:
         write_results(SweepResult(axis_name="snr", grid=(), replicates=0, cells=()), str(empty))
         assert main(["report", str(empty), "--out", str(tmp_path)]) == 3
         assert "no data rows" in capsys.readouterr().err
+
+    def test_results_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"# schema ssl-lab-sweep 1\n\xff\n")
+        charts = tmp_path / "charts"
+        assert main(["report", str(bad), "--out", str(charts)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad} cannot be decoded: ") and err.count("\n") == 1
+        assert not charts.exists()
 
     def test_corrupt_results_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -13,7 +14,15 @@ from oracles import normal_cdf
 from ssl_lab.cli import _SIMULATE_KEYS, _build_parser
 from ssl_lab.data_io import SplitSpec, TabularDataset, pca_project
 from ssl_lab.errors import ValidationError
-from ssl_lab.estimators import fit_em, fit_logistic
+from ssl_lab.estimators import (
+    WeightSelection,
+    fit_em,
+    fit_logistic,
+    fit_logistic_grid,
+    fit_ssl_s,
+    fit_ssl_w,
+    self_train_path,
+)
 from ssl_lab.experiments import (
     TrialConfig,
     compatibility_from_errors,
@@ -26,7 +35,7 @@ from ssl_lab.gmm import (
     LabeledDataset,
     MixtureModel,
     UnlabeledDataset,
-    check_snr,
+    check_real,
     check_whole,
     estimation_error,
     excess_risk,
@@ -38,7 +47,7 @@ from ssl_lab.gmm import (
     std_normal_cdf,
 )
 from ssl_lab.seeds import MASK64
-from ssl_lab.theory import ProblemSize
+from ssl_lab.theory import ProblemSize, trivial_excess
 
 
 class TestStdNormalCdf:
@@ -152,20 +161,6 @@ class TestMixtureModel:
                 metric([1.0, 0.0], theta)
 
 
-class TestCheckSnr:
-    @pytest.mark.parametrize("value", [0, 0.0, 1, 2.5, np.float64(3.0), MAX_SNR])
-    def test_takes_a_real_in_range_as_a_float(self, value):
-        s = check_snr(value, "s")
-        assert type(s) is float and s == value
-
-    @pytest.mark.parametrize(
-        "value", [-0.1, math.nan, math.inf, 1.01 * MAX_SNR, 1e154, True, "1", None]
-    )
-    def test_rejects_the_rest_naming_the_key(self, value):
-        with pytest.raises(ValidationError, match="^grid value must be nonnegative and at most"):
-            check_snr(value, "grid value")
-
-
 DATA_CSV = str(Path(__file__).resolve().parent.parent / "data" / "synthetic_2gmm_200.csv")
 SEPARATED = MixtureModel(theta_star=np.array([2.0, 0.5]))
 
@@ -262,6 +257,116 @@ class TestCheckWhole:
         for value, message in rejected:
             with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
                 call(value)
+
+    @pytest.mark.parametrize("entry", sorted(WHOLE_ENTRY_POINTS))
+    def test_a_huge_int_is_named_by_its_size_in_bits(self, entry):
+        """10**5000 and -10**5000 are taken, or rejected by a rule that names their size."""
+        name, least, _, call = WHOLE_ENTRY_POINTS[entry]
+        bound = r"(must be at most \d+|must lie in \[0, 1\.79769e\+308\])"
+        below = (re.escape(f"{name} must be at least {least}") if least is not None
+                 else r".+ must be at least \d+")
+        for value, message in [(10**5000, rf".+ {bound}, got an int of 16610 bits"),
+                               (-10**5000, rf"{below}, got a negative int of 16610 bits")]:
+            try:
+                call(value)
+            except ValidationError as err:
+                assert re.fullmatch(message, str(err)), str(err)
+            else:
+                assert value > 0 or least is None
+
+
+LABELED = sample_labeled(SEPARATED, 30, 11)
+UNLABELED = sample_unlabeled(SEPARATED, 60, 12)
+
+
+def outcome(fits):
+    """The bytes of each fit of a list, or its error."""
+    return [fit.theta.tobytes() if hasattr(fit, "theta") else repr(fit) for fit in fits]
+
+
+#: Every real the library takes, as (name in its messages, most, positive, a valid whole k,
+#: call): the entry point's bounds are [0, most], or (0, most] when positive, and call(value)
+#: gives what it makes of value, or raises ValidationError.
+FLOAT_MAX = sys.float_info.max
+REAL_ENTRY_POINTS = {
+    "first_axis_model s": ("s", MAX_SNR, False, 1,
+                           lambda v: first_axis_model(v, 2).theta_star.tobytes()),
+    "ProblemSize s": ("s", MAX_SNR, False, 1, field_of(ProblemSize, "s", d=3, n_l=10, n_u=100)),
+    "trivial_excess s": ("s", MAX_SNR, False, 1, trivial_excess),
+    "_cell_config snr": ("snr grid value", MAX_SNR, False, 1, lambda v: sweep_cell_configs(
+        trial_config(), "snr", (v,), 1)[0].model.theta_star.tobytes()),
+    "_cell_config nu_over_nl": ("nu_over_nl grid value", FLOAT_MAX, True, 5,
+                                lambda v: sweep_cell_configs(trial_config(), "nu_over_nl",
+                                                             (v,), 1)[0].n_l),
+    **{f"TrialConfig {name}": (f"{name} value", most, positive, 1,
+                               lambda v, name=name: getattr(trial_config(**{name: (v,)}), name))
+       for name, most, positive in [("t_grid", 1.0, False), ("ridge_grid", FLOAT_MAX, True),
+                                    ("self_train_thresholds", math.inf, False)]},
+    **{f"simulate key {key}": (f"{key} value", math.inf, False, 1,
+                               lambda v, key=key: _SIMULATE_KEYS[key]([v], key))
+       for key in ("t_grid", "self_train_thresholds", "ridge_grid", "grid")},
+    "fit_ssl_s s": ("s", FLOAT_MAX, False, 1, lambda v: repr(fit_ssl_s(LABELED, UNLABELED, v))),
+    "fit_ssl_w t_grid": ("t_grid value", 1.0, False, 1, lambda v: repr(fit_ssl_w(
+        LABELED, fit_logistic(LABELED, 0.1), UNLABELED, (0.5, v)))),
+    "WeightSelection t": ("t", 1.0, False, 1, lambda v: WeightSelection(v).t),
+    "fit_logistic ridge": ("ridge", FLOAT_MAX, False, 1,
+                           lambda v: fit_logistic(LABELED, v).theta.tobytes()),
+    "fit_logistic tol": ("tol", FLOAT_MAX, True, 1,
+                         lambda v: fit_logistic(LABELED, 0.1, v).theta.tobytes()),
+    "fit_logistic_grid ridge": ("ridge", FLOAT_MAX, False, 1,
+                                lambda v: outcome(fit_logistic_grid(LABELED, [0.1, v]))),
+    "self_train_path threshold": ("threshold", math.inf, False, 1, lambda v: outcome(
+        self_train_path(LABELED, UNLABELED, [v], 0.1, fit_logistic(LABELED, 0.1)))),
+    "self_train_path ridge": ("ridge", FLOAT_MAX, False, 1, lambda v: outcome(
+        self_train_path(LABELED, UNLABELED, [0.5], v, fit_logistic(LABELED, v)))),
+    **{f"compatibility_from_errors {name}": (name, 1.0, False, 1, lambda v, name=name: (
+        compatibility_from_errors(**{"err_bayes": 0.2, "err_ulp": 0.3, "d": 4, name: v})))
+       for name in ("err_bayes", "err_ulp")},
+}
+
+
+def shown(value):
+    """How the rule messages show a value."""
+    if isinstance(value, int) and abs(value) > FLOAT_MAX:
+        return f"{'a negative' if value < 0 else 'an'} int of {abs(value).bit_length()} bits"
+    return repr(value)
+
+
+class TestCheckReal:
+    @pytest.mark.parametrize("value, most, positive", [
+        (0, FLOAT_MAX, False), (0.5, 1.0, False), (np.float32(0.25), 1.0, True),
+        (np.int64(7), FLOAT_MAX, True), (MAX_SNR, MAX_SNR, False), (math.inf, math.inf, False),
+        (-0.0, 1.0, False), (FLOAT_MAX, FLOAT_MAX, True)])
+    def test_takes_a_real_in_its_bounds_as_a_float(self, value, most, positive):
+        got = check_real(value, "x", most, positive)
+        assert type(got) is float and got == value
+
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+    def test_every_spelling_of_a_real_gives_one_result(self, entry):
+        *_, k, call = REAL_ENTRY_POINTS[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spellings = [repr(call(v)) for v in (float(k), k, np.float64(k), np.float32(k))]
+        assert spellings == [spellings[0]] * 4
+
+    @pytest.mark.parametrize("entry", sorted(REAL_ENTRY_POINTS))
+    def test_every_entry_point_rejects_the_rest_with_the_rule_message(self, entry):
+        name, most, positive, k, call = REAL_ENTRY_POINTS[entry]
+        interval = f"{'(' if positive else '['}0, {most:g}]"
+        rejected = [(value, f"{name} must be a real number, got {value!r}")
+                    for value in (True, np.bool_(False), str(k), None)]
+        outside = [math.nan, -1.0, 10**400, -10**5000, np.float32(-2.0)]
+        outside += [0, 0.0] if positive else []
+        outside += [math.inf] if most < math.inf else []
+        outside += [2.0 * most] if most < FLOAT_MAX else []
+        outside += [np.float32(2.0 * most)] if most < 1e30 else []
+        rejected += [(value, f"{name} must lie in {interval}, got {shown(value)}")
+                     for value in outside]
+        for value, message in rejected:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                    call(value)
 
 
 class TestSampling:

@@ -218,6 +218,97 @@ def test_rule_catches_a_second_whole_number_test(tmp_path):
     assert found == [(5, "check_whole"), (9, "own_check"), (9, "own_check")]
 
 
+def is_real_number_test(node):
+    """`numbers.Real` (or a bare `Real`); an isinstance call whose classes name `float`; a
+    call of math.isfinite, math.isinf or math.isnan; or a comparison with math.inf or
+    sys.float_info.max."""
+    if isinstance(node, ast.Name):
+        return node.id == "Real"
+    if isinstance(node, ast.Attribute):
+        return ast.unparse(node) == "numbers.Real"
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        return any(ast.unparse(side) in ("math.inf", "sys.float_info.max") for side in sides)
+    if not isinstance(node, ast.Call):
+        return False
+    callee = ast.unparse(node.func)
+    if callee == "isinstance" and len(node.args) == 2:
+        return any(isinstance(n, ast.Name) and n.id == "float" for n in ast.walk(node.args[1]))
+    return callee in ("math.isfinite", "math.isinf", "math.isnan")
+
+
+def real_number_checks(path):
+    """(line, qualified function) of each real-number test (is_real_number_test) in the
+    condition of an `if` whose body raises ValidationError: a real-number check of its own.
+    A test that only filters values, and a check that raises another error (data_io's
+    DataFormatError cell checks), is not one; nor is np.isfinite, the array test."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def raises_validation(statements):
+        return any(isinstance(node, ast.Raise) and node.exc is not None
+                   and "ValidationError" in ast.unparse(node.exc)
+                   for statement in statements for node in ast.walk(statement))
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.If) and raises_validation(node.body):
+            found.extend((test.lineno, scope) for test in ast.walk(node.test)
+                         if is_real_number_test(test))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+#: The real-number checks besides gmm.check_real's: check_whole's type test, the one count
+#: rule; std_normal_cdf's, whose x is any finite real, signed, which no [0, most] states;
+#: and CellStats's record invariant (its statistics are NaN together or not at all, and an
+#: extra may be +inf), which read_results reports as a malformed row.
+REAL_CHECKS_BESIDE_THE_RULE = {("gmm.py", "check_whole"), ("gmm.py", "std_normal_cdf"),
+                               ("experiments.py", "CellStats.__post_init__")}
+
+
+def test_only_check_real_tests_for_real_numbers():
+    """Every SNR, ridge, tolerance, threshold, weight and ratio goes through gmm.check_real."""
+    found = {(path.name, function) for path in sorted(SRC.glob("*.py"))
+             for _, function in real_number_checks(path)}
+    assert found == {("gmm.py", "check_real"), *REAL_CHECKS_BESIDE_THE_RULE}
+
+
+def test_rule_catches_a_second_real_number_test(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import math\n"
+        "import numbers\n"
+        "import numpy as np\n"
+        "\n"
+        "def check_real(value):\n"
+        "    if isinstance(value, bool) or not isinstance(value, numbers.Real):\n"
+        "        raise ValidationError('not real')\n"
+        "\n"
+        "class Config:\n"
+        "    def __post_init__(self):\n"
+        "        if not (isinstance(self.tol, (int, float)) and math.isfinite(self.tol)):\n"
+        "            raise ValidationError('tol must be finite')\n"
+        "        if not 0 < self.ratio < math.inf:\n"
+        "            raise ValidationError('ratio must be positive')\n"
+        "\n"
+        "def quiet(values, cells):\n"
+        "    kept = [v for v in values if math.isfinite(v)]\n"
+        "    if not np.isfinite(kept).all():\n"
+        "        raise ValidationError('the array test is not one')\n"
+        "    if math.isnan(cells[0]):\n"
+        "        raise DataFormatError('a cell check is not one')\n"
+        "    return kept if math.isinf(kept[0]) else values\n"
+    )
+    found = real_number_checks(module)
+    assert found == [(6, "check_real"), (11, "Config.__post_init__"),
+                     (11, "Config.__post_init__"), (13, "Config.__post_init__")]
+
+
 MAX_LINE = 100
 
 
