@@ -14,12 +14,15 @@ file < flags. Every layer goes through one table of config keys, which
 coerces each value and rejects a bad one before any manifest is written,
 and the manifest records the sweep that runs. A manifest is itself a
 valid --config file, so re-running with it reproduces results.csv
-byte-for-byte. Exit codes: 0 success, 2 a usage or configuration
-problem (bad flags, unreadable inputs, malformed files), 3 a runtime
-failure (solver non-convergence, empty results, every requested method
-failing, failed writes, running out of memory, a worker pool that lost a
-worker). The SSL_LAB_OUT_DIR environment variable
-supplies the default output directory; --out wins when both are set.
+byte-for-byte. The SSL_LAB_OUT_DIR environment variable supplies the
+default output directory; --out wins when both are set.
+
+Each _cmd_* function checks its inputs and returns a `run` that does the
+rest, and main alone maps errors to exit codes: 2 for a ValidationError,
+DataFormatError or OSError before run (bad flags, unreadable inputs,
+malformed files), so nothing is written; 3 for any other SslLabError,
+a MemoryError, and an OSError or lost pool worker in run (a solver
+that fails, every requested method failing, a failed write).
 """
 
 from __future__ import annotations
@@ -74,23 +77,25 @@ FIT_METHODS = tuple(tag for tag, method in METHODS.items() if method.real_data)
 DEFAULT_FIT_METHODS = tuple(tag for tag, method in METHODS.items() if method.fit_default)
 
 
-def _jsonable(value):
+def _jsonable(value, nonfinite=str):
+    """value in JSON's types, a non-finite float as nonfinite(value): "inf" in printed
+    results, or in a manifest the float, which json writes as Infinity for --config."""
     if isinstance(value, dict):
-        return {key: _jsonable(entry) for key, entry in value.items()}
+        return {key: _jsonable(entry, nonfinite) for key, entry in value.items()}
     if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(entry) for entry in value]
+        return [_jsonable(entry, nonfinite) for entry in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
         value = float(value)
-        return value if math.isfinite(value) else str(value)
+        return value if math.isfinite(value) else nonfinite(value)
     return value
 
 
-def _fail(code: int, message) -> int:
-    print(f"error: {message}", file=sys.stderr)
+def _fail(code: int, err: BaseException) -> int:
+    print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
     return code
 
 
@@ -103,12 +108,6 @@ def _resolve_out_dir(args) -> str:
     out = args.out or os.environ.get("SSL_LAB_OUT_DIR") or "."
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    return os.cpu_count() or 1
 
 
 def _base_seed(args) -> int:
@@ -189,7 +188,7 @@ def _write_manifest(out_dir, filename, command, config, base_seed=0, config_path
     """Write what a run was asked to do, before it starts computing."""
     payload = {
         "command": command,
-        "config": _jsonable(config),
+        "config": _jsonable(config, float),
         "config_path": config_path,
         "out_dir": out_dir,
         "base_seed": base_seed,
@@ -261,199 +260,175 @@ def _resolve_simulate(args) -> SweepSpec:
     return _sweep_spec(config)
 
 
-def _cmd_simulate(args) -> int:
-    try:
-        spec = _resolve_simulate(args)
-        sweep_cell_configs(spec.cfg, spec.axis, spec.grid, spec.replicates, _threads(args))
-        out_dir = _resolve_out_dir(args)
-    except (ValidationError, DataFormatError, OSError) as err:
-        return _fail(2, err)
-    try:
+def _cmd_simulate(args):
+    spec = _resolve_simulate(args)
+    threads = args.threads if args.threads is not None else os.cpu_count() or 1
+    sweep_cell_configs(spec.cfg, spec.axis, spec.grid, spec.replicates, threads)
+    out_dir = _resolve_out_dir(args)
+
+    def run():
         manifest_path = _write_manifest(out_dir, "manifest.json", "simulate",
                                         _spec_config(spec), spec.cfg.base_seed, args.config)
-        sweep = run_sweep(spec.cfg, spec.axis, spec.grid, spec.replicates, _threads(args))
+        sweep = run_sweep(spec.cfg, spec.axis, spec.grid, spec.replicates, threads)
         if all(stats.extra.get("failures") == sweep.replicates
                for row in sweep.cells for stats in row):
             reasons = "; ".join(list(sweep.failure_reasons)[:3])
-            return _fail(3, f"every requested method failed in every cell: {reasons}")
+            raise SslLabError(f"every requested method failed in every cell: {reasons}")
         results_path = os.path.join(out_dir, "results.csv")
         write_results(sweep, results_path)
-    except (SslLabError, OSError) as err:
-        return _fail(3, err)
-    _say(args, f"wrote {manifest_path}")
-    _say(
-        args,
-        f"wrote {results_path} ({len(sweep.grid)} cells x "
-        f"{len(sweep.methods())} methods x {sweep.replicates} replicates)",
-    )
-    return 0
+        _say(args, f"wrote {manifest_path}")
+        _say(
+            args,
+            f"wrote {results_path} ({len(sweep.grid)} cells x "
+            f"{len(sweep.methods())} methods x {sweep.replicates} replicates)",
+        )
+
+    return run
 
 
-def _cmd_theory(args) -> int:
+def _cmd_theory(args):
     from .theory import ProblemSize, rate_report
 
-    try:
-        report = rate_report(ProblemSize(s=args.s, d=args.d, n_l=args.nl, n_u=args.nu))
-    except SslLabError as err:
-        return _fail(2, err)
-    print(json.dumps(_jsonable(asdict(report)), indent=2))
-    return 0
+    report = rate_report(ProblemSize(s=args.s, d=args.d, n_l=args.nl, n_u=args.nu))
+    return lambda: print(json.dumps(_jsonable(asdict(report)), indent=2))
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args):
     seed = _base_seed(args)
-    try:
-        methods = _parse_methods(args.methods) if args.methods else DEFAULT_FIT_METHODS
-        unsupported = [m for m in methods if m not in FIT_METHODS]
-        if unsupported:
-            raise ValidationError(
-                f"methods {unsupported} are not available on real data; "
-                f"choose from {', '.join(FIT_METHODS)}"
-            )
-        check_validation_size(methods, args.nval)
-        for name, value, least in (("n_l", args.nl, 1), ("n_val", args.nval, 0),
-                                   ("n_test", args.ntest, 1), ("pca", args.pca, 1)):
-            if value is not None:
-                check_whole(value, name, least)
-        # One transform per path, and no name holds the raw table once it has run.
-        raw = load_csv(args.data, args.label_column, args.positive_label)
-        table = standardize(raw) if args.pca is None else pca_project(raw, args.pca)
-        del raw
-        remainder = table.n - args.nl
-        n_val = args.nval if args.nval is not None else max(1, remainder // 4)
-        n_test = args.ntest if args.ntest is not None else max(1, remainder // 4)
-        spec = SplitSpec(n_l=args.nl, n_val=n_val, n_test=n_test, seed=seed)
-        labeled, pool, validation, test = split(table, spec)
-        out_dir = _resolve_out_dir(args)
-    except (ValidationError, DataFormatError, OSError) as err:
-        return _fail(2, err)
+    methods = _parse_methods(args.methods) if args.methods else DEFAULT_FIT_METHODS
+    unsupported = [m for m in methods if m not in FIT_METHODS]
+    if unsupported:
+        raise ValidationError(
+            f"methods {unsupported} are not available on real data; "
+            f"choose from {', '.join(FIT_METHODS)}"
+        )
+    check_validation_size(methods, args.nval)
+    for name, value, least in (("n_l", args.nl, 1), ("n_val", args.nval, 0),
+                               ("n_test", args.ntest, 1), ("pca", args.pca, 1)):
+        if value is not None:
+            check_whole(value, name, least)
+    # One transform per path, and no name holds the raw table once it has run.
+    raw = load_csv(args.data, args.label_column, args.positive_label)
+    table = standardize(raw) if args.pca is None else pca_project(raw, args.pca)
+    del raw
+    remainder = table.n - args.nl
+    n_val = args.nval if args.nval is not None else max(1, remainder // 4)
+    n_test = args.ntest if args.ntest is not None else max(1, remainder // 4)
+    spec = SplitSpec(n_l=args.nl, n_val=n_val, n_test=n_test, seed=seed)
+    labeled, pool, validation, test = split(table, spec)
+    out_dir = _resolve_out_dir(args)
 
-    resolved = {
-        "data": os.fspath(args.data),
-        "label_column": args.label_column,
-        "positive_label": str(args.positive_label),
-        "n_l": spec.n_l,
-        "n_val": spec.n_val,
-        "n_test": spec.n_test,
-        "pca": args.pca,
-        "methods": methods,
-        "base_seed": seed,
-    }
-    try:
-        manifest_path = _write_manifest(out_dir, "fit_manifest.json", "fit", resolved, seed)
-    except OSError as err:
-        return _fail(3, err)
-
-    scores, failures = fit_methods(
-        FitContext(labeled=labeled, unlabeled=pool, validation=validation),
-        methods,
-        lambda theta, extra: (test_error(theta, test), extra),
-    )
-    # The parts are a second copy of the table; none is alive through the whole-table fit.
-    n_pool = pool.n
-    del labeled, pool, validation, test
-    test_errors = {tag: error for tag, (error, _) in scores.items()}
-    selections = {
-        f"{tag}_{key}": value for tag, (_, extra) in scores.items() for key, value in extra.items()
-    }
-
-    try:
-        rho, inverse = compatibility_score(table)
-        compatibility = {"rho": rho, "inverse": inverse}
-    except SslLabError as err:
-        compatibility = {"error": f"{type(err).__name__}: {err}"}
-
-    payload = {
-        "data": os.fspath(args.data),
-        "n": table.n,
-        "d": table.d,
-        "split": {
+    def run():
+        nonlocal labeled, pool, validation, test
+        resolved = {
+            "data": os.fspath(args.data),
+            "label_column": args.label_column,
+            "positive_label": str(args.positive_label),
             "n_l": spec.n_l,
             "n_val": spec.n_val,
             "n_test": spec.n_test,
-            "pool": n_pool,
-            "seed": seed,
-        },
-        "test_errors": test_errors,
-        "selections": selections,
-        "failures": failures,
-        "compatibility": compatibility,
-    }
-    text = json.dumps(_jsonable(payload), indent=2)
-    print(text)
-    results_path = os.path.join(out_dir, "fit_results.json")
-    try:
+            "pca": args.pca,
+            "methods": methods,
+            "base_seed": seed,
+        }
+        manifest_path = _write_manifest(out_dir, "fit_manifest.json", "fit", resolved, seed)
+        scores, failures = fit_methods(
+            FitContext(labeled=labeled, unlabeled=pool, validation=validation),
+            methods,
+            lambda theta, extra: (test_error(theta, test), extra),
+        )
+        # The parts are a second copy of the table; none is alive through the whole-table fit.
+        n_pool = pool.n
+        del labeled, pool, validation, test
+        test_errors = {tag: error for tag, (error, _) in scores.items()}
+        selections = {
+            f"{tag}_{key}": value
+            for tag, (_, extra) in scores.items() for key, value in extra.items()
+        }
+
+        try:
+            rho, inverse = compatibility_score(table)
+            compatibility = {"rho": rho, "inverse": inverse}
+        except SslLabError as err:
+            compatibility = {"error": f"{type(err).__name__}: {err}"}
+
+        payload = {
+            "data": os.fspath(args.data),
+            "n": table.n,
+            "d": table.d,
+            "split": {
+                "n_l": spec.n_l,
+                "n_val": spec.n_val,
+                "n_test": spec.n_test,
+                "pool": n_pool,
+                "seed": seed,
+            },
+            "test_errors": test_errors,
+            "selections": selections,
+            "failures": failures,
+            "compatibility": compatibility,
+        }
+        text = json.dumps(_jsonable(payload), indent=2)
+        print(text)
+        results_path = os.path.join(out_dir, "fit_results.json")
         with atomic_writer(results_path) as handle:
             handle.write(text + "\n")
-    except OSError as err:
-        return _fail(3, err)
-    _say(args, f"wrote {manifest_path}")
-    _say(args, f"wrote {results_path}")
-    if not test_errors:
-        reasons = "; ".join(f"{tag}: {message}" for tag, message in failures.items())
-        return _fail(3, f"every requested method failed: {reasons}")
-    return 0
+        _say(args, f"wrote {manifest_path}")
+        _say(args, f"wrote {results_path}")
+        if not test_errors:
+            reasons = "; ".join(f"{tag}: {message}" for tag, message in failures.items())
+            raise SslLabError(f"every requested method failed: {reasons}")
+
+    return run
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     from .charts import render_gap_chart, render_series_chart
 
-    try:
-        gap_pair = tuple(_normalize_method(name) for name in args.gap) if args.gap else None
-    except ValidationError as err:
-        return _fail(2, err)
+    gap_pair = tuple(_normalize_method(name) for name in args.gap) if args.gap else None
     # Every input is read, every chart rendered and their names checked
     # before anything is written, so a bad input leaves no manifest and no
     # partial charts, and no chart overwrites another.
     charts = []
     for path in args.results:
-        try:
-            sweep = read_results(path)
-        except (DataFormatError, OSError) as err:
-            return _fail(2, err)
+        sweep = read_results(path)
         if not sweep.grid:
-            return _fail(3, f"{path}: results file has no data rows to plot")
+            raise SslLabError(f"{path}: results file has no data rows to plot")
         stem = os.path.splitext(os.path.basename(path))[0]
-        try:
-            charts.append((path, f"{stem}.svg", render_series_chart(
-                sweep, metric=args.metric, log_x=args.log_x, log_y=args.log_y, title=stem
+        charts.append((path, f"{stem}.svg", render_series_chart(
+            sweep, metric=args.metric, log_x=args.log_x, log_y=args.log_y, title=stem
+        )))
+        if gap_pair:
+            a, b = gap_pair
+            charts.append((path, f"{stem}_gap_{a}_{b}.svg", render_gap_chart(
+                sweep, a, b, metric=args.metric, log_x=args.log_x, title=f"{stem}: {a} vs {b}"
             )))
-            if gap_pair:
-                a, b = gap_pair
-                charts.append((path, f"{stem}_gap_{a}_{b}.svg", render_gap_chart(
-                    sweep, a, b, metric=args.metric, log_x=args.log_x, title=f"{stem}: {a} vs {b}"
-                )))
-        except ValidationError as err:
-            return _fail(2, err)
     owners = {}
     for path, name, _ in charts:
         if name in owners:
-            return _fail(2, f"{owners[name]} and {path} would both write {name}")
+            raise ValidationError(f"{owners[name]} and {path} would both write {name}")
         owners[name] = path
-    try:
-        out_dir = _resolve_out_dir(args)
-    except OSError as err:
-        return _fail(2, err)
-    resolved = {
-        "results": [os.fspath(p) for p in args.results],
-        "metric": args.metric,
-        "log_x": args.log_x,
-        "log_y": args.log_y,
-        "gap": list(gap_pair) if gap_pair else None,
-    }
-    written = []
-    try:
+    out_dir = _resolve_out_dir(args)
+
+    def run():
+        resolved = {
+            "results": [os.fspath(p) for p in args.results],
+            "metric": args.metric,
+            "log_x": args.log_x,
+            "log_y": args.log_y,
+            "gap": list(gap_pair) if gap_pair else None,
+        }
         _write_manifest(out_dir, "report_manifest.json", "report", resolved, _base_seed(args))
+        written = []
         for _, name, svg in charts:
             target = os.path.join(out_dir, name)
             with atomic_writer(target) as handle:
                 handle.write(svg + "\n")
             written.append(target)
-    except OSError as err:
-        return _fail(3, err)
-    for target in written:
-        _say(args, f"wrote {target}")
-    return 0
+        for target in written:
+            _say(args, f"wrote {target}")
+
+    return run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -563,14 +538,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Check, then run, one command; return its exit code by the rule the module states."""
     args = _build_parser().parse_args(argv)
-    for flag in ("config", "threads"):
-        if args.command != "simulate" and getattr(args, flag) is not None:
-            return _fail(2, f"--{flag} applies to the simulate command")
     try:
-        return args.handler(args)
+        try:
+            for flag in ("config", "threads"):
+                if args.command != "simulate" and getattr(args, flag) is not None:
+                    raise ValidationError(f"--{flag} applies to the simulate command")
+            run = args.handler(args)
+        except (ValidationError, DataFormatError, OSError) as err:
+            return _fail(2, err)
+        run()
     except (SslLabError, OSError, MemoryError) as err:
-        return _fail(3, str(err) or type(err).__name__)
+        return _fail(3, err)
     except RuntimeError as err:
         # A pool that lost a worker raises BrokenExecutor, a RuntimeError. Importing
         # it only here keeps concurrent.futures off the CLI's import path.
@@ -579,6 +559,7 @@ def main(argv=None) -> int:
         if not isinstance(err, BrokenExecutor):
             raise
         return _fail(3, err)
+    return 0
 
 
 if __name__ == "__main__":

@@ -339,14 +339,16 @@ def standardize(data: TabularDataset) -> TabularDataset:
     """
     if data.n < 2:
         raise ValidationError("standardize needs at least 2 rows")
-    z = np.subtract(data.x, data.x.mean(axis=0))
-    x = freeze(np.divide(z, _scale(_column_mean_square(z)), out=z))
-    return TabularDataset(x=x, y=data.y, columns=data.columns)
+    mean, scale = _standardizer(data.x)
+    x = np.empty(data.x.shape)
+    for start, z in _standardized_blocks(data.x, mean, scale):
+        x[start:start + len(z)] = z
+    return TabularDataset(x=freeze(x), y=data.y, columns=data.columns)
 
 
 def _standardizer(x: np.ndarray):
-    """(mean, scale) of standardize's rule for x, which is not centred: its
-    column means, and _scale of its column mean squares about them."""
+    """(mean, scale) of standardize's rule for x: its column means, and _scale
+    of its column mean squares about them."""
     mean = x.mean(axis=0)
     return mean, _scale(_column_mean_square(x, mean))
 
@@ -357,9 +359,8 @@ def _scale(mean_square: np.ndarray) -> np.ndarray:
     return np.where(std == 0.0, 1.0, std)
 
 
-def _column_mean_square(x: np.ndarray, mean: np.ndarray | None = None) -> np.ndarray:
-    """np.mean((x - mean) ** 2, axis=0) bit for bit, squaring one block of rows at a
-    time; with mean None, x is centred already and its squares are summed.
+def _column_mean_square(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """np.mean((x - mean) ** 2, axis=0) bit for bit, squaring one block of rows at a time.
 
     numpy sums axis 0 of a C-contiguous matrix one row after another, so each
     block's squares are summed after the running sum, which sits in the row
@@ -371,10 +372,8 @@ def _column_mean_square(x: np.ndarray, mean: np.ndarray | None = None) -> np.nda
     buf = np.empty((min(step, n) + 1, d))
     for start in range(0, n, step):
         rows = x[start:start + step]
-        squares = buf[1:len(rows) + 1]
-        if mean is not None:
-            rows = np.subtract(rows, mean, out=squares)
-        np.multiply(rows, rows, out=squares)
+        squares = np.subtract(rows, mean, out=buf[1:len(rows) + 1])
+        np.multiply(squares, squares, out=squares)
         if start:
             buf[0] = total
             squares = buf[:len(rows) + 1]

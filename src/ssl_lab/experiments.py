@@ -617,7 +617,8 @@ def sweep_cell_configs(cfg: TrialConfig, axis: str, grid, replicates: int, threa
     """Validate a sweep's arguments; return one TrialConfig per grid value.
 
     run_sweep starts with this check, so a bad size (zero replicates or
-    workers, a grid value that leaves n_l = 0) fails before any trial runs.
+    workers, more trials than the 2**64 that seeds.trial_seed tells apart,
+    a grid value that leaves n_l = 0) fails before any trial runs.
     Grid values must differ as floats (0 and -0.0 are one value), as each
     names one cell of the results file.
     """
@@ -626,7 +627,7 @@ def sweep_cell_configs(cfg: TrialConfig, axis: str, grid, replicates: int, threa
     grid = tuple(grid)
     if not grid:
         raise ValidationError("grid must be nonempty")
-    check_whole(replicates, "replicates", 1)
+    check_whole(replicates, "replicates", 1, 2**64 // len(grid))
     check_whole(threads, "threads", 1)
     configs = [_cell_config(cfg, axis, value) for value in grid]
     floats = [float(value) for value in grid]
@@ -656,14 +657,16 @@ def run_sweep(
         for i in range(len(grid))
         for j in range(replicates)
     ]
-    if threads == 1:
+    # The pool starts every worker up front, so it never gets more than there are trials.
+    workers = min(int(threads), len(jobs))
+    if workers == 1:
         results = [run_trial(c, idx) for c, idx in jobs]
     else:
         # Imported here so that serial runs never load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=int(threads)) as pool:
-            chunk = max(1, len(jobs) // (4 * int(threads)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(jobs) // (4 * workers))
             results = list(pool.map(_run_indexed_trial, jobs, chunksize=chunk))
 
     cells = []

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -240,6 +241,35 @@ class TestSimulate:
         assert (original / "results.csv").read_bytes() == (
             tmp_path / "replay" / "results.csv"
         ).read_bytes()
+
+    def test_manifest_with_an_infinite_threshold_replays(self, tmp_path):
+        """+inf is written as JSON's Infinity, which --config reads back."""
+        config = tmp_path / "cfg.json"
+        config.write_text('{"self_train_thresholds": [0.5, Infinity], "methods": ["selftrain"],'
+                          ' "n_l": 6, "n_u": 30, "n_val": 20, "n_test": 20}')
+        first, replay = tmp_path / "first", tmp_path / "replay"
+        assert main(["simulate", "--config", str(config), "--out", str(first), "--quiet"]) == 0
+        manifest = first / "manifest.json"
+        assert '"self_train_thresholds": [\n      0.5,\n      Infinity\n    ]' in manifest.read_text()
+        assert main(["simulate", "--config", str(manifest), "--out", str(replay), "--quiet"]) == 0
+        assert (first / "results.csv").read_bytes() == (replay / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("grid, replicates", [("1", 2**64 + 1), ("1,2", 2**63 + 1),
+                                                  ("1", 10**400)])
+    def test_more_trials_than_seeds_tell_apart_exit_2_before_the_manifest(
+        self, tmp_path, capsys, grid, replicates
+    ):
+        bound = 2**64 // len(grid.split(","))
+        config = tmp_path / "cfg.json"
+        config.write_text(f'{{"replicates": {replicates}}}')
+        for given in (["--replicates", str(replicates)], ["--config", str(config)]):
+            out = tmp_path / "run"
+            argv = ["simulate", "--axis", "snr", "--grid", grid, *given, "--out", str(out)]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: replicates must be at most {bound}, got ")
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     def test_manifest_records_resolved_merge(self, tmp_path):
         config = tmp_path / "cfg.json"
@@ -863,3 +893,115 @@ class TestReport:
             "report", str(results), "--config", str(config), "--out", str(tmp_path)
         ]) == 2
         assert "simulate" in capsys.readouterr().err
+
+
+#: The hostile values: as JSON text for a --config value, and as the argv
+#: string a flag receives. The last is a byte that is not UTF-8, as Python decodes it.
+HOSTILE_JSON = ["true", "NaN", "Infinity", "-Infinity", "-0.0", str(10**400), "9" * 5000,
+                '"abc"', "[1, 2]", '{"a": 1}', "[]", "null", '"\\udcff"']
+HOSTILE_ARGS = ["true", "nan", "inf", "-inf", "-0.0", str(10**400), "9" * 5000, "abc",
+                "[1, 2]", '{"a": 1}', "[]", "", b"\xff".decode("utf-8", "surrogateescape")]
+#: A one-trial sweep that runs every method a config key feeds, as config and as flags.
+HOSTILE_BASE = {"s": 1, "d": 2, "n_l": 4, "n_u": 10, "n_val": 5, "n_test": 5,
+                "methods": ["sl", "sslw", "logistic", "selftrain"], "replicates": 1}
+SIMULATE_FLAGS = {"s": "--s", "d": "--d", "n_l": "--nl", "n_u": "--nu", "n_val": "--nval",
+                  "n_test": "--ntest", "methods": "--methods", "base_seed": "--seed",
+                  "ul_backend": "--ul-backend", "em_budget": "--em-budget", "axis": "--axis",
+                  "grid": "--grid", "replicates": "--replicates"}
+#: The two keys that are given together: each is tried beside a valid value of the other.
+PARTNER = {"axis": {"grid": [1]}, "grid": {"axis": "snr"}}
+FIT_BASE = {"data": DATA_CSV, "--nl": "20"}
+THEORY_BASE = {"--s": "1", "--d": "2", "--nl": "5", "--nu": "10"}
+
+
+class TestHostileInputs:
+    """No input ends in exit 1: each hostile value exits 0, or exits 2 with one error line
+    and writes nothing. None of them reaches a runtime failure (exit 3)."""
+
+    @pytest.fixture(autouse=True)
+    def no_pool(self, monkeypatch):
+        # Every sweep here is one trial, which the serial path runs.
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"a one-trial sweep started a pool: {kwargs}")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+
+    def ends_well(self, capsys, argv, out):
+        try:
+            code = main([*argv, "--out", str(out), "--quiet"])
+        except SystemExit as exit:  # argparse's usage error
+            code = exit.code
+        captured = capsys.readouterr()
+        written = sorted(path.name for path in out.iterdir()) if out.exists() else []
+        if code == 2:
+            lines = captured.err.splitlines()
+            assert [line for line in lines if "error: " in line] == lines[-1:], argv
+            assert captured.out == "" and written == [], argv
+        else:
+            assert code == 0, (argv, captured.err)
+        return code
+
+    @pytest.mark.parametrize("key", sorted(cli._SIMULATE_KEYS))
+    def test_simulate_config_value(self, tmp_path, capsys, key):
+        config = {**HOSTILE_BASE, **PARTNER.get(key, {})}
+        config.pop(key, None)
+        for number, text in enumerate(HOSTILE_JSON):
+            path = tmp_path / f"cfg{number}.json"
+            path.write_text(json.dumps(config)[:-1] + f', "{key}": {text}}}')
+            argv = ["simulate", "--config", str(path), "--threads", "1"]
+            self.ends_well(capsys, argv, tmp_path / f"run{number}")
+
+    @pytest.mark.parametrize("key", sorted(SIMULATE_FLAGS))
+    def test_simulate_flag(self, tmp_path, capsys, key):
+        given = {**HOSTILE_BASE, **PARTNER.get(key, {})}
+        given.pop(key, None)
+        base = ["simulate", "--threads", "1"]
+        for name, value in given.items():
+            value = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+            base += [SIMULATE_FLAGS[name], value]
+        for number, text in enumerate(HOSTILE_ARGS):
+            self.ends_well(capsys, [*base, SIMULATE_FLAGS[key], text], tmp_path / f"run{number}")
+
+    @pytest.mark.parametrize("flag", ["--threads", "--preset", "--config"])
+    def test_other_simulate_flag(self, tmp_path, capsys, flag):
+        base = ["simulate", "--nl", "4", "--nu", "10", "--nval", "5", "--ntest", "5"]
+        for number, text in enumerate(HOSTILE_ARGS):
+            self.ends_well(capsys, [*base, flag, text], tmp_path / f"run{number}")
+
+    @pytest.mark.parametrize("flag", ["data", "--label-column", "--positive-label", "--nl",
+                                      "--nval", "--ntest", "--pca", "--methods", "--seed"])
+    def test_fit_flag(self, tmp_path, capsys, flag):
+        for number, text in enumerate(HOSTILE_ARGS):
+            given = {**FIT_BASE, flag: text}
+            argv = ["fit", given.pop("data"), *itertools.chain(*given.items())]
+            self.ends_well(capsys, argv, tmp_path / f"run{number}")
+
+    @pytest.mark.parametrize("flag", [*THEORY_BASE, "--seed"])
+    def test_theory_flag(self, tmp_path, capsys, flag):
+        for number, text in enumerate(HOSTILE_ARGS):
+            argv = ["theory", *itertools.chain(*{**THEORY_BASE, flag: text}.items())]
+            self.ends_well(capsys, argv, tmp_path / f"run{number}")
+
+    @pytest.mark.parametrize("flag", ["results", "--metric", "--gap"])
+    def test_report_flag(self, tmp_path, capsys, flag):
+        for number, text in enumerate(HOSTILE_ARGS):
+            given = {"results": REPORT_INPUT, flag: text}
+            argv = ["report", given.pop("results"), *itertools.chain(*given.items())]
+            if flag == "--gap":
+                argv.append("sl")
+            self.ends_well(capsys, argv, tmp_path / f"run{number}")
+
+    @pytest.mark.parametrize("column", range(11))
+    def test_report_results_cell(self, tmp_path, capsys, column):
+        """Each cell of a results file's one data row, given each hostile value."""
+        schema, header, row = Path(REPORT_INPUT).read_text().splitlines()[:3]
+        for number, text in enumerate(HOSTILE_ARGS):
+            cells = row.split(",")
+            cells[column] = text
+            path = tmp_path / f"results{number}.csv"
+            with open(path, "w", newline="", errors="surrogateescape") as handle:
+                handle.write(f"{schema}\n{header}\n")
+                csv.writer(handle, lineterminator="\n").writerow(cells)
+            self.ends_well(capsys, ["report", str(path)], tmp_path / f"run{number}")

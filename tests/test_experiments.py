@@ -622,6 +622,10 @@ class TestRunSweep:
         dict(axis="nl", grid=(5,), replicates=math.inf),
         dict(axis="nl", grid=(5,), replicates=math.nan),
         dict(axis="nl", grid=(5,), replicates=True),
+        # seeds.trial_seed tells 2**64 trial indices apart; a sweep runs no more trials.
+        dict(axis="nl", grid=(5,), replicates=2**64 + 1),
+        dict(axis="nl", grid=(5, 6), replicates=2**63 + 1),
+        dict(axis="nl", grid=(5,), replicates=10**400),
         dict(axis="nl", grid=(5,), replicates=1, threads=math.inf),
         dict(axis="nl", grid=(5,), replicates=1, threads=True),
         dict(axis="nu_over_nl", grid=(math.nan,), replicates=1),
@@ -673,6 +677,38 @@ class TestRunSweep:
         serial = run_sweep(cfg, "nu", grid, replicates=6, threads=1)
         parallel = run_sweep(cfg, "nu", grid, replicates=6, threads=4)
         assert_sweeps_identical(serial, parallel)
+
+    @pytest.mark.parametrize("grid, replicates, threads, workers", [
+        ((5,), 1, 100_000, None), ((5, 6, 7), 1, 8, 3), ((5, 6), 3, 4, 4), ((5,), 2, 1, None),
+    ])
+    def test_the_pool_never_gets_more_workers_than_trials(self, monkeypatch, grid, replicates,
+                                                          threads, workers):
+        """A pool starts every worker up front, so it gets at most one per trial; a run that
+        needs one worker takes the serial path."""
+        import concurrent.futures
+
+        asked = []
+
+        class RecordingPool:
+            """Records max_workers and runs the jobs in this process; it starts nothing."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        cfg = config(methods=("sl",))
+        sweep = run_sweep(cfg, "nl", grid, replicates, threads)
+        assert asked == ([] if workers is None else [workers])
+        assert_sweeps_identical(sweep, run_sweep(cfg, "nl", grid, replicates, threads=1))
 
     def test_repeated_run_is_bitwise_identical(self):
         cfg = config(methods=("sl", "ulplus"))

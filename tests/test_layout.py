@@ -309,6 +309,73 @@ def test_rule_catches_a_second_real_number_test(tmp_path):
                      (11, "Config.__post_init__"), (13, "Config.__post_init__")]
 
 
+def exit_code_paths(path):
+    """(line, qualified function) of each `_fail` call outside `main`, and of each try in a
+    `_cmd_*` function (or a function nested in one) other than a catch whose body calls
+    nothing but compatibility_score: an exit-code path besides main's one mapping."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def calls(statements):
+        return {ast.unparse(node.func) for statement in statements
+                for node in ast.walk(statement) if isinstance(node, ast.Call)}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_fail" and scope != "main":
+            found.append((node.lineno, scope))
+        if (isinstance(node, ast.Try) and (scope or "").startswith("_cmd_")
+                and calls(node.body) != {"compatibility_score"}):
+            found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_main_maps_errors_to_exit_codes():
+    """Each command checks, then returns its run; main alone turns an error into exit 2 or 3."""
+    assert exit_code_paths(SRC / "cli.py") == []
+
+
+def test_rule_catches_a_second_exit_code_path(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def _load(path):\n"
+        "    try:\n"
+        "        return open(path).read()\n"
+        "    except OSError as err:\n"
+        "        raise ValidationError(err)\n"
+        "\n"
+        "def _cmd_fit(args):\n"
+        "    def run():\n"
+        "        try:\n"
+        "            compatibility = compatibility_score(args.table)\n"
+        "        except SslLabError as err:\n"
+        "            compatibility = str(err)\n"
+        "        try:\n"
+        "            write(compatibility)\n"
+        "        except OSError as err:\n"
+        "            return _fail(3, err)\n"
+        "    return run\n"
+        "\n"
+        "def _cmd_report(args):\n"
+        "    if not args.results:\n"
+        "        return _fail(2, 'no results')\n"
+        "\n"
+        "def main(argv):\n"
+        "    try:\n"
+        "        run = handler(argv)\n"
+        "    except ValidationError as err:\n"
+        "        return _fail(2, err)\n"
+        "    run()\n"
+    )
+    assert exit_code_paths(module) == [(13, "_cmd_fit.run"), (16, "_cmd_fit.run"),
+                                       (21, "_cmd_report")]
+
+
 MAX_LINE = 100
 
 
