@@ -29,6 +29,12 @@ defaults; replaying it with `--config` must reproduce custom.csv byte for
 byte. Regeneration keeps custom_manifest.json when it exists and only
 replays it, so the pin goes on testing that older format.
 
+Each directory report_<run>/ under tests/golden/ holds the SVGs that
+`ssl-lab report` writes for one committed results file under one flag set
+(REPORT_GOLDEN); every byte must match. They depend only on that file and
+on Python's float formatting, so unlike the results pins they hold
+whatever BLAS kernel runs.
+
 The exact pins hold where OpenBLAS runs the kernels the files were
 written with: other kernels round every BLAS product differently, on the
 "em" backend as on the spectral one (README, Determinism).
@@ -69,6 +75,12 @@ RTOL = 1e-3
 ATOL = 1e-9
 CUSTOM_MANIFEST = os.path.join(GOLDEN_DIR, "custom_manifest.json")
 CUSTOM_RESULTS = os.path.join(GOLDEN_DIR, "custom.csv")
+#: report_<run> -> (the golden results file it reads, its flags).
+REPORT_GOLDEN = {
+    "plain": ("fig1a", ()),
+    "log": ("fig1a", ("--log-x", "--log-y")),
+    "gap": ("fig3", ("--metric", "test_error", "--gap", "sl", "sslw")),
+}
 CUSTOM_RUN = [
     "simulate", "--s", "1.5", "--d", "3", "--nl", "8", "--nu", "40", "--nval", "30",
     "--ntest", "25", "--methods", "sl,sslw,logistic,selftrain", "--replicates", "2",
@@ -198,6 +210,32 @@ def test_custom_manifest_replays_to_golden_results(tmp_path):
         assert replay_custom(str(tmp_path)) == handle.read()
 
 
+def report_dir(run):
+    return os.path.join(GOLDEN_DIR, f"report_{run}")
+
+
+def report_svgs(run, out_dir):
+    """{name: bytes} of every SVG that `report` writes for one REPORT_GOLDEN run."""
+    preset, flags = REPORT_GOLDEN[run]
+    argv = ["report", golden_path(preset), *flags, "--out", out_dir, "--quiet"]
+    assert main(argv) == 0
+    svgs = {}
+    for name in sorted(os.listdir(out_dir)):
+        if name.endswith(".svg"):
+            with open(os.path.join(out_dir, name), "rb") as handle:
+                svgs[name] = handle.read()
+    return svgs
+
+
+@pytest.mark.parametrize("run", sorted(REPORT_GOLDEN))
+def test_report_matches_golden_svgs(run, tmp_path):
+    expected = {}
+    for name in sorted(os.listdir(report_dir(run))):
+        with open(os.path.join(report_dir(run), name), "rb") as handle:
+            expected[name] = handle.read()
+    assert report_svgs(run, str(tmp_path)) == expected
+
+
 def write_custom_manifest():
     """Write custom_manifest.json from a run in a scratch directory (out_dir ".")."""
     cwd = os.getcwd()
@@ -239,3 +277,12 @@ if __name__ == "__main__":
     with open(CUSTOM_RESULTS, "wb") as handle:
         handle.write(results)
     print(f"wrote {CUSTOM_RESULTS}")
+    for run in sorted(REPORT_GOLDEN):
+        with tempfile.TemporaryDirectory() as out_dir:
+            svgs = report_svgs(run, out_dir)
+        os.makedirs(report_dir(run), exist_ok=True)
+        for name, svg in svgs.items():
+            path = os.path.join(report_dir(run), name)
+            with open(path, "wb") as handle:
+                handle.write(svg)
+            print(f"wrote {path}")
