@@ -2,12 +2,16 @@
 
 Built with the standard-library XML tree and styled entirely through
 inline attributes, so every chart is a single self-contained file with
-no external references. render_series_chart draws one line per method
-with a mean +/- std band; render_gap_chart draws the pointwise error
-gap between two methods around a zero reference line. Either axis can
-be switched to a log scale, which requires the plotted values on that
-axis to be positive. Non-finite points (cells where every replicate
-failed) are dropped from their series instead of poisoning the chart.
+no external references. Both chart kinds draw through one frame,
+_chart, which takes the lines to plot and owns the scales, the axes, the
+bands, the markers and the legend: render_series_chart gives it one line
+per method with a mean +/- std band, and render_gap_chart one line of
+the pointwise error gap between two methods around a zero reference
+line. Either axis can be switched to a log scale, which requires the
+plotted values on that axis to be positive. Non-finite points (cells
+where every replicate failed) are dropped from their series instead of
+poisoning the chart; a band edge or an axis span that overflows a float
+cannot be drawn and raises ValidationError.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import xml.etree.ElementTree as ET
 
 from .errors import ValidationError
 from .experiments import SweepResult, error_gap
+from .gmm import check_real
 
 #: Series colors, assigned to methods in chart order.
 PALETTE = (
@@ -30,17 +35,24 @@ _FONT = "font-family: sans-serif"
 
 
 class _Scale:
-    """Affine or log10 map from a data interval onto a pixel interval."""
+    """Affine or log10 map from a data interval onto a pixel interval.
+
+    The caller checks that a log scale's values are positive. An interval
+    whose span, once a single value is padded out, is not a finite float,
+    or whose low end then underflows to zero on a log scale, raises
+    ValidationError.
+    """
 
     def __init__(self, lo: float, hi: float, out_lo: float, out_hi: float, log: bool):
-        if log and lo <= 0.0:
-            raise ValidationError("log-scaled values must be positive")
         if lo == hi:
             if log:
                 lo, hi = lo / 2.0, hi * 2.0
             else:
                 pad = max(0.5, abs(lo) * 0.1)
                 lo, hi = lo - pad, hi + pad
+        check_real(hi - lo, f"the span of an axis from {lo:g} to {hi:g}")
+        if log:
+            check_real(lo, f"the low end of a log axis up to {hi:g}", positive=True)
         self.lo, self.hi, self.log = lo, hi, log
         self.out_lo, self.out_hi = out_lo, out_hi
 
@@ -66,10 +78,6 @@ class _Scale:
         return [self.lo + step * i for i in range(5)]
 
 
-def _fmt(value: float) -> str:
-    return f"{value:g}"
-
-
 def _px(value: float) -> str:
     return f"{value:.2f}"
 
@@ -78,124 +86,121 @@ def _finite_points(xs, ys):
     return [(x, y) for x, y in zip(xs, ys) if math.isfinite(x) and math.isfinite(y)]
 
 
-def _data_range(values, log: bool):
-    kept = [v for v in values if math.isfinite(v) and (not log or v > 0.0)]
-    if not kept:
-        raise ValidationError("no finite data points to plot")
-    lo, hi = min(kept), max(kept)
-    if log:
-        return lo / 1.1, hi * 1.1
-    pad = 0.05 * (hi - lo)
-    return lo - pad, hi + pad
+def _grid(sweep: SweepResult, log_x: bool) -> list:
+    """The sweep's grid values as floats, checked for plotting on the x axis."""
+    if not sweep.grid:
+        raise ValidationError("sweep has no grid cells to plot")
+    xs = [float(v) for v in sweep.grid]
+    if log_x and min(xs) <= 0.0:
+        raise ValidationError("log-scaled values must be positive")
+    return xs
 
 
-def _chart_skeleton(title: str):
-    root = ET.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        width=str(_WIDTH),
-        height=str(_HEIGHT),
-        viewBox=f"0 0 {_WIDTH} {_HEIGHT}",
+def _text(root, x, y, size: int, fill: str, anchor, content: str, **attrs) -> None:
+    """One text element at (x, y); `anchor` None leaves it start-anchored."""
+    node = ET.SubElement(
+        root, "text", x=str(x), y=str(y), style=f"{_FONT}; font-size: {size}px", fill=fill,
+        **attrs,
     )
+    if anchor:
+        node.set("text-anchor", anchor)
+    node.text = content
+
+
+def _chart(sweep: SweepResult, lines, y_label, log_x, log_y, title, zero_line) -> str:
+    """The SVG of `lines` over the sweep's grid: the one frame of both chart kinds.
+
+    Each line is (legend name, finite points, band edges), the edges as
+    (x, low, high) and drawn as a band where there are at least two; colors
+    follow PALETTE in line order. The y range covers every point and edge,
+    each of which must be positive on a log scale; a span of them that is
+    not a finite float (an edge that overflowed) raises ValidationError.
+    When `zero_line` is set, a dashed line marks zero if it falls in that
+    range.
+    """
+    if not lines:
+        raise ValidationError("no finite data points to plot")
+    ys = []
+    for _, points, edges in lines:
+        ys += [y for _, y in points] + [v for _, low, high in edges for v in (low, high)]
+    low, high = min(ys), max(ys)
+    check_real(high - low, f"the span of the plotted values from {low:g} to {high:g}")
+    if log_y:
+        if low <= 0.0:
+            raise ValidationError("log-scaled values must be positive")
+        lo, hi = low / 1.1, high * 1.1
+    else:
+        pad = 0.05 * (high - low)
+        lo, hi = low - pad, high + pad
+    x_lo, x_hi = float(min(sweep.grid)), float(max(sweep.grid))
+    x_scale = _Scale(x_lo, x_hi, _LEFT, _WIDTH - _RIGHT, log_x)
+    y_scale = _Scale(lo, hi, _HEIGHT - _BOTTOM, _TOP, log_y)
+
+    def coords(points):
+        return " ".join(f"{_px(x_scale(x))},{_px(y_scale(y))}" for x, y in points)
+
+    root = ET.Element("svg", {
+        "xmlns": "http://www.w3.org/2000/svg", "width": str(_WIDTH), "height": str(_HEIGHT),
+        "viewBox": f"0 0 {_WIDTH} {_HEIGHT}",
+    })
     ET.SubElement(
         root, "rect", x="0", y="0", width=str(_WIDTH), height=str(_HEIGHT), fill="#ffffff"
     )
     if title:
-        label = ET.SubElement(
-            root, "text", x=str(_WIDTH // 2), y="22",
-            style=f"{_FONT}; font-size: 15px", fill="#111111",
-        )
-        label.set("text-anchor", "middle")
-        label.text = title
-    return root
-
-
-def _draw_axes(root, x_scale, y_scale, x_label, y_label):
+        _text(root, _WIDTH // 2, 22, 15, "#111111", "middle", title)
     plot_w = _WIDTH - _LEFT - _RIGHT
     plot_h = _HEIGHT - _TOP - _BOTTOM
     for tick in x_scale.ticks():
-        px = x_scale(tick)
+        px = _px(x_scale(tick))
         ET.SubElement(
-            root, "line", x1=_px(px), y1=str(_TOP), x2=_px(px), y2=str(_TOP + plot_h),
-            stroke="#dddddd",
+            root, "line", x1=px, y1=str(_TOP), x2=px, y2=str(_TOP + plot_h), stroke="#dddddd"
         )
-        label = ET.SubElement(
-            root, "text", x=_px(px), y=str(_TOP + plot_h + 18),
-            style=f"{_FONT}; font-size: 12px", fill="#333333",
-        )
-        label.set("text-anchor", "middle")
-        label.text = _fmt(tick)
+        _text(root, px, _TOP + plot_h + 18, 12, "#333333", "middle", f"{tick:g}")
     for tick in y_scale.ticks():
         py = y_scale(tick)
         ET.SubElement(
             root, "line", x1=str(_LEFT), y1=_px(py), x2=str(_LEFT + plot_w), y2=_px(py),
             stroke="#dddddd",
         )
-        label = ET.SubElement(
-            root, "text", x=str(_LEFT - 8), y=_px(py + 4),
-            style=f"{_FONT}; font-size: 12px", fill="#333333",
-        )
-        label.set("text-anchor", "end")
-        label.text = _fmt(tick)
+        _text(root, _LEFT - 8, _px(py + 4), 12, "#333333", "end", f"{tick:g}")
     ET.SubElement(
         root, "rect", x=str(_LEFT), y=str(_TOP), width=str(plot_w), height=str(plot_h),
         fill="none", stroke="#444444",
     )
-    xl = ET.SubElement(
-        root, "text", x=str(_LEFT + plot_w // 2), y=str(_HEIGHT - 14),
-        style=f"{_FONT}; font-size: 13px", fill="#111111",
-    )
-    xl.set("text-anchor", "middle")
-    xl.text = x_label
-    yl = ET.SubElement(
-        root, "text", x="20", y=str(_TOP + plot_h // 2),
-        style=f"{_FONT}; font-size: 13px", fill="#111111",
-        transform=f"rotate(-90 20 {_TOP + plot_h // 2})",
-    )
-    yl.set("text-anchor", "middle")
-    yl.text = y_label
-    return root
-
-
-def _draw_series(root, x_scale, y_scale, points, color):
-    coords = " ".join(f"{_px(x_scale(x))},{_px(y_scale(y))}" for x, y in points)
-    ET.SubElement(
-        root, "polyline", points=coords, fill="none", stroke=color,
-    ).set("stroke-width", "2")
-    for x, y in points:
-        ET.SubElement(
-            root, "circle", cx=_px(x_scale(x)), cy=_px(y_scale(y)), r="3", fill=color,
-        )
-
-
-def _draw_band(root, x_scale, y_scale, lows, highs, color):
-    top = [f"{_px(x_scale(x))},{_px(y_scale(y))}" for x, y in highs]
-    bottom = [f"{_px(x_scale(x))},{_px(y_scale(y))}" for x, y in reversed(lows)]
-    band = ET.SubElement(root, "polygon", points=" ".join(top + bottom), fill=color)
-    band.set("fill-opacity", "0.15")
-    band.set("stroke", "none")
-
-
-def _draw_legend(root, entries):
-    x = _LEFT + 12
-    y = _TOP + 16
-    for name, color in entries:
-        line = ET.SubElement(
-            root, "line", x1=str(x), y1=str(y - 4), x2=str(x + 22), y2=str(y - 4),
-            stroke=color,
-        )
-        line.set("stroke-width", "3")
-        label = ET.SubElement(
-            root, "text", x=str(x + 28), y=str(y),
-            style=f"{_FONT}; font-size: 12px", fill="#111111",
-        )
-        label.text = name
-        y += 16
-
-
-def _check_sweep(sweep: SweepResult):
-    if not sweep.grid:
-        raise ValidationError("sweep has no grid cells to plot")
+    _text(root, _LEFT + plot_w // 2, _HEIGHT - 14, 13, "#111111", "middle", sweep.axis_name)
+    middle = _TOP + plot_h // 2
+    _text(root, 20, middle, 13, "#111111", "middle", y_label,
+          transform=f"rotate(-90 20 {middle})")
+    if zero_line and lo <= 0.0 <= hi:
+        zero = _px(y_scale(0.0))
+        ET.SubElement(root, "line", {
+            "x1": str(_LEFT), "y1": zero, "x2": str(_WIDTH - _RIGHT), "y2": zero,
+            "stroke": "#888888", "stroke-dasharray": "5 4",
+        })
+    for i, (_, points, edges) in enumerate(lines):
+        color = PALETTE[i % len(PALETTE)]
+        if len(edges) >= 2:
+            outline = [(x, high) for x, _, high in edges]
+            outline += [(x, low) for x, low, _ in reversed(edges)]
+            ET.SubElement(root, "polygon", {
+                "points": coords(outline), "fill": color, "fill-opacity": "0.15",
+                "stroke": "none",
+            })
+        ET.SubElement(root, "polyline", {
+            "points": coords(points), "fill": "none", "stroke": color, "stroke-width": "2",
+        })
+        for x, y in points:
+            ET.SubElement(
+                root, "circle", cx=_px(x_scale(x)), cy=_px(y_scale(y)), r="3", fill=color
+            )
+    for i, (name, _, _) in enumerate(lines):
+        x, y = _LEFT + 12, _TOP + 16 + 16 * i
+        ET.SubElement(root, "line", {
+            "x1": str(x), "y1": str(y - 4), "x2": str(x + 22), "y2": str(y - 4),
+            "stroke": PALETTE[i % len(PALETTE)], "stroke-width": "3",
+        })
+        _text(root, x + 28, y, 12, "#111111", None, name)
+    return ET.tostring(root, encoding="unicode")
 
 
 def render_series_chart(
@@ -212,60 +217,23 @@ def render_series_chart(
     segment is drawn only where both edges are plottable, so log-scaled
     charts simply omit the parts of a band that would cross zero.
     """
-    _check_sweep(sweep)
+    xs = _grid(sweep, log_x)
     methods = sweep.methods()
     if not methods:
         raise ValidationError("sweep has no method series to plot")
-    xs = [float(v) for v in sweep.grid]
-    if log_x and min(xs) <= 0.0:
-        raise ValidationError("log-scaled values must be positive")
-
-    series = {}
-    bands = {}
-    plotted = []
+    lines = []
     for method in methods:
         means = sweep.series(method, metric)
         stds = sweep.std_series(method, metric)
         points = _finite_points(xs, means)
-        if not points:
-            continue
-        series[method] = points
-        edges = [
-            (x, m - sd, m + sd)
-            for x, m, sd in zip(xs, means, stds)
-            if math.isfinite(m) and math.isfinite(sd)
-        ]
-        if log_y:
-            edges = [(x, lo, hi) for x, lo, hi in edges if lo > 0.0]
-        bands[method] = edges
-        plotted.extend(y for _, y in points)
-        plotted.extend(lo for _, lo, _ in edges)
-        plotted.extend(hi for _, _, hi in edges)
-    if not series:
-        raise ValidationError("no finite data points to plot")
-    if log_y and min(plotted) <= 0.0:
-        plotted = [v for v in plotted if v > 0.0]
-        if not plotted:
-            raise ValidationError("log-scaled values must be positive")
-
-    x_scale = _Scale(min(xs), max(xs), _LEFT, _WIDTH - _RIGHT, log_x)
-    lo, hi = _data_range(plotted, log_y)
-    y_scale = _Scale(lo, hi, _HEIGHT - _BOTTOM, _TOP, log_y)
-
-    root = _chart_skeleton(title)
-    _draw_axes(root, x_scale, y_scale, sweep.axis_name, f"mean {metric}")
-    legend = []
-    for i, method in enumerate(m for m in methods if m in series):
-        color = PALETTE[i % len(PALETTE)]
-        edges = bands[method]
-        if len(edges) >= 2:
-            lows = [(x, lo) for x, lo, _ in edges]
-            highs = [(x, hi) for x, _, hi in edges]
-            _draw_band(root, x_scale, y_scale, lows, highs, color)
-        _draw_series(root, x_scale, y_scale, series[method], color)
-        legend.append((method, color))
-    _draw_legend(root, legend)
-    return ET.tostring(root, encoding="unicode")
+        if points:
+            edges = [
+                (x, m - sd, m + sd)
+                for x, m, sd in zip(xs, means, stds)
+                if math.isfinite(m) and math.isfinite(sd) and (not log_y or m - sd > 0.0)
+            ]
+            lines.append((method, points, edges))
+    return _chart(sweep, lines, f"mean {metric}", log_x, log_y, title, False)
 
 
 def render_gap_chart(
@@ -282,32 +250,8 @@ def render_gap_chart(
     that cell. A dashed zero line is drawn whenever zero falls inside the
     plotted range.
     """
-    _check_sweep(sweep)
-    xs = [float(v) for v in sweep.grid]
-    if log_x and min(xs) <= 0.0:
-        raise ValidationError("log-scaled values must be positive")
-    gaps = error_gap(sweep, method_a, method_b, metric=metric)
-    points = _finite_points(xs, gaps)
-    if not points:
-        raise ValidationError("no finite data points to plot")
-
-    x_scale = _Scale(min(xs), max(xs), _LEFT, _WIDTH - _RIGHT, log_x)
-    lo, hi = _data_range([y for _, y in points], log=False)
-    y_scale = _Scale(lo, hi, _HEIGHT - _BOTTOM, _TOP, log=False)
-
-    root = _chart_skeleton(title)
-    _draw_axes(
-        root, x_scale, y_scale, sweep.axis_name,
-        f"{metric} gap ({method_a} - {method_b})",
-    )
-    if lo <= 0.0 <= hi:
-        zero = ET.SubElement(
-            root, "line",
-            x1=str(_LEFT), y1=_px(y_scale(0.0)),
-            x2=str(_WIDTH - _RIGHT), y2=_px(y_scale(0.0)),
-            stroke="#888888",
-        )
-        zero.set("stroke-dasharray", "5 4")
-    _draw_series(root, x_scale, y_scale, points, PALETTE[0])
-    _draw_legend(root, [(f"{method_a} - {method_b}", PALETTE[0])])
-    return ET.tostring(root, encoding="unicode")
+    xs = _grid(sweep, log_x)
+    points = _finite_points(xs, error_gap(sweep, method_a, method_b, metric=metric))
+    lines = [(f"{method_a} - {method_b}", points, [])] if points else []
+    y_label = f"{metric} gap ({method_a} - {method_b})"
+    return _chart(sweep, lines, y_label, log_x, False, title, True)

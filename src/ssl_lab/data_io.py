@@ -36,8 +36,8 @@ from typing import NoReturn
 import numpy as np
 
 from .errors import DataFormatError, SchemaVersionError, ValidationError
-from .estimators import canonical_sign
-from .experiments import STAT_FIELDS, CellStats, SweepResult
+from .estimators import ROW_BLOCK, canonical_sign
+from .experiments import METHODS, STAT_FIELDS, SWEEP_AXES, CellStats, SweepResult
 from .gmm import LabeledDataset, UnlabeledDataset, check_whole, freeze
 from .seeds import MASK64
 
@@ -48,10 +48,6 @@ _SCHEMA_PREFIX = "# schema ssl-lab-sweep "
 
 #: Fixed column order of a results file: the cell's axis name and value, then CellStats's fields.
 RESULTS_COLUMNS = ("axis_name", "axis_value", "method", "replicates", *STAT_FIELDS, "extra")
-
-#: Rows that load_csv, standardize and pca_project hold a copy of at once, as
-#: estimators.MARGIN_BLOCK bounds margins.
-ROW_BLOCK = 4096
 
 #: Why a parse gave up when a rescan finds no row at fault, or a pipe cannot be rescanned.
 _BAD_ROWS = "a row has the wrong width or a non-finite value"
@@ -318,11 +314,12 @@ def save_csv(data: TabularDataset, path) -> None:
     Features are written with repr(), which round-trips every float64
     bit-for-bit; labels are written as 1 / -1 in a last column named
     "label", so no feature may take that name. load_csv(path, "label",
-    "1") restores the dataset exactly.
+    "1") restores the dataset exactly. The file is replaced atomically
+    (see atomic_writer).
     """
     if "label" in data.columns:
         raise ValidationError("label column name 'label' collides with a feature")
-    with open(path, "w", newline="") as handle:
+    with atomic_writer(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(list(data.columns) + ["label"])
         for row, label in zip(data.x, data.y):
@@ -532,9 +529,11 @@ def read_results(path) -> SweepResult:
     a missing line or any other version raises SchemaVersionError. A
     header-only file reads back as an empty sweep. Grid values appear in
     file order, and rows sharing an axis value group into one cell. A row
-    that breaks CellStats's contract, has a NaN or infinite axis value or
-    repeats a method of its cell raises DataFormatError naming it, and so
-    do bytes the file's encoding cannot decode.
+    that breaks CellStats's contract, names an axis not in SWEEP_AXES or a
+    method not in METHODS, has a NaN or infinite axis value or repeats a
+    method of its cell raises DataFormatError naming it, and so do bytes
+    the file's encoding cannot decode and a replicates count that
+    sweep_cell_configs would refuse for the file's grid.
     """
     try:
         with open(path, newline="") as handle:
@@ -581,6 +580,8 @@ def _read_sweep(handle) -> SweepResult:
             )
         name, value_text, method, reps_text, *stat_texts, extra_text = record
         if axis_name is None:
+            if name not in SWEEP_AXES:
+                raise DataFormatError(f"row {line}: axis name {name!r} is not one of {SWEEP_AXES}")
             axis_name = name
         elif name != axis_name:
             raise DataFormatError(
@@ -601,6 +602,8 @@ def _read_sweep(handle) -> SweepResult:
             raise DataFormatError(
                 f"row {line}: replicates {reps} differs from {replicates}"
             )
+        if method not in METHODS:
+            raise DataFormatError(f"row {line}: unknown method tag {method!r}")
         numbers = {
             column: _parse_number(text, line, column)
             for text, column in zip(stat_texts, STAT_FIELDS)
@@ -622,9 +625,14 @@ def _read_sweep(handle) -> SweepResult:
             cells.append([stats])
     if axis_name is None:
         return SweepResult(axis_name="", grid=(), replicates=0, cells=())
+    try:
+        # The bound sweep_cell_configs puts on replicates over this grid.
+        check_whole(replicates, "replicates", 1, 2**64 // len(grid))
+    except ValidationError as err:
+        raise DataFormatError(str(err)) from None
     return SweepResult(
         axis_name=axis_name,
         grid=tuple(grid),
-        replicates=int(replicates),
+        replicates=replicates,
         cells=tuple(tuple(cell) for cell in cells),
     )

@@ -80,9 +80,10 @@ EM_MAX_ITER = 200_000
 LOGISTIC_TOL = 1e-6
 LOGISTIC_MAX_ITER = 5_000
 DEFAULT_T_GRID = tuple(round(0.05 * i, 2) for i in range(21))
-#: Validation rows per matrix product in avg_margins: the k x n margins
-#: are never held at once, so scoring stays cheap on large tables.
-MARGIN_BLOCK = 4096
+#: Rows one blocked pass holds at once: avg_margins' validation rows per matrix
+#: product, so the k x n margins are never held at once, and the rows that
+#: data_io's load_csv, standardize and pca_project copy at a time.
+ROW_BLOCK = 4096
 #: Margins this close to the largest, relative to it, are tied.
 MARGIN_RTOL = 1e-12
 #: Columns per product of _newton's blocked Hessian sum. Up to this many rows the
@@ -229,7 +230,7 @@ def avg_margins(thetas, validation: UnlabeledDataset) -> np.ndarray:
     """Mean absolute normalized margin of each row of a k x d stack.
 
     Row i scores (1/n) sum_x |<theta_i, x>| / ||theta_i|| over the n
-    validation rows. The margins are formed one block of MARGIN_BLOCK
+    validation rows. The margins are formed one block of ROW_BLOCK
     validation rows at a time, one k x block matrix product each, and
     summed per candidate.
     """
@@ -245,8 +246,8 @@ def avg_margins(thetas, validation: UnlabeledDataset) -> np.ndarray:
     if np.any(norms == 0.0):
         raise ValidationError("avg_margins is undefined for the zero vector")
     totals = np.zeros(len(th))
-    for start in range(0, validation.n, MARGIN_BLOCK):
-        block = validation.x[start:start + MARGIN_BLOCK]
+    for start in range(0, validation.n, ROW_BLOCK):
+        block = validation.x[start:start + ROW_BLOCK]
         margins = th @ block.T
         totals += np.abs(margins, out=margins).sum(axis=1)
     return totals / validation.n / norms

@@ -107,6 +107,36 @@ class TestSeriesChart:
         with pytest.raises(ValidationError, match="metric"):
             render_series_chart(sweep({"sl": (0.4, 0.3, 0.2, 0.1)}), metric="loss")
 
+    def test_nonpositive_point_rejected_on_log_y(self):
+        chart = sweep({"sl": (0.0, 0.3, 0.2, 0.1), "lda": (0.3, 0.25, 0.2, 0.15)})
+        with pytest.raises(ValidationError, match="positive"):
+            render_series_chart(chart, log_y=True)
+
+    def test_axis_span_past_float_range_rejected(self):
+        chart = sweep({"sl": (0.4, 0.3), "sslw": (0.1, 0.2)}, grid=(-1e308, 1e308))
+        with pytest.raises(ValidationError, match="span of an axis from -1e.308 to 1e.308"):
+            render_series_chart(chart)
+        with pytest.raises(ValidationError, match="span of an axis from -1e.308 to 1e.308"):
+            render_gap_chart(chart, "sl", "sslw")
+
+    @pytest.mark.parametrize("mean, std, log_y", [(1e308, 1e308, False), (1.5e308, 4e307, True)])
+    def test_overflowing_band_edge_rejected(self, mean, std, log_y):
+        cells = tuple(
+            (CellStats("sl", 5, 0.1, 0.01, m, sd, 0.3, 0.01),)
+            for m, sd in ((mean, std), (0.5, 0.1))
+        )
+        chart = SweepResult(axis_name="snr", grid=(1.0, 2.0), replicates=5, cells=cells)
+        with pytest.raises(ValidationError, match="span of the plotted values from .* to inf"):
+            render_series_chart(chart, metric="estimation", log_y=log_y)
+
+    def test_log_axis_that_underflows_rejected(self):
+        chart = sweep({"sl": (5e-324,)}, grid=(5e-324,))
+        with pytest.raises(ValidationError, match="low end of a log axis"):
+            render_series_chart(chart, log_x=True)
+        with pytest.raises(ValidationError, match="low end of a log axis"):
+            render_gap_chart(sweep({"sl": (0.4,), "sslw": (0.3,)}, grid=(5e-324,)),
+                             "sl", "sslw", log_x=True)
+
     def test_series_colors_come_from_palette(self):
         svg = render_series_chart(sweep({"sl": (0.4, 0.3, 0.2, 0.1)}))
         assert PALETTE[0] in svg

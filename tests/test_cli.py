@@ -16,7 +16,7 @@ import pytest
 
 from ssl_lab import cli, experiments
 from ssl_lab.cli import _write_manifest, main
-from ssl_lab.data_io import read_results
+from ssl_lab.data_io import RESULTS_COLUMNS, read_results
 from ssl_lab.errors import ConvergenceError
 from ssl_lab.experiments import TrialConfig
 
@@ -850,6 +850,31 @@ class TestReport:
         assert message in capsys.readouterr().err
         assert not charts.exists()
 
+    @pytest.mark.parametrize("cells, flags, message", [
+        # Axis values whose span is past float range.
+        ([("-1e+308", "0.5", "0.1"), ("1e+308", "0.5", "0.1")], [],
+         "the span of an axis from -1e+308 to 1e+308"),
+        # A band edge, mean + std, that overflows.
+        ([("1.0", "1e+308", "1e+308"), ("2.0", "0.5", "0.1")], ["--metric", "estimation"],
+         "the span of the plotted values from 0 to inf"),
+        # A log axis whose padded low end underflows to zero.
+        ([("5e-324", "0.5", "0.1")], ["--log-x"], "the low end of a log axis"),
+        # A zero mean, which a log axis cannot place.
+        ([("1.0", "0.0", "0.0"), ("2.0", "0.5", "0.1")], ["--metric", "estimation", "--log-y"],
+         "log-scaled values must be positive"),
+    ])
+    def test_a_chart_that_cannot_be_drawn_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, cells, flags, message
+    ):
+        rows = "".join(f"snr,{x},sl,2,0.1,0.01,{mean},{std},0.3,0.01,\n" for x, mean, std in cells)
+        results = tmp_path / "results.csv"
+        results.write_text(f"# schema ssl-lab-sweep 1\n{','.join(RESULTS_COLUMNS)}\n{rows}")
+        charts = tmp_path / "charts"
+        assert main(["report", str(results), *flags, "--out", str(charts)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not charts.exists()
+
     def test_missing_input_exits_2_and_writes_nothing(self, tmp_path, capsys):
         # The good file comes first: nothing is written until every input reads.
         results = self.results_with(tmp_path, "sl")
@@ -995,8 +1020,11 @@ class TestHostileInputs:
 
     @pytest.mark.parametrize("column", range(11))
     def test_report_results_cell(self, tmp_path, capsys, column):
-        """Each cell of a results file's one data row, given each hostile value."""
+        """Each cell of a results file's one data row, given each hostile value. Only
+        rows that simulate can write are charted: -0.0 as the axis value or a statistic,
+        and an empty extra."""
         schema, header, row = Path(REPORT_INPUT).read_text().splitlines()[:3]
+        charted = []
         for number, text in enumerate(HOSTILE_ARGS):
             cells = row.split(",")
             cells[column] = text
@@ -1004,4 +1032,7 @@ class TestHostileInputs:
             with open(path, "w", newline="", errors="surrogateescape") as handle:
                 handle.write(f"{schema}\n{header}\n")
                 csv.writer(handle, lineterminator="\n").writerow(cells)
-            self.ends_well(capsys, ["report", str(path)], tmp_path / f"run{number}")
+            if self.ends_well(capsys, ["report", str(path)], tmp_path / f"run{number}") == 0:
+                charted.append(text)
+        expected = {1: ["-0.0"], **dict.fromkeys(range(4, 10), ["-0.0"]), 10: [""]}
+        assert charted == expected.get(column, [])

@@ -12,7 +12,6 @@ from oracles import jacobi_eigh, load_csv_rows, traced_peak
 from ssl_lab.data_io import (
     RESULTS_COLUMNS,
     RESULTS_SCHEMA_VERSION,
-    ROW_BLOCK,
     SplitSpec,
     TabularDataset,
     load_csv,
@@ -24,7 +23,7 @@ from ssl_lab.data_io import (
     write_results,
 )
 from ssl_lab.errors import DataFormatError, SchemaVersionError, ValidationError
-from ssl_lab.estimators import canonical_sign
+from ssl_lab.estimators import ROW_BLOCK, canonical_sign
 from ssl_lab.experiments import CellStats, SweepResult, TrialConfig, run_sweep
 from ssl_lab.gmm import LabeledDataset, MixtureModel, UnlabeledDataset
 from ssl_lab.seeds import MASK64
@@ -851,6 +850,17 @@ class TestResultsErrors:
              "row 3: axis value 'nan' is not finite"),
             (lambda lines: lines.__setitem__(2, lines[2].replace(",2000.0,", ",-inf,", 1)),
              "row 3: axis value '-inf' is not finite"),
+            # Rows that name what no sweep runs, or more trials than seeds tell apart:
+            *[(lambda lines, name=name: lines.__setitem__(
+                slice(2, None), [name + line[2:] for line in lines[2:]]
+            ), f"row 3: axis name {name!r} is not one of") for name in ("bogus", "")],
+            *[(lambda lines, tag=tag: lines.__setitem__(2, lines[2].replace(",sl,", f",{tag},")),
+               re.escape(f"row 3: unknown method tag {tag.strip(chr(34))!r}"))
+              for tag in ("abc", "true", '"[1, 2]"', "")],
+            *[(lambda lines, reps=reps: lines.__setitem__(
+                slice(2, None), [line.replace(",3,", f",{reps},", 1) for line in lines[2:]]
+            ), "replicates must be at most 9223372036854775808")
+              for reps in (2**63 + 1, 2**64 + 1, 10**400)],
         ],
     )
     def test_malformed_rows_are_rejected(self, tmp_path, mutate, pattern):
@@ -860,6 +870,14 @@ class TestResultsErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=pattern):
             read_results(str(path))
+
+    def test_replicates_up_to_the_sweep_bound_are_read(self, tmp_path):
+        # Two grid values: sweep_cell_configs takes up to 2**64 // 2 replicates.
+        path = self.write_valid(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[2:] = [line.replace(",3,", f",{2**63},", 1) for line in lines[2:]]
+        path.write_text("\n".join(lines) + "\n")
+        assert read_results(str(path)).replicates == 2**63
 
     def test_truncated_file_is_rejected(self, tmp_path):
         path = tmp_path / "sweep.csv"

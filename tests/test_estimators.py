@@ -437,8 +437,8 @@ class TestAvgMargin:
 class TestAvgMargins:
     @pytest.mark.parametrize("d", [2, 5, 20])
     @pytest.mark.parametrize("n_val", [
-        1, estimators.MARGIN_BLOCK - 1, estimators.MARGIN_BLOCK,
-        estimators.MARGIN_BLOCK + 1, 2 * estimators.MARGIN_BLOCK + 37,
+        1, estimators.ROW_BLOCK - 1, estimators.ROW_BLOCK,
+        estimators.ROW_BLOCK + 1, 2 * estimators.ROW_BLOCK + 37,
     ])
     def test_matches_one_candidate_at_a_time(self, d, n_val):
         rng = np.random.default_rng(1000 * d + n_val)
@@ -454,7 +454,7 @@ class TestAvgMargins:
 
     def test_identical_candidates_score_identically(self):
         rng = np.random.default_rng(71)
-        rows = UnlabeledDataset(x=rng.standard_normal((estimators.MARGIN_BLOCK + 500, 3)))
+        rows = UnlabeledDataset(x=rng.standard_normal((estimators.ROW_BLOCK + 500, 3)))
         theta = rng.standard_normal(3)
         thetas = np.vstack([rng.standard_normal((4, 3)), theta, rng.standard_normal((5, 3)), theta])
         margins = avg_margins(thetas, rows)

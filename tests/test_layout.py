@@ -376,6 +376,44 @@ def test_rule_catches_a_second_exit_code_path(tmp_path):
                                        (21, "_cmd_report")]
 
 
+def opens_for_writing(node):
+    """A call of the builtin open whose mode can write: one with 'w', 'a', 'x' or '+', or one
+    that is not a string literal."""
+    if not (isinstance(node, ast.Call) and ast.unparse(node.func) == "open"):
+        return False
+    modes = node.args[1:2] + [keyword.value for keyword in node.keywords if keyword.arg == "mode"]
+    if not modes:
+        return False
+    mode = modes[0]
+    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+        return True
+    return any(flag in mode.value for flag in "wax+")
+
+
+def test_only_atomic_writer_opens_files_for_writing():
+    """Outputs are written atomically: each file src/ writes goes through data_io.atomic_writer."""
+    found = [(path.name, function) for path in sorted(SRC.glob("*.py"))
+             for _, function in node_sites(path, opens_for_writing)]
+    assert found == [("data_io.py", "atomic_writer")]
+
+
+def test_rule_catches_a_second_writer(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "def atomic_writer(path):\n"
+        "    with open(f'{path}.tmp', 'w', newline='') as handle:\n"
+        "        yield handle\n"
+        "\n"
+        "def save(path, text, mode):\n"
+        "    open(path).read(), open(path, 'rb'), open(path, mode='r', newline='')\n"
+        "    with open(path, mode='a') as handle:\n"
+        "        handle.write(text)\n"
+        "    return open(path, 'r+b'), open(path, 'xt'), open(path, mode)\n"
+    )
+    found = node_sites(module, opens_for_writing)
+    assert found == [(2, "atomic_writer"), (7, "save"), (9, "save"), (9, "save"), (9, "save")]
+
+
 MAX_LINE = 100
 
 
