@@ -123,15 +123,15 @@ def _chart(sweep: SweepResult, lines, y_label, log_x, log_y, title, zero_line) -
     ys = []
     for _, points, edges in lines:
         ys += [y for _, y in points] + [v for _, low, high in edges for v in (low, high)]
-    low, high = min(ys), max(ys)
-    check_real(high - low, f"the span of the plotted values from {low:g} to {high:g}")
+    y_min, y_max = min(ys), max(ys)
+    check_real(y_max - y_min, f"the span of the plotted values from {y_min:g} to {y_max:g}")
     if log_y:
-        if low <= 0.0:
+        if y_min <= 0.0:
             raise ValidationError("log-scaled values must be positive")
-        lo, hi = low / 1.1, high * 1.1
+        lo, hi = y_min / 1.1, y_max * 1.1
     else:
-        pad = 0.05 * (high - low)
-        lo, hi = low - pad, high + pad
+        pad = 0.05 * (y_max - y_min)
+        lo, hi = y_min - pad, y_max + pad
     x_lo, x_hi = float(min(sweep.grid)), float(max(sweep.grid))
     x_scale = _Scale(x_lo, x_hi, _LEFT, _WIDTH - _RIGHT, log_x)
     y_scale = _Scale(lo, hi, _HEIGHT - _BOTTOM, _TOP, log_y)
