@@ -21,8 +21,9 @@ Each _cmd_* function checks its inputs and returns a `run` that does the
 rest, and main alone maps errors to exit codes: 2 for a ValidationError,
 DataFormatError or OSError before run (bad flags, unreadable inputs,
 malformed files), so nothing is written; 3 for any other SslLabError,
-a MemoryError, and an OSError or lost pool worker in run (a solver
-that fails, every requested method failing, a failed write).
+a MemoryError, and an OSError in run (a solver that fails, every
+requested method failing, a failed write, a sweep whose process pool
+lost a worker, which run_sweep raises as an SslLabError).
 """
 
 from __future__ import annotations
@@ -550,14 +551,6 @@ def main(argv=None) -> int:
             return _fail(2, err)
         run()
     except (SslLabError, OSError, MemoryError) as err:
-        return _fail(3, err)
-    except RuntimeError as err:
-        # A pool that lost a worker raises BrokenExecutor, a RuntimeError. Importing
-        # it only here keeps concurrent.futures off the CLI's import path.
-        from concurrent.futures import BrokenExecutor
-
-        if not isinstance(err, BrokenExecutor):
-            raise
         return _fail(3, err)
     return 0
 

@@ -501,13 +501,18 @@ def write_results(sweep: SweepResult, path) -> None:
                 ])
 
 
-def _parse_number(text: str, line: int, column: str) -> float:
+def _parse_number(text: str, line: int, column: str, kind=float):
+    """The `kind` number a cell holds, if `text` is its repr: the text write_results
+    writes for it (`str` of a replicates count, _format_number of any float)."""
     try:
-        return float(text)
+        value = kind(text)
+        if repr(value) == text:
+            return value
     except ValueError:
-        raise DataFormatError(
-            f"row {line}: cannot parse {text!r} in column {column!r} as a number"
-        ) from None
+        pass
+    raise DataFormatError(
+        f"row {line}: cannot parse {text!r} in column {column!r} as a number in write_results' form"
+    )
 
 
 def _parse_extra(text: str, line: int) -> dict:
@@ -529,11 +534,13 @@ def read_results(path) -> SweepResult:
     a missing line or any other version raises SchemaVersionError. A
     header-only file reads back as an empty sweep. Grid values appear in
     file order, and rows sharing an axis value group into one cell. A row
-    that breaks CellStats's contract, names an axis not in SWEEP_AXES or a
-    method not in METHODS, has a NaN or infinite axis value or repeats a
-    method of its cell raises DataFormatError naming it, and so do bytes
-    the file's encoding cannot decode and a replicates count that
-    sweep_cell_configs would refuse for the file's grid.
+    raises DataFormatError naming it if it breaks CellStats's contract,
+    names an axis not in SWEEP_AXES or a method not in METHODS, has a NaN
+    or infinite axis value, repeats a method of its cell, or holds a number
+    not written as write_results writes it (`+2` or `0_2` replicates, `1e-3`
+    for 0.001); so do bytes the file's encoding cannot decode and a
+    replicates count that sweep_cell_configs would refuse for the file's
+    grid.
     """
     try:
         with open(path, newline="") as handle:
@@ -590,12 +597,7 @@ def _read_sweep(handle) -> SweepResult:
         value = _parse_number(value_text, line, "axis_value")
         if not math.isfinite(value):
             raise DataFormatError(f"row {line}: axis value {value_text!r} is not finite")
-        try:
-            reps = int(reps_text)
-        except ValueError:
-            raise DataFormatError(
-                f"row {line}: cannot parse {reps_text!r} in column 'replicates'"
-            ) from None
+        reps = _parse_number(reps_text, line, "replicates", int)
         if replicates is None:
             replicates = reps
         elif reps != replicates:

@@ -577,40 +577,36 @@ class _Welford:
         return self.mean if self.count else math.nan
 
 
-def _aggregate_cell(results, methods, replicates) -> tuple:
-    """Fold one cell's trial results into per-method statistics.
+def _aggregate_cell(results, methods, replicates, reasons: Counter) -> tuple:
+    """Fold the next `replicates` trial results of the iterator `results` into
+    per-method statistics, counting each "method: error" failure in `reasons`.
 
-    Results are consumed in trial order, so the accumulated floats do not
-    depend on who computed each trial.
+    Results are consumed one at a time in trial order, so the accumulated
+    floats do not depend on who computed each trial.
     """
-    stats = []
-    for method in sorted(methods):
-        accs = {name: _Welford() for name in METRIC_FIELDS}
-        extras: dict = {}
-        failed = 0
-        for result in results:
-            if method in result.failures:
-                failed += 1
-                continue
-            if method not in result.metrics:
-                continue
-            mm = result.metrics[method]
-            for name, acc in accs.items():
+    methods = sorted(methods)
+    accs = {method: {name: _Welford() for name in METRIC_FIELDS} for method in methods}
+    extras: dict = {method: {} for method in methods}
+    failed: Counter = Counter()
+    for _ in range(replicates):
+        result = next(results)
+        for tag, message in result.failures.items():
+            reasons[f"{tag}: {message}"] += 1
+            failed[tag] += 1
+        for method, mm in result.metrics.items():
+            for name, acc in accs[method].items():
                 acc.add(getattr(mm, name))
             for key, value in mm.extra.items():
-                extras.setdefault(key, _Welford()).add(float(value))
-        extra = {key: acc.result_mean() for key, acc in sorted(extras.items())}
-        if failed:
-            extra["failures"] = float(failed)
+                extras[method].setdefault(key, _Welford()).add(float(value))
+    stats = []
+    for method in methods:
+        extra = {key: acc.result_mean() for key, acc in sorted(extras[method].items())}
+        if failed[method]:
+            extra["failures"] = float(failed[method])
         # accs and STAT_FIELDS both follow METRIC_FIELDS, mean before std.
-        values = (v for acc in accs.values() for v in (acc.result_mean(), acc.std()))
+        values = (v for acc in accs[method].values() for v in (acc.result_mean(), acc.std()))
         stats.append(CellStats(method, replicates, **dict(zip(STAT_FIELDS, values)), extra=extra))
     return tuple(stats)
-
-
-def _run_indexed_trial(args):
-    cfg, trial_index = args
-    return run_trial(cfg, trial_index)
 
 
 def sweep_cell_configs(cfg: TrialConfig, axis: str, grid, replicates: int, threads: int = 1):
@@ -643,44 +639,43 @@ def run_sweep(
     replicates: int,
     threads: int = 1,
 ) -> SweepResult:
-    """Run replicates x len(grid) trials and aggregate each cell.
+    """Run replicates x len(grid) trials, folding each into its cell as it finishes.
 
     The global trial index of (cell i, replicate j) is i*replicates + j,
     which fully determines that trial's seed; scheduling across worker
-    processes cannot change any number in the result.
+    processes cannot change any number in the result. A serial sweep holds
+    one trial result at a time, and a pool that loses a worker raises
+    SslLabError.
     """
     grid = tuple(grid)
     cell_configs = sweep_cell_configs(cfg, axis, grid, replicates, threads)
     replicates = int(replicates)
-    jobs = [
-        (cell_configs[i], i * replicates + j)
-        for i in range(len(grid))
-        for j in range(replicates)
-    ]
+    trials = len(grid) * replicates
+    configs = (c for c in cell_configs for _ in range(replicates))
+    reasons: Counter = Counter()
+
+    def fold(results) -> tuple:
+        return tuple(_aggregate_cell(results, cfg.methods, replicates, reasons) for _ in grid)
+
     # The pool starts every worker up front, so it never gets more than there are trials.
-    workers = min(int(threads), len(jobs))
+    workers = min(int(threads), trials)
     if workers == 1:
-        results = [run_trial(c, idx) for c, idx in jobs]
+        cells = fold(map(run_trial, configs, range(trials)))
     else:
         # Imported here so that serial runs never load multiprocessing.
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(jobs) // (4 * workers))
-            results = list(pool.map(_run_indexed_trial, jobs, chunksize=chunk))
-
-    cells = []
-    for i in range(len(grid)):
-        cell_results = results[i * replicates:(i + 1) * replicates]
-        cells.append(_aggregate_cell(cell_results, cfg.methods, replicates))
-    reasons = Counter(
-        f"{tag}: {message}" for result in results for tag, message in result.failures.items()
-    )
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunk = max(1, trials // (4 * workers))
+                cells = fold(pool.map(run_trial, configs, range(trials), chunksize=chunk))
+        except BrokenExecutor as err:
+            raise SslLabError(str(err)) from err
     return SweepResult(
         axis_name=axis,
         grid=grid,
         replicates=replicates,
-        cells=tuple(cells),
+        cells=cells,
         failure_reasons=dict(reasons),
     )
 

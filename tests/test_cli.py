@@ -2,13 +2,13 @@ import csv
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import warnings
 import weakref
 import xml.etree.ElementTree as ET
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
@@ -514,13 +514,17 @@ class TestSimulate:
         assert done.stderr.startswith("error: Unable to allocate")
         assert done.stderr.count("\n") == 1
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the pool's workers must inherit the patched draw")
     def test_broken_pool_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
-        def broken(*args, **kwargs):
-            raise BrokenProcessPool("a worker died")
-
-        monkeypatch.setattr(cli, "run_sweep", broken)
-        assert main(SMALL_SIM + ["--out", str(tmp_path / "run"), "--quiet"]) == 3
-        assert capsys.readouterr().err == "error: a worker died\n"
+        """A worker that dies mid-trial breaks the pool, which run_sweep raises as an
+        SslLabError."""
+        monkeypatch.setattr(experiments, "sample_labeled", lambda *args: os._exit(1))
+        argv = SMALL_SIM[:-2] + ["--threads", "2", "--out", str(tmp_path / "run"), "--quiet"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: A process in the process pool was terminated abruptly")
+        assert err.count("\n") == 1
 
     def test_other_runtime_errors_still_propagate(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -543,6 +547,21 @@ class TestSimulate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["methods"] == expected
         assert read_results(str(out / "results.csv")).methods() == tuple(expected)
+
+    def test_a_whole_number_flag_refuses_a_whole_float(self, tmp_path, capsys):
+        """A flag goes through argparse's int, which takes `20` but not `20.0`."""
+        with pytest.raises(SystemExit) as exit:
+            main(SMALL_SIM + ["--nl", "20.0", "--out", str(tmp_path / "run")])
+        assert exit.value.code == 2
+        assert "argument --nl: invalid int value: '20.0'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_a_config_whole_number_takes_a_whole_float(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"n_l": 20.0, "n_u": 30, "n_val": 20, "n_test": 20}))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["n_l"] == 20
 
     def test_trial_field_values_cover_every_trial_field(self):
         assert set(TRIAL_FIELD_VALUES) == {f.name for f in fields(TrialConfig)} - {"model"}
@@ -763,6 +782,25 @@ class TestReport:
         assert "nl" in text and "mean excess" in text
         assert "wrote" in capsys.readouterr().out
         assert (charts / "report_manifest.json").exists()
+
+    @pytest.mark.parametrize("column, text", [
+        ("replicates", "0_2"), ("replicates", " 2"), ("replicates", "+2"),
+        ("mean_excess", "0.0_021883240771010948"),
+    ])
+    def test_a_number_reads_back_only_as_simulate_writes_it(self, tmp_path, capsys, column,
+                                                            text):
+        golden = ROOT / "tests" / "golden" / "fig3.csv"
+        schema, header, row, *rest = golden.read_text().split("\n")
+        cells = row.split(",")
+        cells[RESULTS_COLUMNS.index(column)] = text
+        results = tmp_path / "fig3.csv"
+        results.write_text("\n".join([schema, header, ",".join(cells), *rest]))
+        charts = tmp_path / "charts"
+        assert main(["report", str(results), "--out", str(charts)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"row 3: cannot parse {text!r} in column {column!r}" in err
+        assert not charts.exists()
 
     def test_gap_flag_normalizes_aliases_and_writes_chart(self, tmp_path):
         results = self.results_with(tmp_path, "sl,ssls,sslw")

@@ -1,3 +1,4 @@
+import csv
 import gzip
 import math
 import os
@@ -869,6 +870,27 @@ class TestResultsErrors:
         mutate(lines)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataFormatError, match=pattern):
+            read_results(str(path))
+
+    @pytest.mark.parametrize("column, text, shown", [
+        *[("replicates", text, text) for text in ("0_3", " 3", "+3", "03", "3.0", "3 ")],
+        *[("axis_value", text, text) for text in ("2000", "2e3", "2_000.0", "+2000.0")],
+        *[("mean_excess", text, text) for text in ("0.1_0", "1e-1", ".1", "0.10", "NaN")],
+        ("extra", "t=0.3_5", "0.3_5"), ("extra", "t=3.5e-1", "3.5e-1"),
+    ])
+    def test_a_number_not_written_as_write_results_writes_it_is_rejected(
+        self, tmp_path, column, text, shown
+    ):
+        """A numeric cell reads back only as str of its int (replicates) or repr of its float."""
+        path = self.write_valid(tmp_path)
+        lines = path.read_text().splitlines()
+        cells = next(csv.reader([lines[2]]))
+        cells[RESULTS_COLUMNS.index(column)] = text
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match=re.escape(
+            f"row 3: cannot parse {shown!r} in column {column!r} as a number"
+        )):
             read_results(str(path))
 
     def test_replicates_up_to_the_sweep_bound_are_read(self, tmp_path):

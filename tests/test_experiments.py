@@ -1,4 +1,6 @@
 import math
+import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -701,14 +703,33 @@ class TestRunSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs, chunksize):
-                return map(fn, jobs)
+            def map(self, fn, *iterables, chunksize):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         cfg = config(methods=("sl",))
         sweep = run_sweep(cfg, "nl", grid, replicates, threads)
         assert asked == ([] if workers is None else [workers])
         assert_sweeps_identical(sweep, run_sweep(cfg, "nl", grid, replicates, threads=1))
+
+    def test_a_serial_sweep_holds_at_most_two_trial_results(self, monkeypatch):
+        """Each trial folds into its cell as it finishes: while a trial runs, only the one
+        before it is still alive, however many replicates the cell has."""
+        alive = weakref.WeakSet()
+        most = []
+
+        def counted(cfg, trial_index):
+            result = run_trial(cfg, trial_index)
+            alive.add(result)
+            most.append(len(alive))
+            return result
+
+        monkeypatch.setattr(experiments, "run_trial", counted)
+        cfg = config(methods=("sl", "ul"), n_u=0)
+        sweep = run_sweep(cfg, "nl", (5,), replicates=50)
+        assert len(most) == 50 and max(most) <= 2
+        assert sweep.cell(0, "ul").extra["failures"] == 50.0
+        assert sum(sweep.failure_reasons.values()) == 50
 
     def test_repeated_run_is_bitwise_identical(self):
         cfg = config(methods=("sl", "ulplus"))
@@ -824,7 +845,11 @@ class TestCellStats:
             TrialResult(i, i, {"selftrain": MethodMetrics(0.1, 0.2, 0.3, {"threshold": t})}, {})
             for i, t in enumerate(thresholds)
         ]
-        (stats,) = experiments._aggregate_cell(results, ("selftrain",), len(thresholds))
+        reasons = Counter()
+        (stats,) = experiments._aggregate_cell(
+            iter(results), ("selftrain",), len(thresholds), reasons
+        )
+        assert reasons == Counter()
         assert stats.extra["threshold"] == mean
         assert stats.mean_excess == pytest.approx(0.1) and stats.std_excess == pytest.approx(0.0)
 

@@ -376,6 +376,52 @@ def test_rule_catches_a_second_exit_code_path(tmp_path):
                                        (21, "_cmd_report")]
 
 
+def names_concurrent_futures(node):
+    """An import from the concurrent package, an attribute chain through concurrent.futures,
+    or a string naming one of its modules."""
+    def inside(name):
+        return name == "concurrent" or name.startswith("concurrent.")
+
+    if isinstance(node, ast.ImportFrom):
+        return inside(node.module or "")
+    if isinstance(node, ast.Import):
+        return any(inside(alias.name) for alias in node.names)
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, str) and inside(node.value)
+    return isinstance(node, ast.Attribute) and ast.unparse(node) == "concurrent.futures"
+
+
+def test_only_run_sweep_names_concurrent_futures():
+    """The process pool and its failures belong to run_sweep, which raises a lost worker as
+    an SslLabError, so no other function of src/ imports or names concurrent.futures."""
+    found = {(path.name, function) for path in sorted(SRC.glob("*.py"))
+             for _, function in node_sites(path, names_concurrent_futures)}
+    assert found == {("experiments.py", "run_sweep")}
+
+
+def test_rule_catches_a_second_pool_user(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import concurrent.futures\n"
+        "from concurrent import futures\n"
+        "\n"
+        "def run_sweep(jobs):\n"
+        "    from concurrent.futures import ProcessPoolExecutor\n"
+        "    import concurrency, concurrently\n"
+        "\n"
+        "def main(argv):\n"
+        "    try:\n"
+        "        run(argv)\n"
+        "    except concurrent.futures.BrokenExecutor:\n"
+        "        return 3\n"
+        "\n"
+        "def load():\n"
+        "    return importlib.import_module('concurrent.futures.process'), 'concurrently'\n"
+    )
+    found = node_sites(module, names_concurrent_futures)
+    assert found == [(1, None), (2, None), (5, "run_sweep"), (11, "main"), (15, "load")]
+
+
 def opens_for_writing(node):
     """A call of the builtin open whose mode can write: one with 'w', 'a', 'x' or '+', or one
     that is not a string literal."""
