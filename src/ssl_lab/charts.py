@@ -111,12 +111,12 @@ def _chart(sweep: SweepResult, lines, y_label, log_x, log_y, title, zero_line) -
     """The SVG of `lines` over the sweep's grid: the one frame of both chart kinds.
 
     Each line is (legend name, finite points, band edges), the edges as
-    (x, low, high) and drawn as a band where there are at least two; colors
-    follow PALETTE in line order. The y range covers every point and edge,
-    each of which must be positive on a log scale; a span of them that is
-    not a finite float (an edge that overflowed) raises ValidationError.
-    When `zero_line` is set, a dashed line marks zero if it falls in that
-    range.
+    (x, low, high) and drawn as a band where there are at least two; both go
+    in axis order, whatever the grid's order. Colors follow PALETTE in line
+    order. The y range covers every point and edge, each of which must be
+    positive on a log scale; a span of them that is not a finite float (an
+    edge that overflowed) raises ValidationError. When `zero_line` is set, a
+    dashed line marks zero if it falls in that range.
     """
     if not lines:
         raise ValidationError("no finite data points to plot")
@@ -179,6 +179,7 @@ def _chart(sweep: SweepResult, lines, y_label, log_x, log_y, title, zero_line) -
         })
     for i, (_, points, edges) in enumerate(lines):
         color = PALETTE[i % len(PALETTE)]
+        points, edges = sorted(points), sorted(edges)
         if len(edges) >= 2:
             outline = [(x, high) for x, _, high in edges]
             outline += [(x, low) for x, low, _ in reversed(edges)]

@@ -40,7 +40,6 @@ import numpy as np
 
 from . import __version__
 from .data_io import (
-    SplitSpec,
     atomic_writer,
     load_csv,
     pca_project,
@@ -57,6 +56,7 @@ from .experiments import (
     SWEEP_AXES,
     UL_BACKENDS,
     FitContext,
+    FitProtocol,
     SweepSpec,
     TrialConfig,
     check_validation_size,
@@ -158,7 +158,7 @@ def _as_given(value, key: str):
 
 #: Every simulate config key, in manifest order, and its one coercion.
 #: A key names the field that holds it: s and d on the model, then the
-#: TrialConfig fields, then SweepSpec's axis, grid and replicates.
+#: TrialConfig and FitProtocol fields, then SweepSpec's axis, grid and replicates.
 _SIMULATE_KEYS = {
     "s": _as_given,
     "d": check_whole,
@@ -222,7 +222,7 @@ def _load_config_file(path) -> dict:
 
 def _spec_config(spec: SweepSpec) -> dict:
     """A sweep's value of every config key, read from the field it names."""
-    holders = (spec.cfg.model, spec.cfg, spec)
+    holders = (spec.cfg.model, spec.cfg, spec.cfg.protocol, spec)
     return {
         key: getattr(next(h for h in holders if hasattr(h, key)), key) for key in _SIMULATE_KEYS
     }
@@ -235,7 +235,8 @@ def _sweep_spec(config: dict) -> SweepSpec:
         return {key: value for key, value in config.items() if key in names}
 
     model = first_axis_model(config["s"], config["d"])
-    spec = SweepSpec(cfg=TrialConfig(model=model, **own(TrialConfig)), **own(SweepSpec))
+    cfg = TrialConfig(model=model, protocol=FitProtocol(**own(FitProtocol)), **own(TrialConfig))
+    spec = SweepSpec(cfg=cfg, **own(SweepSpec))
     if spec.axis is None and spec.grid is None:
         return replace(spec, axis="snr", grid=(model.s,))
     if spec.axis is None or spec.grid is None:
@@ -304,19 +305,19 @@ def _cmd_fit(args):
             f"choose from {', '.join(FIT_METHODS)}"
         )
     check_validation_size(methods, args.nval)
-    for name, value, least in (("n_l", args.nl, 1), ("n_val", args.nval, 0),
-                               ("n_test", args.ntest, 1), ("pca", args.pca, 1)):
-        if value is not None:
-            check_whole(value, name, least)
+    n_l, n_val, n_test, pca = (
+        value if value is None else check_whole(value, name, least)
+        for name, value, least in (("n_l", args.nl, 1), ("n_val", args.nval, 0),
+                                   ("n_test", args.ntest, 1), ("pca", args.pca, 1))
+    )
     # One transform per path, and no name holds the raw table once it has run.
     raw = load_csv(args.data, args.label_column, args.positive_label)
-    table = standardize(raw) if args.pca is None else pca_project(raw, args.pca)
+    table = standardize(raw) if pca is None else pca_project(raw, pca)
     del raw
-    remainder = table.n - args.nl
-    n_val = args.nval if args.nval is not None else max(1, remainder // 4)
-    n_test = args.ntest if args.ntest is not None else max(1, remainder // 4)
-    spec = SplitSpec(n_l=args.nl, n_val=n_val, n_test=n_test, seed=seed)
-    labeled, pool, validation, test = split(table, spec)
+    quarter = max(1, (table.n - n_l) // 4)
+    sizes = {"n_l": n_l, "n_val": quarter if n_val is None else n_val,
+             "n_test": quarter if n_test is None else n_test}
+    labeled, pool, validation, test = split(table, **sizes, seed=seed)
     out_dir = _resolve_out_dir(args)
 
     def run():
@@ -325,10 +326,8 @@ def _cmd_fit(args):
             "data": os.fspath(args.data),
             "label_column": args.label_column,
             "positive_label": str(args.positive_label),
-            "n_l": spec.n_l,
-            "n_val": spec.n_val,
-            "n_test": spec.n_test,
-            "pca": args.pca,
+            **sizes,
+            "pca": pca,
             "methods": methods,
             "base_seed": seed,
         }
@@ -357,13 +356,7 @@ def _cmd_fit(args):
             "data": os.fspath(args.data),
             "n": table.n,
             "d": table.d,
-            "split": {
-                "n_l": spec.n_l,
-                "n_val": spec.n_val,
-                "n_test": spec.n_test,
-                "pool": n_pool,
-                "seed": seed,
-            },
+            "split": {**sizes, "pool": n_pool, "seed": seed},
             "test_errors": test_errors,
             "selections": selections,
             "failures": failures,

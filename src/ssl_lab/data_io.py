@@ -78,26 +78,6 @@ class TabularDataset(LabeledDataset):
         object.__setattr__(self, "columns", columns)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    """Sizes and seed for one deterministic labeled/pool/validation/test split.
-
-    `n_l` rows become the labeled training set, `n_val` the (unlabeled)
-    validation set, and `n_test` the held-out test set; whatever remains
-    joins the unlabeled pool. The seed, a whole number taken modulo 2**64,
-    fully determines the split.
-    """
-
-    n_l: int
-    n_val: int
-    n_test: int
-    seed: int
-
-    def __post_init__(self):
-        for name, least in (("n_l", 0), ("n_val", 0), ("n_test", 0), ("seed", None)):
-            object.__setattr__(self, name, check_whole(getattr(self, name), name, least))
-
-
 def load_csv(path, label_column: str, positive_label) -> TabularDataset:
     """Read a feature table from a CSV file.
 
@@ -329,31 +309,35 @@ def save_csv(data: TabularDataset, path) -> None:
 def standardize(data: TabularDataset) -> TabularDataset:
     """Center each feature column and rescale it to unit population spread.
 
-    Needs at least two rows. Non-constant columns come out with mean
-    0 +/- 1e-9 and population standard deviation 1 (numpy's std, bit for
-    bit); zero-variance columns are divided by 1, so they come out
-    centered, all zeros. Beside its output it holds one block of rows.
+    Needs at least two rows and no column whose mean or spread overflows a
+    float. Non-constant columns come out with mean 0 +/- 1e-9 and population
+    standard deviation 1 (numpy's std, bit for bit); zero-variance columns
+    are divided by 1, so they come out centered, all zeros. Beside its
+    output it holds one block of rows.
     """
     if data.n < 2:
         raise ValidationError("standardize needs at least 2 rows")
-    mean, scale = _standardizer(data.x)
+    mean, scale = _standardizer(data)
     x = np.empty(data.x.shape)
     for start, z in _standardized_blocks(data.x, mean, scale):
         x[start:start + len(z)] = z
     return TabularDataset(x=freeze(x), y=data.y, columns=data.columns)
 
 
-def _standardizer(x: np.ndarray):
-    """(mean, scale) of standardize's rule for x: its column means, and _scale
-    of its column mean squares about them."""
-    mean = x.mean(axis=0)
-    return mean, _scale(_column_mean_square(x, mean))
-
-
-def _scale(mean_square: np.ndarray) -> np.ndarray:
-    """Each column's population spread (numpy's std, bit for bit) or 1 where it is 0."""
-    std = np.sqrt(mean_square)
-    return np.where(std == 0.0, 1.0, std)
+def _standardizer(data: TabularDataset):
+    """(mean, scale) of standardize's rule for data.x: its column means, and each
+    column's population spread about its mean (numpy's std, bit for bit) or 1 where
+    that is 0. Raises ValidationError naming the first column whose mean or spread
+    overflows a float (a mean of inf, or NaN from inf and -inf partial sums, makes
+    the spread so too)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = data.x.mean(axis=0)
+        std = np.sqrt(_column_mean_square(data.x, mean))
+    bad = np.flatnonzero(~np.isfinite(std))
+    if bad.size:
+        raise ValidationError(f"feature column {data.columns[bad[0]]!r} overflows a float: "
+                              "its mean or spread is not finite")
+    return mean, np.where(std == 0.0, 1.0, std)
 
 
 def _column_mean_square(x: np.ndarray, mean: np.ndarray) -> np.ndarray:
@@ -397,13 +381,13 @@ def pca_project(data: TabularDataset, k: int) -> TabularDataset:
     positive as in estimators.leading_eigenpair. The scores, z times the
     axes, are an n x k matrix with columns pc1..pck in nonincreasing order
     of variance, written a block at a time; labels ride along unchanged.
-    Raises ValidationError unless k is a whole number with 1 <= k <= d and
-    the table has at least two rows.
+    Raises ValidationError unless k is a whole number with 1 <= k <= d,
+    the table has at least two rows and no column overflows standardize.
     """
     k = check_whole(k, "k", 1, data.d)
     if data.n < 2:
         raise ValidationError("pca needs at least 2 rows")
-    mean, scale = _standardizer(data.x)
+    mean, scale = _standardizer(data)
     gram = sum(z.T @ z for _, z in _standardized_blocks(data.x, mean, scale))
     _, vectors = np.linalg.eigh(gram / data.n)
     components = np.column_stack([canonical_sign(vectors[:, -1 - j]) for j in range(k)])
@@ -414,22 +398,25 @@ def pca_project(data: TabularDataset, k: int) -> TabularDataset:
     return TabularDataset(x=freeze(scores), y=data.y, columns=columns)
 
 
-def split(data: TabularDataset, spec: SplitSpec):
+def split(data: TabularDataset, n_l: int, n_val: int, n_test: int, seed: int):
     """Deterministic disjoint split into labeled / pool / validation / test.
 
-    A permutation seeded by spec.seed orders the rows; the first n_l
-    become the labeled training set, the next n_val the validation set
-    (labels stripped), the next n_test the held-out test set, and every
-    remaining row joins the unlabeled pool (labels stripped). Returns
-    (labeled, pool, validation, test); raises ValidationError when
-    n_l + n_val + n_test exceeds the number of rows.
+    A permutation seeded by `seed`, a whole number taken modulo 2**64,
+    orders the rows; the first n_l become the labeled training set, the
+    next n_val the validation set (labels stripped), the next n_test the
+    held-out test set, and every remaining row joins the unlabeled pool
+    (labels stripped). Returns (labeled, pool, validation, test); raises
+    ValidationError unless each size is a whole number of at least 0 and
+    their sum is at most the number of rows.
     """
-    check_whole(spec.n_l + spec.n_val + spec.n_test, "n_l + n_val + n_test", most=data.n)
-    perm = np.random.default_rng(spec.seed & MASK64).permutation(data.n)
-    stop_l = spec.n_l
-    stop_v = stop_l + spec.n_val
-    stop_t = stop_v + spec.n_test
-    rows_l, rows_v = perm[:stop_l], perm[stop_l:stop_v]
+    n_l, n_val, n_test = (check_whole(size, name, 0) for name, size in
+                          (("n_l", n_l), ("n_val", n_val), ("n_test", n_test)))
+    seed = check_whole(seed, "seed")
+    check_whole(n_l + n_val + n_test, "n_l + n_val + n_test", most=data.n)
+    perm = np.random.default_rng(seed & MASK64).permutation(data.n)
+    stop_v = n_l + n_val
+    stop_t = stop_v + n_test
+    rows_l, rows_v = perm[:n_l], perm[n_l:stop_v]
     rows_t, rows_p = perm[stop_v:stop_t], perm[stop_t:]
     x, y = data.x, data.y
     return (

@@ -645,6 +645,8 @@ def self_train_path(
     theta1 = stage1.theta
     if theta1.size != labeled.d:
         raise ValidationError("stage1 dimension differs from the data")
+    if unlabeled.d != labeled.d:
+        raise ValidationError("unlabeled dimension differs from the data")
     norm1 = float(np.linalg.norm(theta1))
 
     yx = np.multiply(labeled.x.T, labeled.y, order="C")

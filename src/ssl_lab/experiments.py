@@ -109,6 +109,36 @@ def check_validation_size(methods, n_val: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
+class FitProtocol:
+    """The settings every method fits under, in a simulated trial and on a real table alike.
+
+    self_train_thresholds=None derives 7 quantiles of the stage-1 margins
+    per fit instead of a fixed list.
+    """
+
+    t_grid: tuple = DEFAULT_T_GRID
+    ridge_grid: tuple = DEFAULT_RIDGE_GRID
+    self_train_thresholds: tuple | None = None
+    ul_backend: str = "spectral"
+    em_budget: int = 25
+
+    def __post_init__(self):
+        # Each grid's bounds. Ridge 0 is left out: on separable data its infimum is not attained.
+        grids = {"t_grid": (1.0, False), "ridge_grid": (sys.float_info.max, True)}
+        if self.self_train_thresholds is not None:
+            grids["self_train_thresholds"] = (math.inf, False)
+        for name, (most, positive) in grids.items():
+            grid = tuple(check_real(t, f"{name} value", most, positive)
+                         for t in getattr(self, name))
+            if not grid:
+                raise ValidationError(f"{name} must be nonempty")
+            object.__setattr__(self, name, grid)
+        if self.ul_backend not in UL_BACKENDS:
+            raise ValidationError(f"ul_backend must be one of {UL_BACKENDS}")
+        object.__setattr__(self, "em_budget", check_whole(self.em_budget, "em_budget", 1))
+
+
+@dataclass(frozen=True, eq=False)
 class TrialConfig:
     """One problem size plus the fitting protocol.
 
@@ -118,8 +148,6 @@ class TrialConfig:
     deterministic near-zero start sits on the last basis axis: its escape
     transient depends on the angle between that axis and theta_star, and
     the sweep convention keeps the start signal-free.
-    self_train_thresholds=None derives 7 quantiles of the stage-1 margins
-    per trial instead of a fixed list.
     """
 
     model: MixtureModel
@@ -128,12 +156,8 @@ class TrialConfig:
     n_val: int = 1000
     n_test: int = 1000
     methods: tuple = ("sl",)
-    t_grid: tuple = DEFAULT_T_GRID
-    self_train_thresholds: tuple | None = None
-    ridge_grid: tuple = DEFAULT_RIDGE_GRID
     base_seed: int = 0
-    ul_backend: str = "spectral"
-    em_budget: int = 25
+    protocol: FitProtocol = FitProtocol()
 
     def __post_init__(self):
         if not isinstance(self.model, MixtureModel):
@@ -151,20 +175,9 @@ class TrialConfig:
                 raise ValidationError(f"unknown method tag {tag!r}")
         object.__setattr__(self, "methods", methods)
         check_validation_size(methods, self.n_val)
-        # Each grid's bounds. Ridge 0 is left out: on separable data its infimum is not attained.
-        grids = {"t_grid": (1.0, False), "ridge_grid": (sys.float_info.max, True)}
-        if self.self_train_thresholds is not None:
-            grids["self_train_thresholds"] = (math.inf, False)
-        for name, (most, positive) in grids.items():
-            grid = tuple(check_real(t, f"{name} value", most, positive)
-                         for t in getattr(self, name))
-            if not grid:
-                raise ValidationError(f"{name} must be nonempty")
-            object.__setattr__(self, name, grid)
         object.__setattr__(self, "base_seed", check_whole(self.base_seed, "base_seed"))
-        if self.ul_backend not in UL_BACKENDS:
-            raise ValidationError(f"ul_backend must be one of {UL_BACKENDS}")
-        object.__setattr__(self, "em_budget", check_whole(self.em_budget, "em_budget", 1))
+        if not isinstance(self.protocol, FitProtocol):
+            raise ValidationError("protocol must be a FitProtocol")
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,6 +281,8 @@ def test_error(theta: np.ndarray, test) -> float:
     """
     if test.n < 1:
         raise ValidationError("the test set is empty")
+    if np.shape(theta) != (test.d,):
+        raise ValidationError("theta dimension differs from the test set")
     return np.count_nonzero((test.x @ theta >= 0.0) != (test.y > 0.0)) / test.n
 
 
@@ -347,7 +362,7 @@ def _budgeted_em(unlabeled, init, budget: int):
 
 @dataclass(frozen=True, eq=False)
 class FitContext:
-    """The data and settings every method fits from, plus the fits they share.
+    """The data and protocol every method fits from, plus the fits they share.
 
     `model` is the true mixture in a simulation and None on real data;
     only the truth-dependent extra "wrong_sign" and the switch rule's
@@ -356,18 +371,20 @@ class FitContext:
     sign-fixed ulplus, and the validation-selected ridge fit) are computed
     on first use and then shared. Estimators are called through this
     module's globals at call time, never held, so patching them still
-    takes effect.
+    takes effect. The three datasets must have one width.
     """
 
     labeled: LabeledDataset
     unlabeled: UnlabeledDataset
     validation: UnlabeledDataset
     model: MixtureModel | None = None
-    t_grid: tuple = DEFAULT_T_GRID
-    ridge_grid: tuple = DEFAULT_RIDGE_GRID
-    self_train_thresholds: tuple | None = None
-    ul_backend: str = "spectral"
-    em_budget: int = 25
+    protocol: FitProtocol = FitProtocol()
+
+    def __post_init__(self):
+        if not isinstance(self.protocol, FitProtocol):
+            raise ValidationError("protocol must be a FitProtocol")
+        if not self.labeled.d == self.unlabeled.d == self.validation.d:
+            raise ValidationError("the labeled, unlabeled and validation widths differ")
 
     @cached_property
     def em_init(self) -> np.ndarray:
@@ -393,17 +410,17 @@ class FitContext:
     @cached_property
     def ulplus(self):
         """Sign-fixed unsupervised estimate from the configured backend."""
-        if self.ul_backend == "spectral":
+        if self.protocol.ul_backend == "spectral":
             raw = self.ul
         else:
-            raw = _budgeted_em(self.unlabeled, self.em_init, self.em_budget)
+            raw = _budgeted_em(self.unlabeled, self.em_init, self.protocol.em_budget)
         return fix_sign(raw, self.sl)
 
     @cached_property
     def ridge(self):
         """(ridge, logistic fit) with the largest validation margin."""
-        fits = fit_logistic_grid(self.labeled, self.ridge_grid)
-        return _select_by_margin(self.ridge_grid, fits, self.validation)
+        fits = fit_logistic_grid(self.labeled, self.protocol.ridge_grid)
+        return _select_by_margin(self.protocol.ridge_grid, fits, self.validation)
 
 
 @dataclass(frozen=True)
@@ -436,7 +453,7 @@ def _fit_ssls(ctx):
 
 
 def _fit_sslw(ctx):
-    out, selection = fit_ssl_w(ctx.labeled, ctx.ulplus, ctx.validation, t_grid=ctx.t_grid)
+    out, selection = fit_ssl_w(ctx.labeled, ctx.ulplus, ctx.validation, ctx.protocol.t_grid)
     return out.theta, {"t": selection.t}
 
 
@@ -449,7 +466,7 @@ def _fit_selftrain(ctx):
     """Pick the pseudolabel threshold by validation margin of the refit;
     every threshold shares the ridge-selected stage-1 fit."""
     ridge, stage1 = ctx.ridge
-    thresholds = ctx.self_train_thresholds
+    thresholds = ctx.protocol.self_train_thresholds
     if thresholds is None:
         thresholds = _stage1_threshold_grid(stage1.theta, ctx.unlabeled)
     fits = self_train_path(ctx.labeled, ctx.unlabeled, thresholds, ridge, stage1=stage1)
@@ -514,11 +531,7 @@ def run_trial(cfg: TrialConfig, trial_index: int) -> TrialResult:
         unlabeled=sample_unlabeled(model, cfg.n_u, stream_seed(seed, 1)),
         validation=sample_unlabeled(model, cfg.n_val, stream_seed(seed, 2)),
         model=model,
-        t_grid=cfg.t_grid,
-        ridge_grid=cfg.ridge_grid,
-        self_train_thresholds=cfg.self_train_thresholds,
-        ul_backend=cfg.ul_backend,
-        em_budget=cfg.em_budget,
+        protocol=cfg.protocol,
     )
     test = sample_labeled(model, cfg.n_test, stream_seed(seed, 3))
     metrics, failures = fit_methods(
@@ -754,7 +767,7 @@ PRESETS = {
             n_l=20,
             n_u=2000,
             methods=("sl", "ulplus", "sslw", "selftrain"),
-            ul_backend="em",
+            protocol=FitProtocol(ul_backend="em"),
         ),
         axis="snr",
         grid=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0),
@@ -767,7 +780,7 @@ PRESETS = {
             n_l=10,
             n_u=7000,
             methods=("sl", "ulplus", "sslw", "selftrain"),
-            ul_backend="em",
+            protocol=FitProtocol(ul_backend="em"),
         ),
         axis="nu_over_nl",
         grid=(1.0, 4.0, 10.0, 40.0, 100.0, 200.0, 700.0),
@@ -780,7 +793,6 @@ PRESETS = {
             n_l=100,
             n_u=10_000,
             methods=("sl", "ulplus", "ssls", "sslw"),
-            ul_backend="spectral",
         ),
         axis="nl",
         grid=(100, 500, 1000, 2500, 5000, 10_000),

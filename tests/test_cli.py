@@ -18,7 +18,7 @@ from ssl_lab import cli, experiments
 from ssl_lab.cli import _write_manifest, main
 from ssl_lab.data_io import RESULTS_COLUMNS, read_results
 from ssl_lab.errors import ConvergenceError
-from ssl_lab.experiments import TrialConfig
+from ssl_lab.experiments import FitProtocol, TrialConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA_CSV = str(ROOT / "data" / "synthetic_2gmm_200.csv")
@@ -30,7 +30,8 @@ SMALL_SIM = [
 ]
 
 
-#: A value other than simulate's default for every TrialConfig field but model.
+#: A value other than simulate's default for every TrialConfig field but model and protocol,
+#: and for every FitProtocol field.
 TRIAL_FIELD_VALUES = {
     "n_l": 7,
     "n_u": 31,
@@ -564,7 +565,8 @@ class TestSimulate:
         assert json.loads((out / "manifest.json").read_text())["config"]["n_l"] == 20
 
     def test_trial_field_values_cover_every_trial_field(self):
-        assert set(TRIAL_FIELD_VALUES) == {f.name for f in fields(TrialConfig)} - {"model"}
+        trial = {f.name for f in fields(TrialConfig)} - {"model", "protocol"}
+        assert set(TRIAL_FIELD_VALUES) == trial | {f.name for f in fields(FitProtocol)}
 
     @pytest.mark.parametrize("key", sorted(TRIAL_FIELD_VALUES))
     def test_config_file_sets_every_trial_field(self, tmp_path, key):
@@ -630,8 +632,8 @@ class TestFit:
         refs, alive = [], []
         split, compatibility_score = cli.split, cli.compatibility_score
 
-        def spy_split(table, spec):
-            parts = split(table, spec)
+        def spy_split(*args, **kwargs):
+            parts = split(*args, **kwargs)
             refs.extend(weakref.ref(part) for part in parts)
             return parts
 
@@ -748,6 +750,23 @@ class TestFit:
             "fit_manifest.json", "fit_results.json"
         ]
 
+    @pytest.mark.parametrize("pca", [[], ["--pca", "1"]], ids=["standardize", "pca"])
+    @pytest.mark.parametrize("value", [
+        lambda i: 1e200 * i, lambda i: 1e308 if i % 2 else -1e308, lambda i: 1e308,
+    ], ids=["ramp", "alternating", "constant"])
+    def test_a_column_that_overflows_exits_2_naming_it(self, tmp_path, capsys, value, pca):
+        table = tmp_path / "big.csv"
+        table.write_text("a,big,label\n" + "".join(
+            f"{0.1 * i!r},{value(i)!r},{i % 2}\n" for i in range(40)
+        ))
+        out = tmp_path / "run"
+        args = self.fit_args(out, pca)
+        args[1] = str(table)
+        assert main(args) == 2
+        message = "feature column 'big' overflows a float: its mean or spread is not finite"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_malformed_csv_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,label\n1.0,p\nthree,q\n")
@@ -801,6 +820,21 @@ class TestReport:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"row 3: cannot parse {text!r} in column {column!r}" in err
         assert not charts.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--log-x", "--log-y"], ["--gap", "sl", "sslw"]],
+                             ids=["plain", "log", "gap"])
+    def test_rows_in_descending_axis_order_draw_the_same_charts(self, tmp_path, flags):
+        schema, header, *rows = (ROOT / "tests" / "golden" / "fig3.csv").read_text().splitlines()
+        charts = {}
+        for order, kept in (("ascending", rows), ("descending", rows[::-1])):
+            results = tmp_path / order / "fig3.csv"
+            results.parent.mkdir()
+            results.write_text("\n".join([schema, header, *kept]) + "\n")
+            out = tmp_path / order / "charts"
+            assert main(["report", str(results), "--out", str(out), "--quiet", *flags]) == 0
+            charts[order] = {path.name: path.read_bytes() for path in out.glob("*.svg")}
+        assert len(charts["ascending"]) == (2 if flags[:1] == ["--gap"] else 1)
+        assert charts["descending"] == charts["ascending"]
 
     def test_gap_flag_normalizes_aliases_and_writes_chart(self, tmp_path):
         results = self.results_with(tmp_path, "sl,ssls,sslw")

@@ -13,7 +13,6 @@ from oracles import jacobi_eigh, load_csv_rows, traced_peak
 from ssl_lab.data_io import (
     RESULTS_COLUMNS,
     RESULTS_SCHEMA_VERSION,
-    SplitSpec,
     TabularDataset,
     load_csv,
     pca_project,
@@ -112,28 +111,6 @@ class TestTabularDataset:
     def test_rejects_malformed_input(self, kwargs):
         with pytest.raises(ValidationError):
             TabularDataset(**kwargs)
-
-
-class TestSplitSpec:
-    def test_numpy_integers_coerced(self):
-        spec = SplitSpec(n_l=np.int64(3), n_val=np.int32(2), n_test=np.int64(1), seed=np.int64(9))
-        assert (spec.n_l, spec.n_val, spec.n_test, spec.seed) == (3, 2, 1, 9)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(n_l=-1),
-            dict(n_l=2.5),
-            dict(n_l=True),
-            dict(n_l=2, n_val=-1),
-            dict(n_l=2, n_test=-1),
-            dict(n_l=2, seed="7"),
-            dict(n_l=2, seed=1.5),
-        ],
-    )
-    def test_rejects_malformed_input(self, kwargs):
-        with pytest.raises(ValidationError):
-            SplitSpec(**{**dict(n_val=1, n_test=1, seed=0), **kwargs})
 
 
 class TestLoadCsv:
@@ -582,37 +559,36 @@ class TestSplit:
         return TabularDataset(x=x, y=y, columns=("row",))
 
     def test_worked_example_sizes(self):
-        labeled, pool, validation, test = split(self.ladder(10), SplitSpec(2, 3, 4, seed=0))
+        labeled, pool, validation, test = split(self.ladder(10), 2, 3, 4, 0)
         assert labeled.n == 2
         assert validation.n == 3
         assert test.n == 4
         assert pool.n == 1
 
     def test_parts_are_disjoint_and_cover_no_row_twice(self):
-        labeled, pool, validation, test = split(self.ladder(10), SplitSpec(2, 3, 4, seed=5))
+        labeled, pool, validation, test = split(self.ladder(10), 2, 3, 4, 5)
         seen = np.concatenate(
             [labeled.x[:, 0], validation.x[:, 0], test.x[:, 0], pool.x[:, 0]]
         )
         assert len(np.unique(seen)) == 10
 
     def test_types_and_label_stripping(self):
-        labeled, pool, validation, test = split(self.ladder(10), SplitSpec(2, 3, 4, seed=0))
+        labeled, pool, validation, test = split(self.ladder(10), 2, 3, 4, 0)
         assert isinstance(labeled, LabeledDataset) and isinstance(test, LabeledDataset)
         assert isinstance(pool, UnlabeledDataset) and isinstance(validation, UnlabeledDataset)
         assert not hasattr(pool, "y") and not hasattr(validation, "y")
 
     def test_labels_follow_their_rows(self):
         data = self.ladder(12)
-        labeled, _, _, test = split(data, SplitSpec(4, 3, 3, seed=8))
+        labeled, _, _, test = split(data, 4, 3, 3, 8)
         for part in (labeled, test):
             for value, label in zip(part.x[:, 0], part.y):
                 assert label == data.y[int(value)]
 
     def test_consumption_order_is_labeled_validation_test_pool(self):
         data = self.ladder(11)
-        spec = SplitSpec(3, 2, 4, seed=7)
-        labeled, pool, validation, test = split(data, spec)
-        perm = np.random.default_rng(spec.seed & MASK64).permutation(11)
+        labeled, pool, validation, test = split(data, 3, 2, 4, 7)
+        perm = np.random.default_rng(7 & MASK64).permutation(11)
         assert np.array_equal(labeled.x, data.x[perm[:3]])
         assert np.array_equal(validation.x, data.x[perm[3:5]])
         assert np.array_equal(test.x, data.x[perm[5:9]])
@@ -620,27 +596,61 @@ class TestSplit:
 
     def test_same_seed_reproduces_and_seeds_differ(self):
         data = self.ladder(40)
-        first = split(data, SplitSpec(10, 5, 5, seed=21))
-        second = split(data, SplitSpec(10, 5, 5, seed=21))
+        first = split(data, 10, 5, 5, 21)
+        second = split(data, 10, 5, 5, 21)
         assert np.array_equal(first[0].x, second[0].x)
         assert np.array_equal(first[1].x, second[1].x)
-        other = split(data, SplitSpec(10, 5, 5, seed=22))
+        other = split(data, 10, 5, 5, 22)
         assert not np.array_equal(first[0].x, other[0].x)
 
     def test_negative_seed_is_masked_to_64_bits(self):
         data = self.ladder(12)
-        negative = split(data, SplitSpec(3, 2, 2, seed=-3))
-        masked = split(data, SplitSpec(3, 2, 2, seed=(-3) & MASK64))
+        negative = split(data, 3, 2, 2, -3)
+        masked = split(data, 3, 2, 2, (-3) & MASK64)
         assert np.array_equal(negative[0].x, masked[0].x)
 
     def test_exact_consumption_leaves_empty_pool(self):
-        labeled, pool, validation, test = split(self.ladder(9), SplitSpec(2, 3, 4, seed=0))
+        labeled, pool, validation, test = split(self.ladder(9), 2, 3, 4, 0)
         assert pool.n == 0 and pool.x.shape == (0, 1)
 
     def test_infeasible_sizes_rejected(self):
         message = "n_l + n_val + n_test must be at most 9, got 10"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            split(self.ladder(9), SplitSpec(3, 3, 4, seed=0))
+            split(self.ladder(9), 3, 3, 4, 0)
+
+    def test_numpy_integers_coerced(self):
+        data = self.ladder(10)
+        parts = split(data, np.int64(3), np.int32(2), np.int64(1), np.int64(9))
+        assert (parts[0].n, parts[2].n, parts[3].n) == (3, 2, 1)
+        assert [part.x.tobytes() for part in parts] == [
+            part.x.tobytes() for part in split(data, 3, 2, 1, 9)
+        ]
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_l=-1),
+            dict(n_l=2.5),
+            dict(n_l=True),
+            dict(n_l=2, n_val=-1),
+            dict(n_l=2, n_test=-1),
+            dict(n_l=2, seed="7"),
+            dict(n_l=2, seed=1.5),
+        ],
+    )
+    def test_rejects_malformed_input(self, kwargs):
+        with pytest.raises(ValidationError):
+            split(self.ladder(10), **{**dict(n_val=1, n_test=1, seed=0), **kwargs})
+
+    @pytest.mark.parametrize("sizes, message", [
+        ((20, -1, 1, "7"), "n_val must be at least 0, got -1"),
+        ((20, 1, 2.5, "7"), "n_test must be a whole number, got 2.5"),
+        ((20, 1, 1, "7"), "seed must be a whole number, got '7'"),
+        ((20, 1, 1, -7), "n_l + n_val + n_test must be at most 10, got 22"),
+    ])
+    def test_checks_each_size_then_the_seed_then_the_sum(self, sizes, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            split(self.ladder(10), *sizes)
 
 
 class TestOwnership:
@@ -673,7 +683,7 @@ class TestOwnership:
             "load_csv": lambda: [load_csv(path, "label", "1")],
             "standardize": lambda: [standardize(data)],
             "pca_project": lambda: [pca_project(data, 2)],
-            "split": lambda: split(data, SplitSpec(5, 6, 7, seed=0)),
+            "split": lambda: split(data, 5, 6, 7, 0),
         }[producer]()
         for part in made:
             for array in (part.x, getattr(part, "y", part.x)):

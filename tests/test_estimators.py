@@ -1188,6 +1188,12 @@ class TestSelfTrainPath:
             with pytest.raises(ValidationError):
                 self_train(lab, unlab, bad, self.RIDGE)
 
+    def test_rejects_an_unlabeled_set_of_another_width(self):
+        lab, _ = self.draw(95)
+        wide = sample_unlabeled(MixtureModel(theta_star=np.array([0.8, 0.3, 0.1])), 20, seed=96)
+        with pytest.raises(ValidationError, match="^unlabeled dimension differs from the data$"):
+            self_train(lab, wide, [0.5], self.RIDGE)
+
 
 class TestFitSphericalLda:
     def test_worked_example(self):

@@ -18,6 +18,7 @@ from ssl_lab.experiments import (
     VALIDATION_METHODS,
     CellStats,
     FitContext,
+    FitProtocol,
     MethodMetrics,
     SweepResult,
     TrialConfig,
@@ -111,18 +112,18 @@ class TestTrialConfig:
         cfg = TrialConfig(model=model(1.0, 2), n_l=5, n_u=10)
         assert cfg.n_val == 1000 and cfg.n_test == 1000
         assert cfg.methods == ("sl",)
-        assert cfg.ul_backend == "spectral"
-        assert cfg.em_budget == 25
+        assert cfg.protocol.ul_backend == "spectral"
+        assert cfg.protocol.em_budget == 25
 
     def test_deduplicates_methods_preserving_order(self):
         cfg = config(methods=("sslw", "sl", "sslw", "zero", "sl"))
         assert cfg.methods == ("sslw", "sl", "zero")
 
     def test_coerces_counts_and_grids(self):
-        cfg = config(n_l=8.0, n_u=40.0, t_grid=(0, 1), em_budget=30.0)
+        cfg = config(n_l=8.0, n_u=40.0, protocol=FitProtocol(t_grid=(0, 1), em_budget=30.0))
         assert cfg.n_l == 8 and isinstance(cfg.n_l, int)
-        assert cfg.t_grid == (0.0, 1.0)
-        assert cfg.em_budget == 30 and isinstance(cfg.em_budget, int)
+        assert cfg.protocol.t_grid == (0.0, 1.0)
+        assert cfg.protocol.em_budget == 30 and isinstance(cfg.protocol.em_budget, int)
 
     def test_numpy_integer_seed_is_stored_as_int(self):
         cfg = config(base_seed=np.int64(3))
@@ -136,12 +137,27 @@ class TestTrialConfig:
         dict(n_l=2.5),
         dict(methods=()),
         dict(methods=("sl", "nope")),
+        dict(base_seed=1.5),
+        dict(n_u=1e30),
+        dict(n_test=2**63),
+        dict(n_test=0),
+        dict(n_l=math.inf),
+        dict(n_u=math.nan),
+        dict(n_val=True),
+        dict(base_seed=True),
+        dict(protocol="spectral"),
+        dict(protocol=None),
+    ])
+    def test_rejects_invalid_fields(self, bad):
+        with pytest.raises(ValidationError):
+            config(**bad)
+
+    @pytest.mark.parametrize("bad", [
         dict(self_train_thresholds=(-0.1,)),
         dict(self_train_thresholds=()),
         dict(ridge_grid=()),
         dict(ridge_grid=(-1.0,)),
         dict(ridge_grid=(math.inf,)),
-        dict(base_seed=1.5),
         dict(ul_backend="EM"),
         dict(ul_backend="jacobi"),
         dict(em_budget=0),
@@ -150,22 +166,15 @@ class TestTrialConfig:
         dict(self_train_thresholds=(0.5, math.nan)),
         dict(ridge_grid=(0.0,)),
         dict(ridge_grid=(0.1, 0.0)),
-        dict(n_u=1e30),
-        dict(n_test=2**63),
-        dict(n_test=0),
-        dict(n_l=math.inf),
-        dict(n_u=math.nan),
-        dict(n_val=True),
         dict(em_budget=math.inf),
-        dict(base_seed=True),
     ])
-    def test_rejects_invalid_fields(self, bad):
+    def test_rejects_invalid_protocol_fields(self, bad):
         with pytest.raises(ValidationError):
-            config(**bad)
+            config(protocol=FitProtocol(**bad))
 
     def test_infinite_threshold_is_legal(self):
-        cfg = config(self_train_thresholds=(math.inf, 0.5))
-        assert cfg.self_train_thresholds == (math.inf, 0.5)
+        cfg = config(protocol=FitProtocol(self_train_thresholds=(math.inf, 0.5)))
+        assert cfg.protocol.self_train_thresholds == (math.inf, 0.5)
 
     @pytest.mark.parametrize("methods", [("sslw",), ("sl", "logistic"), ("selftrain",)])
     def test_validation_methods_need_validation_rows(self, methods):
@@ -220,9 +229,9 @@ class TestRunTrial:
         )
         result = run_trial(cfg, 5)
         assert result.metrics["ulplus"].extra["wrong_sign"] in (0.0, 1.0)
-        assert result.metrics["sslw"].extra["t"] in cfg.t_grid
-        assert result.metrics["logistic"].extra["ridge"] in cfg.ridge_grid
-        assert result.metrics["selftrain"].extra["ridge"] in cfg.ridge_grid
+        assert result.metrics["sslw"].extra["t"] in cfg.protocol.t_grid
+        assert result.metrics["logistic"].extra["ridge"] in cfg.protocol.ridge_grid
+        assert result.metrics["selftrain"].extra["ridge"] in cfg.protocol.ridge_grid
         assert result.metrics["selftrain"].extra["threshold"] >= 0.0
         branches = [result.metrics["ssls"].extra[f"branch_{b}"]
                     for b in ("zero", "sl", "ulplus")]
@@ -245,7 +254,7 @@ class TestRunTrial:
     def test_em_backend_below_escape_reports_no_estimate(self):
         cfg = config(
             model=model(0.5, 2), n_l=12, n_u=200, n_val=50, n_test=20,
-            methods=("sl", "ulplus", "sslw"), ul_backend="em", em_budget=3,
+            methods=("sl", "ulplus", "sslw"), protocol=FitProtocol(ul_backend="em", em_budget=3),
         )
         result = run_trial(cfg, 1)
         ulp = result.metrics["ulplus"]
@@ -278,7 +287,7 @@ class TestRunTrial:
     def test_em_backend_above_escape_is_sharp_and_sign_fixed(self):
         cfg = config(
             model=model(3.0, 2), n_l=12, n_u=400, n_val=50, n_test=20,
-            methods=("sl", "ulplus"), ul_backend="em", em_budget=25,
+            methods=("sl", "ulplus"), protocol=FitProtocol(ul_backend="em", em_budget=25),
         )
         result = run_trial(cfg, 4)
         ulp = result.metrics["ulplus"]
@@ -388,6 +397,32 @@ class TestMethodRegistry:
         assert failures == {"lda": "ValidationError: fit_spherical_lda needs both classes present"}
 
 
+class TestDimensions:
+    """Data of mismatched widths raises ValidationError, not numpy's matmul ValueError."""
+
+    def parts(self):
+        return dict(labeled=sample_labeled(model(1.0, 2), 10, 1),
+                    unlabeled=sample_unlabeled(model(1.0, 2), 20, 2),
+                    validation=sample_unlabeled(model(1.0, 2), 10, 3))
+
+    @pytest.mark.parametrize("name", ["unlabeled", "validation"])
+    def test_fit_context_takes_one_width(self, name):
+        parts = {**self.parts(), name: sample_unlabeled(model(1.0, 3), 10, 4)}
+        message = "the labeled, unlabeled and validation widths differ"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FitContext(**parts)
+
+    @pytest.mark.parametrize("protocol", ["em", None, {"ul_backend": "em"}])
+    def test_fit_context_takes_a_fit_protocol(self, protocol):
+        with pytest.raises(ValidationError, match="^protocol must be a FitProtocol$"):
+            FitContext(**self.parts(), protocol=protocol)
+
+    def test_test_error_takes_a_test_set_of_theta_width(self):
+        test = sample_labeled(model(1.0, 2), 10, 5)
+        with pytest.raises(ValidationError, match="^theta dimension differs from the test set$"):
+            experiments.test_error(np.ones(3), test)
+
+
 def preset_trials():
     """(id, cell config, trial index): two trials of every fig1a/fig1b cell."""
     trials = []
@@ -407,8 +442,7 @@ def trial_context(cfg, trial_index, **kwargs):
         unlabeled=sample_unlabeled(cfg.model, cfg.n_u, stream_seed(seed, 1)),
         validation=sample_unlabeled(cfg.model, cfg.n_val, stream_seed(seed, 2)),
         model=cfg.model,
-        ridge_grid=cfg.ridge_grid,
-        **kwargs,
+        protocol=FitProtocol(ridge_grid=cfg.protocol.ridge_grid, **kwargs),
     )
 
 
@@ -493,7 +527,7 @@ class TestSelfTrainSearch:
         unlab = UnlabeledDataset(x=np.array([[1.0, 0.3], [-1.0, 0.7], [1.0, -2.0], [-1.0, 0.1]]))
         val = UnlabeledDataset(x=np.array([[0.5, 1.0], [-2.0, 0.4], [1.0, -0.2]]))
         return FitContext(labeled=lab, unlabeled=unlab, validation=val,
-                          self_train_thresholds=thresholds)
+                          protocol=FitProtocol(self_train_thresholds=thresholds))
 
     @pytest.mark.parametrize("thresholds", [(3.0, 2.0, 0.5, 0.25), (0.5, 0.25, 3.0, 2.0)])
     def test_equal_margins_keep_the_first_threshold_in_grid_order(self, thresholds):
@@ -973,7 +1007,7 @@ class TestPresets:
         assert spec.replicates == 20
         assert spec.cfg.model.d == 2
         assert spec.cfg.n_l == 20 and spec.cfg.n_u == 2000
-        assert spec.cfg.ul_backend == "em"
+        assert spec.cfg.protocol.ul_backend == "em"
         assert {"sl", "ulplus", "sslw"} <= set(spec.cfg.methods)
 
     def test_fig1b_layout(self):
@@ -981,10 +1015,10 @@ class TestPresets:
         assert spec.axis == "nu_over_nl"
         assert spec.cfg.model.s == pytest.approx(0.5)
         assert spec.cfg.n_u == 7000
-        assert spec.cfg.ul_backend == "em"
+        assert spec.cfg.protocol.ul_backend == "em"
 
     def test_fig3_layout(self):
         spec = PRESETS["fig3"]
         assert spec.axis == "nl"
-        assert spec.cfg.ul_backend == "spectral"
+        assert spec.cfg.protocol.ul_backend == "spectral"
         assert "ssls" in spec.cfg.methods

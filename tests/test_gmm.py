@@ -12,7 +12,7 @@ import pytest
 
 from oracles import normal_cdf
 from ssl_lab.cli import _SIMULATE_KEYS, _build_parser
-from ssl_lab.data_io import SplitSpec, TabularDataset, pca_project
+from ssl_lab.data_io import TabularDataset, pca_project, split
 from ssl_lab.errors import ValidationError
 from ssl_lab.estimators import (
     WeightSelection,
@@ -24,6 +24,7 @@ from ssl_lab.estimators import (
     self_train_path,
 )
 from ssl_lab.experiments import (
+    FitProtocol,
     TrialConfig,
     compatibility_from_errors,
     first_axis_model,
@@ -187,6 +188,15 @@ def fit_flag(dest):
     return call
 
 
+TABLE = TabularDataset(x=sample_labeled(SEPARATED, 20, 3).x, y=np.ones(20), columns=("a", "b"))
+
+
+def split_of(**given):
+    """The bytes of each part of TABLE's split: one row each, seed 0, but for `given`."""
+    parts = split(TABLE, **{**dict(n_l=1, n_val=1, n_test=1, seed=0), **given})
+    return [part.x.tobytes() for part in parts]
+
+
 def field_of(make, name, **fixed):
     return lambda value: getattr(make(**{**fixed, name: value}), name)
 
@@ -199,7 +209,8 @@ WHOLE_ENTRY_POINTS = {
     "first_axis_model d": ("d", 1, 3, lambda v: first_axis_model(1.0, v).theta_star.tobytes()),
     **{f"TrialConfig {name}": (name, least, k, field_of(trial_config, name))
        for name, least, k in [("n_l", 1, 8), ("n_u", 0, 40), ("n_val", 0, 10),
-                              ("n_test", 1, 10), ("em_budget", 1, 30), ("base_seed", None, 3)]},
+                              ("n_test", 1, 10), ("base_seed", None, 3)]},
+    "FitProtocol em_budget": ("em_budget", 1, 30, field_of(FitProtocol, "em_budget")),
     "run_trial trial_index": ("trial_index", 0, 2, lambda v: run_trial(trial_config(), v).seed),
     "sweep replicates": ("replicates", 1, 2,
                          lambda v: len(sweep_cell_configs(trial_config(), "nl", (5,), v))),
@@ -210,11 +221,9 @@ WHOLE_ENTRY_POINTS = {
     "_cell_config nu": ("nu grid value", None, 50,
                         lambda v: sweep_cell_configs(trial_config(), "nu", (v,), 1)[0].n_u),
     "compatibility_from_errors d": ("d", 1, 4, lambda v: compatibility_from_errors(0.2, 0.3, v)),
-    **{f"SplitSpec {name}": (name, least, 2, field_of(SplitSpec, name, n_l=1, n_val=1,
-                                                      n_test=1, seed=0))
+    **{f"split {name}": (name, least, 2, lambda v, name=name: split_of(**{name: v}))
        for name, least in [("n_l", 0), ("n_val", 0), ("n_test", 0), ("seed", None)]},
-    "pca_project k": ("k", 1, 2, lambda v: pca_project(TabularDataset(
-        x=sample_labeled(SEPARATED, 20, 3).x, y=np.ones(20), columns=("a", "b")), v).x.tobytes()),
+    "pca_project k": ("k", 1, 2, lambda v: pca_project(TABLE, v).x.tobytes()),
     "fit_em max_iter": ("max_iter", 1, 200, lambda v: fit_em(
         sample_unlabeled(SEPARATED, 200, 4), [1.0, 0.0], v).theta.tobytes()),
     "fit_logistic max_iter": ("max_iter", 1, 100, lambda v: fit_logistic(
@@ -296,8 +305,8 @@ REAL_ENTRY_POINTS = {
     "_cell_config nu_over_nl": ("nu_over_nl grid value", FLOAT_MAX, True, 5,
                                 lambda v: sweep_cell_configs(trial_config(), "nu_over_nl",
                                                              (v,), 1)[0].n_l),
-    **{f"TrialConfig {name}": (f"{name} value", most, positive, 1,
-                               lambda v, name=name: getattr(trial_config(**{name: (v,)}), name))
+    **{f"FitProtocol {name}": (f"{name} value", most, positive, 1,
+                               lambda v, name=name: getattr(FitProtocol(**{name: (v,)}), name))
        for name, most, positive in [("t_grid", 1.0, False), ("ridge_grid", FLOAT_MAX, True),
                                     ("self_train_thresholds", math.inf, False)]},
     **{f"simulate key {key}": (f"{key} value", math.inf, False, 1,

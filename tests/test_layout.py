@@ -460,6 +460,52 @@ def test_rule_catches_a_second_writer(tmp_path):
     assert found == [(2, "atomic_writer"), (7, "save"), (9, "save"), (9, "save"), (9, "save")]
 
 
+#: The fit settings every method fits under, which experiments.FitProtocol alone declares.
+PROTOCOL_FIELDS = ("t_grid", "ridge_grid", "self_train_thresholds", "ul_backend", "em_budget")
+
+
+def protocol_fields(path):
+    """(line, class) of each class-body declaration of a PROTOCOL_FIELDS name in a module."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            targets = ([item.target] if isinstance(item, ast.AnnAssign)
+                       else item.targets if isinstance(item, ast.Assign) else [])
+            found += [(item.lineno, node.name) for target in targets for name in ast.walk(target)
+                      if isinstance(name, ast.Name) and name.id in PROTOCOL_FIELDS]
+    return found
+
+
+def test_only_fit_protocol_declares_the_fit_settings():
+    """A simulated trial and a real table fit under one protocol, declared and checked once."""
+    found = [(path.name, cls) for path in sorted(SRC.glob("*.py"))
+             for _, cls in protocol_fields(path)]
+    assert found == [("experiments.py", "FitProtocol")] * len(PROTOCOL_FIELDS)
+
+
+def test_rule_catches_a_second_declaration_of_a_fit_setting(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "class FitProtocol:\n"
+        "    t_grid: tuple = ()\n"
+        "\n"
+        "class TrialConfig:\n"
+        "    protocol: FitProtocol = FitProtocol()\n"
+        "    em_budget: int = 25\n"
+        "\n"
+        "class Defaults:\n"
+        "    ul_backend = ridge_grid = None\n"
+        "    def fit(self, t_grid):\n"
+        "        self_train_thresholds = t_grid\n"
+        "        return self_train_thresholds\n"
+    )
+    assert protocol_fields(module) == [(2, "FitProtocol"), (6, "TrialConfig"),
+                                       (9, "Defaults"), (9, "Defaults")]
+
+
 MAX_LINE = 100
 
 
